@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dpg import ProblemConfig, gram_matrix, _equilibrated_cholesky
+from .dpg import ProblemConfig, _equilibrated_cholesky
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
 from .manufactured import verify_manufactured
@@ -98,7 +98,7 @@ def _property_suite(lines):
     kernel = ElementKernel(coords, element)
     worst = 0.0
     for t in (0.0, 1e-8, 1.0):
-        G = gram_matrix(kernel, t)
+        G = kernel.gram(t)
         try:
             _equilibrated_cholesky(G)
         except np.linalg.LinAlgError:

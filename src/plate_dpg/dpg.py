@@ -19,6 +19,7 @@ B^T G^{-1} B are produced by one Cholesky factorization of G per element
 (after a symmetric diagonal scaling that leaves them invariant).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,11 +105,21 @@ class ProblemConfig:
 
 @dataclass
 class ElementSystem:
-    """Local Gram matrix, extended trial-to-test matrix, and load vector."""
+    """Local Gram matrix, extended trial-to-test matrix, and load vector.
 
-    G: np.ndarray
+    `gram_factor` factors G on first use and keeps the factor, so a caller
+    that holds the system only for `local_residual` after
+    `local_normal_contribution` may drop G.
+    """
+
+    G: np.ndarray | None
     B: np.ndarray
     l: np.ndarray
+
+    @functools.cached_property
+    def gram_factor(self):
+        """(Cholesky factor, 1 / sqrt(diag G)) of the equilibrated G, computed once."""
+        return _equilibrated_cholesky(self.G)
 
 
 class ElementKernel:
@@ -286,22 +297,6 @@ class ElementKernel:
         return l
 
 
-def gram_matrix(kernel, t):
-    return kernel.gram(t)
-
-
-def element_b_field(kernel, t, material):
-    return kernel.b_field(t, material)
-
-
-def element_b_trace(kernel, t):
-    return kernel.b_trace(t)
-
-
-def element_load(kernel, f_values, t):
-    return kernel.load(f_values, t)
-
-
 def _equilibrated_cholesky(G):
     d = np.sqrt(np.diag(G))
     if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
@@ -317,7 +312,7 @@ def local_normal_contribution(system):
     One Cholesky factorization of the (diagonally equilibrated) Gram matrix
     plus triangular solves; the result is invariant under the scaling.
     """
-    cho, dinv = _equilibrated_cholesky(system.G)
+    cho, dinv = system.gram_factor
     Bt = system.B * dinv[:, None]
     Y = cho_solve(cho, Bt)
     A = Bt.T @ Y
@@ -326,8 +321,11 @@ def local_normal_contribution(system):
 
 
 def local_residual(system, x_local):
-    """Test-norm magnitude of the local residual l - B x for given trial dofs."""
-    cho, dinv = _equilibrated_cholesky(system.G)
+    """Test-norm magnitude of the local residual l - B x for given trial dofs.
+
+    Reuses the Gram factorization of `local_normal_contribution`.
+    """
+    cho, dinv = system.gram_factor
     r = (system.l - system.B @ x_local) * dinv
     val = float(r @ cho_solve(cho, r))
     return np.sqrt(max(val, 0.0))

@@ -165,8 +165,11 @@ def assemble_and_solve(mesh, config, kernels=None):
     systems = []
     for ti in range(nt):
         sysm = element_system(kernels, ti, config)
-        systems.append(sysm)
         A_T, b_T = dpg.local_normal_contribution(sysm)
+        # the estimator needs G only through its cached factor: keep one
+        # n x n array per element, not two
+        sysm.G = None
+        systems.append(sysm)
         gdofs = dof.element_dofs(ti)
         fidx = dof.free_index[gdofs]
         keep = fidx >= 0
@@ -180,9 +183,8 @@ def assemble_and_solve(mesh, config, kernels=None):
     A = linalg.SparseSymMatrix.from_coo(
         dof.n_free, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
-    x_free = linalg.solve_spd(A, rhs, method=config.solver, tol=config.cg_tol)
-
     full_A = A.full()
+    x_free = linalg.solve_spd(full_A, rhs, method=config.solver, tol=config.cg_tol)
     res = np.abs(full_A @ x_free - rhs).max()
     scale = np.abs(rhs).max() + np.abs(full_A).max() * max(np.abs(x_free).max(), 1.0)
     residual_inf = res / scale

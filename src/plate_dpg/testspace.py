@@ -8,6 +8,7 @@ scalar basis, giving 6 * n_scalar local degrees of freedom.  For the
 degenerate thickness t = 0 the tau block is dropped from the layout.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -45,52 +46,79 @@ def barycentric(coords):
     return to_lambda, grad
 
 
+@functools.lru_cache(maxsize=None)
+def _term_tables(degree):
+    """Exponents and integer weights of the Bernstein terms of one degree.
+
+    Along the term axis, row 0 holds the value of basis function b,
+    cmb lam^e; rows 1-3 its first lambda-derivative terms
+    cmb e_m lam^(e - 1_m), m = 0, 1, 2; rows 4-12 its second ones
+    cmb e_m (e - 1_m)_n lam^(e - 1_m - 1_n), with (m, n) in m-major order.
+    A term of weight zero keeps exponent 0 in place of a negative one.
+
+    Returns read-only arrays: `rows` (3, 13, nb), the row of lam_m^exponent
+    in the (3 (degree + 1), nq) table of powers; `weights` (13, nb); and
+    `first`, `second` (9, 3), the entries of the flattened (3, 2)
+    grad_lambda that multiply the (xx, xy, yy) Hessian terms.
+    """
+    E = np.array(_multi_indices(degree))
+    cmb = np.array([
+        math.factorial(degree)
+        // (math.factorial(e[0]) * math.factorial(e[1]) * math.factorial(e[2]))
+        for e in E
+    ])
+    unit = np.eye(3, dtype=int)
+    lowered = E[None, :, :] - unit[:, None, :]               # e - 1_m
+    grad_w = cmb[None, :] * E.T                               # cmb e_m
+    hess_m, hess_n = np.divmod(np.arange(9), 3)
+    hess_w = grad_w[hess_m] * lowered[hess_m, :, hess_n]     # cmb e_m (e - 1_m)_n
+    hess_exp = lowered[hess_m] - unit[hess_n][:, None, :]
+    exps = np.concatenate([E[None], lowered, hess_exp]).clip(min=0)
+    rows = (np.arange(3) * (degree + 1) + exps).transpose(2, 0, 1)
+    weights = np.concatenate([cmb[None], grad_w, hess_w]).astype(float)
+    first = 2 * hess_m[:, None] + np.array([0, 0, 1])
+    second = 2 * hess_n[:, None] + np.array([0, 1, 1])
+    tables = (rows, weights, first, second)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 def eval_scalar_basis(coords, pts, degree=3):
     """Bernstein basis values, gradients, and Hessians at points.
 
-    Returns (val (nq, nb), grad (nq, nb, 2), hess (nq, nb, 3)) with the
-    Hessian stored as (xx, xy, yy).
+    Returns C-contiguous (val (nq, nb), grad (nq, nb, 2), hess (nq, nb, 3))
+    with the Hessian stored as (xx, xy, yy).  Each term of `_term_tables`
+    is formed from lambda powers built by repeated multiplication, as
+    ((cmb * p0) * p1) * p2 for the value and as
+    w * ((p0 * p1) * p2) * grad_lambda[m, .] (* grad_lambda[n, .]) for the
+    derivatives.  The derivative terms of one entry are summed in table
+    order starting from +0.0, so an entry whose terms are all -0.0 reads
+    +0.0.  Every operation and its order are those of a loop over basis
+    functions that accumulates into zeros, so the tables equal that loop's
+    bit for bit.
     """
     if not MIN_DEGREE <= degree <= MAX_DEGREE:
         raise ValueError(f"test-space degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]")
+    rows, weights, first, second = _term_tables(degree)
     to_lambda, glam = barycentric(coords)
     lam = to_lambda(pts)
-    nq = lam.shape[0]
-    nb = scalar_basis_size(degree)
-    # lam powers, pw[m][a] = lam[:, m] ** a
-    pw = [[np.ones(nq)] for _ in range(3)]
-    for m in range(3):
-        for _ in range(degree):
-            pw[m].append(pw[m][-1] * lam[:, m])
-
-    val = np.empty((nq, nb))
-    grad = np.zeros((nq, nb, 2))
-    hess = np.zeros((nq, nb, 3))
-    for b, e in enumerate(_multi_indices(degree)):
-        cmb = math.factorial(degree) // (
-            math.factorial(e[0]) * math.factorial(e[1]) * math.factorial(e[2])
-        )
-        val[:, b] = cmb * pw[0][e[0]] * pw[1][e[1]] * pw[2][e[2]]
-        for m in range(3):
-            if e[m] == 0:
-                continue
-            em = list(e)
-            em[m] -= 1
-            mono = pw[0][em[0]] * pw[1][em[1]] * pw[2][em[2]]
-            grad[:, b, 0] += cmb * e[m] * mono * glam[m, 0]
-            grad[:, b, 1] += cmb * e[m] * mono * glam[m, 1]
-            for n in range(3):
-                cnt = em[n]
-                if cnt == 0:
-                    continue
-                emn = list(em)
-                emn[n] -= 1
-                mono2 = pw[0][emn[0]] * pw[1][emn[1]] * pw[2][emn[2]]
-                w = cmb * e[m] * cnt * mono2
-                hess[:, b, 0] += w * glam[m, 0] * glam[n, 0]
-                hess[:, b, 1] += w * glam[m, 0] * glam[n, 1]
-                hess[:, b, 2] += w * glam[m, 1] * glam[n, 1]
-    return val, grad, hess
+    # pw[m, a] = lam[:, m] ** a
+    pw = np.empty((3, degree + 1, lam.shape[0]))
+    pw[:, 0] = 1.0
+    for a in range(1, degree + 1):
+        pw[:, a] = pw[:, a - 1] * lam.T
+    p0, p1, p2 = pw.reshape(3 * (degree + 1), -1)[rows]     # each (13, nb, nq)
+    val = ((weights[0, :, None] * p0[0]) * p1[0]) * p2[0]
+    terms = weights[1:, :, None] * ((p0[1:] * p1[1:]) * p2[1:])
+    grad = (terms[:3, None] * glam[:, :, None, None]).sum(axis=0, initial=0.0)
+    g = glam.ravel()
+    hess = ((terms[3:, None] * g[first][:, :, None, None])
+            * g[second][:, :, None, None]).sum(axis=0, initial=0.0)
+    # C order: matrix products on transposed views take another BLAS path,
+    # which changes the last bits of every element matrix built from these
+    return (np.ascontiguousarray(val.T), np.ascontiguousarray(grad.transpose(2, 1, 0)),
+            np.ascontiguousarray(hess.transpose(2, 1, 0)))
 
 
 class BrokenTestBasis:

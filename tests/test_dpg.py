@@ -16,7 +16,6 @@ from plate_dpg.dpg import (
     ElementSystem,
     MaterialLaw,
     ProblemConfig,
-    gram_matrix,
     local_normal_contribution,
     local_residual,
     trace_pair_edge,
@@ -106,7 +105,7 @@ def test_config_validation():
 def test_gram_constant_deflection_test():
     kernel = make_kernel(REF)
     layout = kernel.layout
-    G = gram_matrix(kernel, 1.0)
+    G = kernel.gram(1.0)
     v = component_vector(layout, 1.0, REF, 0, lambda x, y: np.ones_like(x))
     # constant z: only the L2 term survives
     assert abs(v @ G @ v - 0.5) < 1e-13
@@ -115,12 +114,12 @@ def test_gram_constant_deflection_test():
 def test_gram_linear_deflection_test():
     kernel = make_kernel(REF)
     layout = kernel.layout
-    G1 = gram_matrix(kernel, 1.0)
+    G1 = kernel.gram(1.0)
     v1 = component_vector(layout, 1.0, REF, 0, lambda x, y: x)
     # |x|^2 over the triangle is 1/12; the gradient term adds t * area
     assert abs(v1 @ G1 @ v1 - 7.0 / 12.0) < 1e-13
 
-    G0 = gram_matrix(kernel, 0.0)
+    G0 = kernel.gram(0.0)
     v0 = component_vector(layout, 0.0, REF, 0, lambda x, y: x)
     assert abs(v0 @ G0 @ v0 - 1.0 / 12.0) < 1e-13
 
@@ -129,7 +128,7 @@ def test_gram_symmetric_positive_definite():
     for seed in range(10):
         kernel = make_kernel(random_triangle(seed))
         for t in (0.0, 1e-8, 1e-4, 1.0):
-            G = gram_matrix(kernel, t)
+            G = kernel.gram(t)
             assert np.abs(G - G.T).max() == 0.0
             # equilibrated Cholesky must succeed even at cond ~ 1/t
             d = 1.0 / np.sqrt(np.diag(G))
@@ -138,8 +137,8 @@ def test_gram_symmetric_positive_definite():
 
 def test_gram_size_depends_on_thickness():
     kernel = make_kernel(REF)
-    assert gram_matrix(kernel, 0.5).shape == (60, 60)
-    assert gram_matrix(kernel, 0.0).shape == (40, 40)
+    assert kernel.gram(0.5).shape == (60, 60)
+    assert kernel.gram(0.0).shape == (40, 40)
 
 
 # ---- volume trial-to-test block

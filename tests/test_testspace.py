@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from plate_dpg import quadrature
+from plate_dpg.mesh import mesh_at_level
 from plate_dpg.testspace import (
     BrokenTestBasis,
     barycentric,
@@ -9,6 +13,60 @@ from plate_dpg.testspace import (
 )
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _loop_scalar_basis(coords, pts, degree):
+    """Reference: the basis accumulated term by term in a per-function loop."""
+    to_lambda, glam = barycentric(coords)
+    lam = to_lambda(pts)
+    nq = lam.shape[0]
+    nb = scalar_basis_size(degree)
+    # lam powers, pw[m][a] = lam[:, m] ** a
+    pw = [[np.ones(nq)] for _ in range(3)]
+    for m in range(3):
+        for _ in range(degree):
+            pw[m].append(pw[m][-1] * lam[:, m])
+
+    multi_indices = [(i, j, degree - i - j)
+                     for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+    val = np.empty((nq, nb))
+    grad = np.zeros((nq, nb, 2))
+    hess = np.zeros((nq, nb, 3))
+    for b, e in enumerate(multi_indices):
+        cmb = math.factorial(degree) // (
+            math.factorial(e[0]) * math.factorial(e[1]) * math.factorial(e[2])
+        )
+        val[:, b] = cmb * pw[0][e[0]] * pw[1][e[1]] * pw[2][e[2]]
+        for m in range(3):
+            if e[m] == 0:
+                continue
+            em = list(e)
+            em[m] -= 1
+            mono = pw[0][em[0]] * pw[1][em[1]] * pw[2][em[2]]
+            grad[:, b, 0] += cmb * e[m] * mono * glam[m, 0]
+            grad[:, b, 1] += cmb * e[m] * mono * glam[m, 1]
+            for n in range(3):
+                cnt = em[n]
+                if cnt == 0:
+                    continue
+                emn = list(em)
+                emn[n] -= 1
+                mono2 = pw[0][emn[0]] * pw[1][emn[1]] * pw[2][emn[2]]
+                w = cmb * e[m] * cnt * mono2
+                hess[:, b, 0] += w * glam[m, 0] * glam[n, 0]
+                hess[:, b, 1] += w * glam[m, 0] * glam[n, 1]
+                hess[:, b, 2] += w * glam[m, 1] * glam[n, 1]
+    return val, grad, hess
+
+
+def _dyadic_shapes(level):
+    """One triangle per class of equal edge vectors of the uniform mesh."""
+    mesh = mesh_at_level(level)
+    shapes = {}
+    for ti in range(mesh.num_triangles):
+        coords = mesh.triangle_coords(ti)
+        shapes.setdefault((coords[1:] - coords[0]).tobytes(), coords)
+    return list(shapes.values())
 
 
 def random_points(coords, n, seed):
@@ -101,6 +159,40 @@ def test_derivatives_match_finite_differences():
     assert np.abs((vyp - vym) / (2 * h) - grad[:, :, 1]).max() < 1e-8
     assert np.abs((vxp - 2 * val + vxm) / h**2 - hess[:, :, 0]).max() < 1e-3
     assert np.abs((vyp - 2 * val + vym) / h**2 - hess[:, :, 2]).max() < 1e-3
+
+
+def test_matches_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    triangles = []
+    for scale in (1e-4, 1e-2, 1.0, 10.0):
+        for _ in range(3):
+            coords = scale * rng.uniform(-1.0, 1.0, (3, 2)) + rng.uniform(-5, 5, 2)
+            if np.linalg.det(coords[1:] - coords[0]) < 0:
+                coords = coords[[0, 2, 1]]
+            triangles.append(coords)
+    shapes = _dyadic_shapes(4)
+    assert len(shapes) == 12
+    triangles += shapes
+    vol = quadrature.triangle_rule(14)
+    edge = quadrature.edge_rule(8)
+    for coords in triangles:
+        lam = rng.uniform(-1.0, 1.5, (7, 2))
+        lam = np.hstack([lam, 1.0 - lam.sum(axis=1, keepdims=True)])
+        point_sets = [
+            quadrature.map_to_triangle(vol, coords)[0],
+            quadrature.map_to_edge(edge, coords[1], coords[2])[0],
+            lam @ coords,  # inside and outside the triangle
+        ]
+        for pts in point_sets:
+            for degree in range(2, 6):
+                new = eval_scalar_basis(coords, pts, degree)
+                ref = _loop_scalar_basis(coords, pts, degree)
+                for a, b in zip(new, ref):
+                    assert a.shape == b.shape
+                    assert a.flags.c_contiguous
+                    assert np.array_equal(a, b)
+                    # signs of zeros too
+                    assert a.tobytes() == b.tobytes()
 
 
 def test_barycentric_roundtrip():
