@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dpg import ProblemConfig, _equilibrated_cholesky
+from .dpg import ElementTables, ProblemConfig, _equilibrated_cholesky, gram
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
 from .manufactured import verify_manufactured
@@ -39,9 +39,21 @@ def _build_config(args, t):
     )
 
 
+def _reject(args, message):
+    """The one-line error of argparse, without its usage block; exit status 2."""
+    print(f"plate-dpg {args.command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_study(args):
     t_list = args.t_list
-    config = _build_config(args, t_list[0])
+    if args.levels < 1:
+        return _reject(args, f"--levels must be >= 1 (got {args.levels})")
+    try:
+        configs = [_build_config(args, t) for t in t_list]
+    except ValueError as err:
+        return _reject(args, str(err))
+    config = configs[0]
     progress = None
     if not args.quiet:
         progress = lambda line: print(line, file=sys.stderr)
@@ -93,12 +105,10 @@ def _property_suite(lines):
     if np.linalg.det(coords[1:] - coords[0]) < 0:
         coords = coords[[0, 2, 1]]
     element = build_hct_element(coords)
-    from .dpg import ElementKernel
-
-    kernel = ElementKernel(coords, element)
+    kernel = ElementTables.build([coords], [element])
     worst = 0.0
     for t in (0.0, 1e-8, 1.0):
-        G = kernel.gram(t)
+        G = gram(kernel, t)[0]
         try:
             _equilibrated_cholesky(G)
         except np.linalg.LinAlgError:
@@ -143,6 +153,10 @@ def _cmd_verify(args):
 
 
 def _cmd_limit(args):
+    if args.level < 0:
+        return _reject(args, f"--level must be >= 0 (got {args.level})")
+    if not all(t > 0.0 and np.isfinite(t) for t in args.t_list):
+        return _reject(args, "the limit study needs finite thicknesses t > 0")
     out = kirchhoff_limit_check(level=args.level, t_sequence=tuple(args.t_list))
     print(f"level {out['level']} mesh, distance to the t = 0 solution")
     print(f"{'t':>10s} {'|u(t)-u(0)|':>14s} {'|M(t)-M(0)|':>14s}")

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import quadrature
+from . import quadrature, testspace
 from .hct import eval_on_parent_edge
 from .linalg import CG_TOL
-from .testspace import BrokenTestBasis
+from .testspace import BarycentricMap, BrokenTestBasis
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
 N_TRACE_COLS = 36  # 4 generating fields x 9 vertex dofs
@@ -90,6 +90,7 @@ class ProblemConfig:
     cg_tol: float = CG_TOL
 
     def __post_init__(self):
+        """Reject every setting the solver cannot honour, with a one-line message."""
         if not np.isfinite(self.t) or self.t < 0.0:
             raise ValueError("thickness t must be finite and >= 0")
         if self.bc not in ("simply-supported", "clamped"):
@@ -98,6 +99,20 @@ class ProblemConfig:
             raise ValueError("clamped plates are supported only at t = 0")
         if self.solver not in ("direct", "cg"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if not testspace.MIN_DEGREE <= self.test_degree <= testspace.MAX_DEGREE:
+            raise ValueError(f"test degree {self.test_degree} is outside "
+                             f"[{testspace.MIN_DEGREE}, {testspace.MAX_DEGREE}]")
+        # the Gram integrand is a product of two test functions
+        lowest = 2 * self.test_degree
+        if not lowest <= self.quad_degree <= quadrature.MAX_TRIANGLE_DEGREE:
+            raise ValueError(f"quadrature degree {self.quad_degree} is outside "
+                             f"[{lowest}, {quadrature.MAX_TRIANGLE_DEGREE}] for test "
+                             f"degree {self.test_degree}")
+        if not 0 <= self.edge_degree <= quadrature.MAX_EDGE_DEGREE:
+            raise ValueError(f"edge quadrature degree {self.edge_degree} is outside "
+                             f"[0, {quadrature.MAX_EDGE_DEGREE}]")
+        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0.0):
+            raise ValueError(f"CG tolerance {self.cg_tol!r} must be finite and > 0")
 
     def n_field(self):
         return 6 if self.t > 0.0 else 4
@@ -123,178 +138,304 @@ class ElementSystem:
 
 
 class ElementKernel:
-    """Precomputed tables of one triangle, reusable across thicknesses."""
+    """Basis tables of one triangle at its volume and edge quadrature points.
 
-    def __init__(self, coords, hct_element, layout=None, quad_degree=14, edge_degree=8):
-        self.coords = np.asarray(coords, dtype=float)
-        self.hct = hct_element
-        self.layout = layout if layout is not None else BrokenTestBasis()
+    The four test-basis tables of the triangle share one barycentric map.
+    Edge tables are stacked over the three edges: weights `ew` (3, nqe),
+    outward unit normals `en` (3, 2), test basis `tv`, `tx`, `ty`
+    (3, nqe, n_scalar) and C1 trace basis `hv`, `hx`, `hy` (3, nqe, 9).
+    """
+
+    def __init__(self, coords, hct_element, layout, quad_degree=14, edge_degree=8):
+        coords = np.asarray(coords, dtype=float)
+        bary = BarycentricMap(coords)
         vol = quadrature.triangle_rule(quad_degree)
-        self.vpts, self.vw = quadrature.map_to_triangle(vol, self.coords)
-        val, grad, hess = self.layout.tables(self.coords, self.vpts)
+        self.vpts, self.vw = quadrature.map_to_triangle(vol, coords)
+        val, grad, hess = layout.tables(bary, self.vpts)
         self.V = val
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
 
         erule = quadrature.edge_rule(edge_degree)
-        self.edges = []
+        edges = []
         for k in range(3):
-            p = self.coords[k]
-            q = self.coords[(k + 1) % 3]
+            p = coords[k]
+            q = coords[(k + 1) % 3]
             pts, we = quadrature.map_to_edge(erule, p, q)
             d = q - p
             n = np.array([d[1], -d[0]]) / np.hypot(*d)
-            tval, tgrad, _ = self.layout.tables(self.coords, pts)
+            tval, tgrad, _ = layout.tables(bary, pts)
             hval, hgrad = eval_on_parent_edge(hct_element, k, erule.points)
-            self.edges.append(
-                dict(w=we, n=n, tv=tval, tx=tgrad[:, :, 0], ty=tgrad[:, :, 1],
-                     hv=hval, hx=hgrad[:, :, 0], hy=hgrad[:, :, 1])
-            )
+            edges.append((we, n, tval, tgrad[:, :, 0], tgrad[:, :, 1],
+                          hval, hgrad[:, :, 0], hgrad[:, :, 1]))
+        (self.ew, self.en, self.tv, self.tx, self.ty,
+         self.hv, self.hx, self.hy) = (np.stack(a) for a in zip(*edges))
 
-    # ---- volume features: (nq, n_test) arrays of test-function quantities
 
-    def _place(self, t, comp, table):
-        ns = self.layout.n_scalar
-        out = np.zeros((table.shape[0], self.layout.n_test(t)))
-        out[:, comp * ns : (comp + 1) * ns] = table
+@dataclass
+class ElementTables:
+    """The `ElementKernel` tables of a run of elements, stacked on a leading axis.
+
+    Slicing with a slice of element indices gives the tables of those
+    elements as views.  `gram`, `b_field`, `b_trace` and `load` take a
+    stack and return one matrix or vector per element.
+    """
+
+    NAMES = ("vpts", "vw", "V", "Dx", "Dy", "Hxx", "Hxy", "Hyy",
+             "ew", "en", "tv", "tx", "ty", "hv", "hx", "hy")
+
+    layout: BrokenTestBasis
+    vpts: np.ndarray      # (ne, nq, 2) volume quadrature points
+    vw: np.ndarray        # (ne, nq) volume quadrature weights
+    V: np.ndarray         # (ne, nq, n_scalar) test basis values ...
+    Dx: np.ndarray        # ... first derivatives ...
+    Dy: np.ndarray
+    Hxx: np.ndarray       # ... and second derivatives
+    Hxy: np.ndarray
+    Hyy: np.ndarray
+    ew: np.ndarray        # (ne, 3, nqe) edge quadrature weights
+    en: np.ndarray        # (ne, 3, 2) outward unit normals
+    tv: np.ndarray        # (ne, 3, nqe, n_scalar) test basis on the edges
+    tx: np.ndarray
+    ty: np.ndarray
+    hv: np.ndarray        # (ne, 3, nqe, 9) C1 trace basis on the edges
+    hx: np.ndarray
+    hy: np.ndarray
+
+    @classmethod
+    def build(cls, coords, hct_elements, layout=None, quad_degree=14, edge_degree=8):
+        """Tables of the triangles `coords` (ne, 3, 2), one ElementKernel at a time."""
+        layout = layout if layout is not None else BrokenTestBasis()
+        stacks = None
+        for ti, element in enumerate(hct_elements):
+            kernel = ElementKernel(coords[ti], element, layout, quad_degree, edge_degree)
+            if stacks is None:
+                stacks = {name: np.empty((len(coords),) + getattr(kernel, name).shape)
+                          for name in cls.NAMES}
+            for name, table in stacks.items():
+                table[ti] = getattr(kernel, name)
+        return cls(layout, **stacks)
+
+    def __len__(self):
+        return self.vw.shape[0]
+
+    def __getitem__(self, elements):
+        return ElementTables(self.layout, **{name: getattr(self, name)[elements]
+                                             for name in self.NAMES})
+
+
+class _Blocks:
+    """A (ne, nq, n_test) array of test-function features, held by component.
+
+    `blocks` maps a component of (z, th11, th12, th22, tau1, tau2) to its
+    (ne, nq, n_scalar) block; every other entry equals `fill`, which
+    broadcasts against a block.  The features are zero-padded full-width
+    arrays in the per-element formulas.  Here `fill` starts as +0.0 and goes
+    through the same floating-point operations as the blocks, so `full`
+    returns those arrays bit for bit, signed zeros included.
+    """
+
+    __array_ufunc__ = None  # `ndarray * _Blocks` goes to __rmul__
+
+    def __init__(self, blocks, fill=0.0):
+        self.blocks = blocks
+        self.fill = fill
+
+    def _apply(self, op, other):
+        if not isinstance(other, _Blocks):
+            return _Blocks({c: op(a, other) for c, a in self.blocks.items()},
+                           op(self.fill, other))
+        comps = self.blocks.keys() | other.blocks.keys()
+        blocks = {c: op(self.blocks.get(c, self.fill), other.blocks.get(c, other.fill))
+                  for c in comps}
+        return _Blocks(blocks, op(self.fill, other.fill))
+
+    def __add__(self, other):
+        return self._apply(np.add, other)
+
+    def __sub__(self, other):
+        return self._apply(np.subtract, other)
+
+    def __mul__(self, other):
+        return self._apply(np.multiply, other)
+
+    __rmul__ = __mul__  # IEEE products commute, bits included
+
+    def update(self, comp, op, value):
+        """Block `comp` replaced by op(block, value), as `out[:, block] op= value` would."""
+        blocks = dict(self.blocks)
+        blocks[comp] = op(blocks.get(comp, self.fill), value)
+        return _Blocks(blocks, self.fill)
+
+    def full(self, n_test, out=None):
+        """The full-width array, written into `out` (all +0.0) when given."""
+        a = next(iter(self.blocks.values()))
+        ns = a.shape[-1]
+        if out is None:
+            out = np.zeros(a.shape[:-1] + (n_test,))
+        if np.any(self.fill) or np.signbit(self.fill).any():
+            out[...] = self.fill
+        for c, block in self.blocks.items():
+            out[..., c * ns : (c + 1) * ns] = block
         return out
 
-    def strain_features(self, t):
-        """(e11, e22, e12) of eps(grad z - t^2 div Theta) per test dof."""
-        tt = t * t
-        e11 = self._place(t, 0, self.Hxx)
-        e11 -= tt * (self._place(t, 1, self.Hxx) + self._place(t, 2, self.Hxy))
-        e22 = self._place(t, 0, self.Hyy)
-        e22 -= tt * (self._place(t, 2, self.Hxy) + self._place(t, 3, self.Hyy))
-        e12 = self._place(t, 0, self.Hxy)
-        e12 -= 0.5 * tt * (
-            self._place(t, 1, self.Hxy) + self._place(t, 2, self.Hyy)
-            + self._place(t, 2, self.Hxx) + self._place(t, 3, self.Hxy)
-        )
-        return e11, e22, e12
 
-    def scaled_div_feature(self, t):
-        """div(div Theta + t(tau - grad z)) per test dof."""
-        s = self._place(t, 1, self.Hxx) + 2.0 * self._place(t, 2, self.Hxy) \
-            + self._place(t, 3, self.Hyy)
-        if t > 0.0:
-            s -= t * (self._place(t, 0, self.Hxx) + self._place(t, 0, self.Hyy))
-            s += t * (self._place(t, 4, self.Dx) + self._place(t, 5, self.Dy))
-        return s
+def _place(comp, table):
+    return _Blocks({comp: table})
 
-    def gram(self, t):
-        """Gram matrix of the test inner product at thickness t."""
-        e11, e22, e12 = self.strain_features(t)
-        feats = [
-            (1.0, self._place(t, 0, self.V)),
-            (1.0, self._place(t, 1, self.V)),
-            (2.0, self._place(t, 2, self.V)),
-            (1.0, self._place(t, 3, self.V)),
-            (1.0, e11), (1.0, e22), (2.0, e12),
-            (1.0, self.scaled_div_feature(t)),
+
+def _strain_features(k, t):
+    """(e11, e22, e12) of eps(grad z - t^2 div Theta) per test dof."""
+    tt = t * t
+    e11 = _place(0, k.Hxx) - tt * (_place(1, k.Hxx) + _place(2, k.Hxy))
+    e22 = _place(0, k.Hyy) - tt * (_place(2, k.Hxy) + _place(3, k.Hyy))
+    e12 = _place(0, k.Hxy) - 0.5 * tt * (
+        _place(1, k.Hxy) + _place(2, k.Hyy) + _place(2, k.Hxx) + _place(3, k.Hxy)
+    )
+    return e11, e22, e12
+
+
+def _scaled_div_feature(k, t):
+    """div(div Theta + t(tau - grad z)) per test dof."""
+    s = _place(1, k.Hxx) + 2.0 * _place(2, k.Hxy) + _place(3, k.Hyy)
+    if t > 0.0:
+        s = s - t * (_place(0, k.Hxx) + _place(0, k.Hyy))
+        s = s + t * (_place(4, k.Dx) + _place(5, k.Dy))
+    return s
+
+
+def _weighted_sum(w, feature, n_test):
+    """w @ F per element: one gemv over the full (nq, n_test) feature."""
+    return (w[:, None, :] @ feature.full(n_test))[:, 0, :]
+
+
+def gram(k, t):
+    """Gram matrices (ne, n_test, n_test) of the test inner product at thickness t.
+
+    G = R^T R, with R stacking the square-root-weighted features row-wise.
+    """
+    n_test = k.layout.n_test(t)
+    e11, e22, e12 = _strain_features(k, t)
+    feats = [
+        (1.0, _place(0, k.V)),
+        (1.0, _place(1, k.V)),
+        (2.0, _place(2, k.V)),
+        (1.0, _place(3, k.V)),
+        (1.0, e11), (1.0, e22), (2.0, e12),
+        (1.0, _scaled_div_feature(k, t)),
+    ]
+    if t > 0.0:
+        feats += [
+            (t, _place(0, k.Dx)),
+            (t, _place(0, k.Dy)),
+            (t, _place(4, k.V)),
+            (t, _place(5, k.V)),
         ]
+    ne, nq = k.vw.shape
+    sqw = np.sqrt(k.vw)[:, :, None]
+    R = np.zeros((ne, len(feats) * nq, n_test))
+    for i, (c, F) in enumerate(feats):
+        (np.sqrt(c) * sqw * F).full(n_test, out=R[:, i * nq : (i + 1) * nq])
+    G = R.transpose(0, 2, 1) @ R
+    return 0.5 * (G + G.transpose(0, 2, 1))
+
+
+def _compliance_features(k, material):
+    """C^{-1} applied to the Theta test block, componentwise: three features.
+
+    The material law acts on the (th11, th12, th22) columns; on the others
+    its input is zero, which gives the fill.
+    """
+    ns = k.layout.n_scalar
+    theta = np.zeros(k.V.shape[:-1] + (3 * ns, 3))
+    for c in range(3):
+        theta[..., c * ns : (c + 1) * ns, c] = k.V
+    ci = material.apply_inverse(theta)
+    fill = material.apply_inverse(np.zeros(3))
+    return [_Blocks({1 + c: ci[..., c * ns : (c + 1) * ns, m] for c in range(3)}, fill[m])
+            for m in range(3)]
+
+
+def b_field(k, t, material):
+    """Volume blocks (ne, n_test, n_field) of the trial-to-test matrix: u, M, (theta)."""
+    n_field = 6 if t > 0.0 else 4
+    n_test = k.layout.n_test(t)
+    B = np.empty((len(k), n_test, n_field))
+    w = k.vw
+    e11, e22, e12 = _strain_features(k, t)
+    ci = _compliance_features(k, material)
+    B[:, :, 0] = _weighted_sum(w, _scaled_div_feature(k, t), n_test)
+    B[:, :, 1] = _weighted_sum(w, ci[0] + e11, n_test)
+    B[:, :, 2] = 2.0 * _weighted_sum(w, ci[1] + e12, n_test)
+    B[:, :, 3] = _weighted_sum(w, ci[2] + e22, n_test)
+    if t > 0.0:
+        B[:, :, 4] = t * _weighted_sum(w, _place(4, k.V) - _place(0, k.Dx), n_test)
+        B[:, :, 5] = t * _weighted_sum(w, _place(5, k.V) - _place(0, k.Dy), n_test)
+    return B
+
+
+def b_trace(k, t):
+    """Skeleton blocks (ne, n_test, 36): columns generated by the four C1 vertex fields.
+
+    Column order: field-major (u-hat, M11-hat, M12-hat, M22-hat), then
+    the nine vertex dofs (value, d/dx, d/dy per vertex) of each.
+    """
+    n_test = k.layout.n_test(t)
+    B = np.zeros((len(k), n_test, N_TRACE_COLS))
+    tt = t * t
+    for e in range(3):
+        w = k.ew[:, e, :, None]
+        n0 = k.en[:, e, 0, None, None]
+        n1 = k.en[:, e, 1, None, None]
+        tv, tx, ty = k.tv[:, e], k.tx[:, e], k.ty[:, e]
+        hv, hx, hy = k.hv[:, e], k.hx[:, e], k.hy[:, e]
+        dTh1 = _Blocks({1: tx, 2: ty})
+        dTh2 = _Blocks({2: tx, 3: ty})
+        Thn1 = _Blocks({1: n0 * tv, 2: n1 * tv})
+        Thn2 = _Blocks({2: n0 * tv, 3: n1 * tv})
+        zf = _place(0, tv)
+        w1 = _place(0, tx) - tt * dTh1
+        w2 = _place(0, ty) - tt * dTh2
+        qn = n0 * dTh1 + n1 * dTh2
         if t > 0.0:
-            feats += [
-                (t, self._place(t, 0, self.Dx)),
-                (t, self._place(t, 0, self.Dy)),
-                (t, self._place(t, 4, self.V)),
-                (t, self._place(t, 5, self.V)),
-            ]
-        sqw = np.sqrt(self.vw)
-        R = np.vstack([np.sqrt(c) * sqw[:, None] * F for c, F in feats])
-        G = R.T @ R
-        return 0.5 * (G + G.T)
+            qn = qn.update(0, np.subtract, t * (n0 * tx + n1 * ty))
+            qn = qn.update(4, np.add, t * n0 * tv)
+            qn = qn.update(5, np.add, t * n1 * tv)
 
-    def b_field(self, t, material):
-        """Volume block of the trial-to-test matrix: columns u, M, (theta)."""
-        n_field = 6 if t > 0.0 else 4
-        B = np.empty((self.layout.n_test(t), n_field))
-        w = self.vw
-        e11, e22, e12 = self.strain_features(t)
-        th = [self._place(t, 1, self.V), self._place(t, 2, self.V),
-              self._place(t, 3, self.V)]
-        # inverse material law applied to the Theta test block, componentwise
-        ci = material.apply_inverse(np.stack(th, axis=-1))
-        B[:, 0] = w @ self.scaled_div_feature(t)
-        B[:, 1] = w @ (ci[..., 0] + e11)
-        B[:, 2] = 2.0 * (w @ (ci[..., 1] + e12))
-        B[:, 3] = w @ (ci[..., 2] + e22)
-        if t > 0.0:
-            B[:, 4] = t * (w @ (self._place(t, 4, self.V) - self._place(t, 0, self.Dx)))
-            B[:, 5] = t * (w @ (self._place(t, 5, self.V) - self._place(t, 0, self.Dy)))
-        return B
+        # (w F)^T per feature, as the left operand of one gemm per element
+        qnT, Thn1T, Thn2T, zfT, w1T, w2T = (
+            (w * F).full(n_test).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
+        )
+        # u-hat columns: -<u, n.(div Th + t(tau - grad z))> + <grad u, Th n>
+        B[:, :, 0:9] += qnT @ (-hv) + Thn1T @ hx + Thn2T @ hy
+        # M-hat columns: <n.div M, z> - <M n, grad z - t^2 div Th>
+        #                - t^2 <div M, Th n>
+        for c, (d1, d2, m1, m2) in enumerate(
+            (
+                (hx, None, n0 * hv, None),        # M = phi * E11
+                (hy, hx, n1 * hv, n0 * hv),       # M = phi * E12
+                (None, hy, None, n1 * hv),        # M = phi * E22
+            )
+        ):
+            cols = slice(9 * (c + 1), 9 * (c + 2))
+            if d1 is not None:
+                B[:, :, cols] += zfT @ (n0 * d1)
+                B[:, :, cols] -= tt * (Thn1T @ d1)
+            if d2 is not None:
+                B[:, :, cols] += zfT @ (n1 * d2)
+                B[:, :, cols] -= tt * (Thn2T @ d2)
+            if m1 is not None:
+                B[:, :, cols] -= w1T @ m1
+            if m2 is not None:
+                B[:, :, cols] -= w2T @ m2
+    return B
 
-    def b_trace(self, t):
-        """Skeleton block: 36 columns generated by the four C1 vertex fields.
 
-        Column order: field-major (u-hat, M11-hat, M12-hat, M22-hat), then
-        the nine vertex dofs (value, d/dx, d/dy per vertex) of each.
-        """
-        ns = self.layout.n_scalar
-        n_test = self.layout.n_test(t)
-        B = np.zeros((n_test, N_TRACE_COLS))
-        tt = t * t
-        zsl = self.layout.block(0)
-        for e in self.edges:
-            w, n = e["w"], e["n"]
-            tv, tx, ty = e["tv"], e["tx"], e["ty"]
-            hv, hx, hy = e["hv"], e["hx"], e["hy"]
-            dTh1 = np.zeros((w.size, n_test))
-            dTh2 = np.zeros((w.size, n_test))
-            dTh1[:, 1 * ns : 2 * ns] = tx
-            dTh1[:, 2 * ns : 3 * ns] = ty
-            dTh2[:, 2 * ns : 3 * ns] = tx
-            dTh2[:, 3 * ns : 4 * ns] = ty
-            Thn1 = np.zeros((w.size, n_test))
-            Thn2 = np.zeros((w.size, n_test))
-            Thn1[:, 1 * ns : 2 * ns] = n[0] * tv
-            Thn1[:, 2 * ns : 3 * ns] = n[1] * tv
-            Thn2[:, 2 * ns : 3 * ns] = n[0] * tv
-            Thn2[:, 3 * ns : 4 * ns] = n[1] * tv
-            zf = np.zeros((w.size, n_test))
-            zf[:, zsl] = tv
-            w1 = np.zeros((w.size, n_test))
-            w2 = np.zeros((w.size, n_test))
-            w1[:, zsl] = tx
-            w2[:, zsl] = ty
-            w1 -= tt * dTh1
-            w2 -= tt * dTh2
-            qn = n[0] * dTh1 + n[1] * dTh2
-            if t > 0.0:
-                qn[:, zsl] -= t * (n[0] * tx + n[1] * ty)
-                qn[:, 4 * ns : 5 * ns] += t * n[0] * tv
-                qn[:, 5 * ns : 6 * ns] += t * n[1] * tv
-
-            wq = w[:, None]
-            # u-hat columns: -<u, n.(div Th + t(tau - grad z))> + <grad u, Th n>
-            B[:, 0:9] += (wq * qn).T @ (-hv) + (wq * Thn1).T @ hx + (wq * Thn2).T @ hy
-            # M-hat columns: <n.div M, z> - <M n, grad z - t^2 div Th>
-            #                - t^2 <div M, Th n>
-            for c, (d1, d2, m1, m2) in enumerate(
-                (
-                    (hx, None, n[0] * hv, None),        # M = phi * E11
-                    (hy, hx, n[1] * hv, n[0] * hv),     # M = phi * E12
-                    (None, hy, None, n[1] * hv),        # M = phi * E22
-                )
-            ):
-                cols = slice(9 * (c + 1), 9 * (c + 2))
-                if d1 is not None:
-                    B[:, cols] += (wq * zf).T @ (n[0] * d1)
-                    B[:, cols] -= tt * ((wq * Thn1).T @ d1)
-                if d2 is not None:
-                    B[:, cols] += (wq * zf).T @ (n[1] * d2)
-                    B[:, cols] -= tt * ((wq * Thn2).T @ d2)
-                if m1 is not None:
-                    B[:, cols] -= (wq * w1).T @ m1
-                if m2 is not None:
-                    B[:, cols] -= (wq * w2).T @ m2
-        return B
-
-    def load(self, f_values, t):
-        """Load functional -(f, z) against the test basis."""
-        l = np.zeros(self.layout.n_test(t))
-        l[self.layout.block(0)] = -(self.vw * f_values) @ self.V
-        return l
+def load(k, f_values, t):
+    """Load functionals -(f, z) (ne, n_test) against the test basis."""
+    l = np.zeros((len(k), k.layout.n_test(t)))
+    l[:, k.layout.block(0)] = (-(k.vw * f_values)[:, None, :] @ k.V)[:, 0, :]
+    return l
 
 
 def _equilibrated_cholesky(G):

@@ -8,8 +8,11 @@ elimination of vertex dofs, which zeroes the corresponding edge traces
 exactly: the value trace of a C1 field along a boundary edge is the
 cubic fixed by the endpoint values and tangential derivatives.
 
-Assembly accumulates the element normal-equation contributions in element
-order, so the reduction is deterministic for a fixed mesh.
+Element systems are built in chunks of `_CHUNK` elements from stacked
+tables (`dpg.ElementTables`); each batched operation gives every element
+the bits of the per-element formulas.  Assembly accumulates the element
+normal-equation contributions in element order, so the reduction is
+deterministic for a fixed mesh.
 """
 
 import time
@@ -23,6 +26,9 @@ from .testspace import BrokenTestBasis
 N_TRACE_PER_VERTEX = 12
 TRACE_U, TRACE_M11, TRACE_M12, TRACE_M22 = 0, 1, 2, 3
 VAL, DX, DY = 0, 1, 2
+# elements per batched element-system call: the transient stacked R of the
+# Gram matrices stays near 6 MB; chunks of 8 and 32 time the same
+_CHUNK = 16
 
 
 class DofMap:
@@ -46,25 +52,19 @@ class DofMap:
         self.n_free = free.size
         self.free = free
 
-    def field_dofs(self, ti):
-        return self.n_field * ti + np.arange(self.n_field)
+        # global dofs of each element's columns: fields, then 36 trace dofs
+        # ordered field-major, then by vertex, then (value, d/dx, d/dy)
+        nt = mesh.num_triangles
+        fields = self.n_field * np.arange(nt)[:, None] + np.arange(self.n_field)
+        traces = (self.field_total
+                  + N_TRACE_PER_VERTEX * mesh.triangles[:, None, :, None]
+                  + 3 * np.arange(4)[None, :, None, None]
+                  + np.arange(3)[None, None, None, :])
+        self.element_dofs = np.hstack([fields, traces.reshape(nt, dpg.N_TRACE_COLS)])
 
     def trace_dof(self, vertex, tfield, comp):
         return (self.field_total + N_TRACE_PER_VERTEX * vertex
                 + 3 * tfield + comp)
-
-    def element_dofs(self, ti):
-        """Global dofs of the element's columns: fields, then 36 trace."""
-        out = np.empty(self.n_field + dpg.N_TRACE_COLS, dtype=np.int64)
-        out[: self.n_field] = self.field_dofs(ti)
-        verts = self.mesh.triangles[ti]
-        k = self.n_field
-        for tfield in range(4):
-            for v in verts:
-                base = self.trace_dof(v, tfield, 0)
-                out[k : k + 3] = (base, base + 1, base + 2)
-                k += 3
-        return out
 
 
 def apply_bc_simply_supported(mesh):
@@ -106,22 +106,19 @@ def apply_bc_clamped(mesh):
 
 
 class MeshKernels:
-    """Per-mesh cache: C1 elements, element kernels, load values."""
+    """Per-mesh cache: stacked element tables and load values."""
 
     def __init__(self, mesh, config):
         self.mesh = mesh
         self.test_degree = config.test_degree
         self.quad_degree = config.quad_degree
         self.edge_degree = config.edge_degree
-        layout = BrokenTestBasis(config.test_degree)
-        self.hct_elements = hct.build_all_elements(mesh)
-        self.kernels = [
-            dpg.ElementKernel(mesh.triangle_coords(ti), self.hct_elements[ti],
-                              layout, config.quad_degree, config.edge_degree)
-            for ti in range(mesh.num_triangles)
-        ]
+        self.tables = dpg.ElementTables.build(
+            mesh.vertices[mesh.triangles], hct.build_all_elements(mesh),
+            BrokenTestBasis(config.test_degree), config.quad_degree, config.edge_degree)
         ex = manufactured.ExactSolution(0.0)
-        self.f_values = [ex.f(k.vpts[:, 0], k.vpts[:, 1]) for k in self.kernels]
+        vpts = self.tables.vpts
+        self.f_values = ex.f(vpts[..., 0], vpts[..., 1])
 
     def compatible(self, config):
         return (self.test_degree == config.test_degree
@@ -141,14 +138,50 @@ class Solution:
     residual_inf: float           # free-system residual, consistency guard
 
 
-def element_system(kernels, ti, config):
-    """Local Gram matrix, trial-to-test matrix, and load of one element."""
-    k = kernels.kernels[ti]
+def element_system(kernels, elements, config):
+    """Local systems of the elements in the slice `elements`, built as one batch.
+
+    G and B are stacked separately and each system holds views of them, so
+    the systems kept after G is dropped keep only the B stack alive.
+    """
+    k = kernels.tables[elements]
     t = config.t
-    G = k.gram(t)
-    B = np.hstack([k.b_field(t, config.material), k.b_trace(t)])
-    l = k.load(kernels.f_values[ti], t)
-    return dpg.ElementSystem(G, B, l)
+    G = dpg.gram(k, t)
+    B = np.concatenate([dpg.b_field(k, t, config.material), dpg.b_trace(k, t)], axis=2)
+    l = dpg.load(k, kernels.f_values[elements], t)
+    return [dpg.ElementSystem(G[i], B[i], l[i]) for i in range(len(k))]
+
+
+def assemble(mesh, config, kernels):
+    """Element systems and the free-dof normal equations of one mesh.
+
+    Returns (dof map, element systems, A as a SparseSymMatrix, rhs).  The
+    COO triplets and the rhs sums run element by element, in element order.
+    """
+    dof = DofMap(mesh, config)
+    nt = mesh.num_triangles
+    m = dof.element_dofs.shape[1]
+    A_loc = np.empty((nt, m, m))
+    b_loc = np.empty((nt, m))
+    systems = []
+    for lo in range(0, nt, _CHUNK):
+        chunk = element_system(kernels, slice(lo, lo + _CHUNK), config)
+        for ti, sysm in enumerate(chunk, lo):
+            A_loc[ti], b_loc[ti] = dpg.local_normal_contribution(sysm)
+            # the estimator needs G only through its cached factor: keep one
+            # n x n array per element, not two
+            sysm.G = None
+        systems += chunk
+
+    fidx = dof.free_index[dof.element_dofs]
+    keep = fidx >= 0
+    pairs = keep[:, :, None] & keep[:, None, :]
+    rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
+    cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
+    A = linalg.SparseSymMatrix.from_coo(dof.n_free, rows, cols, A_loc[pairs])
+    rhs = np.zeros(dof.n_free)
+    np.add.at(rhs, fidx[keep], b_loc[keep])
+    return dof, systems, A, rhs
 
 
 def assemble_and_solve(mesh, config, kernels=None):
@@ -157,32 +190,9 @@ def assemble_and_solve(mesh, config, kernels=None):
         kernels = MeshKernels(mesh, config)
     elif not kernels.compatible(config):
         raise ValueError("cached kernels were built with different discretization knobs")
-    dof = DofMap(mesh, config)
+    dof, systems, A, rhs = assemble(mesh, config, kernels)
     nt = mesh.num_triangles
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dof.n_free)
-    systems = []
-    for ti in range(nt):
-        sysm = element_system(kernels, ti, config)
-        A_T, b_T = dpg.local_normal_contribution(sysm)
-        # the estimator needs G only through its cached factor: keep one
-        # n x n array per element, not two
-        sysm.G = None
-        systems.append(sysm)
-        gdofs = dof.element_dofs(ti)
-        fidx = dof.free_index[gdofs]
-        keep = fidx >= 0
-        sub = fidx[keep]
-        A_keep = A_T[np.ix_(keep, keep)]
-        rows.append(np.repeat(sub, sub.size))
-        cols.append(np.tile(sub, sub.size))
-        vals.append(A_keep.ravel())
-        np.add.at(rhs, sub, b_T[keep])
-
-    A = linalg.SparseSymMatrix.from_coo(
-        dof.n_free, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
     full_A = A.full()
     x_free = linalg.solve_spd(full_A, rhs, method=config.solver, tol=config.cg_tol)
     res = np.abs(full_A @ x_free - rhs).max()
@@ -194,10 +204,10 @@ def assemble_and_solve(mesh, config, kernels=None):
 
     nf = dof.n_field
     fields = x[: dof.field_total].reshape(nt, nf)
+    x_loc = x[dof.element_dofs]
     eta_sq = np.empty(nt)
     for ti in range(nt):
-        x_loc = x[dof.element_dofs(ti)]
-        eta_sq[ti] = dpg.local_residual(systems[ti], x_loc) ** 2
+        eta_sq[ti] = dpg.local_residual(systems[ti], x_loc[ti]) ** 2
     return Solution(
         u=fields[:, 0].copy(),
         M=fields[:, 1:4].copy(),
@@ -322,22 +332,25 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3), config=None,
         dM = _p0_l2_diff(msh, sol.M, sol0.M, weights=(1.0, 2.0, 1.0))
         rows.append((float(t), du, dM))
 
-    rule = quadrature.triangle_rule(quad_degree)
+    pts, w = quadrature.map_to_triangles(quadrature.triangle_rule(quad_degree),
+                                         msh.vertices[msh.triangles])
+    x = pts[..., 0].astype(np.longdouble)
+    y = pts[..., 1].astype(np.longdouble)
+    wl = w.astype(np.longdouble)
+    ex_0 = manufactured.ExactSolution(0.0)
+    u_0 = ex_0.u(x, y)
+    lap = ex_0.lap_phi(x, y)
+
+    def element_sum(values):
+        # one extended-precision dot product per element, rounded to double
+        # and added in element order
+        return np.cumsum(np.vecdot(wl, values).astype(float))[-1]
+
+    den = element_sum(lap * lap)
     ident_err = 0.0
     for t in t_sequence:
-        num = 0.0
-        den = 0.0
-        for ti in range(msh.num_triangles):
-            pts, w = quadrature.map_to_triangle(rule, msh.triangle_coords(ti))
-            x = pts[:, 0].astype(np.longdouble)
-            y = pts[:, 1].astype(np.longdouble)
-            wl = w.astype(np.longdouble)
-            ex_t = manufactured.ExactSolution(t)
-            ex_0 = manufactured.ExactSolution(0.0)
-            diff = ex_t.u(x, y) - ex_0.u(x, y)
-            num += float(wl @ (diff * diff))
-            lap = manufactured.ExactSolution(0.0).lap_phi(x, y)
-            den += float(wl @ (lap * lap))
+        diff = manufactured.ExactSolution(t).u(x, y) - u_0
+        num = element_sum(diff * diff)
         lhs = np.sqrt(num)
         rhs = t * t * np.sqrt(den)
         ident_err = max(ident_err, abs(lhs - rhs) / rhs)

@@ -19,7 +19,7 @@ a constraint system whose null space is computed once per triangle.
 import numpy as np
 from scipy.linalg import null_space
 
-from .testspace import eval_scalar_basis
+from .testspace import BarycentricMap, eval_scalar_basis
 
 # local dof order: (value, d/dx, d/dy) at vertex 0, then vertex 1, then vertex 2
 N_DOFS = 9
@@ -28,10 +28,11 @@ _GRAD_S = np.array([0.0, 0.5, 1.0])
 
 
 class HctElement:
-    def __init__(self, coords, sub_coords, coeffs):
+    def __init__(self, coords, sub_coords, coeffs, sub_maps):
         self.coords = coords            # (3, 2) parent vertices, CCW
         self.sub_coords = sub_coords    # (3, 3, 2); subtriangle k owns parent edge k
         self.coeffs = coeffs            # (9, 3, 10) Bernstein coeffs per basis/sub
+        self.sub_maps = sub_maps        # BarycentricMap of each subtriangle
 
 
 def _edge_points(p, q, s):
@@ -45,12 +46,13 @@ def build_hct_element(coords):
     sub_coords = np.array(
         [[coords[k], coords[(k + 1) % 3], center] for k in range(3)]
     )
+    sub_maps = [BarycentricMap(sub_coords[k]) for k in range(3)]
 
     rows = []
 
     def basis_row(sub, pts, kind):
         # (npts, 10) tables of subtriangle `sub` at `pts`
-        val, grad, _ = eval_scalar_basis(sub_coords[sub], pts, 3)
+        val, grad, _ = eval_scalar_basis(sub_maps[sub], pts, 3)
         if kind == "val":
             return (val,)
         return grad[:, :, 0], grad[:, :, 1]
@@ -76,7 +78,7 @@ def build_hct_element(coords):
         d = q - p
         n = np.array([d[1], -d[0]]) / np.hypot(*d)
         pts = _edge_points(p, q, _GRAD_S)
-        _, grad, _ = eval_scalar_basis(sub_coords[k], pts, 3)
+        _, grad, _ = eval_scalar_basis(sub_maps[k], pts, 3)
         gn = grad[:, :, 0] * n[0] + grad[:, :, 1] * n[1]  # (3, 10)
         row = np.zeros(30)
         row[10 * k : 10 * k + 10] = gn[1] - 0.5 * (gn[0] + gn[2])
@@ -94,7 +96,7 @@ def build_hct_element(coords):
     # whose first vertex is parent vertex k; continuity makes the choice moot)
     N = np.empty((N_DOFS, N_DOFS))
     for k in range(3):
-        val, grad, _ = eval_scalar_basis(sub_coords[k], coords[k][None, :], 3)
+        val, grad, _ = eval_scalar_basis(sub_maps[k], coords[k][None, :], 3)
         zv = val[0] @ Z[10 * k : 10 * k + 10]
         zx = grad[0, :, 0] @ Z[10 * k : 10 * k + 10]
         zy = grad[0, :, 1] @ Z[10 * k : 10 * k + 10]
@@ -102,18 +104,15 @@ def build_hct_element(coords):
         N[3 * k + 1] = zx
         N[3 * k + 2] = zy
     coeffs = (Z @ np.linalg.inv(N)).T.reshape(N_DOFS, 3, 10)
-    return HctElement(coords, sub_coords, coeffs)
+    return HctElement(coords, sub_coords, coeffs, sub_maps)
 
 
 def _locate_sub(element, pts):
     """Index of the subtriangle containing each point (ties broken by depth)."""
     best = np.full(pts.shape[0], -1)
     depth = np.full(pts.shape[0], -np.inf)
-    from .testspace import barycentric
-
     for s in range(3):
-        to_lam, _ = barycentric(element.sub_coords[s])
-        lam = to_lam(pts)
+        lam = element.sub_maps[s](pts)
         d = lam.min(axis=1)
         take = d > depth
         best[take] = s
@@ -139,7 +138,7 @@ def eval_hct(element, pts, dofs=None):
         idx = np.flatnonzero(sub == s)
         if idx.size == 0:
             continue
-        v, g, h = eval_scalar_basis(element.sub_coords[s], pts[idx], 3)
+        v, g, h = eval_scalar_basis(element.sub_maps[s], pts[idx], 3)
         C = element.coeffs[:, s, :].T  # (10, 9)
         val[idx] = v @ C
         grad[idx] = np.einsum("qbd,bj->qjd", g, C)
@@ -159,7 +158,7 @@ def eval_on_parent_edge(element, local_edge, s):
     """
     k = local_edge
     pts = _edge_points(element.coords[k], element.coords[(k + 1) % 3], np.asarray(s))
-    v, g, _ = eval_scalar_basis(element.sub_coords[k], pts, 3)
+    v, g, _ = eval_scalar_basis(element.sub_maps[k], pts, 3)
     C = element.coeffs[:, k, :].T
     return v @ C, np.einsum("qbd,bj->qjd", g, C)
 

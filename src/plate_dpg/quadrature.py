@@ -70,14 +70,25 @@ def map_to_triangle(rule, coords):
 
     Returns (points (nq, 2), weights (nq,)); weights sum to the triangle area.
     """
+    pts, w = map_to_triangles(rule, np.asarray(coords, dtype=float)[None])
+    return pts[0], w[0]
+
+
+def map_to_triangles(rule, coords):
+    """Push a reference-triangle rule to every triangle of `coords` (ne, 3, 2).
+
+    Returns (points (ne, nq, 2), weights (ne, nq)).  Every operation is
+    elementwise, so each triangle gets the bits it gets on its own.
+    """
     coords = np.asarray(coords, dtype=float)
-    d1 = coords[1] - coords[0]
-    d2 = coords[2] - coords[0]
-    jac = d1[0] * d2[1] - d1[1] * d2[0]
-    if jac <= 0.0:
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    jac = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    if np.any(jac <= 0.0):
         raise ValueError("triangle must be CCW and non-degenerate")
-    pts = coords[0] + np.outer(rule.points[:, 0], d1) + np.outer(rule.points[:, 1], d2)
-    return pts, rule.weights * jac
+    ref = rule.points[:, :, None]
+    pts = coords[:, None, 0] + ref[:, 0] * d1[:, None] + ref[:, 1] * d2[:, None]
+    return pts, rule.weights * jac[:, None]
 
 
 def map_to_edge(rule, p0, p1):

@@ -28,22 +28,24 @@ def _multi_indices(degree):
     return out
 
 
-def barycentric(coords):
-    """Affine barycentric map of a triangle: returns (to_lambda, grad_lambda).
+class BarycentricMap:
+    """Affine barycentric map of one triangle, inverted once.
 
-    to_lambda(pts) maps (nq, 2) points to (nq, 3) barycentric coordinates;
-    grad_lambda is the constant (3, 2) array of their gradients.
+    Calling the map sends (nq, 2) points to (nq, 3) barycentric
+    coordinates; `grad` is the constant (3, 2) array of their gradients.
+    Every table of one triangle can share one map, so the 3x3 inverse is
+    taken once per triangle, not once per table.
     """
-    coords = np.asarray(coords, dtype=float)
-    A = np.vstack([coords.T, np.ones(3)])
-    Ainv = np.linalg.inv(A)
-    grad = Ainv[:, :2].copy()
 
-    def to_lambda(pts):
+    def __init__(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        A = np.vstack([coords.T, np.ones(3)])
+        self._Ainv = np.linalg.inv(A)
+        self.grad = self._Ainv[:, :2].copy()
+
+    def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts @ Ainv[:, :2].T + Ainv[:, 2]
-
-    return to_lambda, grad
+        return pts @ self._Ainv[:, :2].T + self._Ainv[:, 2]
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,8 +86,10 @@ def _term_tables(degree):
     return tables
 
 
-def eval_scalar_basis(coords, pts, degree=3):
+def eval_scalar_basis(tri, pts, degree=3):
     """Bernstein basis values, gradients, and Hessians at points.
+
+    `tri` is the triangle's (3, 2) vertex array or its `BarycentricMap`.
 
     Returns C-contiguous (val (nq, nb), grad (nq, nb, 2), hess (nq, nb, 3))
     with the Hessian stored as (xx, xy, yy).  Each term of `_term_tables`
@@ -101,8 +105,9 @@ def eval_scalar_basis(coords, pts, degree=3):
     if not MIN_DEGREE <= degree <= MAX_DEGREE:
         raise ValueError(f"test-space degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]")
     rows, weights, first, second = _term_tables(degree)
-    to_lambda, glam = barycentric(coords)
-    lam = to_lambda(pts)
+    bary = tri if isinstance(tri, BarycentricMap) else BarycentricMap(tri)
+    glam = bary.grad
+    lam = bary(pts)
     # pw[m, a] = lam[:, m] ** a
     pw = np.empty((3, degree + 1, lam.shape[0]))
     pw[:, 0] = 1.0
@@ -145,6 +150,6 @@ class BrokenTestBasis:
         ns = self.n_scalar
         return slice(comp * ns, (comp + 1) * ns)
 
-    def tables(self, coords, pts):
-        """Scalar basis tables at `pts` for the element with `coords`."""
-        return eval_scalar_basis(coords, pts, self.degree)
+    def tables(self, tri, pts):
+        """Scalar basis tables at `pts` for the triangle `tri` (vertices or map)."""
+        return eval_scalar_basis(tri, pts, self.degree)

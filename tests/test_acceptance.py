@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from plate_dpg.dpg import (
-    ElementKernel,
     ElementSystem,
+    ElementTables,
     MaterialLaw,
     ProblemConfig,
     _equilibrated_cholesky,
+    b_field,
+    b_trace,
+    gram,
     local_normal_contribution,
     trace_pair_edge,
 )
@@ -184,9 +187,9 @@ def test_criterion_6_structural_properties(capsys):
     # Gram matrices stay symmetric positive definite across thickness
     for k in range(50):
         coords = _random_triangle(900 + k)
-        kern = ElementKernel(coords, build_hct_element(coords))
+        kern = ElementTables.build([coords], [build_hct_element(coords)])
         for t in (0.0, 1e-8, 1e-4, 1.0):
-            G = kern.gram(t)
+            G = gram(kern, t)[0]
             ok = ok and np.abs(G - G.T).max() == 0.0
             try:
                 _equilibrated_cholesky(G)
@@ -320,10 +323,10 @@ def test_criterion_7_oracle_equivalences(capsys):
     worst = 0.0
     for k in range(20):
         coords = _shaped_triangle(500 + k)
-        kern = ElementKernel(coords, build_hct_element(coords))
+        kern = ElementTables.build([coords], [build_hct_element(coords)])
         t = t_cycle[k % 5]
-        G = kern.gram(t)
-        B = np.hstack([kern.b_field(t, material), kern.b_trace(t)])
+        G = gram(kern, t)[0]
+        B = np.hstack([b_field(kern, t, material)[0], b_trace(kern, t)[0]])
         l = rng.standard_normal(G.shape[0])
         A, b = local_normal_contribution(ElementSystem(G, B, l))
         d = 1.0 / np.sqrt(np.diag(G))

@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 
 from plate_dpg.dpg import (
-    ElementKernel,
     ElementSystem,
+    ElementTables,
     MaterialLaw,
     ProblemConfig,
+    _scaled_div_feature,
+    _strain_features,
+    b_field,
+    b_trace,
+    gram,
+    load,
     local_normal_contribution,
     local_residual,
     trace_pair_edge,
@@ -38,8 +44,9 @@ def random_triangle(seed, low=0.05):
 
 
 def make_kernel(coords, quad_degree=14):
-    return ElementKernel(coords, build_hct_element(coords),
-                         quad_degree=quad_degree)
+    """The tables of one triangle, as a one-element stack."""
+    return ElementTables.build([coords], [build_hct_element(coords)],
+                               quad_degree=quad_degree)
 
 
 def scalar_coeffs(coords, fun):
@@ -99,13 +106,26 @@ def test_config_validation():
     assert ProblemConfig(t=1e-3).n_field() == 6
 
 
+def test_config_rejects_bad_discretization():
+    for bad in (dict(test_degree=1), dict(test_degree=6),
+                dict(quad_degree=5), dict(quad_degree=21),
+                dict(test_degree=5, quad_degree=9),
+                dict(edge_degree=-1), dict(edge_degree=22),
+                dict(cg_tol=0.0), dict(cg_tol=-1e-3), dict(cg_tol=float("inf")),
+                dict(cg_tol=float("nan"))):
+        with pytest.raises(ValueError):
+            ProblemConfig(**bad)
+    ProblemConfig(test_degree=2, quad_degree=4, edge_degree=0)
+    ProblemConfig(test_degree=5, quad_degree=20, edge_degree=21, cg_tol=1.0)
+
+
 # ---- Gram matrix
 
 
 def test_gram_constant_deflection_test():
     kernel = make_kernel(REF)
     layout = kernel.layout
-    G = kernel.gram(1.0)
+    G = gram(kernel, 1.0)[0]
     v = component_vector(layout, 1.0, REF, 0, lambda x, y: np.ones_like(x))
     # constant z: only the L2 term survives
     assert abs(v @ G @ v - 0.5) < 1e-13
@@ -114,12 +134,12 @@ def test_gram_constant_deflection_test():
 def test_gram_linear_deflection_test():
     kernel = make_kernel(REF)
     layout = kernel.layout
-    G1 = kernel.gram(1.0)
+    G1 = gram(kernel, 1.0)[0]
     v1 = component_vector(layout, 1.0, REF, 0, lambda x, y: x)
     # |x|^2 over the triangle is 1/12; the gradient term adds t * area
     assert abs(v1 @ G1 @ v1 - 7.0 / 12.0) < 1e-13
 
-    G0 = kernel.gram(0.0)
+    G0 = gram(kernel, 0.0)[0]
     v0 = component_vector(layout, 0.0, REF, 0, lambda x, y: x)
     assert abs(v0 @ G0 @ v0 - 1.0 / 12.0) < 1e-13
 
@@ -128,7 +148,7 @@ def test_gram_symmetric_positive_definite():
     for seed in range(10):
         kernel = make_kernel(random_triangle(seed))
         for t in (0.0, 1e-8, 1e-4, 1.0):
-            G = kernel.gram(t)
+            G = gram(kernel, t)[0]
             assert np.abs(G - G.T).max() == 0.0
             # equilibrated Cholesky must succeed even at cond ~ 1/t
             d = 1.0 / np.sqrt(np.diag(G))
@@ -137,8 +157,8 @@ def test_gram_symmetric_positive_definite():
 
 def test_gram_size_depends_on_thickness():
     kernel = make_kernel(REF)
-    assert kernel.gram(0.5).shape == (60, 60)
-    assert kernel.gram(0.0).shape == (40, 40)
+    assert gram(kernel, 0.5)[0].shape == (60, 60)
+    assert gram(kernel, 0.0)[0].shape == (40, 40)
 
 
 # ---- volume trial-to-test block
@@ -146,14 +166,14 @@ def test_gram_size_depends_on_thickness():
 
 def test_b_field_deflection_column_against_divergence_free_test():
     kernel = make_kernel(REF)
-    B = kernel.b_field(0.0, MaterialLaw.identity())
+    B = b_field(kernel, 0.0, MaterialLaw.identity())[0]
     v = component_vector(kernel.layout, 0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v @ B[:, 0]) < 1e-14
 
 
 def test_b_field_deflection_column_against_linear_shear_test():
     kernel = make_kernel(REF)
-    B = kernel.b_field(1.0, MaterialLaw.identity())
+    B = b_field(kernel, 1.0, MaterialLaw.identity())[0]
     v = component_vector(kernel.layout, 1.0, REF, 4, lambda x, y: x)
     # (u, t div tau) with tau = (x, 0): integral of 1 over the triangle
     assert abs(v @ B[:, 0] - 0.5) < 1e-13
@@ -161,7 +181,7 @@ def test_b_field_deflection_column_against_linear_shear_test():
 
 def test_b_field_moment_column_constant_test():
     kernel = make_kernel(REF)
-    B = kernel.b_field(1.0, MaterialLaw.identity())
+    B = b_field(kernel, 1.0, MaterialLaw.identity())[0]
     v = component_vector(kernel.layout, 1.0, REF, 1, lambda x, y: np.ones_like(x))
     # (M, C^{-1} Theta) with both constant: the element area
     assert abs(v @ B[:, 1] - 0.5) < 1e-13
@@ -181,7 +201,7 @@ def interp_dofs(fun, grad, coords):
 
 def test_b_trace_zero_dofs():
     kernel = make_kernel(REF)
-    B = kernel.b_trace(1.0)
+    B = b_trace(kernel, 1.0)[0]
     assert B.shape == (60, 36)
     assert np.abs(B @ np.zeros(36)).max() == 0.0
 
@@ -193,13 +213,13 @@ def test_b_trace_closed_contour_identities():
 
     # constant test z = 1 at t = 1: every skeleton term of the deflection
     # trace involves div Theta, tau, or grad z, all zero here
-    B = kernel.b_trace(1.0)
+    B = b_trace(kernel, 1.0)[0]
     v = component_vector(kernel.layout, 1.0, REF, 0, lambda x, y: np.ones_like(x))
     assert abs(v @ (B @ qhat)) < 1e-13
 
     # constant test Theta = E11 at t = 0: <grad u, Theta n> integrates
     # n_1 around the closed element boundary
-    B0 = kernel.b_trace(0.0)
+    B0 = b_trace(kernel, 0.0)[0]
     v0 = component_vector(kernel.layout, 0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v0 @ (B0 @ qhat)) < 1e-13
 
@@ -209,14 +229,14 @@ def test_b_trace_closed_contour_identities():
 
 def test_load_zero():
     kernel = make_kernel(REF)
-    f = np.zeros(kernel.vpts.shape[0])
-    assert np.abs(kernel.load(f, 1.0)).max() == 0.0
+    f = np.zeros(kernel.vpts.shape[1])
+    assert np.abs(load(kernel, f[None], 1.0)[0]).max() == 0.0
 
 
 def test_load_constant():
     kernel = make_kernel(REF)
-    f = np.ones(kernel.vpts.shape[0])
-    l = kernel.load(f, 1.0)
+    f = np.ones(kernel.vpts.shape[1])
+    l = load(kernel, f[None], 1.0)[0]
     v = component_vector(kernel.layout, 1.0, REF, 0, lambda x, y: np.ones_like(x))
     assert abs(v @ l + 0.5) < 1e-14
     # the load tests only the deflection component
@@ -267,8 +287,8 @@ def test_normal_contribution_on_real_elements():
     cfg = ProblemConfig(t=1e-6)
     for seed in range(3):
         kernel = make_kernel(random_triangle(seed + 20))
-        G = kernel.gram(cfg.t)
-        B = np.hstack([kernel.b_field(cfg.t, cfg.material), kernel.b_trace(cfg.t)])
+        G = gram(kernel, cfg.t)[0]
+        B = np.hstack([b_field(kernel, cfg.t, cfg.material)[0], b_trace(kernel, cfg.t)[0]])
         l = np.zeros(60)
         l[:10] = np.random.default_rng(seed).standard_normal(10)
         A, b = local_normal_contribution(ElementSystem(G, B, l))
@@ -298,8 +318,8 @@ def test_gram_invariance_of_normal_equations():
     rng = np.random.default_rng(6)
     kernel = make_kernel(random_triangle(30))
     t = 1e-4
-    G = kernel.gram(t)
-    B = np.hstack([kernel.b_field(t, MaterialLaw.identity()), kernel.b_trace(t)])
+    G = gram(kernel, t)[0]
+    B = np.hstack([b_field(kernel, t, MaterialLaw.identity())[0], b_trace(kernel, t)[0]])
     l = rng.standard_normal(60)
     A1, b1 = local_normal_contribution(ElementSystem(G, B, l))
     s = 10.0 ** rng.uniform(-3, 3, 60)
@@ -420,8 +440,8 @@ def test_trace_pairing_bounded_by_test_norm():
     for t in (1e-4, 0.5):
         triple = HctTriple(coords, seed=600)
         qhat = np.concatenate([triple.u_dofs, triple.m_dofs.ravel()])
-        B = kernel.b_trace(t)
-        G = kernel.gram(t)
+        B = b_trace(kernel, t)[0]
+        G = gram(kernel, t)[0]
         q_norm = np.sqrt(triple_test_norm_sq(triple, t))
         for _ in range(5):
             v = rng.standard_normal(kernel.layout.n_test(t))
@@ -467,8 +487,8 @@ def test_ultraweak_consistency_identity(t, law):
     uq = Quadratic(rng.standard_normal(6))
     Mq = [Quadratic(rng.standard_normal(6)) for _ in range(3)]
 
-    x, y = kernel.vpts[:, 0], kernel.vpts[:, 1]
-    w = kernel.vw
+    x, y = kernel.vpts[0, :, 0], kernel.vpts[0, :, 1]
+    w = kernel.vw[0]
     uv = uq.val(x, y)
     gux, guy = uq.grad(x, y)
     Mv = np.stack([q.val(x, y) for q in Mq], axis=1)
@@ -481,19 +501,20 @@ def test_ultraweak_consistency_identity(t, law):
         out[:, comp * ns : (comp + 1) * ns] = table
         return out
 
-    th = [place(1, kernel.V), place(2, kernel.V), place(3, kernel.V)]
+    V, Dx, Dy = kernel.V[0], kernel.Dx[0], kernel.Dy[0]
+    th = [place(1, V), place(2, V), place(3, V)]
     ci = material.apply_inverse(np.stack(th, axis=-1))
-    e11, e22, e12 = kernel.strain_features(t)
-    S = kernel.scaled_div_feature(t)
+    e11, e22, e12 = (f.full(layout.n_test(t))[0] for f in _strain_features(kernel, t))
+    S = _scaled_div_feature(kernel, t).full(layout.n_test(t))[0]
 
     lhs = (w * uv) @ S
     lhs += (w * Mv[:, 0]) @ (ci[..., 0] + e11)
     lhs += 2.0 * ((w * Mv[:, 1]) @ (ci[..., 1] + e12))
     lhs += (w * Mv[:, 2]) @ (ci[..., 2] + e22)
     if t > 0.0:
-        dzx, dzy = place(0, kernel.Dx), place(0, kernel.Dy)
-        lhs += t * ((w * gux) @ (place(4, kernel.V) - dzx))
-        lhs += t * ((w * guy) @ (place(5, kernel.V) - dzy))
+        dzx, dzy = place(0, Dx), place(0, Dy)
+        lhs += t * ((w * gux) @ (place(4, V) - dzx))
+        lhs += t * ((w * guy) @ (place(5, V) - dzy))
 
     qhat = np.empty(36)
     for v in range(3):
@@ -506,7 +527,7 @@ def test_ultraweak_consistency_identity(t, law):
             g = Mq[c].grad(px, py)
             qhat[9 * (c + 1) + 3 * v : 9 * (c + 1) + 3 * v + 3] = (
                 Mq[c].val(px, py), g[0], g[1])
-    lhs += kernel.b_trace(t) @ qhat
+    lhs += b_trace(kernel, t)[0] @ qhat
 
     # conforming side: (div div M, z) + (C^{-1} M + eps(grad u - t^2 div M), Theta)
     divdivM = hM[0][0] + 2.0 * hM[1][1] + hM[2][2]
@@ -514,7 +535,7 @@ def test_ultraweak_consistency_identity(t, law):
     a11 = ciM[:, 0] + hu[0] - tt * (hM[0][0] + hM[1][1])
     a22 = ciM[:, 2] + hu[2] - tt * (hM[1][1] + hM[2][2])
     a12 = ciM[:, 1] + hu[1] - 0.5 * tt * (hM[0][1] + hM[1][2] + hM[1][0] + hM[2][1])
-    rhs = (w * divdivM) @ place(0, kernel.V)
+    rhs = (w * divdivM) @ place(0, V)
     rhs += (w * a11) @ th[0] + 2.0 * ((w * a12) @ th[1]) + (w * a22) @ th[2]
 
     scale = np.abs(rhs).max()

@@ -184,13 +184,12 @@ def test_solution_minimizes_residual(level1):
     mesh, cfg, kernels, sol = level1
     dof = DofMap(mesh, cfg)
     x = _full_coefficients(dof, sol)
-    systems = [element_system(kernels, ti, cfg)
-               for ti in range(mesh.num_triangles)]
+    systems = element_system(kernels, slice(None), cfg)
 
     def eta_of(vec):
         s = 0.0
         for ti in range(mesh.num_triangles):
-            s += local_residual(systems[ti], vec[dof.element_dofs(ti)]) ** 2
+            s += local_residual(systems[ti], vec[dof.element_dofs[ti]]) ** 2
         return math.sqrt(s)
 
     base = eta_of(x)
@@ -211,9 +210,9 @@ def test_normal_equations_hold_under_reassembly(level1):
     x = _full_coefficients(dof, sol)
     A = np.zeros((dof.n_free, dof.n_free))
     b = np.zeros(dof.n_free)
-    for ti in range(mesh.num_triangles):
-        A_T, b_T = local_normal_contribution(element_system(kernels, ti, cfg))
-        fidx = dof.free_index[dof.element_dofs(ti)]
+    for ti, system in enumerate(element_system(kernels, slice(None), cfg)):
+        A_T, b_T = local_normal_contribution(system)
+        fidx = dof.free_index[dof.element_dofs[ti]]
         keep = fidx >= 0
         sub = fidx[keep]
         A[np.ix_(sub, sub)] += A_T[np.ix_(keep, keep)]
@@ -302,6 +301,27 @@ def test_cli_study_writes_csv_and_mesh(run_cli, tmp_path):
 def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     proc = run_cli(["study", "--t-list", "1e-2,oops"], tmp_path)
     assert proc.returncode == 2
+
+
+# before these settings were validated, each of them ran: --levels 0 wrote
+# a header-only CSV and exited 0, --cg-tol 0 died with "residual nan",
+# --quad-degree 2 with a "19-th leading minor" LinAlgError, and clamped
+# with the default t-list and --test-degree 7 with a traceback
+@pytest.mark.parametrize("args, message", [
+    (["--levels", "0"], "--levels must be >= 1"),
+    (["--cg-tol", "0"], "CG tolerance"),
+    (["--quad-degree", "2"], "quadrature degree 2"),
+    (["--bc", "clamped"], "clamped plates"),
+    (["--test-degree", "7"], "test degree 7"),
+])
+def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
+    out = tmp_path / "study.csv"
+    proc = run_cli(["study", "--quiet", "--out", str(out), *args], tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"plate-dpg study: error: {message}")
+    assert not out.exists()
 
 
 def test_cg_tolerance_defaults_agree():

@@ -1,0 +1,156 @@
+"""Batched element systems, assembly and L2 errors against the per-element loop.
+
+The reference in `element_loop.py` builds every element's system, the
+COO triplets, the rhs sums, the estimator and the L2 errors one element
+at a time with zero-padded features.  The batched code must give the
+same bits: `np.array_equal` and equal bytes, so signed zeros count too.
+"""
+
+import numpy as np
+import pytest
+
+from element_loop import LoopKernel, loop_kernels, loop_l2_errors, loop_solve
+from plate_dpg import dpg, driver, manufactured
+from plate_dpg.dpg import ElementTables, MaterialLaw, ProblemConfig
+from plate_dpg.hct import build_all_elements, build_hct_element
+from plate_dpg.mesh import Mesh, mesh_at_level
+
+T_VALUES = (1e-2, 1e-8, 0.0)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+def jittered_mesh(level, seed):
+    """Uniform mesh with interior vertices moved by up to 0.3 h per coordinate."""
+    base = mesh_at_level(level)
+    h = 2.0 ** -(level + 1)
+    interior = np.setdiff1d(np.arange(base.num_vertices), base.boundary_vertices)
+    rng = np.random.default_rng(seed)
+    vertices = base.vertices.copy()
+    vertices[interior] += rng.uniform(-0.3 * h, 0.3 * h, size=(interior.size, 2))
+    return Mesh(vertices, base.triangles, level=level)
+
+
+def grid_mesh(n):
+    """The unit square as an n x n grid of squares, two triangles each."""
+    s = np.linspace(0.0, 1.0, n + 1)
+    vertices = np.array([(x, y) for y in s for x in s])
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            b, c, d = a + 1, a + n + 2, a + n + 1
+            triangles += [(a, b, c), (a, c, d)]
+    return Mesh(vertices, np.array(triangles, dtype=np.int64))
+
+
+def random_triangles():
+    """12 random CCW triangles of sizes 1e-4 to 10, away from the origin."""
+    rng = np.random.default_rng(21)
+    out = []
+    for scale in (1e-4, 1e-2, 1.0, 10.0):
+        for _ in range(3):
+            coords = scale * rng.uniform(-1.0, 1.0, (3, 2)) + rng.uniform(-5, 5, 2)
+            if np.linalg.det(coords[1:] - coords[0]) < 0:
+                coords = coords[[0, 2, 1]]
+            out.append(coords)
+    return np.array(out)
+
+
+# the grid's 18 elements make one full chunk of 16 and a partial one
+MESHES = {
+    "uniform level 2": lambda: mesh_at_level(2),
+    "jittered level 2": lambda: jittered_mesh(2, seed=5),
+    "18-element grid": lambda: grid_mesh(3),
+    "uniform level 0": lambda: mesh_at_level(0),
+}
+
+
+@pytest.mark.parametrize("t", T_VALUES)
+def test_batched_builders_match_loop_on_random_triangles(t):
+    coords = random_triangles()
+    elements = [build_hct_element(c) for c in coords]
+    tables = ElementTables.build(coords, elements)
+    material = MaterialLaw.isotropic(E=3.7, nu=0.31)
+    f_values = np.random.default_rng(3).standard_normal(tables.vw.shape)
+    G = dpg.gram(tables, t)
+    B_field = dpg.b_field(tables, t, material)
+    B_trace = dpg.b_trace(tables, t)
+    l = dpg.load(tables, f_values, t)
+    for ti, (xy, element) in enumerate(zip(coords, elements)):
+        ref = LoopKernel(xy, element)
+        assert_same_bits(G[ti], ref.gram(t))
+        assert_same_bits(B_field[ti], ref.b_field(t, material))
+        assert_same_bits(B_trace[ti], ref.b_trace(t))
+        assert_same_bits(l[ti], ref.load(f_values[ti], t))
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_element_systems_match_loop(name):
+    mesh = MESHES[name]()
+    kernels = driver.MeshKernels(mesh, ProblemConfig())
+    refs, f_values = loop_kernels(mesh, build_all_elements(mesh), ProblemConfig())
+    for got, expect in zip(kernels.f_values, f_values):
+        assert_same_bits(got, expect)
+    for t in T_VALUES:
+        cfg = ProblemConfig(t=t)
+        systems = []
+        for lo in range(0, mesh.num_triangles, driver._CHUNK):
+            systems += driver.element_system(kernels, slice(lo, lo + driver._CHUNK), cfg)
+        assert len(systems) == mesh.num_triangles
+        for sysm, ref, f in zip(systems, refs, f_values):
+            expect = ref.system(t, cfg.material, f)
+            assert_same_bits(sysm.G, expect.G)
+            assert_same_bits(sysm.B, expect.B)
+            assert_same_bits(sysm.l, expect.l)
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_assembly_estimator_and_errors_match_loop(name):
+    mesh = MESHES[name]()
+    kernels = driver.MeshKernels(mesh, ProblemConfig())
+    refs, f_values = loop_kernels(mesh, build_all_elements(mesh), ProblemConfig())
+    for t in T_VALUES:
+        cfg = ProblemConfig(t=t)
+        dof, _, A, rhs = driver.assemble(mesh, cfg, kernels)
+        A_ref, rhs_ref, x_ref, eta_ref = loop_solve(mesh, cfg, refs, f_values, dof)
+        for part in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(A.lower, part), getattr(A_ref.lower, part))
+        assert_same_bits(rhs, rhs_ref)
+
+        sol = driver.assemble_and_solve(mesh, cfg, kernels)
+        assert_same_bits(sol.eta_elements, eta_ref)
+        assert_same_bits(sol.trace, x_ref[dof.field_total:])
+        fields = x_ref[: dof.field_total].reshape(mesh.num_triangles, dof.n_field)
+        theta = fields[:, 4:6] if dof.n_field == 6 else None
+        errs = manufactured.l2_errors(mesh, sol.u, sol.M, sol.theta, t)
+        for got, expect in zip(errs, loop_l2_errors(mesh, fields[:, 0], fields[:, 1:4],
+                                                     theta, t)):
+            assert_same_bits(got, expect)
+
+
+def test_small_chunks_assemble_the_same_bits(monkeypatch):
+    # chunks of 5 over 64 elements end in a partial chunk of 4
+    mesh = jittered_mesh(2, seed=9)
+    cfg = ProblemConfig(t=1e-8)
+    kernels = driver.MeshKernels(mesh, cfg)
+    _, _, A, rhs = driver.assemble(mesh, cfg, kernels)
+    monkeypatch.setattr(driver, "_CHUNK", 5)
+    _, _, A5, rhs5 = driver.assemble(mesh, cfg, kernels)
+    assert_same_bits(A5.lower.data, A.lower.data)
+    assert_same_bits(rhs5, rhs)
+
+
+def test_kept_systems_drop_the_gram_matrices():
+    mesh = mesh_at_level(1)
+    cfg = ProblemConfig(t=1e-2)
+    _, systems, _, _ = driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg))
+    assert all(s.G is None for s in systems)
+    # B of each system is a view into a stack of B only
+    n, m = systems[0].B.shape
+    assert all(s.B.base is not None and s.B.base.shape[1:] == (n, m) for s in systems)

@@ -6,8 +6,8 @@ import pytest
 from plate_dpg import quadrature
 from plate_dpg.mesh import mesh_at_level
 from plate_dpg.testspace import (
+    BarycentricMap,
     BrokenTestBasis,
-    barycentric,
     eval_scalar_basis,
     scalar_basis_size,
 )
@@ -17,7 +17,8 @@ REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 def _loop_scalar_basis(coords, pts, degree):
     """Reference: the basis accumulated term by term in a per-function loop."""
-    to_lambda, glam = barycentric(coords)
+    to_lambda = BarycentricMap(coords)
+    glam = to_lambda.grad
     lam = to_lambda(pts)
     nq = lam.shape[0]
     nb = scalar_basis_size(degree)
@@ -197,7 +198,8 @@ def test_matches_loop_reference_bit_for_bit():
 
 def test_barycentric_roundtrip():
     coords = np.array([[0.2, 0.1], [1.0, 0.4], [0.3, 1.2]])
-    to_lam, grad = barycentric(coords)
+    to_lam = BarycentricMap(coords)
+    grad = to_lam.grad
     lam = to_lam(coords)
     assert np.abs(lam - np.eye(3)).max() < 1e-13
     # gradients of the barycentric coordinates sum to zero
