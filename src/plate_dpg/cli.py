@@ -11,6 +11,7 @@ from . import __version__
 from .dpg import ElementTables, ProblemConfig, _equilibrated_cholesky, gram
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
+from .linalg import SolveError
 from .manufactured import verify_manufactured
 from .mesh import mesh_at_level, write_mesh_text
 from .quadrature import map_to_triangle, triangle_rule
@@ -57,7 +58,11 @@ def _cmd_study(args):
     progress = None
     if not args.quiet:
         progress = lambda line: print(line, file=sys.stderr)
-    records = run_study(t_list, args.levels, config, progress=progress)
+    try:
+        records = run_study(t_list, args.levels, config, progress=progress)
+    except SolveError as err:
+        print(f"plate-dpg study: error: {err}", file=sys.stderr)
+        return 1
     if args.out == "-":
         write_csv(records, sys.stdout)
     else:

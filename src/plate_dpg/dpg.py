@@ -32,6 +32,8 @@ from .testspace import BarycentricMap, BrokenTestBasis
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
 N_TRACE_COLS = 36  # 4 generating fields x 9 vertex dofs
+# b_trace's edge integrands have degree <= test_degree + 3 <= 8; edge_rule(8) is exact to 9
+EDGE_DEGREE = 8
 
 
 class MaterialLaw:
@@ -50,22 +52,6 @@ class MaterialLaw:
         self.nu = nu
         self.D = E / (12.0 * (1.0 - nu * nu))
 
-    @classmethod
-    def identity(cls):
-        return cls(E=12.0, nu=0.0)
-
-    @classmethod
-    def isotropic(cls, E, nu):
-        return cls(E=E, nu=nu)
-
-    def apply(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.empty_like(X)
-        out[..., 0] = self.D * (X[..., 0] + self.nu * X[..., 2])
-        out[..., 1] = self.D * (1.0 - self.nu) * X[..., 1]
-        out[..., 2] = self.D * (X[..., 2] + self.nu * X[..., 0])
-        return out
-
     def apply_inverse(self, Y):
         Y = np.asarray(Y, dtype=float)
         out = np.empty_like(Y)
@@ -82,10 +68,9 @@ class ProblemConfig:
 
     t: float = 0.01
     bc: str = "simply-supported"
-    material: MaterialLaw = field(default_factory=MaterialLaw.identity)
+    material: MaterialLaw = field(default_factory=MaterialLaw)
     test_degree: int = 3
     quad_degree: int = 14
-    edge_degree: int = 8
     solver: str = "direct"
     cg_tol: float = CG_TOL
 
@@ -108,9 +93,6 @@ class ProblemConfig:
             raise ValueError(f"quadrature degree {self.quad_degree} is outside "
                              f"[{lowest}, {quadrature.MAX_TRIANGLE_DEGREE}] for test "
                              f"degree {self.test_degree}")
-        if not 0 <= self.edge_degree <= quadrature.MAX_EDGE_DEGREE:
-            raise ValueError(f"edge quadrature degree {self.edge_degree} is outside "
-                             f"[0, {quadrature.MAX_EDGE_DEGREE}]")
         if not (np.isfinite(self.cg_tol) and self.cg_tol > 0.0):
             raise ValueError(f"CG tolerance {self.cg_tol!r} must be finite and > 0")
 
@@ -146,7 +128,7 @@ class ElementKernel:
     (3, nqe, n_scalar) and C1 trace basis `hv`, `hx`, `hy` (3, nqe, 9).
     """
 
-    def __init__(self, coords, hct_element, layout, quad_degree=14, edge_degree=8):
+    def __init__(self, coords, hct_element, layout, quad_degree=14):
         coords = np.asarray(coords, dtype=float)
         bary = BarycentricMap(coords)
         vol = quadrature.triangle_rule(quad_degree)
@@ -156,7 +138,7 @@ class ElementKernel:
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
 
-        erule = quadrature.edge_rule(edge_degree)
+        erule = quadrature.edge_rule(EDGE_DEGREE)
         edges = []
         for k in range(3):
             p = coords[k]
@@ -203,12 +185,12 @@ class ElementTables:
     hy: np.ndarray
 
     @classmethod
-    def build(cls, coords, hct_elements, layout=None, quad_degree=14, edge_degree=8):
+    def build(cls, coords, hct_elements, layout=None, quad_degree=14):
         """Tables of the triangles `coords` (ne, 3, 2), one ElementKernel at a time."""
         layout = layout if layout is not None else BrokenTestBasis()
         stacks = None
         for ti, element in enumerate(hct_elements):
-            kernel = ElementKernel(coords[ti], element, layout, quad_degree, edge_degree)
+            kernel = ElementKernel(coords[ti], element, layout, quad_degree)
             if stacks is None:
                 stacks = {name: np.empty((len(coords),) + getattr(kernel, name).shape)
                           for name in cls.NAMES}
@@ -228,27 +210,21 @@ class _Blocks:
     """A (ne, nq, n_test) array of test-function features, held by component.
 
     `blocks` maps a component of (z, th11, th12, th22, tau1, tau2) to its
-    (ne, nq, n_scalar) block; every other entry equals `fill`, which
-    broadcasts against a block.  The features are zero-padded full-width
-    arrays in the per-element formulas.  Here `fill` starts as +0.0 and goes
-    through the same floating-point operations as the blocks, so `full`
-    returns those arrays bit for bit, signed zeros included.
+    (ne, nq, n_scalar) block; every other entry is zero.  The per-element
+    formulas build the same features as zero-padded full-width arrays.
     """
 
     __array_ufunc__ = None  # `ndarray * _Blocks` goes to __rmul__
 
-    def __init__(self, blocks, fill=0.0):
+    def __init__(self, blocks):
         self.blocks = blocks
-        self.fill = fill
 
     def _apply(self, op, other):
         if not isinstance(other, _Blocks):
-            return _Blocks({c: op(a, other) for c, a in self.blocks.items()},
-                           op(self.fill, other))
+            return _Blocks({c: op(a, other) for c, a in self.blocks.items()})
         comps = self.blocks.keys() | other.blocks.keys()
-        blocks = {c: op(self.blocks.get(c, self.fill), other.blocks.get(c, other.fill))
-                  for c in comps}
-        return _Blocks(blocks, op(self.fill, other.fill))
+        return _Blocks({c: op(self.blocks.get(c, 0.0), other.blocks.get(c, 0.0))
+                        for c in comps})
 
     def __add__(self, other):
         return self._apply(np.add, other)
@@ -264,8 +240,8 @@ class _Blocks:
     def update(self, comp, op, value):
         """Block `comp` replaced by op(block, value), as `out[:, block] op= value` would."""
         blocks = dict(self.blocks)
-        blocks[comp] = op(blocks.get(comp, self.fill), value)
-        return _Blocks(blocks, self.fill)
+        blocks[comp] = op(blocks.get(comp, 0.0), value)
+        return _Blocks(blocks)
 
     def full(self, n_test, out=None):
         """The full-width array, written into `out` (all +0.0) when given."""
@@ -273,8 +249,6 @@ class _Blocks:
         ns = a.shape[-1]
         if out is None:
             out = np.zeros(a.shape[:-1] + (n_test,))
-        if np.any(self.fill) or np.signbit(self.fill).any():
-            out[...] = self.fill
         for c, block in self.blocks.items():
             out[..., c * ns : (c + 1) * ns] = block
         return out
@@ -344,15 +318,14 @@ def _compliance_features(k, material):
     """C^{-1} applied to the Theta test block, componentwise: three features.
 
     The material law acts on the (th11, th12, th22) columns; on the others
-    its input is zero, which gives the fill.
+    its input, and so its output, is zero.
     """
     ns = k.layout.n_scalar
     theta = np.zeros(k.V.shape[:-1] + (3 * ns, 3))
     for c in range(3):
         theta[..., c * ns : (c + 1) * ns, c] = k.V
     ci = material.apply_inverse(theta)
-    fill = material.apply_inverse(np.zeros(3))
-    return [_Blocks({1 + c: ci[..., c * ns : (c + 1) * ns, m] for c in range(3)}, fill[m])
+    return [_Blocks({1 + c: ci[..., c * ns : (c + 1) * ns, m] for c in range(3)})
             for m in range(3)]
 
 
@@ -470,61 +443,3 @@ def local_residual(system, x_local):
     r = (system.l - system.B @ x_local) * dinv
     val = float(r @ cho_solve(cho, r))
     return np.sqrt(max(val, 0.0))
-
-
-# ---- diagnostic pairings used to cross-check the assembled skeleton terms
-
-
-def trace_pair_edge(coords, gen_a, gen_b, t, edge_degree=8):
-    """Edge-representation duality pairing of two smooth triples on one triangle.
-
-    `gen_a(pts)` returns (u, grad_u (nq,2), M (nq,3), div_M (nq,2), theta (nq,2));
-    `gen_b(pts)` returns (z, grad_z, Theta (nq,3), div_Theta (nq,2), tau (nq,2)).
-    """
-    coords = np.asarray(coords, dtype=float)
-    rule = quadrature.edge_rule(edge_degree)
-    tt = t * t
-    total = 0.0
-    for k in range(3):
-        p, q = coords[k], coords[(k + 1) % 3]
-        pts, w = quadrature.map_to_edge(rule, p, q)
-        d = q - p
-        n = np.array([d[1], -d[0]]) / np.hypot(*d)
-        u, gu, M, dM, th = gen_a(pts)
-        z, gz, Th, dTh, tau = gen_b(pts)
-        qn_b = dTh @ n + t * ((tau - gz) @ n)
-        qn_a = dM @ n + t * ((th - gu) @ n)
-        Mn = np.stack([M[:, 0] * n[0] + M[:, 1] * n[1],
-                       M[:, 1] * n[0] + M[:, 2] * n[1]], axis=1)
-        Thn = np.stack([Th[:, 0] * n[0] + Th[:, 1] * n[1],
-                        Th[:, 1] * n[0] + Th[:, 2] * n[1]], axis=1)
-        wa = gz - tt * dTh
-        wb = gu - tt * dM
-        total += w @ (u * qn_b - qn_a * z
-                      + np.einsum("qd,qd->q", Mn, wa)
-                      - np.einsum("qd,qd->q", wb, Thn))
-    return total
-
-
-def trace_pair_volume(subtris, gen_a, gen_b, t, quad_degree=14):
-    """Volume-form duality pairing, integrated over a list of subtriangles.
-
-    `gen_a(pts)` returns (u, grad_u (nq,2), M (nq,3), eps_a (nq,3), s_a (nq,),
-    theta (nq,2)) with eps_a = eps(grad u - t^2 div M) and
-    s_a = div(div M + t(theta - grad u)); `gen_b` returns the analogous
-    tuple for (z, Theta, tau).  Second derivatives jump across macro-element
-    subtriangles, hence the explicit subdivision of the integration domain.
-    Equals the edge representation for smooth arguments.
-    """
-    rule = quadrature.triangle_rule(quad_degree)
-    total = 0.0
-    for tri in subtris:
-        pts, w = quadrature.map_to_triangle(rule, tri)
-        u, gu, M, ea, sa, th = gen_a(pts)
-        z, gz, Th, eb, sb, tau = gen_b(pts)
-        frob_Me = M[:, 0] * eb[:, 0] + 2.0 * M[:, 1] * eb[:, 1] + M[:, 2] * eb[:, 2]
-        frob_eT = ea[:, 0] * Th[:, 0] + 2.0 * ea[:, 1] * Th[:, 1] + ea[:, 2] * Th[:, 2]
-        total += w @ (u * sb - sa * z + frob_Me - frob_eT
-                      - t * np.einsum("qd,qd->q", th, gz)
-                      + t * np.einsum("qd,qd->q", gu, tau))
-    return total

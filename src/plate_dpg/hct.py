@@ -163,53 +163,5 @@ def eval_on_parent_edge(element, local_edge, s):
     return v @ C, np.einsum("qbd,bj->qjd", g, C)
 
 
-def hct_edge_trace(element, local_edge):
-    """Polynomial coefficients (ascending in s) of the edge traces.
-
-    Returns (value (9, 4), grad (9, 2, 3)): per basis function, the cubic
-    value trace and the degree <= 2 Cartesian gradient traces along edge
-    `local_edge`, parameterized by s in [0, 1].
-    """
-    vv, _ = eval_on_parent_edge(element, local_edge, _VALUE_S)
-    _, gg = eval_on_parent_edge(element, local_edge, _GRAD_S)
-    V3 = np.vander(_VALUE_S, 4, increasing=True)
-    V2 = np.vander(_GRAD_S, 3, increasing=True)
-    value = np.linalg.solve(V3, vv).T            # (9, 4)
-    gx = np.linalg.solve(V2, gg[:, :, 0]).T      # (9, 3)
-    gy = np.linalg.solve(V2, gg[:, :, 1]).T
-    return value, np.stack([gx, gy], axis=1)
-
-
-class HctScalarField:
-    """Globally C1 scalar field: one (value, d/dx, d/dy) triple per mesh vertex."""
-
-    def __init__(self, mesh, dofs=None):
-        self.mesh = mesh
-        if dofs is None:
-            dofs = np.zeros(3 * mesh.num_vertices)
-        self.dofs = np.asarray(dofs, dtype=float)
-        if self.dofs.shape != (3 * mesh.num_vertices,):
-            raise ValueError("dof vector must have 3 entries per vertex")
-
-    def local_dofs(self, ti):
-        idx = np.repeat(3 * self.mesh.triangles[ti], 3) + np.tile([0, 1, 2], 3)
-        return self.dofs[idx]
-
-    def eval(self, ti, elements, pts):
-        """(value, gradient, hessian) arrays of the field on triangle ti."""
-        return eval_hct(elements[ti], pts, self.local_dofs(ti))
-
-
-def interpolate(mesh, f, grad_f):
-    """Vertex interpolant of a smooth function given with its gradient."""
-    dofs = np.empty(3 * mesh.num_vertices)
-    for v, p in enumerate(mesh.vertices):
-        dofs[3 * v] = f(p[0], p[1])
-        g = grad_f(p[0], p[1])
-        dofs[3 * v + 1] = g[0]
-        dofs[3 * v + 2] = g[1]
-    return HctScalarField(mesh, dofs)
-
-
 def build_all_elements(mesh):
     return [build_hct_element(mesh.triangle_coords(ti)) for ti in range(mesh.num_triangles)]

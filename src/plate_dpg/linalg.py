@@ -1,15 +1,12 @@
-"""Dense Cholesky and sparse symmetric positive definite solves.
+"""Exactly symmetric sparse assembly and sparse symmetric positive definite solves.
 
-Thin wrappers around LAPACK (via scipy.linalg) and SuperLU / conjugate
-gradients (via scipy.sparse) that add the contracts the solver relies on:
-symmetry checks, loud failure on indefinite matrices with the offending
-pivot, a problem-size guard on the direct path, and deterministic results.
+Thin wrappers around SuperLU and conjugate gradients (via scipy.sparse)
+that add the contracts the solver relies on: loud failure on indefinite
+matrices with the offending pivot, a problem-size guard on the direct
+path, and deterministic results.
 """
 
-import re
-
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -22,13 +19,17 @@ DIRECT_SIZE_LIMIT = 200_000
 CG_TOL = 1e-14
 
 
-class NotPositiveDefiniteError(Exception):
+class SolveError(Exception):
+    """A global solve that failed; the message says why."""
+
+
+class NotPositiveDefiniteError(SolveError):
     def __init__(self, pivot, message=None):
         self.pivot = pivot
         super().__init__(message or f"matrix is not positive definite (pivot {pivot})")
 
 
-class IterativeSolveError(Exception):
+class IterativeSolveError(SolveError):
     def __init__(self, iterations, residual):
         self.iterations = iterations
         self.residual = residual
@@ -38,67 +39,28 @@ class IterativeSolveError(Exception):
         )
 
 
-def dense_cholesky(A):
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def symmetric_from_coo(n, rows, cols, vals):
+    """The full n x n CSC matrix of symmetric COO triplets; duplicates are summed.
 
-    Raises ValueError on an asymmetric input and NotPositiveDefiniteError
-    (carrying the 0-based pivot index) when a pivot fails.
+    Only entries with row >= col are kept and summed, and the upper triangle
+    is their mirror image, so the result is exactly symmetric whether the
+    symmetric pairs are passed twice or once.
     """
-    A = np.asarray(A, dtype=float)
-    scale = np.abs(A).max()
-    if scale > 0.0 and np.abs(A - A.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    try:
-        return scipy.linalg.cholesky(A, lower=True)
-    except scipy.linalg.LinAlgError as err:
-        m = re.search(r"(\d+)-th leading minor", str(err))
-        pivot = int(m.group(1)) - 1 if m else -1
-        raise NotPositiveDefiniteError(pivot) from err
-
-
-class SparseSymMatrix:
-    """Symmetric sparse matrix stored as its lower triangle in CSR form."""
-
-    def __init__(self, lower):
-        lower = sp.csr_matrix(lower)
-        if lower.shape[0] != lower.shape[1]:
-            raise ValueError("matrix must be square")
-        self.lower = lower
-        self.n = lower.shape[0]
-
-    @classmethod
-    def from_coo(cls, n, rows, cols, vals):
-        """Build from COO triplets of the full matrix; duplicates are summed.
-
-        Only entries with row >= col are kept, so symmetric pairs may be
-        passed redundantly or not at all.
-        """
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        vals = np.asarray(vals, dtype=float)
-        keep = rows >= cols
-        m = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-        return cls(m.tocsr())
-
-    @classmethod
-    def from_full(cls, A):
-        return cls(sp.tril(sp.csr_matrix(A), format="csr"))
-
-    def full(self):
-        d = sp.diags(self.lower.diagonal())
-        return (self.lower + self.lower.T - d).tocsc()
-
-    def diagonal(self):
-        return self.lower.diagonal()
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    vals = np.asarray(vals, dtype=float)
+    keep = rows >= cols
+    lower = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    return (lower + lower.T - sp.diags(lower.diagonal())).tocsc()
 
 
 def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None):
     """Solve A x = b for symmetric positive definite A.
 
-    `A` is a SparseSymMatrix (or anything scipy.sparse accepts, taken as
-    the full matrix).  The direct path factors with SuperLU in symmetric
-    mode and diagonal pivoting, so non-positive pivots are detected and
-    reported; it refuses systems beyond DIRECT_SIZE_LIMIT unknowns.  The
+    `A` is the full matrix as a scipy sparse matrix (as `symmetric_from_coo`
+    returns it).  The direct path factors with SuperLU in symmetric mode and
+    diagonal pivoting, so non-positive pivots are detected and reported; it
+    refuses systems beyond DIRECT_SIZE_LIMIT unknowns.  The
     cg path runs Jacobi-preconditioned conjugate gradients to relative
     residual `tol` (default CG_TOL = 1e-14) and fails loudly when it does
     not converge.  Its result agrees with the direct one to about
@@ -106,7 +68,7 @@ def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None):
     Jacobi scaling.
     """
     b = np.asarray(b, dtype=float)
-    full = A.full() if isinstance(A, SparseSymMatrix) else sp.csc_matrix(A)
+    full = sp.csc_matrix(A)
     n = full.shape[0]
     d = full.diagonal()
     if np.any(d <= 0.0):

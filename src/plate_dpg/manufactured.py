@@ -194,24 +194,3 @@ def _sum_over_elements(w, values):
     element order (a pairwise `sum` would add in another order, with other bits)."""
     return np.cumsum(np.vecdot(w, values))[-1]
 
-
-def element_means(mesh, t, quad_degree=14):
-    """Per-element means of the exact fields: the best constant approximants."""
-    from .quadrature import map_to_triangle, triangle_rule
-
-    ex = ExactSolution(t)
-    rule = triangle_rule(quad_degree)
-    nt = mesh.num_triangles
-    u = np.empty(nt)
-    M = np.empty((nt, 3))
-    th = np.empty((nt, 2))
-    for ti in range(nt):
-        pts, w = map_to_triangle(rule, mesh.triangle_coords(ti))
-        x, y = pts[:, 0], pts[:, 1]
-        area = w.sum()
-        u[ti] = (w @ ex.u(x, y)) / area
-        m11, m12, m22 = ex.M(x, y)
-        M[ti] = [(w @ m11) / area, (w @ m12) / area, (w @ m22) / area]
-        tx, ty = ex.theta(x, y)
-        th[ti] = [(w @ tx) / area, (w @ ty) / area]
-    return u, M, th

@@ -147,21 +147,6 @@ def mesh_at_level(level):
     return m
 
 
-def edge_outward_normal(mesh, ti, local_edge):
-    """Unit outward normal of local edge k = (v_k, v_{k+1}) of triangle ti.
-
-    CCW orientation puts the interior on the left of the directed edge, so
-    the outward normal is the edge direction rotated by -90 degrees.
-    """
-    a, b, c = mesh.triangles[ti]
-    tail, head = ((a, b), (b, c), (c, a))[local_edge]
-    d = mesh.vertices[head] - mesh.vertices[tail]
-    length = np.hypot(d[0], d[1])
-    if length == 0.0:
-        raise ValueError("degenerate edge")
-    return np.array([d[1], -d[0]]) / length
-
-
 def write_mesh_text(mesh, stream):
     """Dump the mesh as plain text: 'v x y' per vertex, 't i j k' per triangle."""
     for x, y in mesh.vertices:

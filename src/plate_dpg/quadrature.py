@@ -24,9 +24,6 @@ class QuadRule:
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
 
-    def __len__(self):
-        return self.weights.shape[0]
-
 
 def triangle_rule(degree):
     """Rule on the reference triangle exact for total degree <= `degree`.

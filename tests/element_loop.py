@@ -17,7 +17,7 @@ from plate_dpg.testspace import BrokenTestBasis
 class LoopKernel:
     """Tables of one triangle and its element system, one element at a time."""
 
-    def __init__(self, coords, hct_element, layout=None, quad_degree=14, edge_degree=8):
+    def __init__(self, coords, hct_element, layout=None, quad_degree=14):
         self.coords = np.asarray(coords, dtype=float)
         self.layout = layout if layout is not None else BrokenTestBasis()
         vol = quadrature.triangle_rule(quad_degree)
@@ -27,7 +27,7 @@ class LoopKernel:
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
 
-        erule = quadrature.edge_rule(edge_degree)
+        erule = quadrature.edge_rule(dpg.EDGE_DEGREE)
         self.edges = []
         for k in range(3):
             p = self.coords[k]
@@ -180,8 +180,7 @@ class LoopKernel:
 def loop_kernels(mesh, hct_elements, config):
     """One LoopKernel per element, with the load values at its quadrature points."""
     kernels = [LoopKernel(mesh.triangle_coords(ti), hct_elements[ti],
-                          BrokenTestBasis(config.test_degree), config.quad_degree,
-                          config.edge_degree)
+                          BrokenTestBasis(config.test_degree), config.quad_degree)
                for ti in range(mesh.num_triangles)]
     ex = manufactured.ExactSolution(0.0)
     f_values = [ex.f(k.vpts[:, 0], k.vpts[:, 1]) for k in kernels]
@@ -204,7 +203,7 @@ def element_dofs(dof, ti):
 def loop_solve(mesh, config, kernels, f_values, dof):
     """Assembly, solve and estimator element by element.
 
-    Returns (A as a SparseSymMatrix, rhs, x over all dofs, eta_elements).
+    Returns (A as a full CSC matrix, rhs, x over all dofs, eta_elements).
     """
     rows, cols, vals = [], [], []
     rhs = np.zeros(dof.n_free)
@@ -221,11 +220,11 @@ def loop_solve(mesh, config, kernels, f_values, dof):
         cols.append(np.tile(sub, sub.size))
         vals.append(A_keep.ravel())
         np.add.at(rhs, sub, b_T[keep])
-    A = linalg.SparseSymMatrix.from_coo(
+    A = linalg.symmetric_from_coo(
         dof.n_free, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
     x = np.zeros(dof.n_total)
-    x[dof.free] = linalg.solve_spd(A.full(), rhs, method=config.solver, tol=config.cg_tol)
+    x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver, tol=config.cg_tol)
     eta_sq = np.empty(mesh.num_triangles)
     for ti in range(mesh.num_triangles):
         eta_sq[ti] = dpg.local_residual(systems[ti], x[element_dofs(dof, ti)]) ** 2

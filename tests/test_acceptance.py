@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import HctScalarField, interpolate, trace_pair_edge
 from plate_dpg.dpg import (
     ElementSystem,
     ElementTables,
@@ -22,7 +23,6 @@ from plate_dpg.dpg import (
     b_trace,
     gram,
     local_normal_contribution,
-    trace_pair_edge,
 )
 from plate_dpg.driver import (
     MeshKernels,
@@ -33,12 +33,10 @@ from plate_dpg.driver import (
     run_study,
 )
 from plate_dpg.hct import (
-    HctScalarField,
     build_all_elements,
     build_hct_element,
     eval_hct,
     eval_on_parent_edge,
-    interpolate,
 )
 from plate_dpg.mesh import mesh_at_level
 

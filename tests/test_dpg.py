@@ -11,6 +11,8 @@ and scaling in the volume and trace blocks.
 import numpy as np
 import pytest
 
+from oracles import HctScalarField, trace_pair_edge, trace_pair_volume
+from plate_dpg import dpg
 from plate_dpg.dpg import (
     ElementSystem,
     ElementTables,
@@ -24,8 +26,6 @@ from plate_dpg.dpg import (
     load,
     local_normal_contribution,
     local_residual,
-    trace_pair_edge,
-    trace_pair_volume,
 )
 from plate_dpg.hct import build_hct_element, eval_hct, eval_on_parent_edge
 from plate_dpg.quadrature import map_to_triangle, triangle_rule
@@ -67,19 +67,29 @@ def component_vector(layout, t, coords, component, fun):
 # ---- material law
 
 
+def apply_law(law, X):
+    """C(X) = D [nu tr(X) I + (1 - nu) X] on symmetric tensors (11, 12, 22)."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty_like(X)
+    out[..., 0] = law.D * (X[..., 0] + law.nu * X[..., 2])
+    out[..., 1] = law.D * (1.0 - law.nu) * X[..., 1]
+    out[..., 2] = law.D * (X[..., 2] + law.nu * X[..., 0])
+    return out
+
+
 def test_material_identity():
-    law = MaterialLaw.identity()
+    law = MaterialLaw()
     X = np.array([1.3, -0.4, 0.8])
-    assert np.allclose(law.apply(X), X)
+    assert np.allclose(apply_law(law, X), X)
     assert np.allclose(law.apply_inverse(X), X)
 
 
 def test_material_roundtrip():
-    law = MaterialLaw.isotropic(E=3.7, nu=0.31)
+    law = MaterialLaw(E=3.7, nu=0.31)
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5, 3))
-    assert np.abs(law.apply_inverse(law.apply(X)) - X).max() < 1e-13
-    assert np.abs(law.apply(law.apply_inverse(X)) - X).max() < 1e-13
+    assert np.abs(law.apply_inverse(apply_law(law, X)) - X).max() < 1e-13
+    assert np.abs(apply_law(law, law.apply_inverse(X)) - X).max() < 1e-13
 
 
 def test_material_validation():
@@ -110,13 +120,12 @@ def test_config_rejects_bad_discretization():
     for bad in (dict(test_degree=1), dict(test_degree=6),
                 dict(quad_degree=5), dict(quad_degree=21),
                 dict(test_degree=5, quad_degree=9),
-                dict(edge_degree=-1), dict(edge_degree=22),
                 dict(cg_tol=0.0), dict(cg_tol=-1e-3), dict(cg_tol=float("inf")),
                 dict(cg_tol=float("nan"))):
         with pytest.raises(ValueError):
             ProblemConfig(**bad)
-    ProblemConfig(test_degree=2, quad_degree=4, edge_degree=0)
-    ProblemConfig(test_degree=5, quad_degree=20, edge_degree=21, cg_tol=1.0)
+    ProblemConfig(test_degree=2, quad_degree=4)
+    ProblemConfig(test_degree=5, quad_degree=20, cg_tol=1.0)
 
 
 # ---- Gram matrix
@@ -166,14 +175,14 @@ def test_gram_size_depends_on_thickness():
 
 def test_b_field_deflection_column_against_divergence_free_test():
     kernel = make_kernel(REF)
-    B = b_field(kernel, 0.0, MaterialLaw.identity())[0]
+    B = b_field(kernel, 0.0, MaterialLaw())[0]
     v = component_vector(kernel.layout, 0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v @ B[:, 0]) < 1e-14
 
 
 def test_b_field_deflection_column_against_linear_shear_test():
     kernel = make_kernel(REF)
-    B = b_field(kernel, 1.0, MaterialLaw.identity())[0]
+    B = b_field(kernel, 1.0, MaterialLaw())[0]
     v = component_vector(kernel.layout, 1.0, REF, 4, lambda x, y: x)
     # (u, t div tau) with tau = (x, 0): integral of 1 over the triangle
     assert abs(v @ B[:, 0] - 0.5) < 1e-13
@@ -181,7 +190,7 @@ def test_b_field_deflection_column_against_linear_shear_test():
 
 def test_b_field_moment_column_constant_test():
     kernel = make_kernel(REF)
-    B = b_field(kernel, 1.0, MaterialLaw.identity())[0]
+    B = b_field(kernel, 1.0, MaterialLaw())[0]
     v = component_vector(kernel.layout, 1.0, REF, 1, lambda x, y: np.ones_like(x))
     # (M, C^{-1} Theta) with both constant: the element area
     assert abs(v @ B[:, 1] - 0.5) < 1e-13
@@ -222,6 +231,19 @@ def test_b_trace_closed_contour_identities():
     B0 = b_trace(kernel, 0.0)[0]
     v0 = component_vector(kernel.layout, 0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v0 @ (B0 @ qhat)) < 1e-13
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-2, 1.0])
+def test_edge_degree_integrates_the_skeleton_exactly(monkeypatch, t):
+    # at the highest test degree the edge integrands have degree 8, so
+    # dpg.EDGE_DEGREE = 8 must match the highest edge rule to roundoff
+    coords = random_triangle(17)
+    element = build_hct_element(coords)
+    layout = BrokenTestBasis(5)
+    B = b_trace(ElementTables.build([coords], [element], layout, quad_degree=20), t)[0]
+    monkeypatch.setattr(dpg, "EDGE_DEGREE", 21)
+    B_ref = b_trace(ElementTables.build([coords], [element], layout, quad_degree=20), t)[0]
+    assert np.abs(B - B_ref).max() < 1e-13 * np.abs(B_ref).max()
 
 
 # ---- load functional
@@ -319,7 +341,7 @@ def test_gram_invariance_of_normal_equations():
     kernel = make_kernel(random_triangle(30))
     t = 1e-4
     G = gram(kernel, t)[0]
-    B = np.hstack([b_field(kernel, t, MaterialLaw.identity())[0], b_trace(kernel, t)[0]])
+    B = np.hstack([b_field(kernel, t, MaterialLaw())[0], b_trace(kernel, t)[0]])
     l = rng.standard_normal(60)
     A1, b1 = local_normal_contribution(ElementSystem(G, B, l))
     s = 10.0 ** rng.uniform(-3, 3, 60)
@@ -475,8 +497,8 @@ class Quadratic:
 @pytest.mark.parametrize("t", [0.0, 1e-4, 0.3, 1.0])
 @pytest.mark.parametrize("law", ["identity", "isotropic"])
 def test_ultraweak_consistency_identity(t, law):
-    material = (MaterialLaw.identity() if law == "identity"
-                else MaterialLaw.isotropic(E=3.7, nu=0.31))
+    material = (MaterialLaw() if law == "identity"
+                else MaterialLaw(E=3.7, nu=0.31))
     rng = np.random.default_rng(17)
     coords = random_triangle(70)
     kernel = make_kernel(coords)
@@ -564,7 +586,7 @@ def test_jump_orthogonality():
     vertex-dof pattern constrains both sides.
     """
     from plate_dpg.driver import apply_bc_clamped, apply_bc_simply_supported
-    from plate_dpg.hct import HctScalarField, build_all_elements
+    from plate_dpg.hct import build_all_elements
     from plate_dpg.mesh import mesh_at_level
 
     mesh = mesh_at_level(1)

@@ -8,6 +8,7 @@ from inspect import signature
 import numpy as np
 import pytest
 
+from plate_dpg import linalg
 from plate_dpg.cli import build_parser
 from plate_dpg.dpg import (
     ProblemConfig,
@@ -23,6 +24,7 @@ from plate_dpg.driver import (
     TRACE_M12,
     TRACE_M22,
     TRACE_U,
+    RESIDUAL_MAX,
     DofMap,
     MeshKernels,
     apply_bc_clamped,
@@ -32,7 +34,7 @@ from plate_dpg.driver import (
     run_study,
     write_csv,
 )
-from plate_dpg.linalg import solve_spd
+from plate_dpg.linalg import SolveError, solve_spd
 from plate_dpg.mesh import Mesh, mesh_at_level
 
 
@@ -229,6 +231,20 @@ def test_cached_kernels_require_matching_discretization(level1):
         assemble_and_solve(mesh, replace(cfg, quad_degree=16), kernels)
 
 
+def test_solve_rejects_a_large_backward_error(level1, monkeypatch):
+    mesh, cfg, kernels, sol = level1
+    assert sol.residual_inf <= RESIDUAL_MAX
+    solve = linalg.solve_spd
+
+    def perturbed(A, b, **kwargs):
+        x = solve(A, b, **kwargs)
+        return x * (1.0 + 1e-6)
+
+    monkeypatch.setattr(linalg, "solve_spd", perturbed)
+    with pytest.raises(SolveError, match=r"residual_inf = \d\.\d{3}e-\d+ exceeds 1e-12"):
+        assemble_and_solve(mesh, cfg, kernels)
+
+
 def test_study_errors_decrease_and_rates_match():
     cfg = ProblemConfig(t=1e-2)
     records = run_study([1e-2], 3, cfg)
@@ -321,6 +337,19 @@ def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"plate-dpg study: error: {message}")
+    assert not out.exists()
+
+
+def test_cli_study_names_the_failed_solve(run_cli, tmp_path):
+    # the level-0 clamped system is singular (ROADMAP item 6); this used to
+    # end in a NotPositiveDefiniteError traceback
+    out = tmp_path / "study.csv"
+    proc = run_cli(["study", "--bc", "clamped", "--t-list", "0", "--levels", "1",
+                    "--quiet", "--out", str(out)], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "plate-dpg study: error: level 0, t = 0: "
+        "matrix is not positive definite (pivot 52)"]
     assert not out.exists()
 
 

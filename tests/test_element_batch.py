@@ -76,7 +76,7 @@ def test_batched_builders_match_loop_on_random_triangles(t):
     coords = random_triangles()
     elements = [build_hct_element(c) for c in coords]
     tables = ElementTables.build(coords, elements)
-    material = MaterialLaw.isotropic(E=3.7, nu=0.31)
+    material = MaterialLaw(E=3.7, nu=0.31)
     f_values = np.random.default_rng(3).standard_normal(tables.vw.shape)
     G = dpg.gram(tables, t)
     B_field = dpg.b_field(tables, t, material)
@@ -120,7 +120,7 @@ def test_assembly_estimator_and_errors_match_loop(name):
         dof, _, A, rhs = driver.assemble(mesh, cfg, kernels)
         A_ref, rhs_ref, x_ref, eta_ref = loop_solve(mesh, cfg, refs, f_values, dof)
         for part in ("data", "indices", "indptr"):
-            assert_same_bits(getattr(A.lower, part), getattr(A_ref.lower, part))
+            assert_same_bits(getattr(A, part), getattr(A_ref, part))
         assert_same_bits(rhs, rhs_ref)
 
         sol = driver.assemble_and_solve(mesh, cfg, kernels)
@@ -142,8 +142,17 @@ def test_small_chunks_assemble_the_same_bits(monkeypatch):
     _, _, A, rhs = driver.assemble(mesh, cfg, kernels)
     monkeypatch.setattr(driver, "_CHUNK", 5)
     _, _, A5, rhs5 = driver.assemble(mesh, cfg, kernels)
-    assert_same_bits(A5.lower.data, A.lower.data)
+    for part in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(A5, part), getattr(A, part))
     assert_same_bits(rhs5, rhs)
+
+
+def test_assembled_matrix_is_exactly_symmetric():
+    mesh = jittered_mesh(2, seed=5)
+    cfg = ProblemConfig(t=1e-8)
+    _, _, A, _ = driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg))
+    assert A.format == "csc"
+    assert (A != A.T).nnz == 0
 
 
 def test_kept_systems_drop_the_gram_matrices():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import HctScalarField, hct_edge_trace, interpolate
 from plate_dpg.hct import (
     N_DOFS,
-    HctScalarField,
     build_all_elements,
     build_hct_element,
     eval_hct,
     eval_on_parent_edge,
-    hct_edge_trace,
-    interpolate,
 )
 from plate_dpg.mesh import mesh_at_level, unit_square_initial
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from plate_dpg.linalg import (
     IterativeSolveError,
     NotPositiveDefiniteError,
-    SparseSymMatrix,
-    dense_cholesky,
     solve_spd,
+    symmetric_from_coo,
 )
 
 
@@ -20,75 +20,53 @@ def random_spd(n, seed, cond=None):
     return (Q * w) @ Q.T
 
 
-def test_cholesky_identity():
-    L = dense_cholesky(np.eye(3))
-    assert np.abs(L - np.eye(3)).max() < 1e-15
-
-
-def test_cholesky_hand_example():
-    A = np.array([[4.0, 2.0], [2.0, 3.0]])
-    L = dense_cholesky(A)
-    expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-    assert np.abs(L - expected).max() < 1e-14
-    assert np.abs(L @ L.T - A).max() < 1e-14
-
-
-def test_cholesky_indefinite():
-    with pytest.raises(NotPositiveDefiniteError) as info:
-        dense_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert info.value.pivot == 1
-
-
-def test_cholesky_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        dense_cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+def sparse(D):
+    """D as the solver assembles it: every entry passed, the lower triangle kept."""
+    idx = np.indices(D.shape)
+    return symmetric_from_coo(D.shape[0], idx[0].ravel(), idx[1].ravel(), D.ravel())
 
 
 def test_sparse_from_coo_sums_duplicates():
     rows = np.array([0, 1, 1, 2, 2, 0])
     cols = np.array([0, 0, 1, 2, 2, 0])
     vals = np.array([1.0, 2.0, 3.0, 4.0, 1.0, 1.0])
-    A = SparseSymMatrix.from_coo(3, rows, cols, vals)
-    full = A.full().toarray()
+    A = symmetric_from_coo(3, rows, cols, vals)
+    assert A.format == "csc"
     expected = np.array([[2.0, 2.0, 0.0], [2.0, 3.0, 0.0], [0.0, 0.0, 5.0]])
-    assert np.abs(full - expected).max() == 0.0
+    assert np.abs(A.toarray() - expected).max() == 0.0
     assert np.allclose(A.diagonal(), [2.0, 3.0, 5.0])
 
 
 def test_sparse_from_coo_drops_upper_triangle():
     # scatter provides both (i, j) and (j, i); only one may be kept
     D = random_spd(6, seed=1)
-    idx = np.indices(D.shape)
-    A = SparseSymMatrix.from_coo(6, idx[0].ravel(), idx[1].ravel(), D.ravel())
-    assert np.abs(A.full().toarray() - D).max() < 1e-14
+    A = sparse(D)
+    assert np.abs(A.toarray() - D).max() < 1e-14
+    assert (A != A.T).nnz == 0
 
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    A = SparseSymMatrix.from_full(np.eye(3))
-    assert np.allclose(solve_spd(A, b), b)
+    assert np.allclose(solve_spd(sparse(np.eye(3)), b), b)
 
 
 def test_solve_diagonal():
-    A = SparseSymMatrix.from_full(np.diag([2.0, 4.0]))
-    x = solve_spd(A, np.array([2.0, 8.0]))
+    x = solve_spd(sparse(np.diag([2.0, 4.0])), np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 2.0])
 
 
 def test_solve_matches_dense_oracle():
     D = random_spd(50, seed=2)
     b = np.random.default_rng(3).standard_normal(50)
-    x = solve_spd(SparseSymMatrix.from_full(D), b)
-    L = dense_cholesky(D)
-    y = np.linalg.solve(L, b)
-    x_ref = np.linalg.solve(L.T, y)
+    x = solve_spd(sparse(D), b)
+    x_ref = cho_solve(cho_factor(D, lower=True), b)
     assert np.abs(x - x_ref).max() < 1e-9 * np.abs(x_ref).max()
 
 
 def test_direct_and_cg_agree():
     D = random_spd(40, seed=4, cond=1e6)
     b = np.random.default_rng(5).standard_normal(40)
-    A = SparseSymMatrix.from_full(D)
+    A = sparse(D)
     xd = solve_spd(A, b, method="direct")
     xc = solve_spd(A, b, method="cg", tol=1e-12)
     assert np.abs(xd - xc).max() < 1e-8 * np.abs(xd).max()
@@ -102,7 +80,7 @@ def test_solver_handles_badly_scaled_diagonal():
     D = random_spd(30, seed=7) * np.outer(s, s)
     x_ref = rng.standard_normal(30)
     b = D @ x_ref
-    x = solve_spd(SparseSymMatrix.from_full(D), b)
+    x = solve_spd(sparse(D), b)
     assert np.abs(x - x_ref).max() < 1e-7 * np.abs(x_ref).max()
 
 
@@ -113,26 +91,26 @@ def test_solver_residual_at_extreme_scaling():
     s = 10.0 ** rng.uniform(-6, 6, 30)
     D = random_spd(30, seed=10) * np.outer(s, s)
     b = D @ rng.standard_normal(30)
-    x = solve_spd(SparseSymMatrix.from_full(D), b)
+    x = solve_spd(sparse(D), b)
     res = np.abs(D @ x - b).max()
     assert res < 1e-10 * np.abs(b).max()
 
 
 def test_solve_rejects_nonpositive_diagonal():
-    A = SparseSymMatrix.from_full(np.diag([1.0, 0.0]))
+    A = sparse(np.diag([1.0, 0.0]))
     with pytest.raises(NotPositiveDefiniteError):
         solve_spd(A, np.ones(2))
 
 
 def test_solve_rejects_indefinite():
-    A = SparseSymMatrix.from_full(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    A = sparse(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         solve_spd(A, np.ones(2))
 
 
 def test_cg_reports_nonconvergence():
     D = random_spd(40, seed=8, cond=1e10)
-    A = SparseSymMatrix.from_full(D)
+    A = sparse(D)
     b = np.ones(40)
     with pytest.raises(IterativeSolveError) as info:
         solve_spd(A, b, method="cg", tol=1e-14, maxiter=2)
@@ -140,6 +118,6 @@ def test_cg_reports_nonconvergence():
 
 
 def test_unknown_method():
-    A = SparseSymMatrix.from_full(np.eye(2))
+    A = sparse(np.eye(2))
     with pytest.raises(ValueError):
         solve_spd(A, np.ones(2), method="qr")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import element_means
 from plate_dpg.manufactured import (
     ExactSolution,
-    element_means,
     g0,
     g1,
     g2,

@@ -3,10 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from oracles import edge_outward_normal
 from plate_dpg import mesh as meshmod
 from plate_dpg.mesh import (
     Mesh,
-    edge_outward_normal,
     mesh_at_level,
     refine_uniform,
     signed_areas,
