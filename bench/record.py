@@ -1,0 +1,128 @@
+"""Record the measured performance of one checkout as BENCH_<label>.json.
+
+    python3 bench/record.py [--label LABEL] [--out PATH]
+
+Run from the root of a source checkout; everything is imported from
+./src, and each measurement runs in a fresh interpreter.  The file holds:
+
+- the medians `perfbench/run.py --trace 0 --seconds 15` reports for the
+  `study` and `sweep` workloads (setup_s, solve_s, wall_s, peak_rss_mb);
+- single solves of the manufactured problem on uniform levels 4 and 5 at
+  t = 1e-2 and t = 0, split with `perf_counter` into `MeshKernels`,
+  `assemble` and `solve_spd` (the rest of `assemble_and_solve` is the
+  backward-error check and the estimator), with the peak RSS of each;
+- the wall time and summary line of the Tier-1 test command;
+- the Python, numpy and scipy versions, the core count and the BLAS
+  library of numpy and of scipy.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("study", "sweep")
+SOLVES = [(4, 1e-2), (4, 0.0), (5, 1e-2), (5, 0.0)]
+
+# run in a fresh interpreter: one timed solve, printed as one JSON line
+SOLVE = """
+import json, resource, sys, time
+from plate_dpg import driver, linalg
+from plate_dpg.dpg import ProblemConfig
+from plate_dpg.mesh import mesh_at_level
+
+level, t = int(sys.argv[1]), float(sys.argv[2])
+spent = {}
+
+def timed(name, fn):
+    def wrapped(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+    return wrapped
+
+mesh, config = mesh_at_level(level), ProblemConfig(t=t)
+driver.assemble = timed("assemble_s", driver.assemble)
+linalg.solve_spd = timed("solve_spd_s", linalg.solve_spd)
+start = time.perf_counter()
+kernels = timed("mesh_kernels_s", driver.MeshKernels)(mesh, config)
+sol = driver.assemble_and_solve(mesh, config, kernels)
+total = time.perf_counter() - start
+spent["other_s"] = total - sum(spent.values())
+print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spent,
+                      residual_inf=sol.residual_inf,
+                      peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
+"""
+
+ENVIRONMENT = """
+import json, os, platform, numpy, scipy
+
+def blas(config):
+    dep = config.get("Build Dependencies", {}).get("blas", {})
+    return f"{dep.get('name', '?')} {dep.get('version', '?')}"
+
+print(json.dumps({
+    "python": platform.python_version(), "numpy": numpy.__version__,
+    "scipy": scipy.__version__, "nproc": len(os.sched_getaffinity(0)),
+    "numpy_blas": blas(numpy.show_config(mode="dicts")),
+    "scipy_blas": blas(scipy.show_config(mode="dicts")),
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+}))
+"""
+
+
+def run(args, env=None, check=True):
+    """stdout of a command run from the checkout root; with `check`, exit if it fails."""
+    proc = subprocess.run(args, cwd=ROOT, stdout=subprocess.PIPE, text=True, env=env)
+    if check and proc.returncode != 0:
+        raise SystemExit(f"record.py: {' '.join(args)} exited with code {proc.returncode}")
+    return proc.stdout
+
+
+def last_json(text):
+    return json.loads(text.strip().splitlines()[-1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", help="name of the measured code (default: git short hash)")
+    parser.add_argument("--out", help="output path (default: BENCH_<label>.json in the root)")
+    args = parser.parse_args(argv)
+    label = args.label or run(["git", "rev-parse", "--short", "HEAD"]).strip()
+    out = args.out or os.path.join(ROOT, f"BENCH_{label}.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+
+    record = {"label": label, "environment": last_json(run([sys.executable, "-c", ENVIRONMENT]))}
+    record["perfbench"] = {}
+    for workload in WORKLOADS:
+        result = last_json(run([sys.executable, "perfbench/run.py", "--workload", workload,
+                                "--trace", "0", "--seconds", "15"]))
+        record["perfbench"][workload] = {
+            "correct": result["correct"], "attempted": result["attempted"],
+            **{name: m["value"] for name, m in result["metrics"].items()}}
+        print(workload, record["perfbench"][workload], file=sys.stderr)
+    record["solves"] = []
+    for level, t in SOLVES:
+        solve = last_json(run([sys.executable, "-c", SOLVE, str(level), repr(t)], env))
+        record["solves"].append(solve)
+        print("solve", solve, file=sys.stderr)
+    start = time.perf_counter()
+    # a failing test is recorded in the summary line, not raised
+    summary = run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                  env, check=False).strip().splitlines()[-1]
+    record["tier1"] = {"wall_s": time.perf_counter() - start, "summary": summary}
+    print("tier1", record["tier1"], file=sys.stderr)
+    with open(out, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

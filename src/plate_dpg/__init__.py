@@ -7,7 +7,7 @@ The formulation stays well posed uniformly in the plate thickness t,
 including the Kirchhoff-Love limit t = 0.
 """
 
-from .dpg import MaterialLaw, ProblemConfig
+from .dpg import ProblemConfig
 from .driver import (
     Solution,
     StudyRecord,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactSolution",
-    "MaterialLaw",
     "Mesh",
     "ProblemConfig",
     "Solution",

@@ -110,7 +110,7 @@ def _property_suite(lines):
     if np.linalg.det(coords[1:] - coords[0]) < 0:
         coords = coords[[0, 2, 1]]
     element = build_hct_element(coords)
-    kernel = ElementTables.build([coords], [element])
+    kernel = ElementTables.build([coords])
     worst = 0.0
     for t in (0.0, 1e-8, 1.0):
         G = gram(kernel, t)[0]

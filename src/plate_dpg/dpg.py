@@ -20,13 +20,12 @@ B^T G^{-1} B are produced by one Cholesky factorization of G per element
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import quadrature, testspace
-from .hct import eval_on_parent_edge
+from . import hct, quadrature, testspace
 from .linalg import CG_TOL
 from .testspace import BarycentricMap, BrokenTestBasis
 
@@ -34,41 +33,18 @@ TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
 N_TRACE_COLS = 36  # 4 generating fields x 9 vertex dofs
 # b_trace's edge integrands have degree <= test_degree + 3 <= 8; edge_rule(8) is exact to 9
 EDGE_DEGREE = 8
-
-
-class MaterialLaw:
-    """Isotropic bending stiffness acting on symmetric tensors (11, 12, 22).
-
-    C(X) = D [nu tr(X) I + (1 - nu) X] with D = E / (12 (1 - nu^2)).
-    The identity law is the nu = 0, E = 12 member of the family.
-    """
-
-    def __init__(self, E=12.0, nu=0.0):
-        if not E > 0.0:
-            raise ValueError("Young modulus must be positive")
-        if not -1.0 < nu <= 0.5:
-            raise ValueError("Poisson ratio must lie in (-1, 1/2]")
-        self.E = E
-        self.nu = nu
-        self.D = E / (12.0 * (1.0 - nu * nu))
-
-    def apply_inverse(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        out = np.empty_like(Y)
-        a = 1.0 / (self.D * (1.0 - self.nu * self.nu))
-        out[..., 0] = a * (Y[..., 0] - self.nu * Y[..., 2])
-        out[..., 1] = Y[..., 1] / (self.D * (1.0 - self.nu))
-        out[..., 2] = a * (Y[..., 2] - self.nu * Y[..., 0])
-        return out
+# elements per stacked call, for the element tables and the element systems:
+# the transient stacked R of the Gram matrices stays near 6 MB, and a chunk's
+# tables well below that; larger chunks save little time and raise peak memory
+CHUNK = 16
 
 
 @dataclass
 class ProblemConfig:
-    """Thickness, boundary condition, material, and discretization knobs."""
+    """Thickness, boundary condition, and discretization knobs."""
 
     t: float = 0.01
     bc: str = "simply-supported"
-    material: MaterialLaw = field(default_factory=MaterialLaw)
     test_degree: int = 3
     quad_degree: int = 14
     solver: str = "direct"
@@ -120,43 +96,42 @@ class ElementSystem:
 
 
 class ElementKernel:
-    """Basis tables of one triangle at its volume and edge quadrature points.
+    """Basis tables of a chunk of triangles at their volume and edge quadrature points.
 
-    The four test-basis tables of the triangle share one barycentric map.
-    Edge tables are stacked over the three edges: weights `ew` (3, nqe),
-    outward unit normals `en` (3, 2), test basis `tv`, `tx`, `ty`
-    (3, nqe, n_scalar) and C1 trace basis `hv`, `hx`, `hy` (3, nqe, 9).
+    `coords` (n, 3, 2) holds the chunk's vertices; every table carries the
+    chunk on its leading axis, and each basis table comes from one stacked
+    evaluation.  Edge tables are stacked over the three edges: weights `ew`
+    (n, 3, nqe), outward unit normals `en` (n, 3, 2), test basis `tv`,
+    `tx`, `ty` (n, 3, nqe, n_scalar) and C1 trace basis `hv`, `hx`, `hy`
+    (n, 3, nqe, 9).
     """
 
-    def __init__(self, coords, hct_element, layout, quad_degree=14):
+    def __init__(self, coords, layout, quad_degree=14):
         coords = np.asarray(coords, dtype=float)
         bary = BarycentricMap(coords)
         vol = quadrature.triangle_rule(quad_degree)
-        self.vpts, self.vw = quadrature.map_to_triangle(vol, coords)
+        self.vpts, self.vw = quadrature.map_to_triangles(vol, coords)
         val, grad, hess = layout.tables(bary, self.vpts)
         self.V = val
-        self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
-        self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
+        self.Dx, self.Dy = grad[..., 0], grad[..., 1]
+        self.Hxx, self.Hxy, self.Hyy = hess[..., 0], hess[..., 1], hess[..., 2]
 
         erule = quadrature.edge_rule(EDGE_DEGREE)
-        edges = []
-        for k in range(3):
-            p = coords[k]
-            q = coords[(k + 1) % 3]
-            pts, we = quadrature.map_to_edge(erule, p, q)
-            d = q - p
-            n = np.array([d[1], -d[0]]) / np.hypot(*d)
-            tval, tgrad, _ = layout.tables(bary, pts)
-            hval, hgrad = eval_on_parent_edge(hct_element, k, erule.points)
-            edges.append((we, n, tval, tgrad[:, :, 0], tgrad[:, :, 1],
-                          hval, hgrad[:, :, 0], hgrad[:, :, 1]))
-        (self.ew, self.en, self.tv, self.tx, self.ty,
-         self.hv, self.hx, self.hy) = (np.stack(a) for a in zip(*edges))
+        ends = coords[:, [1, 2, 0]]
+        pts, self.ew = quadrature.map_to_edge(erule, coords, ends)
+        self.en = hct.unit_normals(coords, ends)
+        tval, tgrad, _ = layout.tables(bary, pts)
+        self.tv, self.tx, self.ty = tval, tgrad[..., 0], tgrad[..., 1]
+        element = hct.build_hct_element(coords)
+        traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
+        self.hv = np.stack([v for v, _ in traces], axis=1)
+        hgrad = np.stack([g for _, g in traces], axis=1)
+        self.hx, self.hy = hgrad[..., 0], hgrad[..., 1]
 
 
 @dataclass
 class ElementTables:
-    """The `ElementKernel` tables of a run of elements, stacked on a leading axis.
+    """The `ElementKernel` tables of a mesh's elements, stacked on a leading axis.
 
     Slicing with a slice of element indices gives the tables of those
     elements as views.  `gram`, `b_field`, `b_trace` and `load` take a
@@ -185,17 +160,17 @@ class ElementTables:
     hy: np.ndarray
 
     @classmethod
-    def build(cls, coords, hct_elements, layout=None, quad_degree=14):
-        """Tables of the triangles `coords` (ne, 3, 2), one ElementKernel at a time."""
+    def build(cls, coords, layout=None, quad_degree=14):
+        """Tables of the triangles `coords` (ne, 3, 2), one `ElementKernel` per CHUNK."""
         layout = layout if layout is not None else BrokenTestBasis()
         stacks = None
-        for ti, element in enumerate(hct_elements):
-            kernel = ElementKernel(coords[ti], element, layout, quad_degree)
+        for lo in range(0, len(coords), CHUNK):
+            kernel = ElementKernel(coords[lo : lo + CHUNK], layout, quad_degree)
             if stacks is None:
-                stacks = {name: np.empty((len(coords),) + getattr(kernel, name).shape)
+                stacks = {name: np.empty((len(coords),) + getattr(kernel, name).shape[1:])
                           for name in cls.NAMES}
             for name, table in stacks.items():
-                table[ti] = getattr(kernel, name)
+                table[lo : lo + CHUNK] = getattr(kernel, name)
         return cls(layout, **stacks)
 
     def __len__(self):
@@ -314,33 +289,18 @@ def gram(k, t):
     return 0.5 * (G + G.transpose(0, 2, 1))
 
 
-def _compliance_features(k, material):
-    """C^{-1} applied to the Theta test block, componentwise: three features.
-
-    The material law acts on the (th11, th12, th22) columns; on the others
-    its input, and so its output, is zero.
-    """
-    ns = k.layout.n_scalar
-    theta = np.zeros(k.V.shape[:-1] + (3 * ns, 3))
-    for c in range(3):
-        theta[..., c * ns : (c + 1) * ns, c] = k.V
-    ci = material.apply_inverse(theta)
-    return [_Blocks({1 + c: ci[..., c * ns : (c + 1) * ns, m] for c in range(3)})
-            for m in range(3)]
-
-
-def b_field(k, t, material):
+def b_field(k, t):
     """Volume blocks (ne, n_test, n_field) of the trial-to-test matrix: u, M, (theta)."""
     n_field = 6 if t > 0.0 else 4
     n_test = k.layout.n_test(t)
     B = np.empty((len(k), n_test, n_field))
     w = k.vw
     e11, e22, e12 = _strain_features(k, t)
-    ci = _compliance_features(k, material)
     B[:, :, 0] = _weighted_sum(w, _scaled_div_feature(k, t), n_test)
-    B[:, :, 1] = _weighted_sum(w, ci[0] + e11, n_test)
-    B[:, :, 2] = 2.0 * _weighted_sum(w, ci[1] + e12, n_test)
-    B[:, :, 3] = _weighted_sum(w, ci[2] + e22, n_test)
+    # the identity law: the compliance of a Theta component is that component
+    B[:, :, 1] = _weighted_sum(w, _place(1, k.V) + e11, n_test)
+    B[:, :, 2] = 2.0 * _weighted_sum(w, _place(2, k.V) + e12, n_test)
+    B[:, :, 3] = _weighted_sum(w, _place(3, k.V) + e22, n_test)
     if t > 0.0:
         B[:, :, 4] = t * _weighted_sum(w, _place(4, k.V) - _place(0, k.Dx), n_test)
         B[:, :, 5] = t * _weighted_sum(w, _place(5, k.V) - _place(0, k.Dy), n_test)

@@ -8,8 +8,8 @@ elimination of vertex dofs, which zeroes the corresponding edge traces
 exactly: the value trace of a C1 field along a boundary edge is the
 cubic fixed by the endpoint values and tangential derivatives.
 
-Element systems are built in chunks of `_CHUNK` elements from stacked
-tables (`dpg.ElementTables`); each batched operation gives every element
+Element tables (`dpg.ElementTables`) and element systems are built in
+chunks of `dpg.CHUNK` elements; each stacked operation gives every element
 the bits of the per-element formulas.  Assembly accumulates the element
 normal-equation contributions in element order, so the reduction is
 deterministic for a fixed mesh.
@@ -20,15 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dpg, hct, linalg, manufactured, mesh as meshmod, quadrature
+from . import dpg, linalg, manufactured, mesh as meshmod, quadrature
 from .testspace import BrokenTestBasis
 
 N_TRACE_PER_VERTEX = 12
 TRACE_U, TRACE_M11, TRACE_M12, TRACE_M22 = 0, 1, 2, 3
 VAL, DX, DY = 0, 1, 2
-# elements per batched element-system call: the transient stacked R of the
-# Gram matrices stays near 6 MB; chunks of 8 and 32 time the same
-_CHUNK = 16
 # largest backward error of the global solve accepted as a solution; the
 # direct and CG paths reach at most 6.4e-18 at levels 2 and 3
 RESIDUAL_MAX = 1e-12
@@ -112,19 +109,24 @@ class MeshKernels:
     """Per-mesh cache: stacked element tables and load values."""
 
     def __init__(self, mesh, config):
-        self.mesh = mesh
+        self.vertices = mesh.vertices.copy()
+        self.triangles = mesh.triangles.copy()
         self.test_degree = config.test_degree
         self.quad_degree = config.quad_degree
         self.tables = dpg.ElementTables.build(
-            mesh.vertices[mesh.triangles], hct.build_all_elements(mesh),
-            BrokenTestBasis(config.test_degree), config.quad_degree)
+            mesh.vertices[mesh.triangles], BrokenTestBasis(config.test_degree),
+            config.quad_degree)
         ex = manufactured.ExactSolution(0.0)
         vpts = self.tables.vpts
         self.f_values = ex.f(vpts[..., 0], vpts[..., 1])
 
-    def compatible(self, config):
-        return (self.test_degree == config.test_degree
-                and self.quad_degree == config.quad_degree)
+    def check(self, mesh, config):
+        """Raise ValueError unless these kernels were built for `mesh` and `config`."""
+        if not (np.array_equal(self.vertices, mesh.vertices)
+                and np.array_equal(self.triangles, mesh.triangles)):
+            raise ValueError("cached kernels were built for another mesh")
+        if (self.test_degree, self.quad_degree) != (config.test_degree, config.quad_degree):
+            raise ValueError("cached kernels were built with different discretization knobs")
 
 
 @dataclass
@@ -148,7 +150,7 @@ def element_system(kernels, elements, config):
     k = kernels.tables[elements]
     t = config.t
     G = dpg.gram(k, t)
-    B = np.concatenate([dpg.b_field(k, t, config.material), dpg.b_trace(k, t)], axis=2)
+    B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
     l = dpg.load(k, kernels.f_values[elements], t)
     return [dpg.ElementSystem(G[i], B[i], l[i]) for i in range(len(k))]
 
@@ -165,8 +167,8 @@ def assemble(mesh, config, kernels):
     A_loc = np.empty((nt, m, m))
     b_loc = np.empty((nt, m))
     systems = []
-    for lo in range(0, nt, _CHUNK):
-        chunk = element_system(kernels, slice(lo, lo + _CHUNK), config)
+    for lo in range(0, nt, dpg.CHUNK):
+        chunk = element_system(kernels, slice(lo, lo + dpg.CHUNK), config)
         for ti, sysm in enumerate(chunk, lo):
             A_loc[ti], b_loc[ti] = dpg.local_normal_contribution(sysm)
             # the estimator needs G only through its cached factor: keep one
@@ -194,8 +196,8 @@ def assemble_and_solve(mesh, config, kernels=None):
     """
     if kernels is None:
         kernels = MeshKernels(mesh, config)
-    elif not kernels.compatible(config):
-        raise ValueError("cached kernels were built with different discretization knobs")
+    else:
+        kernels.check(mesh, config)
     dof, systems, A, rhs = assemble(mesh, config, kernels)
     nt = mesh.num_triangles
 

@@ -14,6 +14,7 @@ The element is not affine-equivariant (the reduced condition depends on
 the physical normal directions), so the basis is constructed numerically
 per element: the 30 Bernstein coefficients of each basis function solve
 a constraint system whose null space is computed once per triangle.
+The constraint rows of a stack of triangles are built together.
 """
 
 import numpy as np
@@ -28,91 +29,98 @@ _GRAD_S = np.array([0.0, 0.5, 1.0])
 
 
 class HctElement:
-    def __init__(self, coords, sub_coords, coeffs, sub_maps):
-        self.coords = coords            # (3, 2) parent vertices, CCW
-        self.sub_coords = sub_coords    # (3, 3, 2); subtriangle k owns parent edge k
-        self.coeffs = coeffs            # (9, 3, 10) Bernstein coeffs per basis/sub
-        self.sub_maps = sub_maps        # BarycentricMap of each subtriangle
+    """The reduced HCT basis of a stack of triangles (no leading axis for one)."""
+
+    def __init__(self, coords, sub_coords, coeffs):
+        self.coords = coords            # (..., 3, 2) parent vertices, CCW
+        self.sub_coords = sub_coords    # (..., 3, 3, 2); subtriangle k owns parent edge k
+        self.coeffs = coeffs            # (..., 9, 3, 10) Bernstein coeffs per basis/sub
 
 
 def _edge_points(p, q, s):
-    return p[None, :] + np.outer(s, q - p)
+    """Points p + s (q - p) of the segments p-q, given as (..., 2) endpoints: (..., ns, 2)."""
+    return p[..., None, :] + s[:, None] * (q - p)[..., None, :]
+
+
+def unit_normals(p, q):
+    """Right-hand unit normals of the segments p-q, outward on a CCW triangle."""
+    d = q - p
+    return np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(d[..., 0], d[..., 1])[..., None]
+
+
+# vertex k + 1 of each vertex k
+_NEXT = [1, 2, 0]
+# subtriangle s meets the internal edges s and s + 1 (from parent vertex s, s + 1
+# to the center), as the right and the left side of their constraints
+_SUB_EDGES = [[0, 1], [1, 2], [2, 0]]
 
 
 def build_hct_element(coords):
-    """Construct the nine nodal basis functions on one triangle."""
+    """Construct the nine nodal basis functions on each triangle of `coords` (..., 3, 2).
+
+    The constraint rows of all triangles are built from stacked basis
+    tables, one evaluation per point set; each table is taken at the same
+    points, in the same groups, as on a single triangle, so every triangle
+    gets the bits it gets on its own.  The null space, the nodal matrix and
+    its inverse are computed triangle by triangle.
+    """
     coords = np.asarray(coords, dtype=float)
-    center = coords.mean(axis=0)
-    sub_coords = np.array(
-        [[coords[k], coords[(k + 1) % 3], center] for k in range(3)]
-    )
-    sub_maps = [BarycentricMap(sub_coords[k]) for k in range(3)]
+    lead = coords.shape[:-2]
+    P = coords.reshape(-1, 3, 2)
+    ne = P.shape[0]
+    center = P.mean(axis=1)
+    Q = P[:, _NEXT]
+    sub_coords = np.stack([P, Q, np.broadcast_to(center[:, None], P.shape)], axis=2)
+    subs = BarycentricMap(sub_coords)                       # (ne, 3) maps
 
-    rows = []
-
-    def basis_row(sub, pts, kind):
-        # (npts, 10) tables of subtriangle `sub` at `pts`
-        val, grad, _ = eval_scalar_basis(sub_maps[sub], pts, 3)
-        if kind == "val":
-            return (val,)
-        return grad[:, :, 0], grad[:, :, 1]
-
-    # C0 and C1 across internal edge (p_k, center), shared by subs k-1 and k
+    # C0 and C1 across internal edge k (p_k, center), shared by subs k - 1 and k:
+    # one row per point, values at _VALUE_S, then d/dx and d/dy at _GRAD_S
+    internal = [_edge_points(P, center[:, None], s)[:, _SUB_EDGES] for s in (_VALUE_S, _GRAD_S)]
+    val, _, _ = eval_scalar_basis(subs, internal[0], 3)
+    _, grad, _ = eval_scalar_basis(subs, internal[1], 3)
+    # (ne, sub, side, 10 points, 10): side 0 is the sub's edge s, side 1 its edge s + 1
+    tabs = np.concatenate([val, grad[..., 0], grad[..., 1]], axis=3)
+    A = np.zeros((ne, 33, 30))
     for k in range(3):
         left, right = (k - 1) % 3, k
-        pts_v = _edge_points(coords[k], center, _VALUE_S)
-        pts_g = _edge_points(coords[k], center, _GRAD_S)
-        for kind, pts in (("val", pts_v), ("grad", pts_g)):
-            tabs_l = basis_row(left, pts, kind)
-            tabs_r = basis_row(right, pts, kind)
-            for tl, tr in zip(tabs_l, tabs_r):
-                for i in range(tl.shape[0]):
-                    row = np.zeros(30)
-                    row[10 * left : 10 * left + 10] = tl[i]
-                    row[10 * right : 10 * right + 10] -= tr[i]
-                    rows.append(row)
+        A[:, 10 * k : 10 * k + 10, 10 * left : 10 * left + 10] = tabs[:, left, 1]
+        A[:, 10 * k : 10 * k + 10, 10 * right : 10 * right + 10] -= tabs[:, right, 0]
 
     # reduced condition: normal derivative affine along exterior edge k of sub k
+    n = unit_normals(P, Q)[:, :, None, None]
+    _, grad, _ = eval_scalar_basis(subs, _edge_points(P, Q, _GRAD_S), 3)
+    gn = grad[..., 0] * n[..., 0] + grad[..., 1] * n[..., 1]  # (ne, 3, 3, 10)
     for k in range(3):
-        p, q = coords[k], coords[(k + 1) % 3]
-        d = q - p
-        n = np.array([d[1], -d[0]]) / np.hypot(*d)
-        pts = _edge_points(p, q, _GRAD_S)
-        _, grad, _ = eval_scalar_basis(sub_maps[k], pts, 3)
-        gn = grad[:, :, 0] * n[0] + grad[:, :, 1] * n[1]  # (3, 10)
-        row = np.zeros(30)
-        row[10 * k : 10 * k + 10] = gn[1] - 0.5 * (gn[0] + gn[2])
-        rows.append(row)
-
-    A = np.array(rows)
-    A /= np.linalg.norm(A, axis=1)[:, None]
-    Z = null_space(A, rcond=1e-10)
-    if Z.shape[1] != N_DOFS:
-        raise RuntimeError(
-            f"constraint null space has dimension {Z.shape[1]}, expected {N_DOFS}"
-        )
+        A[:, 30 + k, 10 * k : 10 * k + 10] = gn[:, k, 1] - 0.5 * (gn[:, k, 0] + gn[:, k, 2])
+    A /= np.linalg.norm(A, axis=2)[:, :, None]
 
     # nodal matrix: value, d/dx, d/dy at each parent vertex (taken from sub k,
     # whose first vertex is parent vertex k; continuity makes the choice moot)
-    N = np.empty((N_DOFS, N_DOFS))
-    for k in range(3):
-        val, grad, _ = eval_scalar_basis(sub_maps[k], coords[k][None, :], 3)
-        zv = val[0] @ Z[10 * k : 10 * k + 10]
-        zx = grad[0, :, 0] @ Z[10 * k : 10 * k + 10]
-        zy = grad[0, :, 1] @ Z[10 * k : 10 * k + 10]
-        N[3 * k] = zv
-        N[3 * k + 1] = zx
-        N[3 * k + 2] = zy
-    coeffs = (Z @ np.linalg.inv(N)).T.reshape(N_DOFS, 3, 10)
-    return HctElement(coords, sub_coords, coeffs, sub_maps)
+    val, grad, _ = eval_scalar_basis(subs, P[:, :, None], 3)
+    coeffs = np.empty((ne, N_DOFS, 3, 10))
+    for i in range(ne):
+        Z = null_space(A[i], rcond=1e-10)
+        if Z.shape[1] != N_DOFS:
+            raise RuntimeError(
+                f"constraint null space has dimension {Z.shape[1]}, expected {N_DOFS}"
+            )
+        N = np.empty((N_DOFS, N_DOFS))
+        for k in range(3):
+            Zk = Z[10 * k : 10 * k + 10]
+            N[3 * k] = val[i, k, 0] @ Zk
+            N[3 * k + 1] = grad[i, k, 0, :, 0] @ Zk
+            N[3 * k + 2] = grad[i, k, 0, :, 1] @ Zk
+        coeffs[i] = (Z @ np.linalg.inv(N)).T.reshape(N_DOFS, 3, 10)
+    return HctElement(coords, sub_coords.reshape(lead + (3, 3, 2)),
+                      coeffs.reshape(lead + (N_DOFS, 3, 10)))
 
 
-def _locate_sub(element, pts):
+def _locate_sub(sub_maps, pts):
     """Index of the subtriangle containing each point (ties broken by depth)."""
     best = np.full(pts.shape[0], -1)
     depth = np.full(pts.shape[0], -np.inf)
     for s in range(3):
-        lam = element.sub_maps[s](pts)
+        lam = sub_maps[s](pts)
         d = lam.min(axis=1)
         take = d > depth
         best[take] = s
@@ -121,7 +129,7 @@ def _locate_sub(element, pts):
 
 
 def eval_hct(element, pts, dofs=None):
-    """Values, gradients, Hessians of the nine basis functions at `pts`.
+    """Values, gradients, Hessians of the nine basis functions of one triangle at `pts`.
 
     Returns (val (nq, 9), grad (nq, 9, 2), hess (nq, 9, 3)); with `dofs`
     given, the combination is returned instead: (nq,), (nq, 2), (nq, 3).
@@ -133,12 +141,13 @@ def eval_hct(element, pts, dofs=None):
     val = np.empty((nq, N_DOFS))
     grad = np.empty((nq, N_DOFS, 2))
     hess = np.empty((nq, N_DOFS, 3))
-    sub = _locate_sub(element, pts)
+    sub_maps = [BarycentricMap(c) for c in element.sub_coords]
+    sub = _locate_sub(sub_maps, pts)
     for s in range(3):
         idx = np.flatnonzero(sub == s)
         if idx.size == 0:
             continue
-        v, g, h = eval_scalar_basis(element.sub_maps[s], pts[idx], 3)
+        v, g, h = eval_scalar_basis(sub_maps[s], pts[idx], 3)
         C = element.coeffs[:, s, :].T  # (10, 9)
         val[idx] = v @ C
         grad[idx] = np.einsum("qbd,bj->qjd", g, C)
@@ -154,14 +163,11 @@ def eval_on_parent_edge(element, local_edge, s):
 
     The edge is parameterized by s in [0, 1] from vertex k to vertex k+1 and
     evaluated from its owning subtriangle, which is exact for traces.
-    Returns (val (nq, 9), grad (nq, 9, 2)).
+    Returns (val (..., nq, 9), grad (..., nq, 9, 2)) for a stack of elements.
     """
     k = local_edge
-    pts = _edge_points(element.coords[k], element.coords[(k + 1) % 3], np.asarray(s))
-    v, g, _ = eval_scalar_basis(element.sub_maps[k], pts, 3)
-    C = element.coeffs[:, k, :].T
-    return v @ C, np.einsum("qbd,bj->qjd", g, C)
-
-
-def build_all_elements(mesh):
-    return [build_hct_element(mesh.triangle_coords(ti)) for ti in range(mesh.num_triangles)]
+    pts = _edge_points(element.coords[..., k, :], element.coords[..., (k + 1) % 3, :],
+                       np.asarray(s, dtype=float))
+    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[..., k, :, :]), pts, 3)
+    C = np.swapaxes(element.coeffs[..., :, k, :], -1, -2)
+    return v @ C, np.einsum("...qbd,...bj->...qjd", g, C)

@@ -89,8 +89,13 @@ def map_to_triangles(rule, coords):
 
 
 def map_to_edge(rule, p0, p1):
-    """Push an interval rule to the segment p0-p1; weights sum to its length."""
+    """Push an interval rule to the segments p0-p1, given as (..., 2) endpoints.
+
+    Returns (points (..., nq, 2), weights (..., nq)); weights sum to each
+    segment's length.  Every operation is elementwise, so each segment gets
+    the bits it gets on its own.
+    """
     p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    pts = p0 + np.outer(rule.points, p1 - p0)
-    return pts, rule.weights * np.hypot(*(p1 - p0))
+    d = np.asarray(p1, dtype=float) - p0
+    pts = p0[..., None, :] + rule.points[:, None] * d[..., None, :]
+    return pts, rule.weights * np.hypot(d[..., 0], d[..., 1])[..., None]

@@ -1,4 +1,4 @@
-"""Broken polynomial test space on a single triangle.
+"""Broken polynomial test space on a triangle, or on a stack of triangles.
 
 Scalar shape functions are Bernstein polynomials of the barycentric
 coordinates of the physical triangle.  A test function is a 4-tuple
@@ -29,23 +29,30 @@ def _multi_indices(degree):
 
 
 class BarycentricMap:
-    """Affine barycentric map of one triangle, inverted once.
+    """Affine barycentric maps of a stack of triangles, inverted once.
 
-    Calling the map sends (nq, 2) points to (nq, 3) barycentric
-    coordinates; `grad` is the constant (3, 2) array of their gradients.
-    Every table of one triangle can share one map, so the 3x3 inverse is
-    taken once per triangle, not once per table.
+    `coords` holds the (..., 3, 2) vertices; the leading axes index the
+    triangles, and a single (3, 2) triangle is a map with no leading axis.
+    Calling the map sends points (..., [extra axes], nq, 2) to barycentric
+    coordinates (..., [extra axes], nq, 3): the map's axes pair with the
+    leading axes of the points, and each triangle's map is broadcast over
+    the extra ones.  `grad` is the constant (..., 3, 2) array of the
+    gradients.  The 3x3 inverses are taken once for the stack; the stacked
+    inverse and the stacked products equal the per-triangle ones bit for bit.
     """
 
     def __init__(self, coords):
         coords = np.asarray(coords, dtype=float)
-        A = np.vstack([coords.T, np.ones(3)])
+        A = np.ones(coords.shape[:-2] + (3, 3))
+        A[..., :2, :] = np.swapaxes(coords, -1, -2)
         self._Ainv = np.linalg.inv(A)
-        self.grad = self._Ainv[:, :2].copy()
+        self.grad = self._Ainv[..., :2].copy()
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts @ self._Ainv[:, :2].T + self._Ainv[:, 2]
+        lead = self._Ainv.shape[:-2]
+        Ainv = self._Ainv.reshape(lead + (1,) * (pts.ndim - 2 - len(lead)) + (3, 3))
+        return pts @ np.swapaxes(Ainv[..., :2], -1, -2) + Ainv[..., None, :, 2]
 
 
 @functools.lru_cache(maxsize=None)
@@ -89,41 +96,52 @@ def _term_tables(degree):
 def eval_scalar_basis(tri, pts, degree=3):
     """Bernstein basis values, gradients, and Hessians at points.
 
-    `tri` is the triangle's (3, 2) vertex array or its `BarycentricMap`.
+    `tri` is a stack of triangles, as (..., 3, 2) vertices or their
+    `BarycentricMap`, and `pts` holds points (..., [extra axes], nq, 2) as
+    the map takes them; a single triangle is a stack with no leading axis.
 
-    Returns C-contiguous (val (nq, nb), grad (nq, nb, 2), hess (nq, nb, 3))
-    with the Hessian stored as (xx, xy, yy).  Each term of `_term_tables`
-    is formed from lambda powers built by repeated multiplication, as
-    ((cmb * p0) * p1) * p2 for the value and as
+    Returns C-contiguous (val (..., nq, nb), grad (..., nq, nb, 2),
+    hess (..., nq, nb, 3)) with the Hessian stored as (xx, xy, yy).  Each
+    term of `_term_tables` is formed from lambda powers built by repeated
+    multiplication, as ((cmb * p0) * p1) * p2 for the value and as
     w * ((p0 * p1) * p2) * grad_lambda[m, .] (* grad_lambda[n, .]) for the
     derivatives.  The derivative terms of one entry are summed in table
     order starting from +0.0, so an entry whose terms are all -0.0 reads
     +0.0.  Every operation and its order are those of a loop over basis
-    functions that accumulates into zeros, so the tables equal that loop's
+    functions that accumulates into zeros, and all of them are elementwise
+    over the stack, so the tables equal that loop's on each triangle alone
     bit for bit.
     """
     if not MIN_DEGREE <= degree <= MAX_DEGREE:
         raise ValueError(f"test-space degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]")
     rows, weights, first, second = _term_tables(degree)
     bary = tri if isinstance(tri, BarycentricMap) else BarycentricMap(tri)
-    glam = bary.grad
     lam = bary(pts)
-    # pw[m, a] = lam[:, m] ** a
-    pw = np.empty((3, degree + 1, lam.shape[0]))
+    lead, nq = lam.shape[:-2], lam.shape[-2]
+    glam = bary.grad.reshape(bary.grad.shape[:-2]
+                             + (1,) * (lam.ndim - bary.grad.ndim) + (3, 2))
+    glam = np.broadcast_to(glam, lead + (3, 2)).reshape(-1, 3, 2)
+    lam = lam.reshape(-1, nq, 3)
+    # pw[m, a] = lam[..., m] ** a, (3, degree + 1, ne, nq) for ne stacked triangles
+    pw = np.empty((3, degree + 1) + lam.shape[:2])
     pw[:, 0] = 1.0
     for a in range(1, degree + 1):
-        pw[:, a] = pw[:, a - 1] * lam.T
-    p0, p1, p2 = pw.reshape(3 * (degree + 1), -1)[rows]     # each (13, nb, nq)
-    val = ((weights[0, :, None] * p0[0]) * p1[0]) * p2[0]
-    terms = weights[1:, :, None] * ((p0[1:] * p1[1:]) * p2[1:])
-    grad = (terms[:3, None] * glam[:, :, None, None]).sum(axis=0, initial=0.0)
-    g = glam.ravel()
-    hess = ((terms[3:, None] * g[first][:, :, None, None])
-            * g[second][:, :, None, None]).sum(axis=0, initial=0.0)
+        pw[:, a] = pw[:, a - 1] * lam.transpose(2, 0, 1)
+    p0, p1, p2 = pw.reshape((3 * (degree + 1),) + lam.shape[:2])[rows]  # (13, nb, ne, nq)
+    w = weights[:, :, None, None]
+    val = ((w[0] * p0[0]) * p1[0]) * p2[0]
+    terms = w[1:] * ((p0[1:] * p1[1:]) * p2[1:])
+    gl = glam.transpose(1, 2, 0)[:, :, None, :, None]                   # (3, 2, 1, ne, 1)
+    grad = (terms[:3, None] * gl).sum(axis=0, initial=0.0)
+    g = glam.reshape(-1, 6).T
+    hess = ((terms[3:, None] * g[first][:, :, None, :, None])
+            * g[second][:, :, None, :, None]).sum(axis=0, initial=0.0)
     # C order: matrix products on transposed views take another BLAS path,
     # which changes the last bits of every element matrix built from these
-    return (np.ascontiguousarray(val.T), np.ascontiguousarray(grad.transpose(2, 1, 0)),
-            np.ascontiguousarray(hess.transpose(2, 1, 0)))
+    nb = val.shape[0]
+    return (np.ascontiguousarray(val.transpose(1, 2, 0)).reshape(lead + (nq, nb)),
+            np.ascontiguousarray(grad.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 2)),
+            np.ascontiguousarray(hess.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 3)))
 
 
 class BrokenTestBasis:
@@ -151,5 +169,5 @@ class BrokenTestBasis:
         return slice(comp * ns, (comp + 1) * ns)
 
     def tables(self, tri, pts):
-        """Scalar basis tables at `pts` for the triangle `tri` (vertices or map)."""
+        """Scalar basis tables at `pts` for the triangles `tri` (vertices or map)."""
         return eval_scalar_basis(tri, pts, self.degree)

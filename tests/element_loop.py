@@ -1,28 +1,106 @@
-"""Reference: element systems, assembly and L2 errors computed one element at a time.
+"""Reference: element tables, systems, assembly and L2 errors one element at a time.
 
-These are the per-element formulas the batched code in `plate_dpg.dpg`,
-`plate_dpg.driver` and `plate_dpg.manufactured` reproduces bit for bit:
-every test-function feature is a zero-padded (nq, n_test) array built with
-`_place`, and every loop runs in element order.  Tests compare the
-package against them with `np.array_equal` and equal bytes.
+These are the per-element formulas the stacked code in `plate_dpg.hct`,
+`plate_dpg.dpg`, `plate_dpg.driver` and `plate_dpg.manufactured`
+reproduces bit for bit: the reduced HCT basis and the basis tables of
+each triangle are built on their own, every test-function feature is a
+zero-padded (nq, n_test) array built with `_place`, and every loop runs
+in element order.  Tests compare the package against them with
+`np.array_equal` and equal bytes.
 """
 
 import numpy as np
+from scipy.linalg import null_space
 
 from plate_dpg import dpg, linalg, manufactured, quadrature
-from plate_dpg.hct import eval_on_parent_edge
-from plate_dpg.testspace import BrokenTestBasis
+from plate_dpg.hct import _GRAD_S, _VALUE_S, N_DOFS
+from plate_dpg.testspace import BarycentricMap, BrokenTestBasis, eval_scalar_basis
+
+
+def _edge_points(p, q, s):
+    return p[None, :] + np.outer(s, q - p)
+
+
+class LoopHct:
+    """The reduced HCT basis of one triangle, built with one table per constraint group."""
+
+    def __init__(self, coords):
+        coords = np.asarray(coords, dtype=float)
+        center = coords.mean(axis=0)
+        self.coords = coords
+        self.sub_coords = np.array(
+            [[coords[k], coords[(k + 1) % 3], center] for k in range(3)]
+        )
+        self.sub_maps = [BarycentricMap(self.sub_coords[k]) for k in range(3)]
+        rows = []
+
+        def basis_row(sub, pts, kind):
+            # (npts, 10) tables of subtriangle `sub` at `pts`
+            val, grad, _ = eval_scalar_basis(self.sub_maps[sub], pts, 3)
+            if kind == "val":
+                return (val,)
+            return grad[:, :, 0], grad[:, :, 1]
+
+        # C0 and C1 across internal edge (p_k, center), shared by subs k-1 and k
+        for k in range(3):
+            left, right = (k - 1) % 3, k
+            pts_v = _edge_points(coords[k], center, _VALUE_S)
+            pts_g = _edge_points(coords[k], center, _GRAD_S)
+            for kind, pts in (("val", pts_v), ("grad", pts_g)):
+                tabs_l = basis_row(left, pts, kind)
+                tabs_r = basis_row(right, pts, kind)
+                for tl, tr in zip(tabs_l, tabs_r):
+                    for i in range(tl.shape[0]):
+                        row = np.zeros(30)
+                        row[10 * left : 10 * left + 10] = tl[i]
+                        row[10 * right : 10 * right + 10] -= tr[i]
+                        rows.append(row)
+
+        # reduced condition: normal derivative affine along exterior edge k of sub k
+        for k in range(3):
+            p, q = coords[k], coords[(k + 1) % 3]
+            d = q - p
+            n = np.array([d[1], -d[0]]) / np.hypot(*d)
+            pts = _edge_points(p, q, _GRAD_S)
+            _, grad, _ = eval_scalar_basis(self.sub_maps[k], pts, 3)
+            gn = grad[:, :, 0] * n[0] + grad[:, :, 1] * n[1]  # (3, 10)
+            row = np.zeros(30)
+            row[10 * k : 10 * k + 10] = gn[1] - 0.5 * (gn[0] + gn[2])
+            rows.append(row)
+
+        A = np.array(rows)
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        Z = null_space(A, rcond=1e-10)
+        assert Z.shape[1] == N_DOFS
+
+        # nodal matrix: value, d/dx, d/dy at each parent vertex, from sub k
+        N = np.empty((N_DOFS, N_DOFS))
+        for k in range(3):
+            val, grad, _ = eval_scalar_basis(self.sub_maps[k], coords[k][None, :], 3)
+            N[3 * k] = val[0] @ Z[10 * k : 10 * k + 10]
+            N[3 * k + 1] = grad[0, :, 0] @ Z[10 * k : 10 * k + 10]
+            N[3 * k + 2] = grad[0, :, 1] @ Z[10 * k : 10 * k + 10]
+        self.coeffs = (Z @ np.linalg.inv(N)).T.reshape(N_DOFS, 3, 10)
+
+    def edge_trace(self, k, s):
+        """Basis values (nq, 9) and gradients (nq, 9, 2) on exterior edge k at s."""
+        pts = _edge_points(self.coords[k], self.coords[(k + 1) % 3], np.asarray(s))
+        v, g, _ = eval_scalar_basis(self.sub_maps[k], pts, 3)
+        C = self.coeffs[:, k, :].T
+        return v @ C, np.einsum("qbd,bj->qjd", g, C)
 
 
 class LoopKernel:
     """Tables of one triangle and its element system, one element at a time."""
 
-    def __init__(self, coords, hct_element, layout=None, quad_degree=14):
+    def __init__(self, coords, layout=None, quad_degree=14):
         self.coords = np.asarray(coords, dtype=float)
         self.layout = layout if layout is not None else BrokenTestBasis()
+        self.hct = LoopHct(self.coords)
+        bary = BarycentricMap(self.coords)
         vol = quadrature.triangle_rule(quad_degree)
         self.vpts, self.vw = quadrature.map_to_triangle(vol, self.coords)
-        val, grad, hess = self.layout.tables(self.coords, self.vpts)
+        val, grad, hess = self.layout.tables(bary, self.vpts)
         self.V = val
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
@@ -32,15 +110,23 @@ class LoopKernel:
         for k in range(3):
             p = self.coords[k]
             q = self.coords[(k + 1) % 3]
-            pts, we = quadrature.map_to_edge(erule, p, q)
+            pts = p + np.outer(erule.points, q - p)
+            we = erule.weights * np.hypot(*(q - p))
             d = q - p
             n = np.array([d[1], -d[0]]) / np.hypot(*d)
-            tval, tgrad, _ = self.layout.tables(self.coords, pts)
-            hval, hgrad = eval_on_parent_edge(hct_element, k, erule.points)
+            tval, tgrad, _ = self.layout.tables(bary, pts)
+            hval, hgrad = self.hct.edge_trace(k, erule.points)
             self.edges.append(
                 dict(w=we, n=n, tv=tval, tx=tgrad[:, :, 0], ty=tgrad[:, :, 1],
                      hv=hval, hx=hgrad[:, :, 0], hy=hgrad[:, :, 1])
             )
+
+    def table(self, name):
+        """The table `name` of `dpg.ElementTables.NAMES` for this element."""
+        if hasattr(self, name):
+            return getattr(self, name)
+        key = {"ew": "w", "en": "n"}.get(name, name)
+        return np.stack([e[key] for e in self.edges])
 
     def _place(self, t, comp, table):
         ns = self.layout.n_scalar
@@ -91,18 +177,15 @@ class LoopKernel:
         G = R.T @ R
         return 0.5 * (G + G.T)
 
-    def b_field(self, t, material):
+    def b_field(self, t):
         n_field = 6 if t > 0.0 else 4
         B = np.empty((self.layout.n_test(t), n_field))
         w = self.vw
         e11, e22, e12 = self.strain_features(t)
-        th = [self._place(t, 1, self.V), self._place(t, 2, self.V),
-              self._place(t, 3, self.V)]
-        ci = material.apply_inverse(np.stack(th, axis=-1))
         B[:, 0] = w @ self.scaled_div_feature(t)
-        B[:, 1] = w @ (ci[..., 0] + e11)
-        B[:, 2] = 2.0 * (w @ (ci[..., 1] + e12))
-        B[:, 3] = w @ (ci[..., 2] + e22)
+        B[:, 1] = w @ (self._place(t, 1, self.V) + e11)
+        B[:, 2] = 2.0 * (w @ (self._place(t, 2, self.V) + e12))
+        B[:, 3] = w @ (self._place(t, 3, self.V) + e22)
         if t > 0.0:
             B[:, 4] = t * (w @ (self._place(t, 4, self.V) - self._place(t, 0, self.Dx)))
             B[:, 5] = t * (w @ (self._place(t, 5, self.V) - self._place(t, 0, self.Dy)))
@@ -171,16 +254,16 @@ class LoopKernel:
         l[self.layout.block(0)] = -(self.vw * f_values) @ self.V
         return l
 
-    def system(self, t, material, f_values):
+    def system(self, t, f_values):
         G = self.gram(t)
-        B = np.hstack([self.b_field(t, material), self.b_trace(t)])
+        B = np.hstack([self.b_field(t), self.b_trace(t)])
         return dpg.ElementSystem(G, B, self.load(f_values, t))
 
 
-def loop_kernels(mesh, hct_elements, config):
+def loop_kernels(mesh, config):
     """One LoopKernel per element, with the load values at its quadrature points."""
-    kernels = [LoopKernel(mesh.triangle_coords(ti), hct_elements[ti],
-                          BrokenTestBasis(config.test_degree), config.quad_degree)
+    kernels = [LoopKernel(mesh.triangle_coords(ti), BrokenTestBasis(config.test_degree),
+                          config.quad_degree)
                for ti in range(mesh.num_triangles)]
     ex = manufactured.ExactSolution(0.0)
     f_values = [ex.f(k.vpts[:, 0], k.vpts[:, 1]) for k in kernels]
@@ -209,7 +292,7 @@ def loop_solve(mesh, config, kernels, f_values, dof):
     rhs = np.zeros(dof.n_free)
     systems = []
     for ti in range(mesh.num_triangles):
-        sysm = kernels[ti].system(config.t, config.material, f_values[ti])
+        sysm = kernels[ti].system(config.t, f_values[ti])
         A_T, b_T = dpg.local_normal_contribution(sysm)
         systems.append(sysm)
         fidx = dof.free_index[element_dofs(dof, ti)]

@@ -10,7 +10,7 @@ element means are the best elementwise constants for the error tests.
 import numpy as np
 
 from plate_dpg import quadrature
-from plate_dpg.hct import _GRAD_S, _VALUE_S, eval_hct, eval_on_parent_edge
+from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_hct, eval_on_parent_edge
 from plate_dpg.manufactured import ExactSolution
 
 
@@ -73,6 +73,11 @@ def trace_pair_volume(subtris, gen_a, gen_b, t, quad_degree=14):
 
 
 # ---- the C1 trace element across a mesh
+
+
+def hct_elements(mesh):
+    """The reduced HCT element of each triangle of `mesh`, built one at a time."""
+    return [build_hct_element(coords) for coords in mesh.vertices[mesh.triangles]]
 
 
 def hct_edge_trace(element, local_edge):

@@ -12,11 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import HctScalarField, interpolate, trace_pair_edge
+from oracles import HctScalarField, hct_elements, interpolate, trace_pair_edge
 from plate_dpg.dpg import (
     ElementSystem,
     ElementTables,
-    MaterialLaw,
     ProblemConfig,
     _equilibrated_cholesky,
     b_field,
@@ -33,7 +32,6 @@ from plate_dpg.driver import (
     run_study,
 )
 from plate_dpg.hct import (
-    build_all_elements,
     build_hct_element,
     eval_hct,
     eval_on_parent_edge,
@@ -185,7 +183,7 @@ def test_criterion_6_structural_properties(capsys):
     # Gram matrices stay symmetric positive definite across thickness
     for k in range(50):
         coords = _random_triangle(900 + k)
-        kern = ElementTables.build([coords], [build_hct_element(coords)])
+        kern = ElementTables.build([coords])
         for t in (0.0, 1e-8, 1e-4, 1.0):
             G = gram(kern, t)[0]
             ok = ok and np.abs(G - G.T).max() == 0.0
@@ -211,7 +209,7 @@ def test_criterion_6_structural_properties(capsys):
 
     # conforming trace against conforming test sums to zero over the mesh
     mesh = mesh_at_level(1)
-    elements = build_all_elements(mesh)
+    elements = hct_elements(mesh)
     nv = mesh.num_vertices
     worst_jump = 0.0
     for pair in range(10):
@@ -316,15 +314,14 @@ def test_criterion_7_oracle_equivalences(capsys):
     # condensed element contributions against a dense inverse, computed in
     # the unit-diagonal basis so the oracle itself stays accurate
     t_cycle = (0.0, 1e-8, 1e-4, 1e-2, 1.0)
-    material = MaterialLaw()
     rng = np.random.default_rng(11)
     worst = 0.0
     for k in range(20):
         coords = _shaped_triangle(500 + k)
-        kern = ElementTables.build([coords], [build_hct_element(coords)])
+        kern = ElementTables.build([coords])
         t = t_cycle[k % 5]
         G = gram(kern, t)[0]
-        B = np.hstack([b_field(kern, t, material)[0], b_trace(kern, t)[0]])
+        B = np.hstack([b_field(kern, t)[0], b_trace(kern, t)[0]])
         l = rng.standard_normal(G.shape[0])
         A, b = local_normal_contribution(ElementSystem(G, B, l))
         d = 1.0 / np.sqrt(np.diag(G))

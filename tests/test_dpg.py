@@ -11,12 +11,11 @@ and scaling in the volume and trace blocks.
 import numpy as np
 import pytest
 
-from oracles import HctScalarField, trace_pair_edge, trace_pair_volume
+from oracles import HctScalarField, hct_elements, trace_pair_edge, trace_pair_volume
 from plate_dpg import dpg
 from plate_dpg.dpg import (
     ElementSystem,
     ElementTables,
-    MaterialLaw,
     ProblemConfig,
     _scaled_div_feature,
     _strain_features,
@@ -45,8 +44,7 @@ def random_triangle(seed, low=0.05):
 
 def make_kernel(coords, quad_degree=14):
     """The tables of one triangle, as a one-element stack."""
-    return ElementTables.build([coords], [build_hct_element(coords)],
-                               quad_degree=quad_degree)
+    return ElementTables.build([coords], quad_degree=quad_degree)
 
 
 def scalar_coeffs(coords, fun):
@@ -62,43 +60,6 @@ def component_vector(layout, t, coords, component, fun):
     v = np.zeros(layout.n_test(t))
     v[layout.block(component)] = scalar_coeffs(coords, fun)
     return v
-
-
-# ---- material law
-
-
-def apply_law(law, X):
-    """C(X) = D [nu tr(X) I + (1 - nu) X] on symmetric tensors (11, 12, 22)."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty_like(X)
-    out[..., 0] = law.D * (X[..., 0] + law.nu * X[..., 2])
-    out[..., 1] = law.D * (1.0 - law.nu) * X[..., 1]
-    out[..., 2] = law.D * (X[..., 2] + law.nu * X[..., 0])
-    return out
-
-
-def test_material_identity():
-    law = MaterialLaw()
-    X = np.array([1.3, -0.4, 0.8])
-    assert np.allclose(apply_law(law, X), X)
-    assert np.allclose(law.apply_inverse(X), X)
-
-
-def test_material_roundtrip():
-    law = MaterialLaw(E=3.7, nu=0.31)
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((5, 3))
-    assert np.abs(law.apply_inverse(apply_law(law, X)) - X).max() < 1e-13
-    assert np.abs(apply_law(law, law.apply_inverse(X)) - X).max() < 1e-13
-
-
-def test_material_validation():
-    with pytest.raises(ValueError):
-        MaterialLaw(E=0.0)
-    with pytest.raises(ValueError):
-        MaterialLaw(E=1.0, nu=0.6)
-    with pytest.raises(ValueError):
-        MaterialLaw(E=1.0, nu=-1.0)
 
 
 def test_config_validation():
@@ -175,14 +136,14 @@ def test_gram_size_depends_on_thickness():
 
 def test_b_field_deflection_column_against_divergence_free_test():
     kernel = make_kernel(REF)
-    B = b_field(kernel, 0.0, MaterialLaw())[0]
+    B = b_field(kernel, 0.0, )[0]
     v = component_vector(kernel.layout, 0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v @ B[:, 0]) < 1e-14
 
 
 def test_b_field_deflection_column_against_linear_shear_test():
     kernel = make_kernel(REF)
-    B = b_field(kernel, 1.0, MaterialLaw())[0]
+    B = b_field(kernel, 1.0, )[0]
     v = component_vector(kernel.layout, 1.0, REF, 4, lambda x, y: x)
     # (u, t div tau) with tau = (x, 0): integral of 1 over the triangle
     assert abs(v @ B[:, 0] - 0.5) < 1e-13
@@ -190,7 +151,7 @@ def test_b_field_deflection_column_against_linear_shear_test():
 
 def test_b_field_moment_column_constant_test():
     kernel = make_kernel(REF)
-    B = b_field(kernel, 1.0, MaterialLaw())[0]
+    B = b_field(kernel, 1.0, )[0]
     v = component_vector(kernel.layout, 1.0, REF, 1, lambda x, y: np.ones_like(x))
     # (M, C^{-1} Theta) with both constant: the element area
     assert abs(v @ B[:, 1] - 0.5) < 1e-13
@@ -238,11 +199,10 @@ def test_edge_degree_integrates_the_skeleton_exactly(monkeypatch, t):
     # at the highest test degree the edge integrands have degree 8, so
     # dpg.EDGE_DEGREE = 8 must match the highest edge rule to roundoff
     coords = random_triangle(17)
-    element = build_hct_element(coords)
     layout = BrokenTestBasis(5)
-    B = b_trace(ElementTables.build([coords], [element], layout, quad_degree=20), t)[0]
+    B = b_trace(ElementTables.build([coords], layout, quad_degree=20), t)[0]
     monkeypatch.setattr(dpg, "EDGE_DEGREE", 21)
-    B_ref = b_trace(ElementTables.build([coords], [element], layout, quad_degree=20), t)[0]
+    B_ref = b_trace(ElementTables.build([coords], layout, quad_degree=20), t)[0]
     assert np.abs(B - B_ref).max() < 1e-13 * np.abs(B_ref).max()
 
 
@@ -310,7 +270,7 @@ def test_normal_contribution_on_real_elements():
     for seed in range(3):
         kernel = make_kernel(random_triangle(seed + 20))
         G = gram(kernel, cfg.t)[0]
-        B = np.hstack([b_field(kernel, cfg.t, cfg.material)[0], b_trace(kernel, cfg.t)[0]])
+        B = np.hstack([b_field(kernel, cfg.t)[0], b_trace(kernel, cfg.t)[0]])
         l = np.zeros(60)
         l[:10] = np.random.default_rng(seed).standard_normal(10)
         A, b = local_normal_contribution(ElementSystem(G, B, l))
@@ -341,7 +301,7 @@ def test_gram_invariance_of_normal_equations():
     kernel = make_kernel(random_triangle(30))
     t = 1e-4
     G = gram(kernel, t)[0]
-    B = np.hstack([b_field(kernel, t, MaterialLaw())[0], b_trace(kernel, t)[0]])
+    B = np.hstack([b_field(kernel, t, )[0], b_trace(kernel, t)[0]])
     l = rng.standard_normal(60)
     A1, b1 = local_normal_contribution(ElementSystem(G, B, l))
     s = 10.0 ** rng.uniform(-3, 3, 60)
@@ -494,11 +454,9 @@ class Quadratic:
         return (2.0 * c[3], c[4], 2.0 * c[5])
 
 
-@pytest.mark.parametrize("t", [0.0, 1e-4, 0.3, 1.0])
-@pytest.mark.parametrize("law", ["identity", "isotropic"])
-def test_ultraweak_consistency_identity(t, law):
-    material = (MaterialLaw() if law == "identity"
-                else MaterialLaw(E=3.7, nu=0.31))
+# the ids name the identity material law, the one the solver has
+@pytest.mark.parametrize("t", [0.0, 1e-4, 0.3, 1.0], ids=lambda t: f"identity-{t}")
+def test_ultraweak_consistency_identity(t):
     rng = np.random.default_rng(17)
     coords = random_triangle(70)
     kernel = make_kernel(coords)
@@ -525,14 +483,13 @@ def test_ultraweak_consistency_identity(t, law):
 
     V, Dx, Dy = kernel.V[0], kernel.Dx[0], kernel.Dy[0]
     th = [place(1, V), place(2, V), place(3, V)]
-    ci = material.apply_inverse(np.stack(th, axis=-1))
     e11, e22, e12 = (f.full(layout.n_test(t))[0] for f in _strain_features(kernel, t))
     S = _scaled_div_feature(kernel, t).full(layout.n_test(t))[0]
 
     lhs = (w * uv) @ S
-    lhs += (w * Mv[:, 0]) @ (ci[..., 0] + e11)
-    lhs += 2.0 * ((w * Mv[:, 1]) @ (ci[..., 1] + e12))
-    lhs += (w * Mv[:, 2]) @ (ci[..., 2] + e22)
+    lhs += (w * Mv[:, 0]) @ (th[0] + e11)
+    lhs += 2.0 * ((w * Mv[:, 1]) @ (th[1] + e12))
+    lhs += (w * Mv[:, 2]) @ (th[2] + e22)
     if t > 0.0:
         dzx, dzy = place(0, Dx), place(0, Dy)
         lhs += t * ((w * gux) @ (place(4, V) - dzx))
@@ -553,10 +510,10 @@ def test_ultraweak_consistency_identity(t, law):
 
     # conforming side: (div div M, z) + (C^{-1} M + eps(grad u - t^2 div M), Theta)
     divdivM = hM[0][0] + 2.0 * hM[1][1] + hM[2][2]
-    ciM = material.apply_inverse(Mv)
-    a11 = ciM[:, 0] + hu[0] - tt * (hM[0][0] + hM[1][1])
-    a22 = ciM[:, 2] + hu[2] - tt * (hM[1][1] + hM[2][2])
-    a12 = ciM[:, 1] + hu[1] - 0.5 * tt * (hM[0][1] + hM[1][2] + hM[1][0] + hM[2][1])
+    # C^{-1} M = M under the identity law
+    a11 = Mv[:, 0] + hu[0] - tt * (hM[0][0] + hM[1][1])
+    a22 = Mv[:, 2] + hu[2] - tt * (hM[1][1] + hM[2][2])
+    a12 = Mv[:, 1] + hu[1] - 0.5 * tt * (hM[0][1] + hM[1][2] + hM[1][0] + hM[2][1])
     rhs = (w * divdivM) @ place(0, V)
     rhs += (w * a11) @ th[0] + 2.0 * ((w * a12) @ th[1]) + (w * a22) @ th[2]
 
@@ -586,11 +543,10 @@ def test_jump_orthogonality():
     vertex-dof pattern constrains both sides.
     """
     from plate_dpg.driver import apply_bc_clamped, apply_bc_simply_supported
-    from plate_dpg.hct import build_all_elements
     from plate_dpg.mesh import mesh_at_level
 
     mesh = mesh_at_level(1)
-    elements = build_all_elements(mesh)
+    elements = hct_elements(mesh)
     nv = mesh.num_vertices
 
     for bc, t_values in (("simply-supported", (1e-2, 1e-6)), ("clamped", (0.0,))):

@@ -231,6 +231,25 @@ def test_cached_kernels_require_matching_discretization(level1):
         assemble_and_solve(mesh, replace(cfg, quad_degree=16), kernels)
 
 
+def test_cached_kernels_require_the_mesh_they_were_built_for(level1):
+    # kernels of another mesh with the same triangles once gave a plausible
+    # solution (err_u 5.967e-6 against 6.020e-6) without any error
+    mesh, cfg, kernels, _ = level1
+    moved = mesh.vertices.copy()
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_vertices)
+    moved[interior[0]] += 0.01
+    with pytest.raises(ValueError, match="another mesh"):
+        assemble_and_solve(Mesh(moved, mesh.triangles, level=1), cfg, kernels)
+    with pytest.raises(ValueError, match="another mesh"):
+        assemble_and_solve(mesh_at_level(2), cfg, kernels)
+    # kernels follow the arrays they were built from, not the mesh object
+    own = mesh_at_level(1)
+    own_kernels = MeshKernels(own, cfg)
+    own.vertices[interior[0]] += 0.01
+    with pytest.raises(ValueError, match="another mesh"):
+        assemble_and_solve(own, cfg, own_kernels)
+
+
 def test_solve_rejects_a_large_backward_error(level1, monkeypatch):
     mesh, cfg, kernels, sol = level1
     assert sol.residual_inf <= RESIDUAL_MAX

@@ -1,18 +1,19 @@
-"""Batched element systems, assembly and L2 errors against the per-element loop.
+"""Stacked element tables and systems, assembly and L2 errors against the per-element loop.
 
-The reference in `element_loop.py` builds every element's system, the
-COO triplets, the rhs sums, the estimator and the L2 errors one element
-at a time with zero-padded features.  The batched code must give the
-same bits: `np.array_equal` and equal bytes, so signed zeros count too.
+The reference in `element_loop.py` builds every element's HCT basis and
+tables, its system, the COO triplets, the rhs sums, the estimator and the
+L2 errors one element at a time with zero-padded features.  The stacked
+code must give the same bits: `np.array_equal` and equal bytes, so
+signed zeros count too.
 """
 
 import numpy as np
 import pytest
 
-from element_loop import LoopKernel, loop_kernels, loop_l2_errors, loop_solve
+from element_loop import LoopHct, LoopKernel, loop_kernels, loop_l2_errors, loop_solve
 from plate_dpg import dpg, driver, manufactured
-from plate_dpg.dpg import ElementTables, MaterialLaw, ProblemConfig
-from plate_dpg.hct import build_all_elements, build_hct_element
+from plate_dpg.dpg import ElementTables, ProblemConfig
+from plate_dpg.hct import build_hct_element
 from plate_dpg.mesh import Mesh, mesh_at_level
 
 T_VALUES = (1e-2, 1e-8, 0.0)
@@ -71,21 +72,62 @@ MESHES = {
 }
 
 
+TRIANGLE_SETS = [*MESHES, "12 random triangles"]
+
+
+def triangles_of(name):
+    """The (ne, 3, 2) vertices of a mesh of MESHES, or the random triangles."""
+    if name == "12 random triangles":
+        return random_triangles()
+    mesh = MESHES[name]()
+    return mesh.vertices[mesh.triangles]
+
+
+def assert_tables_match_loop(coords, tables):
+    for ti, xy in enumerate(coords):
+        ref = LoopKernel(xy)
+        for name in ElementTables.NAMES:
+            assert_same_bits(getattr(tables, name)[ti], ref.table(name))
+
+
+@pytest.mark.parametrize("name", TRIANGLE_SETS)
+def test_element_tables_match_loop(name):
+    coords = triangles_of(name)
+    assert_tables_match_loop(coords, ElementTables.build(coords))
+
+
+@pytest.mark.parametrize("name", TRIANGLE_SETS)
+def test_hct_bases_match_loop(name):
+    coords = triangles_of(name)
+    element = build_hct_element(coords)
+    for ti, xy in enumerate(coords):
+        ref = LoopHct(xy)
+        assert_same_bits(element.coeffs[ti], ref.coeffs)
+        assert_same_bits(element.sub_coords[ti], ref.sub_coords)
+    # a single triangle is a stack of one
+    assert_same_bits(build_hct_element(coords[-1]).coeffs, element.coeffs[-1])
+
+
+def test_small_chunks_build_the_same_tables(monkeypatch):
+    # chunks of 5 over 64 elements end in a partial chunk of 4
+    monkeypatch.setattr(dpg, "CHUNK", 5)
+    coords = triangles_of("jittered level 2")
+    assert_tables_match_loop(coords, ElementTables.build(coords))
+
+
 @pytest.mark.parametrize("t", T_VALUES)
 def test_batched_builders_match_loop_on_random_triangles(t):
     coords = random_triangles()
-    elements = [build_hct_element(c) for c in coords]
-    tables = ElementTables.build(coords, elements)
-    material = MaterialLaw(E=3.7, nu=0.31)
+    tables = ElementTables.build(coords)
     f_values = np.random.default_rng(3).standard_normal(tables.vw.shape)
     G = dpg.gram(tables, t)
-    B_field = dpg.b_field(tables, t, material)
+    B_field = dpg.b_field(tables, t)
     B_trace = dpg.b_trace(tables, t)
     l = dpg.load(tables, f_values, t)
-    for ti, (xy, element) in enumerate(zip(coords, elements)):
-        ref = LoopKernel(xy, element)
+    for ti, xy in enumerate(coords):
+        ref = LoopKernel(xy)
         assert_same_bits(G[ti], ref.gram(t))
-        assert_same_bits(B_field[ti], ref.b_field(t, material))
+        assert_same_bits(B_field[ti], ref.b_field(t))
         assert_same_bits(B_trace[ti], ref.b_trace(t))
         assert_same_bits(l[ti], ref.load(f_values[ti], t))
 
@@ -94,17 +136,17 @@ def test_batched_builders_match_loop_on_random_triangles(t):
 def test_element_systems_match_loop(name):
     mesh = MESHES[name]()
     kernels = driver.MeshKernels(mesh, ProblemConfig())
-    refs, f_values = loop_kernels(mesh, build_all_elements(mesh), ProblemConfig())
+    refs, f_values = loop_kernels(mesh, ProblemConfig())
     for got, expect in zip(kernels.f_values, f_values):
         assert_same_bits(got, expect)
     for t in T_VALUES:
         cfg = ProblemConfig(t=t)
         systems = []
-        for lo in range(0, mesh.num_triangles, driver._CHUNK):
-            systems += driver.element_system(kernels, slice(lo, lo + driver._CHUNK), cfg)
+        for lo in range(0, mesh.num_triangles, dpg.CHUNK):
+            systems += driver.element_system(kernels, slice(lo, lo + dpg.CHUNK), cfg)
         assert len(systems) == mesh.num_triangles
         for sysm, ref, f in zip(systems, refs, f_values):
-            expect = ref.system(t, cfg.material, f)
+            expect = ref.system(t, f)
             assert_same_bits(sysm.G, expect.G)
             assert_same_bits(sysm.B, expect.B)
             assert_same_bits(sysm.l, expect.l)
@@ -114,7 +156,7 @@ def test_element_systems_match_loop(name):
 def test_assembly_estimator_and_errors_match_loop(name):
     mesh = MESHES[name]()
     kernels = driver.MeshKernels(mesh, ProblemConfig())
-    refs, f_values = loop_kernels(mesh, build_all_elements(mesh), ProblemConfig())
+    refs, f_values = loop_kernels(mesh, ProblemConfig())
     for t in T_VALUES:
         cfg = ProblemConfig(t=t)
         dof, _, A, rhs = driver.assemble(mesh, cfg, kernels)
@@ -140,7 +182,7 @@ def test_small_chunks_assemble_the_same_bits(monkeypatch):
     cfg = ProblemConfig(t=1e-8)
     kernels = driver.MeshKernels(mesh, cfg)
     _, _, A, rhs = driver.assemble(mesh, cfg, kernels)
-    monkeypatch.setattr(driver, "_CHUNK", 5)
+    monkeypatch.setattr(dpg, "CHUNK", 5)
     _, _, A5, rhs5 = driver.assemble(mesh, cfg, kernels)
     for part in ("data", "indices", "indptr"):
         assert_same_bits(getattr(A5, part), getattr(A, part))

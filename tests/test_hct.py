@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import HctScalarField, hct_edge_trace, interpolate
+from oracles import HctScalarField, hct_edge_trace, hct_elements, interpolate
 from plate_dpg.hct import (
     N_DOFS,
-    build_all_elements,
     build_hct_element,
     eval_hct,
     eval_on_parent_edge,
@@ -169,7 +168,7 @@ def test_normal_derivative_affine_on_edges():
 
 def test_global_c1_continuity():
     mesh = mesh_at_level(1)
-    elements = build_all_elements(mesh)
+    elements = hct_elements(mesh)
     rng = np.random.default_rng(10)
     field = HctScalarField(mesh, rng.standard_normal(3 * mesh.num_vertices))
     s = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
@@ -192,7 +191,7 @@ def test_global_c1_continuity():
 
 def test_interpolate_smooth_function():
     mesh = mesh_at_level(1)
-    elements = build_all_elements(mesh)
+    elements = hct_elements(mesh)
     field = interpolate(mesh, lambda x, y: x * y, lambda x, y: (y, x))
     pts = np.array([[0.3, 0.4]])
     for ti in range(mesh.num_triangles):

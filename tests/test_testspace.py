@@ -223,3 +223,29 @@ def test_degree_bounds():
     for degree in (2, 4, 5):
         layout = BrokenTestBasis(degree)
         assert layout.n_test(1.0) == 6 * layout.n_scalar
+
+
+def test_stacked_tables_match_loop_reference_bit_for_bit():
+    # one call on a stack of triangles, with the points of each triangle
+    # grouped on an extra axis, gives each triangle the loop's bits
+    rng = np.random.default_rng(13)
+    triangles = _dyadic_shapes(4)
+    for scale in (1e-4, 1e-2, 1.0, 10.0):
+        for _ in range(3):
+            coords = scale * rng.uniform(-1.0, 1.0, (3, 2)) + rng.uniform(-5, 5, 2)
+            if np.linalg.det(coords[1:] - coords[0]) < 0:
+                coords = coords[[0, 2, 1]]
+            triangles.append(coords)
+    triangles = np.array(triangles)
+    vol, _ = quadrature.map_to_triangles(quadrature.triangle_rule(14), triangles)
+    edge, _ = quadrature.map_to_edge(quadrature.edge_rule(8), triangles,
+                                     triangles[:, [1, 2, 0]])
+    for pts in (vol, edge):                    # (ne, nq, 2) and (ne, 3, nqe, 2)
+        for degree in range(2, 6):
+            tables = eval_scalar_basis(BarycentricMap(triangles), pts, degree)
+            for ti, coords in enumerate(triangles):
+                for group in np.ndindex(pts.shape[1:-2]):
+                    ref = _loop_scalar_basis(coords, pts[(ti,) + group], degree)
+                    for a, b in zip(tables, ref):
+                        assert a.flags.c_contiguous
+                        assert a[(ti,) + group].tobytes() == b.tobytes()
