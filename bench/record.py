@@ -6,7 +6,8 @@ Run from the root of a source checkout; everything is imported from
 ./src, and each measurement runs in a fresh interpreter.  The file holds:
 
 - the medians `perfbench/run.py --trace 0 --seconds 15` reports for the
-  `study` and `sweep` workloads (setup_s, solve_s, wall_s, peak_rss_mb);
+  `study`, `sweep` and `cg` workloads (setup_s, solve_s, wall_s,
+  peak_rss_mb);
 - single solves of the manufactured problem on uniform levels 4 and 5 at
   t = 1e-2 and t = 0, split with `perf_counter` into `MeshKernels`,
   `assemble` and `solve_spd` (the rest of `assemble_and_solve` is the
@@ -24,7 +25,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("study", "sweep")
+WORKLOADS = ("study", "sweep", "cg")
 SOLVES = [(4, 1e-2), (4, 0.0), (5, 1e-2), (5, 0.0)]
 
 # run in a fresh interpreter: one timed solve, printed as one JSON line

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dpg import ElementTables, ProblemConfig, _equilibrated_cholesky, gram
+from .dpg import ElementTables, ProblemConfig, gram, gram_factors
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
 from .linalg import SolveError
@@ -55,6 +55,9 @@ def _cmd_study(args):
     except ValueError as err:
         return _reject(args, str(err))
     config = configs[0]
+    if config.bc == "clamped" and args.levels < 2:
+        return _reject(args, f"--levels must be >= 2 for clamped plates, whose "
+                             f"studies start at level 1 (got {args.levels})")
     progress = None
     if not args.quiet:
         progress = lambda line: print(line, file=sys.stderr)
@@ -113,9 +116,8 @@ def _property_suite(lines):
     kernel = ElementTables.build([coords])
     worst = 0.0
     for t in (0.0, 1e-8, 1.0):
-        G = gram(kernel, t)[0]
         try:
-            _equilibrated_cholesky(G)
+            gram_factors(gram(kernel, t))
         except np.linalg.LinAlgError:
             worst = np.inf
     ok &= _check(lines, "Gram matrices positive definite", worst, 0)

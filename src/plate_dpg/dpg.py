@@ -16,14 +16,16 @@ whose t = 0 limit drops the tau blocks entirely.  The bilinear form pairs
 trial fields against volume terms and the trace unknowns against the
 element boundary through edge integrals; local normal equations
 B^T G^{-1} B are produced by one Cholesky factorization of G per element
-(after a symmetric diagonal scaling that leaves them invariant).
+(after a symmetric diagonal scaling that leaves them invariant).  The
+scaling and the input checks run on a stack of elements at once; only
+LAPACK's potrf and potrs run per element.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import hct, quadrature, testspace
 from .linalg import CG_TOL
@@ -82,7 +84,8 @@ class ElementSystem:
 
     `gram_factor` factors G on first use and keeps the factor, so a caller
     that holds the system only for `local_residual` after
-    `local_normal_contribution` may drop G.
+    `local_normal_contribution` may drop G.  `driver.element_system` sets
+    the factors of a whole stack at once.
     """
 
     G: np.ndarray | None
@@ -92,7 +95,8 @@ class ElementSystem:
     @functools.cached_property
     def gram_factor(self):
         """(Cholesky factor, 1 / sqrt(diag G)) of the equilibrated G, computed once."""
-        return _equilibrated_cholesky(self.G)
+        L, dinv = gram_factors(self.G[None], self.B[None], self.l[None])
+        return L[0], dinv[0]
 
 
 class ElementKernel:
@@ -314,7 +318,8 @@ def b_trace(k, t):
     the nine vertex dofs (value, d/dx, d/dy per vertex) of each.
     """
     n_test = k.layout.n_test(t)
-    B = np.zeros((len(k), n_test, N_TRACE_COLS))
+    # one contiguous (ne, n_test, 9) accumulator per generating field
+    blocks = [np.zeros((len(k), n_test, 9)) for _ in TRACE_FIELDS]
     tt = t * t
     for e in range(3):
         w = k.ew[:, e, :, None]
@@ -340,7 +345,7 @@ def b_trace(k, t):
             (w * F).full(n_test).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
         )
         # u-hat columns: -<u, n.(div Th + t(tau - grad z))> + <grad u, Th n>
-        B[:, :, 0:9] += qnT @ (-hv) + Thn1T @ hx + Thn2T @ hy
+        blocks[0] += qnT @ (-hv) + Thn1T @ hx + Thn2T @ hy
         # M-hat columns: <n.div M, z> - <M n, grad z - t^2 div Th>
         #                - t^2 <div M, Th n>
         for c, (d1, d2, m1, m2) in enumerate(
@@ -350,18 +355,18 @@ def b_trace(k, t):
                 (None, hy, None, n1 * hv),        # M = phi * E22
             )
         ):
-            cols = slice(9 * (c + 1), 9 * (c + 2))
+            out = blocks[c + 1]
             if d1 is not None:
-                B[:, :, cols] += zfT @ (n0 * d1)
-                B[:, :, cols] -= tt * (Thn1T @ d1)
+                out += zfT @ (n0 * d1)
+                out -= tt * (Thn1T @ d1)
             if d2 is not None:
-                B[:, :, cols] += zfT @ (n1 * d2)
-                B[:, :, cols] -= tt * (Thn2T @ d2)
+                out += zfT @ (n1 * d2)
+                out -= tt * (Thn2T @ d2)
             if m1 is not None:
-                B[:, :, cols] -= w1T @ m1
+                out -= w1T @ m1
             if m2 is not None:
-                B[:, :, cols] -= w2T @ m2
-    return B
+                out -= w2T @ m2
+    return np.concatenate(blocks, axis=2)
 
 
 def load(k, f_values, t):
@@ -371,13 +376,46 @@ def load(k, f_values, t):
     return l
 
 
-def _equilibrated_cholesky(G):
-    d = np.sqrt(np.diag(G))
-    if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
+def gram_factors(G, *data):
+    """Cholesky factors of the equilibrated Gram matrices of a stack, and every input check.
+
+    Returns (L, dinv): dinv = 1 / sqrt(diag G) per element (ne, n), and L
+    (ne, n, n) whose Fortran-ordered slices hold in their lower triangles
+    the Cholesky factors of dinv G dinv, symmetrized.  Each factor has the
+    bits of scipy's `cho_factor(..., lower=True)`, and this function raises
+    what `cho_factor` and `cho_solve` raised on the element's data:
+    LinAlgError for a non-positive or non-finite diagonal of G or a matrix
+    that is not positive definite, ValueError for a non-finite entry of the
+    scaled G or of the further arrays `data` (the elements' B and l).
+    """
+    d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+    if not (np.isfinite(d) & (d > 0.0)).all():
         raise np.linalg.LinAlgError("Gram matrix has a non-positive diagonal")
     dinv = 1.0 / d
-    Gt = G * dinv[:, None] * dinv[None, :]
-    return cho_factor(0.5 * (Gt + Gt.T), lower=True), dinv
+    Gt = G * dinv[:, :, None] * dinv[:, None, :]
+    S = 0.5 * (Gt + Gt.transpose(0, 2, 1))
+    if not all(np.isfinite(a).all() for a in (S, *data)):
+        raise ValueError("array must not contain infs or NaNs")
+    # S is exactly symmetric, so each S[i].T is the same matrix in Fortran
+    # order, and potrf factors it in place
+    L = S.transpose(0, 2, 1)
+    for Li in L:
+        _, info = dpotrf(Li, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info < 0:
+            raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
+                             'on entry to "POTRF".')
+    return L, dinv
+
+
+def _cho_solve(L, rhs):
+    """G^{-1} rhs from the factor L of `gram_factors`, as `cho_solve` gives it."""
+    x, info = dpotrs(L, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def local_normal_contribution(system):
@@ -386,9 +424,9 @@ def local_normal_contribution(system):
     One Cholesky factorization of the (diagonally equilibrated) Gram matrix
     plus triangular solves; the result is invariant under the scaling.
     """
-    cho, dinv = system.gram_factor
+    L, dinv = system.gram_factor
     Bt = system.B * dinv[:, None]
-    Y = cho_solve(cho, Bt)
+    Y = _cho_solve(L, Bt)
     A = Bt.T @ Y
     b = Y.T @ (system.l * dinv)
     return 0.5 * (A + A.T), b
@@ -399,7 +437,9 @@ def local_residual(system, x_local):
 
     Reuses the Gram factorization of `local_normal_contribution`.
     """
-    cho, dinv = system.gram_factor
+    L, dinv = system.gram_factor
     r = (system.l - system.B @ x_local) * dinv
-    val = float(r @ cho_solve(cho, r))
+    if not np.isfinite(r).all():
+        raise ValueError("array must not contain infs or NaNs")
+    val = float(r @ _cho_solve(L, r))
     return np.sqrt(max(val, 0.0))

@@ -15,8 +15,9 @@ normal-equation contributions in element order, so the reduction is
 deterministic for a fixed mesh.
 """
 
+import contextlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,52 +140,83 @@ class Solution:
     eta_elements: np.ndarray      # (nt,) local estimator contributions
     n_free: int
     residual_inf: float           # free-system residual, consistency guard
+    # what the solve did: seconds per phase (systems_s: element systems and
+    # condensation, assembly_s, solve_s, estimator_s), n_free, nnz of the
+    # assembled matrix, residual_inf, gram_pivot_min (the smallest pivot
+    # diag(L)**2 of the equilibrated Gram factors), eta_max and eta_mean
+    stats: dict = field(default_factory=dict)
 
 
-def element_system(kernels, elements, config):
+@contextlib.contextmanager
+def _timed(stats, phase):
+    """Add the seconds spent in the with-block to stats[phase]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stats[phase] = stats.get(phase, 0.0) + time.perf_counter() - start
+
+
+def element_system(kernels, elements, config, stats=None):
     """Local systems of the elements in the slice `elements`, built as one batch.
 
     G and B are stacked separately and each system holds views of them, so
-    the systems kept after G is dropped keep only the B stack alive.
+    the systems kept after G is dropped keep only the B stack and the
+    stack of Gram factors alive.  The Gram matrices are factored as one
+    stack (`dpg.gram_factors`), and a given dict `stats` keeps the smallest
+    pivot in "gram_pivot_min".
     """
     k = kernels.tables[elements]
     t = config.t
     G = dpg.gram(k, t)
     B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
     l = dpg.load(k, kernels.f_values[elements], t)
-    return [dpg.ElementSystem(G[i], B[i], l[i]) for i in range(len(k))]
+    L, dinv = dpg.gram_factors(G, B, l)
+    if stats is not None:
+        pivot = float(np.diagonal(L, axis1=1, axis2=2).min()) ** 2
+        stats["gram_pivot_min"] = min(stats.get("gram_pivot_min", np.inf), pivot)
+    systems = [dpg.ElementSystem(*arrays) for arrays in zip(G, B, l)]
+    for sysm, factor in zip(systems, zip(L, dinv)):
+        sysm.gram_factor = factor
+    return systems
 
 
-def assemble(mesh, config, kernels):
+def assemble(mesh, config, kernels, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
     Returns (dof map, element systems, A as a full CSC matrix, rhs).  The
     COO triplets and the rhs sums run element by element, in element order.
+    A given dict `stats` receives systems_s, assembly_s, gram_pivot_min
+    and nnz (see `Solution.stats`).
     """
+    stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
     nt = mesh.num_triangles
     m = dof.element_dofs.shape[1]
     A_loc = np.empty((nt, m, m))
     b_loc = np.empty((nt, m))
     systems = []
-    for lo in range(0, nt, dpg.CHUNK):
-        chunk = element_system(kernels, slice(lo, lo + dpg.CHUNK), config)
-        for ti, sysm in enumerate(chunk, lo):
-            A_loc[ti], b_loc[ti] = dpg.local_normal_contribution(sysm)
-            # the estimator needs G only through its cached factor: keep one
-            # n x n array per element, not two
-            sysm.G = None
-        systems += chunk
+    with _timed(stats, "systems_s"):
+        for lo in range(0, nt, dpg.CHUNK):
+            chunk = element_system(kernels, slice(lo, lo + dpg.CHUNK), config, stats)
+            for ti, sysm in enumerate(chunk, lo):
+                A_loc[ti], b_loc[ti] = dpg.local_normal_contribution(sysm)
+                # the estimator needs G only through its cached factor: keep
+                # one n x n array per element, not two
+                sysm.G = None
+            systems += chunk
 
-    fidx = dof.free_index[dof.element_dofs]
-    keep = fidx >= 0
-    # only the lower triangle enters A, so only its triplets are built
-    pairs = keep[:, None, :] & (fidx[:, :, None] >= fidx[:, None, :])
-    rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
-    cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
-    A = linalg.symmetric_from_coo(dof.n_free, rows, cols, A_loc[pairs])
-    rhs = np.zeros(dof.n_free)
-    np.add.at(rhs, fidx[keep], b_loc[keep])
+    with _timed(stats, "assembly_s"):
+        fidx = dof.free_index[dof.element_dofs]
+        keep = fidx >= 0
+        # only the lower triangle enters A, so only its triplets are built
+        pairs = keep[:, None, :] & (fidx[:, :, None] >= fidx[:, None, :])
+        rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
+        cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
+        A = linalg.symmetric_from_coo(dof.n_free, rows, cols, A_loc[pairs])
+        rhs = np.zeros(dof.n_free)
+        np.add.at(rhs, fidx[keep], b_loc[keep])
+    stats["nnz"] = A.nnz
     return dof, systems, A, rhs
 
 
@@ -198,13 +230,15 @@ def assemble_and_solve(mesh, config, kernels=None):
         kernels = MeshKernels(mesh, config)
     else:
         kernels.check(mesh, config)
-    dof, systems, A, rhs = assemble(mesh, config, kernels)
+    stats = {}
+    dof, systems, A, rhs = assemble(mesh, config, kernels, stats)
     nt = mesh.num_triangles
 
-    x_free = linalg.solve_spd(A, rhs, method=config.solver, tol=config.cg_tol)
-    res = np.abs(A @ x_free - rhs).max()
-    scale = np.abs(rhs).max() + np.abs(A).max() * max(np.abs(x_free).max(), 1.0)
-    residual_inf = res / scale
+    with _timed(stats, "solve_s"):
+        x_free = linalg.solve_spd(A, rhs, method=config.solver, tol=config.cg_tol)
+        res = np.abs(A @ x_free - rhs).max()
+        scale = np.abs(rhs).max() + np.abs(A).max() * max(np.abs(x_free).max(), 1.0)
+        residual_inf = res / scale
     if not residual_inf <= RESIDUAL_MAX:
         raise linalg.SolveError(f"backward error residual_inf = {residual_inf:.3e} "
                                 f"exceeds {RESIDUAL_MAX:g}")
@@ -216,17 +250,22 @@ def assemble_and_solve(mesh, config, kernels=None):
     fields = x[: dof.field_total].reshape(nt, nf)
     x_loc = x[dof.element_dofs]
     eta_sq = np.empty(nt)
-    for ti in range(nt):
-        eta_sq[ti] = dpg.local_residual(systems[ti], x_loc[ti]) ** 2
+    with _timed(stats, "estimator_s"):
+        for ti in range(nt):
+            eta_sq[ti] = dpg.local_residual(systems[ti], x_loc[ti]) ** 2
+    eta_elements = np.sqrt(eta_sq)
+    stats.update(n_free=dof.n_free, residual_inf=float(residual_inf),
+                 eta_max=float(eta_elements.max()), eta_mean=float(eta_elements.mean()))
     return Solution(
         u=fields[:, 0].copy(),
         M=fields[:, 1:4].copy(),
         theta=fields[:, 4:6].copy() if nf == 6 else None,
         trace=x[dof.field_total :].copy(),
         eta=float(np.sqrt(eta_sq.sum())),
-        eta_elements=np.sqrt(eta_sq),
+        eta_elements=eta_elements,
         n_free=dof.n_free,
         residual_inf=float(residual_inf),
+        stats=stats,
     )
 
 
@@ -257,6 +296,12 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
               progress=None):
     """Solve on levels 0..levels-1 for each thickness; returns StudyRecords.
 
+    Clamped studies start at level 1: the level-0 clamped matrix is
+    singular.  Its 9 null modes live in the M-hat trace dofs of the
+    4-triangle mesh and pair to zero with every test function, a gauge of
+    the trace representation rather than a solution kernel; level 1 has
+    none.
+
     Meshes and element tables are shared across thicknesses.  `progress`
     is an optional callable taking a status string.  A failed solve raises
     linalg.SolveError naming its level and t.
@@ -273,7 +318,7 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     for t in t_list:
         cfg = replace(config, t=t)
         prev = None
-        for level in range(levels):
+        for level in range(1 if config.bc == "clamped" else 0, levels):
             if kernels_chain[level] is None:
                 kernels_chain[level] = MeshKernels(mesh_chain[level], cfg)
             start = time.perf_counter()

@@ -54,6 +54,20 @@ def symmetric_from_coo(n, rows, cols, vals):
     return (lower + lower.T - sp.diags(lower.diagonal())).tocsc()
 
 
+def _scaled(A, s):
+    """diag(s) A diag(s) of a CSC matrix A, with sorted indices and no stored zeros.
+
+    Each entry is (s_i a_ij) s_j, as the sparse product diags(s) @ A @
+    diags(s) forms it, and the entries that come out zero are dropped, as
+    that product drops them.
+    """
+    scaled = A.sorted_indices()
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(scaled.indptr))
+    scaled.data = (s[scaled.indices] * scaled.data) * s[cols]
+    scaled.eliminate_zeros()
+    return scaled
+
+
 def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None):
     """Solve A x = b for symmetric positive definite A.
 
@@ -83,9 +97,8 @@ def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None):
         # equations span many orders of magnitude in h and t, the scaled
         # system is the same one in exact arithmetic
         s = 1.0 / np.sqrt(d)
-        scaled = sp.diags(s) @ full @ sp.diags(s)
         lu = spla.splu(
-            scaled.tocsc(),
+            _scaled(full, s),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},

@@ -5,12 +5,16 @@ These are the per-element formulas the stacked code in `plate_dpg.hct`,
 reproduces bit for bit: the reduced HCT basis and the basis tables of
 each triangle are built on their own, every test-function feature is a
 zero-padded (nq, n_test) array built with `_place`, and every loop runs
-in element order.  Tests compare the package against them with
-`np.array_equal` and equal bytes.
+in element order.  The condensation and the estimator go through scipy's
+`cho_factor` and `cho_solve`, the trace blocks of a stack accumulate in
+strided column views (`strided_b_trace`), and the Jacobi scaling of the
+direct solve is a sparse matrix product (`diags_scaled`).  Tests compare
+the package against them with `np.array_equal` and equal bytes.
 """
 
 import numpy as np
-from scipy.linalg import null_space
+import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve, null_space
 
 from plate_dpg import dpg, linalg, manufactured, quadrature
 from plate_dpg.hct import _GRAD_S, _VALUE_S, N_DOFS
@@ -260,6 +264,87 @@ class LoopKernel:
         return dpg.ElementSystem(G, B, self.load(f_values, t))
 
 
+def cho_equilibrated_cholesky(G):
+    """(cho_factor result, 1 / sqrt(diag G)) of the equilibrated G of one element."""
+    d = np.sqrt(np.diag(G))
+    if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
+        raise np.linalg.LinAlgError("Gram matrix has a non-positive diagonal")
+    dinv = 1.0 / d
+    Gt = G * dinv[:, None] * dinv[None, :]
+    return cho_factor(0.5 * (Gt + Gt.T), lower=True), dinv
+
+
+def cho_normal_contribution(system):
+    """(B^T G^{-1} B, B^T G^{-1} l) of one element through cho_factor and cho_solve."""
+    cho, dinv = cho_equilibrated_cholesky(system.G)
+    Bt = system.B * dinv[:, None]
+    Y = cho_solve(cho, Bt)
+    A = Bt.T @ Y
+    b = Y.T @ (system.l * dinv)
+    return 0.5 * (A + A.T), b
+
+
+def cho_residual(system, x_local):
+    """Test-norm magnitude of l - B x of one element through cho_factor and cho_solve."""
+    cho, dinv = cho_equilibrated_cholesky(system.G)
+    r = (system.l - system.B @ x_local) * dinv
+    val = float(r @ cho_solve(cho, r))
+    return np.sqrt(max(val, 0.0))
+
+
+def strided_b_trace(k, t):
+    """`dpg.b_trace` of a stack, accumulated in strided column views of one array."""
+    n_test = k.layout.n_test(t)
+    B = np.zeros((len(k), n_test, dpg.N_TRACE_COLS))
+    tt = t * t
+    for e in range(3):
+        w = k.ew[:, e, :, None]
+        n0 = k.en[:, e, 0, None, None]
+        n1 = k.en[:, e, 1, None, None]
+        tv, tx, ty = k.tv[:, e], k.tx[:, e], k.ty[:, e]
+        hv, hx, hy = k.hv[:, e], k.hx[:, e], k.hy[:, e]
+        dTh1 = dpg._Blocks({1: tx, 2: ty})
+        dTh2 = dpg._Blocks({2: tx, 3: ty})
+        Thn1 = dpg._Blocks({1: n0 * tv, 2: n1 * tv})
+        Thn2 = dpg._Blocks({2: n0 * tv, 3: n1 * tv})
+        zf = dpg._place(0, tv)
+        w1 = dpg._place(0, tx) - tt * dTh1
+        w2 = dpg._place(0, ty) - tt * dTh2
+        qn = n0 * dTh1 + n1 * dTh2
+        if t > 0.0:
+            qn = qn.update(0, np.subtract, t * (n0 * tx + n1 * ty))
+            qn = qn.update(4, np.add, t * n0 * tv)
+            qn = qn.update(5, np.add, t * n1 * tv)
+        qnT, Thn1T, Thn2T, zfT, w1T, w2T = (
+            (w * F).full(n_test).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
+        )
+        B[:, :, 0:9] += qnT @ (-hv) + Thn1T @ hx + Thn2T @ hy
+        for c, (d1, d2, m1, m2) in enumerate(
+            (
+                (hx, None, n0 * hv, None),
+                (hy, hx, n1 * hv, n0 * hv),
+                (None, hy, None, n1 * hv),
+            )
+        ):
+            cols = slice(9 * (c + 1), 9 * (c + 2))
+            if d1 is not None:
+                B[:, :, cols] += zfT @ (n0 * d1)
+                B[:, :, cols] -= tt * (Thn1T @ d1)
+            if d2 is not None:
+                B[:, :, cols] += zfT @ (n1 * d2)
+                B[:, :, cols] -= tt * (Thn2T @ d2)
+            if m1 is not None:
+                B[:, :, cols] -= w1T @ m1
+            if m2 is not None:
+                B[:, :, cols] -= w2T @ m2
+    return B
+
+
+def diags_scaled(A, s):
+    """diag(s) A diag(s) as a CSC matrix, through scipy's sparse matrix products."""
+    return (sp.diags(s) @ sp.csc_matrix(A) @ sp.diags(s)).tocsc()
+
+
 def loop_kernels(mesh, config):
     """One LoopKernel per element, with the load values at its quadrature points."""
     kernels = [LoopKernel(mesh.triangle_coords(ti), BrokenTestBasis(config.test_degree),
@@ -293,7 +378,7 @@ def loop_solve(mesh, config, kernels, f_values, dof):
     systems = []
     for ti in range(mesh.num_triangles):
         sysm = kernels[ti].system(config.t, f_values[ti])
-        A_T, b_T = dpg.local_normal_contribution(sysm)
+        A_T, b_T = cho_normal_contribution(sysm)
         systems.append(sysm)
         fidx = dof.free_index[element_dofs(dof, ti)]
         keep = fidx >= 0
@@ -310,7 +395,7 @@ def loop_solve(mesh, config, kernels, f_values, dof):
     x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver, tol=config.cg_tol)
     eta_sq = np.empty(mesh.num_triangles)
     for ti in range(mesh.num_triangles):
-        eta_sq[ti] = dpg.local_residual(systems[ti], x[element_dofs(dof, ti)]) ** 2
+        eta_sq[ti] = cho_residual(systems[ti], x[element_dofs(dof, ti)]) ** 2
     return A, rhs, x, np.sqrt(eta_sq)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from plate_dpg import linalg
-from plate_dpg.cli import build_parser
+from plate_dpg.cli import build_parser, main
 from plate_dpg.dpg import (
     ProblemConfig,
     local_normal_contribution,
@@ -348,6 +348,8 @@ def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     (["--quad-degree", "2"], "quadrature degree 2"),
     (["--bc", "clamped"], "clamped plates"),
     (["--test-degree", "7"], "test degree 7"),
+    (["--bc", "clamped", "--t-list", "0", "--levels", "1"],
+     "--levels must be >= 2 for clamped plates"),
 ])
 def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
     out = tmp_path / "study.csv"
@@ -359,17 +361,55 @@ def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
     assert not out.exists()
 
 
-def test_cli_study_names_the_failed_solve(run_cli, tmp_path):
-    # the level-0 clamped system is singular (ROADMAP item 6); this used to
-    # end in a NotPositiveDefiniteError traceback
+def test_cli_study_names_the_failed_solve(monkeypatch, capsys, tmp_path):
+    # a failed solve used to end in a NotPositiveDefiniteError traceback;
+    # here every solve past level 0 fails as a singular matrix would
+    solve = linalg.solve_spd
+
+    def singular_past_level_0(A, b, **kwargs):
+        if A.shape[0] > 44:
+            raise linalg.NotPositiveDefiniteError(52)
+        return solve(A, b, **kwargs)
+
+    monkeypatch.setattr(linalg, "solve_spd", singular_past_level_0)
     out = tmp_path / "study.csv"
-    proc = run_cli(["study", "--bc", "clamped", "--t-list", "0", "--levels", "1",
-                    "--quiet", "--out", str(out)], tmp_path)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
-        "plate-dpg study: error: level 0, t = 0: "
+    assert main(["study", "--t-list", "1e-2", "--levels", "2", "--quiet",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "plate-dpg study: error: level 1, t = 0.01: "
         "matrix is not positive definite (pivot 52)"]
     assert not out.exists()
+
+
+def test_cli_clamped_study_starts_at_level_1_and_converges(run_cli, tmp_path):
+    # level 0 of a clamped plate is singular in a trace gauge, so the study
+    # skips it; the rates approach 1 as they do for the simple support
+    proc = run_cli(["study", "--bc", "clamped", "--t-list", "0", "--levels", "5",
+                    "--quiet"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines[1:]]
+    assert [row["level"] for row in rows] == ["1", "2", "3", "4"]
+    assert rows[0]["rate_u"] == "nan"
+    assert 0.9 <= float(rows[-1]["rate_u"]) <= 1.2
+
+
+def test_solution_stats_report_the_solve():
+    sol = assemble_and_solve(mesh_at_level(2), ProblemConfig(t=1e-2))
+    stats = sol.stats
+    assert set(stats) == {"systems_s", "assembly_s", "solve_s", "estimator_s",
+                          "n_free", "nnz", "residual_inf", "gram_pivot_min",
+                          "eta_max", "eta_mean"}
+    assert all(np.isfinite(value) for value in stats.values())
+    assert all(stats[key] >= 0.0 for key in stats if key.endswith("_s"))
+    assert stats["n_free"] == sol.n_free
+    assert stats["residual_inf"] == sol.residual_inf
+    assert 0 < stats["nnz"] <= sol.n_free ** 2
+    # the pivots of a unit-diagonal matrix lie in (0, 1]
+    assert 0.0 < stats["gram_pivot_min"] <= 1.0
+    assert stats["eta_max"] == sol.eta_elements.max()
+    assert sol.eta_elements.min() <= stats["eta_mean"] <= stats["eta_max"]
 
 
 def test_cg_tolerance_defaults_agree():

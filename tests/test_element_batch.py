@@ -2,17 +2,32 @@
 
 The reference in `element_loop.py` builds every element's HCT basis and
 tables, its system, the COO triplets, the rhs sums, the estimator and the
-L2 errors one element at a time with zero-padded features.  The stacked
-code must give the same bits: `np.array_equal` and equal bytes, so
-signed zeros count too.
+L2 errors one element at a time with zero-padded features, condenses
+through scipy's `cho_factor`/`cho_solve`, and keeps the strided trace
+accumulation and the sparse-product Jacobi scaling.  The stacked code
+must give the same bits: `np.array_equal` and equal bytes, so signed
+zeros count too.
 """
+
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from element_loop import LoopHct, LoopKernel, loop_kernels, loop_l2_errors, loop_solve
-from plate_dpg import dpg, driver, manufactured
-from plate_dpg.dpg import ElementTables, ProblemConfig
+from element_loop import (
+    LoopHct,
+    LoopKernel,
+    cho_normal_contribution,
+    cho_residual,
+    diags_scaled,
+    loop_kernels,
+    loop_l2_errors,
+    loop_solve,
+    strided_b_trace,
+)
+from plate_dpg import dpg, driver, linalg, manufactured
+from plate_dpg.dpg import ElementSystem, ElementTables, ProblemConfig
 from plate_dpg.hct import build_hct_element
 from plate_dpg.mesh import Mesh, mesh_at_level
 
@@ -205,3 +220,102 @@ def test_kept_systems_drop_the_gram_matrices():
     # B of each system is a view into a stack of B only
     n, m = systems[0].B.shape
     assert all(s.B.base is not None and s.B.base.shape[1:] == (n, m) for s in systems)
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_b_trace_matches_strided_accumulation(name):
+    tables = ElementTables.build(triangles_of(name))
+    for t in T_VALUES:
+        assert_same_bits(dpg.b_trace(tables, t), strided_b_trace(tables, t))
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_condensation_and_estimator_match_cho_wrappers(name):
+    mesh = MESHES[name]()
+    kernels = driver.MeshKernels(mesh, ProblemConfig())
+    rng = np.random.default_rng(17)
+    for t in T_VALUES:
+        cfg = ProblemConfig(t=t)
+        for lo in range(0, mesh.num_triangles, dpg.CHUNK):
+            for sysm in driver.element_system(kernels, slice(lo, lo + dpg.CHUNK), cfg):
+                A, b = dpg.local_normal_contribution(sysm)
+                A_ref, b_ref = cho_normal_contribution(sysm)
+                assert_same_bits(A, A_ref)
+                assert_same_bits(b, b_ref)
+                x = rng.standard_normal(sysm.B.shape[1])
+                assert_same_bits(dpg.local_residual(sysm, x), cho_residual(sysm, x))
+
+
+@pytest.mark.parametrize("name", MESHES)
+def test_jacobi_scaling_matches_diags_product(name):
+    mesh = MESHES[name]()
+    kernels = driver.MeshKernels(mesh, ProblemConfig())
+    for t in T_VALUES:
+        _, _, A, _ = driver.assemble(mesh, ProblemConfig(t=t), kernels)
+        s = 1.0 / np.sqrt(A.diagonal())
+        got, expect = linalg._scaled(A, s), diags_scaled(A, s)
+        for part in ("data", "indices", "indptr"):
+            assert_same_bits(getattr(got, part), getattr(expect, part))
+
+
+def test_jacobi_scaling_drops_zeros_as_the_product_does():
+    # stored zeros at (0, 1) and (1, 0), and entries at (0, 2) and (2, 0)
+    # whose scaled value underflows to zero
+    data = [1e300, 0.0, 1e-30, 0.0, 2.0, 0.5, 1e-30, 0.5, 1e300]
+    A = sp.csc_matrix((data, [0, 1, 2] * 3, [0, 3, 6, 9]), shape=(3, 3))
+    before = [getattr(A, part).copy() for part in ("data", "indices", "indptr")]
+    s = 1.0 / np.sqrt(A.diagonal())
+    got, expect = linalg._scaled(A, s), diags_scaled(A, s)
+    assert expect.nnz == A.nnz - 4
+    for part in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(got, part), getattr(expect, part))
+    # A itself is left as it was
+    for part, old in zip(("data", "indices", "indptr"), before):
+        assert_same_bits(getattr(A, part), old)
+
+
+def one_element_system(t=1e-2):
+    tables = ElementTables.build(random_triangles()[5:6])
+    G = dpg.gram(tables, t)[0]
+    B = np.concatenate([dpg.b_field(tables, t), dpg.b_trace(tables, t)], axis=2)[0]
+    l = dpg.load(tables, np.ones(tables.vw.shape), t)[0]
+    return G, B, l
+
+
+def spoil(case, G, B):
+    if case == "negative diagonal":
+        G[3, 3] = -1.0
+    elif case == "NaN in B":
+        B[2, 5] = np.nan
+    else:
+        # the equilibrated leading 2x2 block becomes [[1, 10], [10, 1]]
+        G[0, 1] = G[1, 0] = 10.0 * np.sqrt(G[0, 0] * G[1, 1])
+
+
+@pytest.mark.parametrize("case, error", [
+    ("negative diagonal", np.linalg.LinAlgError),
+    ("NaN in B", ValueError),
+    ("indefinite G", np.linalg.LinAlgError),
+])
+def test_bad_systems_raise_what_the_cho_wrappers_raised(case, error):
+    G, B, l = one_element_system()
+    spoil(case, G, B)
+    with pytest.raises(error) as old:
+        cho_normal_contribution(ElementSystem(G, B, l))
+    with pytest.raises(error) as new:
+        dpg.local_normal_contribution(ElementSystem(G, B, l))
+    assert str(new.value) == str(old.value)
+    # a stack goes through the same checks
+    with pytest.raises(error, match=re.escape(str(old.value))):
+        dpg.gram_factors(np.stack([G, G]), np.stack([B, B]), np.stack([l, l]))
+
+
+def test_non_finite_trial_dofs_raise_what_the_cho_wrappers_raised():
+    G, B, l = one_element_system()
+    x = np.zeros(B.shape[1])
+    x[4] = np.nan
+    with pytest.raises(ValueError) as old:
+        cho_residual(ElementSystem(G, B, l), x)
+    with pytest.raises(ValueError) as new:
+        dpg.local_residual(ElementSystem(G, B, l), x)
+    assert str(new.value) == str(old.value)
