@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dpg import ElementTables, ProblemConfig, gram, gram_factors
+from .dpg import ElementKernel, ProblemConfig, gram, gram_factors
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
 from .linalg import SolveError
@@ -29,17 +29,6 @@ def _parse_t_list(text):
     return values
 
 
-def _build_config(args, t):
-    return ProblemConfig(
-        t=t,
-        bc=args.bc,
-        test_degree=args.test_degree,
-        quad_degree=args.quad_degree,
-        solver=args.solver,
-        cg_tol=args.cg_tol,
-    )
-
-
 def _reject(args, message):
     """The one-line error of argparse, without its usage block; exit status 2."""
     print(f"plate-dpg {args.command}: error: {message}", file=sys.stderr)
@@ -51,7 +40,9 @@ def _cmd_study(args):
     if args.levels < 1:
         return _reject(args, f"--levels must be >= 1 (got {args.levels})")
     try:
-        configs = [_build_config(args, t) for t in t_list]
+        configs = [ProblemConfig(t=t, bc=args.bc, test_degree=args.test_degree,
+                                 quad_degree=args.quad_degree, solver=args.solver)
+                   for t in t_list]
     except ValueError as err:
         return _reject(args, str(err))
     config = configs[0]
@@ -113,11 +104,11 @@ def _property_suite(lines):
     if np.linalg.det(coords[1:] - coords[0]) < 0:
         coords = coords[[0, 2, 1]]
     element = build_hct_element(coords)
-    kernel = ElementTables.build([coords])
+    tables = ElementKernel([coords])
     worst = 0.0
     for t in (0.0, 1e-8, 1.0):
         try:
-            gram_factors(gram(kernel, t))
+            gram_factors(gram(tables, t))
         except np.linalg.LinAlgError:
             worst = np.inf
     ok &= _check(lines, "Gram matrices positive definite", worst, 0)
@@ -199,8 +190,6 @@ def build_parser():
     study.add_argument("--test-degree", type=int, default=3,
                        help="polynomial degree of the broken test space")
     study.add_argument("--solver", choices=("direct", "cg"), default="direct")
-    study.add_argument("--cg-tol", type=float, default=ProblemConfig.cg_tol,
-                       help="relative residual at which --solver cg stops")
     study.add_argument("--out", default="-",
                        help="output CSV path, '-' for stdout")
     study.add_argument("--dump-mesh", default=None, metavar="PATH",

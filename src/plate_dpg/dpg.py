@@ -16,19 +16,18 @@ whose t = 0 limit drops the tau blocks entirely.  The bilinear form pairs
 trial fields against volume terms and the trace unknowns against the
 element boundary through edge integrals; local normal equations
 B^T G^{-1} B are produced by one Cholesky factorization of G per element
-(after a symmetric diagonal scaling that leaves them invariant).  The
-scaling and the input checks run on a stack of elements at once; only
-LAPACK's potrf and potrs run per element.
+(after a symmetric diagonal scaling that leaves them invariant).  Every
+function here takes a stack of elements on a leading axis; only LAPACK's
+potrf and potrs, and the estimator's scalar dot, run per element.
 """
 
-import functools
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import hct, quadrature, testspace
-from .linalg import CG_TOL
 from .testspace import BarycentricMap, BrokenTestBasis
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
@@ -50,7 +49,6 @@ class ProblemConfig:
     test_degree: int = 3
     quad_degree: int = 14
     solver: str = "direct"
-    cg_tol: float = CG_TOL
 
     def __post_init__(self):
         """Reject every setting the solver cannot honour, with a one-line message."""
@@ -71,118 +69,66 @@ class ProblemConfig:
             raise ValueError(f"quadrature degree {self.quad_degree} is outside "
                              f"[{lowest}, {quadrature.MAX_TRIANGLE_DEGREE}] for test "
                              f"degree {self.test_degree}")
-        if not (np.isfinite(self.cg_tol) and self.cg_tol > 0.0):
-            raise ValueError(f"CG tolerance {self.cg_tol!r} must be finite and > 0")
 
     def n_field(self):
         return 6 if self.t > 0.0 else 4
 
 
-@dataclass
-class ElementSystem:
-    """Local Gram matrix, extended trial-to-test matrix, and load vector.
-
-    `gram_factor` factors G on first use and keeps the factor, so a caller
-    that holds the system only for `local_residual` after
-    `local_normal_contribution` may drop G.  `driver.element_system` sets
-    the factors of a whole stack at once.
-    """
-
-    G: np.ndarray | None
-    B: np.ndarray
-    l: np.ndarray
-
-    @functools.cached_property
-    def gram_factor(self):
-        """(Cholesky factor, 1 / sqrt(diag G)) of the equilibrated G, computed once."""
-        L, dinv = gram_factors(self.G[None], self.B[None], self.l[None])
-        return L[0], dinv[0]
-
-
 class ElementKernel:
-    """Basis tables of a chunk of triangles at their volume and edge quadrature points.
+    """Basis tables of a stack of triangles at their volume and edge quadrature points.
 
-    `coords` (n, 3, 2) holds the chunk's vertices; every table carries the
-    chunk on its leading axis, and each basis table comes from one stacked
-    evaluation.  Edge tables are stacked over the three edges: weights `ew`
-    (n, 3, nqe), outward unit normals `en` (n, 3, 2), test basis `tv`,
-    `tx`, `ty` (n, 3, nqe, n_scalar) and C1 trace basis `hv`, `hx`, `hy`
-    (n, 3, nqe, 9).
-    """
-
-    def __init__(self, coords, layout, quad_degree=14):
-        coords = np.asarray(coords, dtype=float)
-        bary = BarycentricMap(coords)
-        vol = quadrature.triangle_rule(quad_degree)
-        self.vpts, self.vw = quadrature.map_to_triangles(vol, coords)
-        val, grad, hess = layout.tables(bary, self.vpts)
-        self.V = val
-        self.Dx, self.Dy = grad[..., 0], grad[..., 1]
-        self.Hxx, self.Hxy, self.Hyy = hess[..., 0], hess[..., 1], hess[..., 2]
-
-        erule = quadrature.edge_rule(EDGE_DEGREE)
-        ends = coords[:, [1, 2, 0]]
-        pts, self.ew = quadrature.map_to_edge(erule, coords, ends)
-        self.en = hct.unit_normals(coords, ends)
-        tval, tgrad, _ = layout.tables(bary, pts)
-        self.tv, self.tx, self.ty = tval, tgrad[..., 0], tgrad[..., 1]
-        element = hct.build_hct_element(coords)
-        traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
-        self.hv = np.stack([v for v, _ in traces], axis=1)
-        hgrad = np.stack([g for _, g in traces], axis=1)
-        self.hx, self.hy = hgrad[..., 0], hgrad[..., 1]
-
-
-@dataclass
-class ElementTables:
-    """The `ElementKernel` tables of a mesh's elements, stacked on a leading axis.
-
-    Slicing with a slice of element indices gives the tables of those
-    elements as views.  `gram`, `b_field`, `b_trace` and `load` take a
-    stack and return one matrix or vector per element.
+    Built from the triangles `coords` (ne, 3, 2) in one stacked call per
+    CHUNK of them, with the quadrature rules taken once.  Every table
+    carries the elements on its leading axis.  Volume tables: points
+    `vpts` (ne, nq, 2), weights `vw` (ne, nq), test basis values `V` and
+    derivatives `Dx`, `Dy`, `Hxx`, `Hxy`, `Hyy` (ne, nq, n_scalar).  Edge
+    tables are stacked over the three edges: weights `ew` (ne, 3, nqe),
+    outward unit normals `en` (ne, 3, 2), test basis `tv`, `tx`, `ty`
+    (ne, 3, nqe, n_scalar) and C1 trace basis `hv`, `hx`, `hy`
+    (ne, 3, nqe, 9).  Slicing with a slice of element indices gives the
+    tables of those elements as views.  `gram`, `b_field`, `b_trace` and
+    `load` take a stack and return one matrix or vector per element.
     """
 
     NAMES = ("vpts", "vw", "V", "Dx", "Dy", "Hxx", "Hxy", "Hyy",
              "ew", "en", "tv", "tx", "ty", "hv", "hx", "hy")
 
-    layout: BrokenTestBasis
-    vpts: np.ndarray      # (ne, nq, 2) volume quadrature points
-    vw: np.ndarray        # (ne, nq) volume quadrature weights
-    V: np.ndarray         # (ne, nq, n_scalar) test basis values ...
-    Dx: np.ndarray        # ... first derivatives ...
-    Dy: np.ndarray
-    Hxx: np.ndarray       # ... and second derivatives
-    Hxy: np.ndarray
-    Hyy: np.ndarray
-    ew: np.ndarray        # (ne, 3, nqe) edge quadrature weights
-    en: np.ndarray        # (ne, 3, 2) outward unit normals
-    tv: np.ndarray        # (ne, 3, nqe, n_scalar) test basis on the edges
-    tx: np.ndarray
-    ty: np.ndarray
-    hv: np.ndarray        # (ne, 3, nqe, 9) C1 trace basis on the edges
-    hx: np.ndarray
-    hy: np.ndarray
-
-    @classmethod
-    def build(cls, coords, layout=None, quad_degree=14):
-        """Tables of the triangles `coords` (ne, 3, 2), one `ElementKernel` per CHUNK."""
-        layout = layout if layout is not None else BrokenTestBasis()
-        stacks = None
+    def __init__(self, coords, layout=None, quad_degree=14):
+        self.layout = layout if layout is not None else BrokenTestBasis()
+        coords = np.asarray(coords, dtype=float)
+        vol = quadrature.triangle_rule(quad_degree)
+        erule = quadrature.edge_rule(EDGE_DEGREE)
         for lo in range(0, len(coords), CHUNK):
-            kernel = ElementKernel(coords[lo : lo + CHUNK], layout, quad_degree)
-            if stacks is None:
-                stacks = {name: np.empty((len(coords),) + getattr(kernel, name).shape[1:])
-                          for name in cls.NAMES}
-            for name, table in stacks.items():
-                table[lo : lo + CHUNK] = getattr(kernel, name)
-        return cls(layout, **stacks)
+            xy = coords[lo : lo + CHUNK]
+            bary = BarycentricMap(xy)
+            vpts, vw = quadrature.map_to_triangles(vol, xy)
+            val, grad, hess = testspace.eval_scalar_basis(bary, vpts, self.layout.degree)
+            ends = xy[:, [1, 2, 0]]
+            epts, ew = quadrature.map_to_edge(erule, xy, ends)
+            tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, self.layout.degree)
+            element = hct.build_hct_element(xy)
+            traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
+            hgrad = np.stack([g for _, g in traces], axis=1)
+            chunk = dict(
+                vpts=vpts, vw=vw, V=val, Dx=grad[..., 0], Dy=grad[..., 1],
+                Hxx=hess[..., 0], Hxy=hess[..., 1], Hyy=hess[..., 2],
+                ew=ew, en=hct.unit_normals(xy, ends),
+                tv=tval, tx=tgrad[..., 0], ty=tgrad[..., 1],
+                hv=np.stack([v for v, _ in traces], axis=1),
+                hx=hgrad[..., 0], hy=hgrad[..., 1])
+            for name in self.NAMES:
+                if lo == 0:
+                    setattr(self, name, np.empty((len(coords),) + chunk[name].shape[1:]))
+                getattr(self, name)[lo : lo + CHUNK] = chunk[name]
 
     def __len__(self):
         return self.vw.shape[0]
 
     def __getitem__(self, elements):
-        return ElementTables(self.layout, **{name: getattr(self, name)[elements]
-                                             for name in self.NAMES})
+        view = copy.copy(self)  # the constructor would rebuild the tables
+        for name in self.NAMES:
+            setattr(view, name, getattr(self, name)[elements])
+        return view
 
 
 class _Blocks:
@@ -388,10 +334,11 @@ def gram_factors(G, *data):
     that is not positive definite, ValueError for a non-finite entry of the
     scaled G or of the further arrays `data` (the elements' B and l).
     """
-    d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
-    if not (np.isfinite(d) & (d > 0.0)).all():
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    # checked before the square root, which would warn on a negative entry
+    if not (np.isfinite(diag) & (diag > 0.0)).all():
         raise np.linalg.LinAlgError("Gram matrix has a non-positive diagonal")
-    dinv = 1.0 / d
+    dinv = 1.0 / np.sqrt(diag)
     Gt = G * dinv[:, :, None] * dinv[:, None, :]
     S = 0.5 * (Gt + Gt.transpose(0, 2, 1))
     if not all(np.isfinite(a).all() for a in (S, *data)):
@@ -411,35 +358,41 @@ def gram_factors(G, *data):
 
 
 def _cho_solve(L, rhs):
-    """G^{-1} rhs from the factor L of `gram_factors`, as `cho_solve` gives it."""
+    """G^{-1} rhs from one factor L of `gram_factors`, as `cho_solve` gives it."""
     x, info = dpotrs(L, rhs, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
 
 
-def local_normal_contribution(system):
-    """Element contribution (B^T G^{-1} B, B^T G^{-1} l) to the normal equations.
+def condense(L, dinv, B, l):
+    """Element contributions (B^T G^{-1} B, B^T G^{-1} l) to the normal equations.
 
-    One Cholesky factorization of the (diagonally equilibrated) Gram matrix
-    plus triangular solves; the result is invariant under the scaling.
+    Takes the factors (L, dinv) of `gram_factors` and the stacks B
+    (ne, n, m) and l (ne, n); returns A (ne, m, m) and b (ne, m).  The
+    result is invariant under the equilibration.  Y's slices are
+    Fortran-ordered, as potrs returns them, so the stacked products make
+    the BLAS calls of the per-element ones.
     """
-    L, dinv = system.gram_factor
-    Bt = system.B * dinv[:, None]
-    Y = _cho_solve(L, Bt)
-    A = Bt.T @ Y
-    b = Y.T @ (system.l * dinv)
-    return 0.5 * (A + A.T), b
+    Bt = B * dinv[:, :, None]
+    ne, n, m = B.shape
+    Y = np.empty((ne, m, n)).transpose(0, 2, 1)
+    for Li, Bi, Yi in zip(L, Bt, Y):
+        Yi[...] = _cho_solve(Li, Bi)
+    A = Bt.transpose(0, 2, 1) @ Y
+    b = (Y.transpose(0, 2, 1) @ (l * dinv)[:, :, None])[:, :, 0]
+    return 0.5 * (A + A.transpose(0, 2, 1)), b
 
 
-def local_residual(system, x_local):
-    """Test-norm magnitude of the local residual l - B x for given trial dofs.
+def local_residuals(L, dinv, B, l, x_loc):
+    """Test-norm magnitudes (ne,) of the local residuals l - B x for trial dofs x_loc (ne, m).
 
-    Reuses the Gram factorization of `local_normal_contribution`.
+    Reuses the factors (L, dinv) of `gram_factors` that `condense` used.
     """
-    L, dinv = system.gram_factor
-    r = (system.l - system.B @ x_local) * dinv
+    r = (l - (B @ x_loc[:, :, None])[:, :, 0]) * dinv
     if not np.isfinite(r).all():
         raise ValueError("array must not contain infs or NaNs")
-    val = float(r @ _cho_solve(L, r))
-    return np.sqrt(max(val, 0.0))
+    eta = np.empty(len(r))
+    for i, (Li, ri) in enumerate(zip(L, r)):
+        eta[i] = np.sqrt(max(float(ri @ _cho_solve(Li, ri)), 0.0))
+    return eta

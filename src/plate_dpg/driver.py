@@ -8,11 +8,11 @@ elimination of vertex dofs, which zeroes the corresponding edge traces
 exactly: the value trace of a C1 field along a boundary edge is the
 cubic fixed by the endpoint values and tangential derivatives.
 
-Element tables (`dpg.ElementTables`) and element systems are built in
-chunks of `dpg.CHUNK` elements; each stacked operation gives every element
-the bits of the per-element formulas.  Assembly accumulates the element
-normal-equation contributions in element order, so the reduction is
-deterministic for a fixed mesh.
+Element tables (`dpg.ElementKernel`), element systems, their
+condensation and the estimator run on chunks of `dpg.CHUNK` elements; each
+stacked operation gives every element the bits of the per-element
+formulas.  Assembly accumulates the element normal-equation contributions
+in element order, so the reduction is deterministic for a fixed mesh.
 """
 
 import contextlib
@@ -114,7 +114,7 @@ class MeshKernels:
         self.triangles = mesh.triangles.copy()
         self.test_degree = config.test_degree
         self.quad_degree = config.quad_degree
-        self.tables = dpg.ElementTables.build(
+        self.tables = dpg.ElementKernel(
             mesh.vertices[mesh.triangles], BrokenTestBasis(config.test_degree),
             config.quad_degree)
         ex = manufactured.ExactSolution(0.0)
@@ -158,13 +158,12 @@ def _timed(stats, phase):
 
 
 def element_system(kernels, elements, config, stats=None):
-    """Local systems of the elements in the slice `elements`, built as one batch.
+    """Factored local systems of the elements in the slice `elements`, built as one stack.
 
-    G and B are stacked separately and each system holds views of them, so
-    the systems kept after G is dropped keep only the B stack and the
-    stack of Gram factors alive.  The Gram matrices are factored as one
-    stack (`dpg.gram_factors`), and a given dict `stats` keeps the smallest
-    pivot in "gram_pivot_min".
+    Returns (L, dinv, B, l): the equilibrated Gram factors of
+    `dpg.gram_factors`, the trial-to-test matrices (ne, n_test, m) and the
+    load vectors (ne, n_test).  G itself is not kept.  A given dict
+    `stats` keeps the smallest pivot in "gram_pivot_min".
     """
     k = kernels.tables[elements]
     t = config.t
@@ -175,19 +174,16 @@ def element_system(kernels, elements, config, stats=None):
     if stats is not None:
         pivot = float(np.diagonal(L, axis1=1, axis2=2).min()) ** 2
         stats["gram_pivot_min"] = min(stats.get("gram_pivot_min", np.inf), pivot)
-    systems = [dpg.ElementSystem(*arrays) for arrays in zip(G, B, l)]
-    for sysm, factor in zip(systems, zip(L, dinv)):
-        sysm.gram_factor = factor
-    return systems
+    return L, dinv, B, l
 
 
 def assemble(mesh, config, kernels, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
-    Returns (dof map, element systems, A as a full CSC matrix, rhs).  The
-    COO triplets and the rhs sums run element by element, in element order.
-    A given dict `stats` receives systems_s, assembly_s, gram_pivot_min
-    and nnz (see `Solution.stats`).
+    Returns (dof map, the `element_system` stacks of each chunk, A as a
+    full CSC matrix, rhs).  The COO triplets and the rhs sums run element
+    by element, in element order.  A given dict `stats` receives
+    systems_s, assembly_s, gram_pivot_min and nnz (see `Solution.stats`).
     """
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
@@ -195,16 +191,12 @@ def assemble(mesh, config, kernels, stats=None):
     m = dof.element_dofs.shape[1]
     A_loc = np.empty((nt, m, m))
     b_loc = np.empty((nt, m))
-    systems = []
+    chunks = []
     with _timed(stats, "systems_s"):
         for lo in range(0, nt, dpg.CHUNK):
             chunk = element_system(kernels, slice(lo, lo + dpg.CHUNK), config, stats)
-            for ti, sysm in enumerate(chunk, lo):
-                A_loc[ti], b_loc[ti] = dpg.local_normal_contribution(sysm)
-                # the estimator needs G only through its cached factor: keep
-                # one n x n array per element, not two
-                sysm.G = None
-            systems += chunk
+            A_loc[lo : lo + dpg.CHUNK], b_loc[lo : lo + dpg.CHUNK] = dpg.condense(*chunk)
+            chunks.append(chunk)
 
     with _timed(stats, "assembly_s"):
         fidx = dof.free_index[dof.element_dofs]
@@ -217,7 +209,7 @@ def assemble(mesh, config, kernels, stats=None):
         rhs = np.zeros(dof.n_free)
         np.add.at(rhs, fidx[keep], b_loc[keep])
     stats["nnz"] = A.nnz
-    return dof, systems, A, rhs
+    return dof, chunks, A, rhs
 
 
 def assemble_and_solve(mesh, config, kernels=None):
@@ -231,11 +223,11 @@ def assemble_and_solve(mesh, config, kernels=None):
     else:
         kernels.check(mesh, config)
     stats = {}
-    dof, systems, A, rhs = assemble(mesh, config, kernels, stats)
+    dof, chunks, A, rhs = assemble(mesh, config, kernels, stats)
     nt = mesh.num_triangles
 
     with _timed(stats, "solve_s"):
-        x_free = linalg.solve_spd(A, rhs, method=config.solver, tol=config.cg_tol)
+        x_free = linalg.solve_spd(A, rhs, method=config.solver)
         res = np.abs(A @ x_free - rhs).max()
         scale = np.abs(rhs).max() + np.abs(A).max() * max(np.abs(x_free).max(), 1.0)
         residual_inf = res / scale
@@ -249,10 +241,11 @@ def assemble_and_solve(mesh, config, kernels=None):
     nf = dof.n_field
     fields = x[: dof.field_total].reshape(nt, nf)
     x_loc = x[dof.element_dofs]
-    eta_sq = np.empty(nt)
     with _timed(stats, "estimator_s"):
-        for ti in range(nt):
-            eta_sq[ti] = dpg.local_residual(systems[ti], x_loc[ti]) ** 2
+        eta = np.concatenate([dpg.local_residuals(*chunk, x_loc[lo : lo + dpg.CHUNK])
+                              for lo, chunk in zip(range(0, nt, dpg.CHUNK), chunks)])
+        # a scalar power calls libm's pow, whose bits can differ from eta * eta
+        eta_sq = np.array([e ** 2 for e in eta])
     eta_elements = np.sqrt(eta_sq)
     stats.update(n_free=dof.n_free, residual_inf=float(residual_inf),
                  eta_max=float(eta_elements.max()), eta_mean=float(eta_elements.mean()))

@@ -167,7 +167,3 @@ class BrokenTestBasis:
         """Slice of component `comp` in (z, th11, th12, th22, tau1, tau2)."""
         ns = self.n_scalar
         return slice(comp * ns, (comp + 1) * ns)
-
-    def tables(self, tri, pts):
-        """Scalar basis tables at `pts` for the triangles `tri` (vertices or map)."""
-        return eval_scalar_basis(tri, pts, self.degree)

@@ -12,6 +12,8 @@ direct solve is a sparse matrix product (`diags_scaled`).  Tests compare
 the package against them with `np.array_equal` and equal bytes.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, null_space
@@ -94,6 +96,10 @@ class LoopHct:
         return v @ C, np.einsum("qbd,bj->qjd", g, C)
 
 
+# the Gram matrix, trial-to-test matrix and load vector of one element
+LoopSystem = namedtuple("LoopSystem", "G B l")
+
+
 class LoopKernel:
     """Tables of one triangle and its element system, one element at a time."""
 
@@ -104,7 +110,7 @@ class LoopKernel:
         bary = BarycentricMap(self.coords)
         vol = quadrature.triangle_rule(quad_degree)
         self.vpts, self.vw = quadrature.map_to_triangle(vol, self.coords)
-        val, grad, hess = self.layout.tables(bary, self.vpts)
+        val, grad, hess = eval_scalar_basis(bary, self.vpts, self.layout.degree)
         self.V = val
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
@@ -118,7 +124,7 @@ class LoopKernel:
             we = erule.weights * np.hypot(*(q - p))
             d = q - p
             n = np.array([d[1], -d[0]]) / np.hypot(*d)
-            tval, tgrad, _ = self.layout.tables(bary, pts)
+            tval, tgrad, _ = eval_scalar_basis(bary, pts, self.layout.degree)
             hval, hgrad = self.hct.edge_trace(k, erule.points)
             self.edges.append(
                 dict(w=we, n=n, tv=tval, tx=tgrad[:, :, 0], ty=tgrad[:, :, 1],
@@ -126,7 +132,7 @@ class LoopKernel:
             )
 
     def table(self, name):
-        """The table `name` of `dpg.ElementTables.NAMES` for this element."""
+        """The table `name` of `dpg.ElementKernel.NAMES` for this element."""
         if hasattr(self, name):
             return getattr(self, name)
         key = {"ew": "w", "en": "n"}.get(name, name)
@@ -261,7 +267,7 @@ class LoopKernel:
     def system(self, t, f_values):
         G = self.gram(t)
         B = np.hstack([self.b_field(t), self.b_trace(t)])
-        return dpg.ElementSystem(G, B, self.load(f_values, t))
+        return LoopSystem(G, B, self.load(f_values, t))
 
 
 def cho_equilibrated_cholesky(G):
@@ -392,7 +398,7 @@ def loop_solve(mesh, config, kernels, f_values, dof):
         dof.n_free, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     )
     x = np.zeros(dof.n_total)
-    x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver, tol=config.cg_tol)
+    x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver)
     eta_sq = np.empty(mesh.num_triangles)
     for ti in range(mesh.num_triangles):
         eta_sq[ti] = cho_residual(systems[ti], x[element_dofs(dof, ti)]) ** 2

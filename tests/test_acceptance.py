@@ -14,14 +14,13 @@ import pytest
 
 from oracles import HctScalarField, hct_elements, interpolate, trace_pair_edge
 from plate_dpg.dpg import (
-    ElementSystem,
-    ElementTables,
+    ElementKernel,
     ProblemConfig,
     b_field,
     b_trace,
+    condense,
     gram,
     gram_factors,
-    local_normal_contribution,
 )
 from plate_dpg.driver import (
     MeshKernels,
@@ -183,7 +182,7 @@ def test_criterion_6_structural_properties(capsys):
     # Gram matrices stay symmetric positive definite across thickness
     for k in range(50):
         coords = _random_triangle(900 + k)
-        kern = ElementTables.build([coords])
+        kern = ElementKernel([coords])
         for t in (0.0, 1e-8, 1e-4, 1.0):
             G = gram(kern, t)[0]
             ok = ok and np.abs(G - G.T).max() == 0.0
@@ -318,12 +317,13 @@ def test_criterion_7_oracle_equivalences(capsys):
     worst = 0.0
     for k in range(20):
         coords = _shaped_triangle(500 + k)
-        kern = ElementTables.build([coords])
+        kern = ElementKernel([coords])
         t = t_cycle[k % 5]
         G = gram(kern, t)[0]
         B = np.hstack([b_field(kern, t)[0], b_trace(kern, t)[0]])
         l = rng.standard_normal(G.shape[0])
-        A, b = local_normal_contribution(ElementSystem(G, B, l))
+        L, dinv = gram_factors(G[None], B[None], l[None])
+        (A,), (b,) = condense(L, dinv, B[None], l[None])
         d = 1.0 / np.sqrt(np.diag(G))
         Gi = np.linalg.inv(G * d[:, None] * d[None, :])
         Bs = d[:, None] * B

@@ -3,18 +3,13 @@
 import io
 import math
 from dataclasses import replace
-from inspect import signature
 
 import numpy as np
 import pytest
 
 from plate_dpg import linalg
-from plate_dpg.cli import build_parser, main
-from plate_dpg.dpg import (
-    ProblemConfig,
-    local_normal_contribution,
-    local_residual,
-)
+from plate_dpg.cli import main
+from plate_dpg.dpg import ProblemConfig, condense, local_residuals
 from plate_dpg.driver import (
     CSV_HEADER,
     DX,
@@ -34,7 +29,7 @@ from plate_dpg.driver import (
     run_study,
     write_csv,
 )
-from plate_dpg.linalg import SolveError, solve_spd
+from plate_dpg.linalg import SolveError
 from plate_dpg.mesh import Mesh, mesh_at_level
 
 
@@ -190,8 +185,8 @@ def test_solution_minimizes_residual(level1):
 
     def eta_of(vec):
         s = 0.0
-        for ti in range(mesh.num_triangles):
-            s += local_residual(systems[ti], vec[dof.element_dofs[ti]]) ** 2
+        for eta_T in local_residuals(*systems, vec[dof.element_dofs]):
+            s += eta_T ** 2
         return math.sqrt(s)
 
     base = eta_of(x)
@@ -212,8 +207,8 @@ def test_normal_equations_hold_under_reassembly(level1):
     x = _full_coefficients(dof, sol)
     A = np.zeros((dof.n_free, dof.n_free))
     b = np.zeros(dof.n_free)
-    for ti, system in enumerate(element_system(kernels, slice(None), cfg)):
-        A_T, b_T = local_normal_contribution(system)
+    A_loc, b_loc = condense(*element_system(kernels, slice(None), cfg))
+    for ti, (A_T, b_T) in enumerate(zip(A_loc, b_loc)):
         fidx = dof.free_index[dof.element_dofs[ti]]
         keep = fidx >= 0
         sub = fidx[keep]
@@ -339,17 +334,16 @@ def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
 
 
 # before these settings were validated, each of them ran: --levels 0 wrote
-# a header-only CSV and exited 0, --cg-tol 0 died with "residual nan",
-# --quad-degree 2 with a "19-th leading minor" LinAlgError, and clamped
-# with the default t-list and --test-degree 7 with a traceback
+# a header-only CSV and exited 0, --quad-degree 2 died with a "19-th
+# leading minor" LinAlgError, and clamped with the default t-list, with
+# --levels 1 and --test-degree 7 with a traceback
 @pytest.mark.parametrize("args, message", [
     (["--levels", "0"], "--levels must be >= 1"),
-    (["--cg-tol", "0"], "CG tolerance"),
+    (["--bc", "clamped", "--t-list", "0", "--levels", "1"],
+     "--levels must be >= 2 for clamped plates"),
     (["--quad-degree", "2"], "quadrature degree 2"),
     (["--bc", "clamped"], "clamped plates"),
     (["--test-degree", "7"], "test degree 7"),
-    (["--bc", "clamped", "--t-list", "0", "--levels", "1"],
-     "--levels must be >= 2 for clamped plates"),
 ])
 def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
     out = tmp_path / "study.csv"
@@ -410,15 +404,3 @@ def test_solution_stats_report_the_solve():
     assert 0.0 < stats["gram_pivot_min"] <= 1.0
     assert stats["eta_max"] == sol.eta_elements.max()
     assert sol.eta_elements.min() <= stats["eta_mean"] <= stats["eta_max"]
-
-
-def test_cg_tolerance_defaults_agree():
-    # the CLI, ProblemConfig and solve_spd share one CG stopping tolerance,
-    # tight enough for the level-2 CG fields to meet criterion 7's 1e-8
-    defaults = {
-        "ProblemConfig": ProblemConfig().cg_tol,
-        "solve_spd": signature(solve_spd).parameters["tol"].default,
-        "plate-dpg study": build_parser().parse_args(["study"]).cg_tol,
-    }
-    assert len(set(defaults.values())) == 1, defaults
-    assert defaults["ProblemConfig"] <= 1e-14

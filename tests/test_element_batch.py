@@ -10,6 +10,7 @@ zeros count too.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ import scipy.sparse as sp
 from element_loop import (
     LoopHct,
     LoopKernel,
+    LoopSystem,
+    cho_equilibrated_cholesky,
     cho_normal_contribution,
     cho_residual,
     diags_scaled,
@@ -27,7 +30,7 @@ from element_loop import (
     strided_b_trace,
 )
 from plate_dpg import dpg, driver, linalg, manufactured
-from plate_dpg.dpg import ElementSystem, ElementTables, ProblemConfig
+from plate_dpg.dpg import ElementKernel, ProblemConfig
 from plate_dpg.hct import build_hct_element
 from plate_dpg.mesh import Mesh, mesh_at_level
 
@@ -101,14 +104,14 @@ def triangles_of(name):
 def assert_tables_match_loop(coords, tables):
     for ti, xy in enumerate(coords):
         ref = LoopKernel(xy)
-        for name in ElementTables.NAMES:
+        for name in ElementKernel.NAMES:
             assert_same_bits(getattr(tables, name)[ti], ref.table(name))
 
 
 @pytest.mark.parametrize("name", TRIANGLE_SETS)
 def test_element_tables_match_loop(name):
     coords = triangles_of(name)
-    assert_tables_match_loop(coords, ElementTables.build(coords))
+    assert_tables_match_loop(coords, ElementKernel(coords))
 
 
 @pytest.mark.parametrize("name", TRIANGLE_SETS)
@@ -127,13 +130,13 @@ def test_small_chunks_build_the_same_tables(monkeypatch):
     # chunks of 5 over 64 elements end in a partial chunk of 4
     monkeypatch.setattr(dpg, "CHUNK", 5)
     coords = triangles_of("jittered level 2")
-    assert_tables_match_loop(coords, ElementTables.build(coords))
+    assert_tables_match_loop(coords, ElementKernel(coords))
 
 
 @pytest.mark.parametrize("t", T_VALUES)
 def test_batched_builders_match_loop_on_random_triangles(t):
     coords = random_triangles()
-    tables = ElementTables.build(coords)
+    tables = ElementKernel(coords)
     f_values = np.random.default_rng(3).standard_normal(tables.vw.shape)
     G = dpg.gram(tables, t)
     B_field = dpg.b_field(tables, t)
@@ -156,15 +159,18 @@ def test_element_systems_match_loop(name):
         assert_same_bits(got, expect)
     for t in T_VALUES:
         cfg = ProblemConfig(t=t)
-        systems = []
         for lo in range(0, mesh.num_triangles, dpg.CHUNK):
-            systems += driver.element_system(kernels, slice(lo, lo + dpg.CHUNK), cfg)
-        assert len(systems) == mesh.num_triangles
-        for sysm, ref, f in zip(systems, refs, f_values):
-            expect = ref.system(t, f)
-            assert_same_bits(sysm.G, expect.G)
-            assert_same_bits(sysm.B, expect.B)
-            assert_same_bits(sysm.l, expect.l)
+            elements = slice(lo, lo + dpg.CHUNK)
+            L, dinv, B, l = driver.element_system(kernels, elements, cfg)
+            G = dpg.gram(kernels.tables[elements], t)
+            for i, (ref, f) in enumerate(zip(refs[elements], f_values[elements])):
+                expect = ref.system(t, f)
+                assert_same_bits(G[i], expect.G)
+                assert_same_bits(B[i], expect.B)
+                assert_same_bits(l[i], expect.l)
+                (c, _), d = cho_equilibrated_cholesky(expect.G)
+                assert_same_bits(L[i], c)
+                assert_same_bits(dinv[i], d)
 
 
 @pytest.mark.parametrize("name", MESHES)
@@ -213,18 +219,28 @@ def test_assembled_matrix_is_exactly_symmetric():
 
 
 def test_kept_systems_drop_the_gram_matrices():
-    mesh = mesh_at_level(1)
+    mesh = mesh_at_level(2)
     cfg = ProblemConfig(t=1e-2)
-    _, systems, _, _ = driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg))
-    assert all(s.G is None for s in systems)
-    # B of each system is a view into a stack of B only
-    n, m = systems[0].B.shape
-    assert all(s.B.base is not None and s.B.base.shape[1:] == (n, m) for s in systems)
+    kernels = driver.MeshKernels(mesh, cfg)
+    _, chunks, _, _ = driver.assemble(mesh, cfg, kernels)
+    assert len(chunks) == mesh.num_triangles // dpg.CHUNK
+    for lo, chunk in zip(range(0, mesh.num_triangles, dpg.CHUNK), chunks):
+        G = dpg.gram(kernels.tables[lo : lo + dpg.CHUNK], cfg.t)
+        L, dinv, B, l = chunk
+        assert L.shape == G.shape and dinv.shape == l.shape == B.shape[:2] == G.shape[:2]
+        # no kept array is G or a view of it: the n x n stack holds the
+        # Cholesky factors of the equilibrated G
+        for a in chunk:
+            owner = a if a.base is None else a.base
+            assert not (owner.shape == G.shape and np.array_equal(owner, G))
+        factor = np.tril(L)
+        G_eq = G * dinv[:, :, None] * dinv[:, None, :]
+        assert np.allclose(factor @ factor.transpose(0, 2, 1), G_eq, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", MESHES)
 def test_b_trace_matches_strided_accumulation(name):
-    tables = ElementTables.build(triangles_of(name))
+    tables = ElementKernel(triangles_of(name))
     for t in T_VALUES:
         assert_same_bits(dpg.b_trace(tables, t), strided_b_trace(tables, t))
 
@@ -237,13 +253,18 @@ def test_condensation_and_estimator_match_cho_wrappers(name):
     for t in T_VALUES:
         cfg = ProblemConfig(t=t)
         for lo in range(0, mesh.num_triangles, dpg.CHUNK):
-            for sysm in driver.element_system(kernels, slice(lo, lo + dpg.CHUNK), cfg):
-                A, b = dpg.local_normal_contribution(sysm)
+            elements = slice(lo, lo + dpg.CHUNK)
+            chunk = driver.element_system(kernels, elements, cfg)
+            _, _, B, l = chunk
+            G = dpg.gram(kernels.tables[elements], t)
+            A, b = dpg.condense(*chunk)
+            x = rng.standard_normal(B.shape[::2])
+            eta = dpg.local_residuals(*chunk, x)
+            for i, sysm in enumerate(map(LoopSystem, G, B, l)):
                 A_ref, b_ref = cho_normal_contribution(sysm)
-                assert_same_bits(A, A_ref)
-                assert_same_bits(b, b_ref)
-                x = rng.standard_normal(sysm.B.shape[1])
-                assert_same_bits(dpg.local_residual(sysm, x), cho_residual(sysm, x))
+                assert_same_bits(A[i], A_ref)
+                assert_same_bits(b[i], b_ref)
+                assert_same_bits(eta[i], cho_residual(sysm, x[i]))
 
 
 @pytest.mark.parametrize("name", MESHES)
@@ -275,7 +296,7 @@ def test_jacobi_scaling_drops_zeros_as_the_product_does():
 
 
 def one_element_system(t=1e-2):
-    tables = ElementTables.build(random_triangles()[5:6])
+    tables = ElementKernel(random_triangles()[5:6])
     G = dpg.gram(tables, t)[0]
     B = np.concatenate([dpg.b_field(tables, t), dpg.b_trace(tables, t)], axis=2)[0]
     l = dpg.load(tables, np.ones(tables.vw.shape), t)[0]
@@ -301,9 +322,12 @@ def test_bad_systems_raise_what_the_cho_wrappers_raised(case, error):
     G, B, l = one_element_system()
     spoil(case, G, B)
     with pytest.raises(error) as old:
-        cho_normal_contribution(ElementSystem(G, B, l))
-    with pytest.raises(error) as new:
-        dpg.local_normal_contribution(ElementSystem(G, B, l))
+        cho_normal_contribution(LoopSystem(G, B, l))
+    # the package raises without a numpy warning on the way
+    with pytest.raises(error) as new, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        L, dinv = dpg.gram_factors(G[None], B[None], l[None])
+        dpg.condense(L, dinv, B[None], l[None])
     assert str(new.value) == str(old.value)
     # a stack goes through the same checks
     with pytest.raises(error, match=re.escape(str(old.value))):
@@ -315,7 +339,8 @@ def test_non_finite_trial_dofs_raise_what_the_cho_wrappers_raised():
     x = np.zeros(B.shape[1])
     x[4] = np.nan
     with pytest.raises(ValueError) as old:
-        cho_residual(ElementSystem(G, B, l), x)
+        cho_residual(LoopSystem(G, B, l), x)
+    L, dinv = dpg.gram_factors(G[None], B[None], l[None])
     with pytest.raises(ValueError) as new:
-        dpg.local_residual(ElementSystem(G, B, l), x)
+        dpg.local_residuals(L, dinv, B[None], l[None], x[None])
     assert str(new.value) == str(old.value)

@@ -3,7 +3,9 @@
 Every module-level function and class in `src/plate_dpg` must be exported
 through `plate_dpg.__all__`, named by the benchmark in `perfbench/`, or
 used outside its own definition by package code that is itself reached.
-Code that only tests reach belongs under `tests/` (see `oracles.py`).
+The benchmark's tracer (`perfbench/tracer.py`) only wraps what others
+call, so a name it alone mentions is not reached.  Code that only tests
+reach belongs under `tests/` (see `oracles.py`).
 """
 
 import ast
@@ -39,7 +41,8 @@ def unreferenced_definitions(package=PACKAGE, perfbench=PERFBENCH):
         for node in ast.parse(path.read_text()).body:
             name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             nodes.append((path.stem, name, _used_names(node)))
-    bench = "\n".join(p.read_text() for p in sorted(perfbench.glob("*.py")))
+    bench = "\n".join(p.read_text() for p in sorted(perfbench.glob("*.py"))
+                      if p.name != "tracer.py")
     roots = set(plate_dpg.__all__)
     kept = [n for n in nodes if n[1] is None or n[1] in roots
             or re.search(rf"\b{re.escape(n[1])}\b", bench)]
@@ -62,10 +65,13 @@ def test_the_check_sees_a_test_only_function(tmp_path):
     package.mkdir()
     bench.mkdir()
     (bench / "run.py").write_text("import mod\nmod.benchmarked()\n")
+    (bench / "tracer.py").write_text("import mod\nmod.traced = wrap(mod.traced)\n")
     (package / "mod.py").write_text(
         "def used():\n    return 1\n\n"
         "def oracle():\n    return helper()\n\n"
         "def helper():\n    return oracle\n\n"
         "def benchmarked():\n    pass\n\n"
+        "def traced():\n    pass\n\n"
         "VALUE = used()\n")
-    assert unreferenced_definitions(package, bench) == ["mod.oracle", "mod.helper"]
+    assert unreferenced_definitions(package, bench) == ["mod.oracle", "mod.helper",
+                                                        "mod.traced"]
