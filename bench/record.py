@@ -11,10 +11,13 @@ Run from the root of a source checkout; everything is imported from
 - single solves of the manufactured problem on uniform levels 4 and 5 at
   t = 1e-2 and t = 0, split with `perf_counter` into `MeshKernels`,
   `assemble` and `solve_spd` (the rest of `assemble_and_solve` is the
-  backward-error check and the estimator), with the peak RSS of each;
+  backward-error check and the estimator), with the peak RSS of each and
+  the number of BLAS libraries the solve ran on one thread
+  (`blas_pinned`, null where the checkout does not report it);
 - the wall time and summary line of the Tier-1 test command;
-- the Python, numpy and scipy versions, the core count and the BLAS
-  library of numpy and of scipy.
+- the Python, numpy and scipy versions, the core count, the BLAS
+  library of numpy and of scipy, and the thread count each of their
+  OpenBLAS libraries reports (null where none is found).
 """
 
 import argparse
@@ -57,21 +60,36 @@ total = time.perf_counter() - start
 spent["other_s"] = total - sum(spent.values())
 print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spent,
                       residual_inf=sol.residual_inf,
+                      blas_pinned=sol.stats.get("blas_pinned"),
                       peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
 """
 
 ENVIRONMENT = """
-import json, os, platform, numpy, scipy
+import ctypes, json, os, platform, numpy, numpy.linalg._umath_linalg, scipy, scipy.linalg._fblas
 
 def blas(config):
     dep = config.get("Build Dependencies", {}).get("blas", {})
     return f"{dep.get('name', '?')} {dep.get('version', '?')}"
+
+def blas_threads(module):
+    # the OpenBLAS a module links, reached through its handle: numpy's,
+    # scipy's or a system build
+    lib = ctypes.CDLL(module.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get()
+    return None
 
 print(json.dumps({
     "python": platform.python_version(), "numpy": numpy.__version__,
     "scipy": scipy.__version__, "nproc": len(os.sched_getaffinity(0)),
     "numpy_blas": blas(numpy.show_config(mode="dicts")),
     "scipy_blas": blas(scipy.show_config(mode="dicts")),
+    "numpy_blas_threads": blas_threads(numpy.linalg._umath_linalg),
+    "scipy_blas_threads": blas_threads(scipy.linalg._fblas),
     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
 }))
 """

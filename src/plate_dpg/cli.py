@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -63,6 +64,11 @@ def _cmd_study(args):
         with open(args.out, "w") as fh:
             write_csv(records, fh)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    if args.stats:
+        with open(args.stats, "w") as fh:
+            for r in records:
+                fh.write(json.dumps({"level": r.level, "t": r.t, "stats": r.stats}) + "\n")
+        print(f"wrote {len(records)} solve stats to {args.stats}", file=sys.stderr)
     if args.dump_mesh:
         mesh = mesh_at_level(args.levels - 1)
         with open(args.dump_mesh, "w") as fh:
@@ -194,6 +200,8 @@ def build_parser():
                        help="output CSV path, '-' for stdout")
     study.add_argument("--dump-mesh", default=None, metavar="PATH",
                        help="also write the finest mesh as plain text")
+    study.add_argument("--stats", default=None, metavar="PATH",
+                       help="also write each solve's stats as one JSON line")
     study.add_argument("--quiet", action="store_true",
                        help="suppress per-solve progress lines")
     study.set_defaults(func=_cmd_study)

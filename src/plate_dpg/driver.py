@@ -143,7 +143,9 @@ class Solution:
     # what the solve did: seconds per phase (systems_s: element systems and
     # condensation, assembly_s, solve_s, estimator_s), n_free, nnz of the
     # assembled matrix, residual_inf, gram_pivot_min (the smallest pivot
-    # diag(L)**2 of the equilibrated Gram factors), eta_max and eta_mean
+    # diag(L)**2 of the equilibrated Gram factors), eta_max and eta_mean,
+    # cg_iterations (0 on the direct path) and blas_pinned (the OpenBLAS
+    # libraries the solve ran on one thread)
     stats: dict = field(default_factory=dict)
 
 
@@ -215,51 +217,53 @@ def assemble(mesh, config, kernels, stats=None):
 def assemble_and_solve(mesh, config, kernels=None):
     """Minimum-residual solve of the manufactured problem on one mesh.
 
-    Raises linalg.SolveError when the solve fails or its backward error
-    `residual_inf` exceeds RESIDUAL_MAX.
+    Everything after `MeshKernels` runs on one OpenBLAS thread
+    (`linalg.one_blas_thread`).  Raises linalg.SolveError when the solve
+    fails or its backward error `residual_inf` exceeds RESIDUAL_MAX.
     """
     if kernels is None:
         kernels = MeshKernels(mesh, config)
     else:
         kernels.check(mesh, config)
-    stats = {}
-    dof, chunks, A, rhs = assemble(mesh, config, kernels, stats)
-    nt = mesh.num_triangles
+    with linalg.one_blas_thread() as blas_pinned:
+        stats = {"blas_pinned": blas_pinned}
+        dof, chunks, A, rhs = assemble(mesh, config, kernels, stats)
+        nt = mesh.num_triangles
 
-    with _timed(stats, "solve_s"):
-        x_free = linalg.solve_spd(A, rhs, method=config.solver)
-        res = np.abs(A @ x_free - rhs).max()
-        scale = np.abs(rhs).max() + np.abs(A).max() * max(np.abs(x_free).max(), 1.0)
-        residual_inf = res / scale
-    if not residual_inf <= RESIDUAL_MAX:
-        raise linalg.SolveError(f"backward error residual_inf = {residual_inf:.3e} "
-                                f"exceeds {RESIDUAL_MAX:g}")
+        with _timed(stats, "solve_s"):
+            x_free = linalg.solve_spd(A, rhs, method=config.solver, stats=stats)
+            res = np.abs(A @ x_free - rhs).max()
+            scale = np.abs(rhs).max() + np.abs(A).max() * max(np.abs(x_free).max(), 1.0)
+            residual_inf = res / scale
+        if not residual_inf <= RESIDUAL_MAX:
+            raise linalg.SolveError(f"backward error residual_inf = {residual_inf:.3e} "
+                                    f"exceeds {RESIDUAL_MAX:g}")
 
-    x = np.zeros(dof.n_total)
-    x[dof.free] = x_free
+        x = np.zeros(dof.n_total)
+        x[dof.free] = x_free
 
-    nf = dof.n_field
-    fields = x[: dof.field_total].reshape(nt, nf)
-    x_loc = x[dof.element_dofs]
-    with _timed(stats, "estimator_s"):
-        eta = np.concatenate([dpg.local_residuals(*chunk, x_loc[lo : lo + dpg.CHUNK])
-                              for lo, chunk in zip(range(0, nt, dpg.CHUNK), chunks)])
-        # a scalar power calls libm's pow, whose bits can differ from eta * eta
-        eta_sq = np.array([e ** 2 for e in eta])
-    eta_elements = np.sqrt(eta_sq)
-    stats.update(n_free=dof.n_free, residual_inf=float(residual_inf),
-                 eta_max=float(eta_elements.max()), eta_mean=float(eta_elements.mean()))
-    return Solution(
-        u=fields[:, 0].copy(),
-        M=fields[:, 1:4].copy(),
-        theta=fields[:, 4:6].copy() if nf == 6 else None,
-        trace=x[dof.field_total :].copy(),
-        eta=float(np.sqrt(eta_sq.sum())),
-        eta_elements=eta_elements,
-        n_free=dof.n_free,
-        residual_inf=float(residual_inf),
-        stats=stats,
-    )
+        nf = dof.n_field
+        fields = x[: dof.field_total].reshape(nt, nf)
+        x_loc = x[dof.element_dofs]
+        with _timed(stats, "estimator_s"):
+            eta = np.concatenate([dpg.local_residuals(*chunk, x_loc[lo : lo + dpg.CHUNK])
+                                  for lo, chunk in zip(range(0, nt, dpg.CHUNK), chunks)])
+            # a scalar power calls libm's pow, whose bits can differ from eta * eta
+            eta_sq = np.array([e ** 2 for e in eta])
+        eta_elements = np.sqrt(eta_sq)
+        stats.update(n_free=dof.n_free, residual_inf=float(residual_inf),
+                     eta_max=float(eta_elements.max()), eta_mean=float(eta_elements.mean()))
+        return Solution(
+            u=fields[:, 0].copy(),
+            M=fields[:, 1:4].copy(),
+            theta=fields[:, 4:6].copy() if nf == 6 else None,
+            trace=x[dof.field_total :].copy(),
+            eta=float(np.sqrt(eta_sq.sum())),
+            eta_elements=eta_elements,
+            n_free=dof.n_free,
+            residual_inf=float(residual_inf),
+            stats=stats,
+        )
 
 
 @dataclass
@@ -274,6 +278,8 @@ class StudyRecord:
     rate_u: float
     rate_M: float
     rate_theta: float
+    # the solve's Solution.stats; not part of the CSV
+    stats: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 CSV_HEADER = "level,t,ndof,err_u,err_M,err_theta,eta,rate_u,rate_M,rate_theta"
@@ -329,6 +335,7 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
                 rate_u=_rate(prev and prev.err_u, err_u),
                 rate_M=_rate(prev and prev.err_M, err_M),
                 rate_theta=_rate(prev and prev.err_theta, err_th),
+                stats=sol.stats,
             )
             records.append(rec)
             prev = rec

@@ -6,7 +6,13 @@ matrices with the offending pivot, a problem-size guard on the direct
 path, and deterministic results.
 """
 
+import contextlib
+import ctypes
+import functools
+
 import numpy as np
+import numpy.linalg._umath_linalg
+import scipy.linalg._fblas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -17,6 +23,61 @@ DIRECT_SIZE_LIMIT = 200_000
 # cond(A) ~ 3.7e6, against the 1e-8 agreement with the direct path that
 # acceptance criterion 7 asks for
 CG_TOL = 1e-14
+
+
+# (get, set) thread-count functions of numpy's OpenBLAS (64-bit integers),
+# scipy's OpenBLAS and a system OpenBLAS
+_OPENBLAS_THREAD_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) ctypes functions of each OpenBLAS that numpy and scipy have loaded.
+
+    The symbols are looked up through the extension modules that call BLAS,
+    whose handles also search the libraries they link; a library reached
+    from both modules is listed once.
+    """
+    controls = {}
+    for module in (numpy.linalg._umath_linalg, scipy.linalg._fblas):
+        try:
+            lib = ctypes.CDLL(module.__file__)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_NAMES:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.setdefault(ctypes.cast(set_, ctypes.c_void_p).value, (get, set_))
+                break
+    return tuple(controls.values())
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the with-block with every OpenBLAS of numpy and scipy on one thread.
+
+    The per-element BLAS calls of a solve are small (a 60 x 60 `dpotrf`, a
+    `dpotrs` with 42 right-hand sides), and splitting them over threads
+    costs more than it saves; the results are the same bits.  The count is
+    process-wide while the block runs.  On exit, also by an exception or
+    from a nested block, each library gets back the count it had.  Yields
+    the number of libraries pinned, 0 where no OpenBLAS control was found.
+    """
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield len(controls)
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 class SolveError(Exception):
@@ -68,7 +129,7 @@ def _scaled(A, s):
     return scaled
 
 
-def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None):
+def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None, stats=None):
     """Solve A x = b for symmetric positive definite A.
 
     `A` is the full matrix as a scipy sparse matrix (as `symmetric_from_coo`
@@ -79,8 +140,11 @@ def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None):
     residual `tol` (default CG_TOL = 1e-14) and fails loudly when it does
     not converge.  Its result agrees with the direct one to about
     cond(A) * `tol` relative, with cond(A) the condition number after
-    Jacobi scaling.
+    Jacobi scaling.  A given dict `stats` receives "cg_iterations", the
+    number of CG iterations run (0 on the direct path).
     """
+    stats = {} if stats is None else stats
+    stats["cg_iterations"] = 0
     b = np.asarray(b, dtype=float)
     full = sp.csc_matrix(A)
     n = full.shape[0]
@@ -109,7 +173,15 @@ def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None):
             raise NotPositiveDefiniteError(int(bad[0]))
         return s * lu.solve(s * b)
     if method == "cg":
-        precond = spla.LinearOperator(full.shape, matvec=lambda v: v / d)
+        def jacobi(v):
+            # scipy's cg applies the preconditioner once per iteration, as
+            # often as it calls `callback`; counting here leaves `callback`
+            # to wrappers of spla.cg that pass their own (perfbench's tracer)
+            stats["cg_iterations"] += 1
+            return v / d
+
+        # with its dtype given, LinearOperator makes no probing matvec call
+        precond = spla.LinearOperator(full.shape, matvec=jacobi, dtype=float)
         if maxiter is None:
             maxiter = max(200 * n, 10_000)
         x, info = spla.cg(full, b, rtol=tol, atol=0.0, maxiter=maxiter, M=precond)

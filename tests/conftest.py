@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import plate_dpg
+from plate_dpg import linalg
 
 
 @pytest.fixture
@@ -31,3 +32,21 @@ def run_cli():
         )
 
     return run
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every OpenBLAS `linalg.one_blas_thread` controls on 2 threads for the test.
+
+    Yields the number of such libraries.  The counts found are restored
+    after the test; without such a library the test is skipped.
+    """
+    controls = linalg._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found")
+    found = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield len(controls)
+    for (_, set_), count in zip(controls, found):
+        set_(count)

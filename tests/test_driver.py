@@ -1,6 +1,7 @@
 """Global assembly, boundary conditions, study driver, and CLI checks."""
 
 import io
+import json
 import math
 from dataclasses import replace
 
@@ -328,6 +329,33 @@ def test_cli_study_writes_csv_and_mesh(run_cli, tmp_path):
     assert len(dump) == 29
 
 
+STATS_KEYS = {"systems_s", "assembly_s", "solve_s", "estimator_s", "n_free", "nnz",
+              "residual_inf", "gram_pivot_min", "eta_max", "eta_mean", "blas_pinned",
+              "cg_iterations"}
+
+
+def test_cli_study_writes_solve_stats(capsys, tmp_path):
+    args = ["study", "--t-list", "1e-2,0", "--levels", "2"]
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    path = tmp_path / "stats.jsonl"
+    assert main(args + ["--stats", str(path)]) == 0
+    traced = capsys.readouterr()
+    assert traced.out == plain.out
+    # the progress lines are the same up to the seconds they end with
+    progress = [line.rsplit(" [", 1)[0] for line in traced.err.splitlines()]
+    assert progress == [line.rsplit(" [", 1)[0] for line in plain.err.splitlines()] + [
+        f"wrote 4 solve stats to {path}"]
+    rows = [line.split(",") for line in plain.out.splitlines()[1:]]
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(d["level"], d["t"]) for d in lines] == [(0, 1e-2), (1, 1e-2), (0, 0.0), (1, 0.0)]
+    for d, row in zip(lines, rows):
+        assert (d["level"], d["t"]) == (int(row[0]), float(row[1]))
+        assert set(d["stats"]) == STATS_KEYS
+        assert d["stats"]["n_free"] == int(row[2])
+        assert d["stats"]["cg_iterations"] == 0
+
+
 def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     proc = run_cli(["study", "--t-list", "1e-2,oops"], tmp_path)
     assert proc.returncode == 2
@@ -392,9 +420,7 @@ def test_cli_clamped_study_starts_at_level_1_and_converges(run_cli, tmp_path):
 def test_solution_stats_report_the_solve():
     sol = assemble_and_solve(mesh_at_level(2), ProblemConfig(t=1e-2))
     stats = sol.stats
-    assert set(stats) == {"systems_s", "assembly_s", "solve_s", "estimator_s",
-                          "n_free", "nnz", "residual_inf", "gram_pivot_min",
-                          "eta_max", "eta_mean"}
+    assert set(stats) == STATS_KEYS
     assert all(np.isfinite(value) for value in stats.values())
     assert all(stats[key] >= 0.0 for key in stats if key.endswith("_s"))
     assert stats["n_free"] == sol.n_free
@@ -404,3 +430,5 @@ def test_solution_stats_report_the_solve():
     assert 0.0 < stats["gram_pivot_min"] <= 1.0
     assert stats["eta_max"] == sol.eta_elements.max()
     assert sol.eta_elements.min() <= stats["eta_mean"] <= stats["eta_max"]
+    assert stats["blas_pinned"] == len(linalg._blas_thread_controls())
+    assert stats["cg_iterations"] == 0

@@ -210,6 +210,31 @@ def test_small_chunks_assemble_the_same_bits(monkeypatch):
     assert_same_bits(rhs5, rhs)
 
 
+@pytest.mark.parametrize("t", (1e-2, 0.0))
+@pytest.mark.parametrize("name", ["uniform level 2", "18-element grid", "jittered level 2"])
+def test_one_blas_thread_gives_the_bits_of_two(name, t, blas_at_two):
+    mesh = MESHES[name]()
+    cfg = ProblemConfig(t=t)
+    kernels = driver.MeshKernels(mesh, cfg)
+
+    def run():
+        _, chunks, A, rhs = driver.assemble(mesh, cfg, kernels)
+        return chunks, A, rhs, linalg.solve_spd(A, rhs)
+
+    with linalg.one_blas_thread():
+        chunks, A, rhs, x = run()
+    assert [get() for get, _ in linalg._blas_thread_controls()] == [2] * blas_at_two
+    chunks2, A2, rhs2, x2 = run()
+    for part in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(A2, part), getattr(A, part))
+    assert_same_bits(rhs2, rhs)
+    assert_same_bits(x2, x)
+    assert len(chunks2) == len(chunks)
+    for (L, _, B, _), (L2, _, B2, _) in zip(chunks, chunks2):
+        assert_same_bits(L2, L)
+        assert_same_bits(B2, B)
+
+
 def test_assembled_matrix_is_exactly_symmetric():
     mesh = jittered_mesh(2, seed=5)
     cfg = ProblemConfig(t=1e-8)

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
+from plate_dpg import driver, linalg
+from plate_dpg.dpg import ProblemConfig
 from plate_dpg.linalg import (
     IterativeSolveError,
     NotPositiveDefiniteError,
+    SolveError,
+    one_blas_thread,
     solve_spd,
     symmetric_from_coo,
 )
+from plate_dpg.mesh import mesh_at_level
 
 
 def random_spd(n, seed, cond=None):
@@ -121,3 +127,66 @@ def test_unknown_method():
     A = sparse(np.eye(2))
     with pytest.raises(ValueError):
         solve_spd(A, np.ones(2), method="qr")
+
+
+def test_cg_iterations_are_the_callback_count():
+    D = random_spd(40, seed=4, cond=1e6)
+    b = np.random.default_rng(5).standard_normal(40)
+    A = sparse(D)
+    stats = {}
+    x = solve_spd(A, b, method="cg", tol=1e-12, stats=stats)
+    seen = []
+    d = A.diagonal()
+    M = spla.LinearOperator(A.shape, matvec=lambda v: v / d)
+    x_ref, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=10_000, M=M,
+                          callback=seen.append)
+    assert info == 0
+    assert np.array_equal(x, x_ref)
+    assert stats["cg_iterations"] == len(seen) > 0
+    solve_spd(A, b, stats=stats)
+    assert stats["cg_iterations"] == 0
+
+
+def blas_counts():
+    return [get() for get, _ in linalg._blas_thread_controls()]
+
+
+def test_one_blas_thread_restores_the_counts(blas_at_two):
+    with one_blas_thread() as pinned:
+        assert blas_counts() == [1] * blas_at_two
+    assert pinned == blas_at_two
+    assert blas_counts() == [2] * blas_at_two
+
+
+def test_nested_pins_restore_the_outer_counts(blas_at_two):
+    with one_blas_thread():
+        with one_blas_thread() as inner:
+            assert blas_counts() == [1] * blas_at_two
+        assert inner == blas_at_two
+        assert blas_counts() == [1] * blas_at_two
+    assert blas_counts() == [2] * blas_at_two
+
+
+def test_a_failed_solve_restores_the_counts(blas_at_two, monkeypatch):
+    seen = []
+
+    def failing_solve(*args, **kwargs):
+        seen.append(blas_counts())
+        raise SolveError("stubbed failure")
+
+    monkeypatch.setattr(linalg, "solve_spd", failing_solve)
+    with pytest.raises(SolveError, match="stubbed failure"):
+        driver.assemble_and_solve(mesh_at_level(0), ProblemConfig(t=1e-2))
+    # the solve ran pinned, and the exception undid the pin
+    assert seen == [[1] * blas_at_two]
+    assert blas_counts() == [2] * blas_at_two
+
+
+def test_solve_without_blas_controls(monkeypatch):
+    mesh, cfg = mesh_at_level(1), ProblemConfig(t=1e-2)
+    pinned = driver.assemble_and_solve(mesh, cfg)
+    monkeypatch.setattr(linalg, "_blas_thread_controls", lambda: ())
+    sol = driver.assemble_and_solve(mesh, cfg)
+    assert sol.stats["blas_pinned"] == 0
+    assert np.array_equal(sol.trace, pinned.trace)
+    assert sol.residual_inf <= driver.RESIDUAL_MAX
