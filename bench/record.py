@@ -13,7 +13,9 @@ Run from the root of a source checkout; everything is imported from
   `assemble` and `solve_spd` (the rest of `assemble_and_solve` is the
   backward-error check and the estimator), with the peak RSS of each and
   the number of BLAS libraries the solve ran on one thread
-  (`blas_pinned`, null where the checkout does not report it);
+  (`blas_pinned`) and the seconds and entries of the sparse LU factor
+  (`factor_s`, `factor_nnz`), each null where the checkout does not
+  report it;
 - the wall time and summary line of the Tier-1 test command;
 - the Python, numpy and scipy versions, the core count, the BLAS
   library of numpy and of scipy, and the thread count each of their
@@ -61,6 +63,8 @@ spent["other_s"] = total - sum(spent.values())
 print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spent,
                       residual_inf=sol.residual_inf,
                       blas_pinned=sol.stats.get("blas_pinned"),
+                      factor_s=sol.stats.get("factor_s"),
+                      factor_nnz=sol.stats.get("factor_nnz"),
                       peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
 """
 

@@ -12,7 +12,7 @@ from . import __version__
 from .dpg import ElementKernel, ProblemConfig, gram, gram_factors
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
-from .linalg import SolveError
+from .linalg import DIRECT_SIZE_LIMIT, SolveError
 from .manufactured import verify_manufactured
 from .mesh import mesh_at_level, write_mesh_text
 from .quadrature import map_to_triangle, triangle_rule
@@ -50,6 +50,14 @@ def _cmd_study(args):
     if config.bc == "clamped" and args.levels < 2:
         return _reject(args, f"--levels must be >= 2 for clamped plates, whose "
                              f"studies start at level 1 (got {args.levels})")
+    if config.solver == "direct":
+        # a too-large finest level would fail only after the coarser solves
+        finest = mesh_at_level(args.levels - 1)
+        n_free = max(DofMap(finest, cfg).n_free for cfg in configs)
+        if n_free > DIRECT_SIZE_LIMIT:
+            return _reject(args, f"level {finest.level} has {n_free} free dofs, more than "
+                                 f"the {DIRECT_SIZE_LIMIT} of the direct solver; "
+                                 "use --solver cg")
     progress = None
     if not args.quiet:
         progress = lambda line: print(line, file=sys.stderr)

@@ -8,11 +8,11 @@ elimination of vertex dofs, which zeroes the corresponding edge traces
 exactly: the value trace of a C1 field along a boundary edge is the
 cubic fixed by the endpoint values and tangential derivatives.
 
-Element tables (`dpg.ElementKernel`), element systems, their
-condensation and the estimator run on chunks of `dpg.CHUNK` elements; each
-stacked operation gives every element the bits of the per-element
-formulas.  Assembly accumulates the element normal-equation contributions
-in element order, so the reduction is deterministic for a fixed mesh.
+Element tables (`dpg.ElementKernel`), element systems and condensation run
+on chunks of `dpg.CHUNK` elements, the estimator once on the whole-mesh
+stacks they fill; each stacked operation gives every element the bits of
+the per-element formulas.  Assembly accumulates the element normal-equation
+contributions in element order: a deterministic reduction for a fixed mesh.
 """
 
 import contextlib
@@ -30,6 +30,8 @@ VAL, DX, DY = 0, 1, 2
 # largest backward error of the global solve accepted as a solution; the
 # direct and CG paths reach at most 6.4e-18 at levels 2 and 3
 RESIDUAL_MAX = 1e-12
+# volume rule of `kirchhoff_limit_check`'s closed-form identity
+LIMIT_QUAD_DEGREE = 16
 
 
 class DofMap:
@@ -159,13 +161,12 @@ def _timed(stats, phase):
         stats[phase] = stats.get(phase, 0.0) + time.perf_counter() - start
 
 
-def element_system(kernels, elements, config, stats=None):
+def element_system(kernels, elements, config):
     """Factored local systems of the elements in the slice `elements`, built as one stack.
 
     Returns (L, dinv, B, l): the equilibrated Gram factors of
     `dpg.gram_factors`, the trial-to-test matrices (ne, n_test, m) and the
-    load vectors (ne, n_test).  G itself is not kept.  A given dict
-    `stats` keeps the smallest pivot in "gram_pivot_min".
+    load vectors (ne, n_test).  G itself is not kept.
     """
     k = kernels.tables[elements]
     t = config.t
@@ -173,32 +174,33 @@ def element_system(kernels, elements, config, stats=None):
     B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
     l = dpg.load(k, kernels.f_values[elements], t)
     L, dinv = dpg.gram_factors(G, B, l)
-    if stats is not None:
-        pivot = float(np.diagonal(L, axis1=1, axis2=2).min()) ** 2
-        stats["gram_pivot_min"] = min(stats.get("gram_pivot_min", np.inf), pivot)
     return L, dinv, B, l
 
 
 def assemble(mesh, config, kernels, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
-    Returns (dof map, the `element_system` stacks of each chunk, A as a
-    full CSC matrix, rhs).  The COO triplets and the rhs sums run element
-    by element, in element order.  A given dict `stats` receives
-    systems_s, assembly_s, gram_pivot_min and nnz (see `Solution.stats`).
+    Returns (dof map, the whole-mesh `element_system` stacks, A as a full
+    CSC matrix, rhs).  The COO triplets and the rhs sums run element by
+    element, in element order.  A given dict `stats` receives systems_s,
+    assembly_s, gram_pivot_min and nnz (see `Solution.stats`).
     """
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
     nt = mesh.num_triangles
+    n = kernels.tables.layout.n_test(config.t)
     m = dof.element_dofs.shape[1]
     A_loc = np.empty((nt, m, m))
     b_loc = np.empty((nt, m))
-    chunks = []
+    # each L[i] is Fortran-ordered, as dpotrf leaves its factor
+    L = np.empty((nt, n, n)).transpose(0, 2, 1)
+    dinv, B, l = np.empty((nt, n)), np.empty((nt, n, m)), np.empty((nt, n))
     with _timed(stats, "systems_s"):
         for lo in range(0, nt, dpg.CHUNK):
-            chunk = element_system(kernels, slice(lo, lo + dpg.CHUNK), config, stats)
-            A_loc[lo : lo + dpg.CHUNK], b_loc[lo : lo + dpg.CHUNK] = dpg.condense(*chunk)
-            chunks.append(chunk)
+            chunk = slice(lo, lo + dpg.CHUNK)
+            L[chunk], dinv[chunk], B[chunk], l[chunk] = element_system(kernels, chunk, config)
+            A_loc[chunk], b_loc[chunk] = dpg.condense(L[chunk], dinv[chunk], B[chunk], l[chunk])
+    stats["gram_pivot_min"] = float(np.diagonal(L, axis1=1, axis2=2).min()) ** 2
 
     with _timed(stats, "assembly_s"):
         fidx = dof.free_index[dof.element_dofs]
@@ -211,7 +213,7 @@ def assemble(mesh, config, kernels, stats=None):
         rhs = np.zeros(dof.n_free)
         np.add.at(rhs, fidx[keep], b_loc[keep])
     stats["nnz"] = A.nnz
-    return dof, chunks, A, rhs
+    return dof, (L, dinv, B, l), A, rhs
 
 
 def assemble_and_solve(mesh, config, kernels=None):
@@ -227,7 +229,7 @@ def assemble_and_solve(mesh, config, kernels=None):
         kernels.check(mesh, config)
     with linalg.one_blas_thread() as blas_pinned:
         stats = {"blas_pinned": blas_pinned}
-        dof, chunks, A, rhs = assemble(mesh, config, kernels, stats)
+        dof, systems, A, rhs = assemble(mesh, config, kernels, stats)
         nt = mesh.num_triangles
 
         with _timed(stats, "solve_s"):
@@ -246,8 +248,7 @@ def assemble_and_solve(mesh, config, kernels=None):
         fields = x[: dof.field_total].reshape(nt, nf)
         x_loc = x[dof.element_dofs]
         with _timed(stats, "estimator_s"):
-            eta = np.concatenate([dpg.local_residuals(*chunk, x_loc[lo : lo + dpg.CHUNK])
-                                  for lo, chunk in zip(range(0, nt, dpg.CHUNK), chunks)])
+            eta = dpg.local_residuals(*systems, x_loc)
             # a scalar power calls libm's pow, whose bits can differ from eta * eta
             eta_sq = np.array([e ** 2 for e in eta])
         eta_elements = np.sqrt(eta_sq)
@@ -367,8 +368,7 @@ def _p0_l2_diff(mesh, a, b, weights=None):
     return float(np.sqrt(np.sum(areas[:, None] * w[None, :] * d * d)))
 
 
-def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3), config=None,
-                          quad_degree=16):
+def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
     """Distance of the finite-thickness solution to the bending limit t = 0.
 
     Solves on one mesh for each t in `t_sequence` and for t = 0, and reports
@@ -377,21 +377,18 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3), config=None,
     ||u(t) - u(0)||_L2 = t^2 ||lap phi||_L2 of the closed-form solution, in
     extended precision because the difference is far below the field scale.
     """
-    from dataclasses import replace
-
-    if config is None:
-        config = dpg.ProblemConfig(t=0.0)
+    config = dpg.ProblemConfig(t=0.0)
     msh = meshmod.mesh_at_level(level)
     kernels = MeshKernels(msh, config)
-    sol0 = assemble_and_solve(msh, replace(config, t=0.0), kernels)
+    sol0 = assemble_and_solve(msh, config, kernels)
     rows = []
     for t in t_sequence:
-        sol = assemble_and_solve(msh, replace(config, t=t), kernels)
+        sol = assemble_and_solve(msh, dpg.ProblemConfig(t=t), kernels)
         du = _p0_l2_diff(msh, sol.u, sol0.u)
         dM = _p0_l2_diff(msh, sol.M, sol0.M, weights=(1.0, 2.0, 1.0))
         rows.append((float(t), du, dM))
 
-    pts, w = quadrature.map_to_triangles(quadrature.triangle_rule(quad_degree),
+    pts, w = quadrature.map_to_triangles(quadrature.triangle_rule(LIMIT_QUAD_DEGREE),
                                          msh.vertices[msh.triangles])
     x = pts[..., 0].astype(np.longdouble)
     y = pts[..., 1].astype(np.longdouble)

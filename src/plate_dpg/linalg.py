@@ -9,6 +9,7 @@ path, and deterministic results.
 import contextlib
 import ctypes
 import functools
+import time
 
 import numpy as np
 import numpy.linalg._umath_linalg
@@ -101,17 +102,15 @@ class IterativeSolveError(SolveError):
 
 
 def symmetric_from_coo(n, rows, cols, vals):
-    """The full n x n CSC matrix of symmetric COO triplets; duplicates are summed.
+    """The full n x n CSC matrix of the lower-triangle COO triplets of a symmetric matrix.
 
-    Only entries with row >= col are kept and summed, and the upper triangle
-    is their mirror image, so the result is exactly symmetric whether the
-    symmetric pairs are passed twice or once.
+    Duplicates are summed, and the upper triangle is the mirror image of
+    the lower one, so the result is exactly symmetric.  Raises ValueError
+    for a triplet with row < col.
     """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    vals = np.asarray(vals, dtype=float)
-    keep = rows >= cols
-    lower = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    if (rows < cols).any():
+        raise ValueError("symmetric_from_coo takes lower-triangle triplets (row >= col)")
+    lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return (lower + lower.T - sp.diags(lower.diagonal())).tocsc()
 
 
@@ -141,10 +140,12 @@ def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None, stats=None):
     not converge.  Its result agrees with the direct one to about
     cond(A) * `tol` relative, with cond(A) the condition number after
     Jacobi scaling.  A given dict `stats` receives "cg_iterations", the
-    number of CG iterations run (0 on the direct path).
+    number of CG iterations run (0 on the direct path), and "factor_s" and
+    "factor_nnz", the seconds of the `splu` call and the entries of its
+    factors L and U (both 0 on the cg path).
     """
     stats = {} if stats is None else stats
-    stats["cg_iterations"] = 0
+    stats.update(cg_iterations=0, factor_s=0.0, factor_nnz=0)
     b = np.asarray(b, dtype=float)
     full = sp.csc_matrix(A)
     n = full.shape[0]
@@ -161,12 +162,19 @@ def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None, stats=None):
         # equations span many orders of magnitude in h and t, the scaled
         # system is the same one in exact arithmetic
         s = 1.0 / np.sqrt(d)
+        scaled = _scaled(full, s)
+        start = time.perf_counter()
         lu = spla.splu(
-            _scaled(full, s),
+            scaled,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
+        stats["factor_s"] = time.perf_counter() - start
+        # freed before lu.U builds the CSC factors, the memory peak of a solve
+        del scaled
+        # lu.U builds (and caches) both factors
+        stats["factor_nnz"] = lu.L.nnz + lu.U.nnz
         pivots = lu.U.diagonal()
         bad = np.flatnonzero(pivots <= 0.0)
         if bad.size:

@@ -97,7 +97,12 @@ def _fd_grad(fun, x, y, h):
     )
 
 
-def verify_manufactured(t, n_interior=100, n_boundary=40, seed=0, h=1e-5):
+# sample points of `verify_manufactured` (interior, and boundary over the
+# four sides), the seed that draws them and the finite-difference step
+VERIFY_INTERIOR, VERIFY_BOUNDARY, VERIFY_SEED, VERIFY_STEP = 100, 40, 0, 1e-5
+
+
+def verify_manufactured(t):
     """Finite-difference residuals of the strong equations and boundary data.
 
     Returns a dict of max-norm residuals: 'p1' for the equilibrium equation
@@ -107,8 +112,9 @@ def verify_manufactured(t, n_interior=100, n_boundary=40, seed=0, h=1e-5):
     div M against differentiated M.
     """
     ex = ExactSolution(t)
-    rng = np.random.default_rng(seed)
-    x, y = rng.uniform(0.05, 0.95, size=(2, n_interior))
+    h = VERIFY_STEP
+    rng = np.random.default_rng(VERIFY_SEED)
+    x, y = rng.uniform(0.05, 0.95, size=(2, VERIFY_INTERIOR))
 
     def shear(xx, yy):
         gx, gy = ex.grad_u(xx, yy)
@@ -144,7 +150,7 @@ def verify_manufactured(t, n_interior=100, n_boundary=40, seed=0, h=1e-5):
     dm = ex.div_M(x, y)
     div_check = max(np.abs(m1x + m2y - dm[0]).max(), np.abs(m2x + m3y - dm[1]).max())
 
-    s = rng.uniform(0.0, 1.0, n_boundary // 4)
+    s = rng.uniform(0.0, 1.0, VERIFY_BOUNDARY // 4)
     bc_u = 0.0
     bc_mn = 0.0
     for px, py, n in (

@@ -272,10 +272,11 @@ class LoopKernel:
 
 def cho_equilibrated_cholesky(G):
     """(cho_factor result, 1 / sqrt(diag G)) of the equilibrated G of one element."""
-    d = np.sqrt(np.diag(G))
-    if np.any(~np.isfinite(d)) or np.any(d <= 0.0):
+    diag = np.diag(G)
+    # checked before the square root, which would warn on a negative entry
+    if np.any(~np.isfinite(diag)) or np.any(diag <= 0.0):
         raise np.linalg.LinAlgError("Gram matrix has a non-positive diagonal")
-    dinv = 1.0 / d
+    dinv = 1.0 / np.sqrt(diag)
     Gt = G * dinv[:, None] * dinv[None, :]
     return cho_factor(0.5 * (Gt + Gt.T), lower=True), dinv
 
@@ -394,9 +395,9 @@ def loop_solve(mesh, config, kernels, f_values, dof):
         cols.append(np.tile(sub, sub.size))
         vals.append(A_keep.ravel())
         np.add.at(rhs, sub, b_T[keep])
-    A = linalg.symmetric_from_coo(
-        dof.n_free, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    lower = rows >= cols
+    A = linalg.symmetric_from_coo(dof.n_free, rows[lower], cols[lower], vals[lower])
     x = np.zeros(dof.n_total)
     x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver)
     eta_sq = np.empty(mesh.num_triangles)

@@ -331,7 +331,7 @@ def test_cli_study_writes_csv_and_mesh(run_cli, tmp_path):
 
 STATS_KEYS = {"systems_s", "assembly_s", "solve_s", "estimator_s", "n_free", "nnz",
               "residual_inf", "gram_pivot_min", "eta_max", "eta_mean", "blas_pinned",
-              "cg_iterations"}
+              "cg_iterations", "factor_s", "factor_nnz"}
 
 
 def test_cli_study_writes_solve_stats(capsys, tmp_path):
@@ -364,7 +364,8 @@ def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
 # before these settings were validated, each of them ran: --levels 0 wrote
 # a header-only CSV and exited 0, --quad-degree 2 died with a "19-th
 # leading minor" LinAlgError, and clamped with the default t-list, with
-# --levels 1 and --test-degree 7 with a traceback
+# --levels 1 and --test-degree 7 with a traceback; --levels 8 solved
+# levels 0-6 and then ended in a traceback past the direct solver's limit
 @pytest.mark.parametrize("args, message", [
     (["--levels", "0"], "--levels must be >= 1"),
     (["--bc", "clamped", "--t-list", "0", "--levels", "1"],
@@ -372,6 +373,8 @@ def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     (["--quad-degree", "2"], "quadrature degree 2"),
     (["--bc", "clamped"], "clamped plates"),
     (["--test-degree", "7"], "test degree 7"),
+    (["--levels", "8"], "level 7 has 786428 free dofs, more than the 200000 of the "
+                        "direct solver; use --solver cg"),
 ])
 def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
     out = tmp_path / "study.csv"
@@ -432,3 +435,5 @@ def test_solution_stats_report_the_solve():
     assert sol.eta_elements.min() <= stats["eta_mean"] <= stats["eta_max"]
     assert stats["blas_pinned"] == len(linalg._blas_thread_controls())
     assert stats["cg_iterations"] == 0
+    # the diagonals of L (unit) and U (the positive pivots) are stored
+    assert stats["factor_nnz"] >= 2 * sol.n_free

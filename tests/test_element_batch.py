@@ -159,6 +159,7 @@ def test_element_systems_match_loop(name):
         assert_same_bits(got, expect)
     for t in T_VALUES:
         cfg = ProblemConfig(t=t)
+        pivot_min = np.inf
         for lo in range(0, mesh.num_triangles, dpg.CHUNK):
             elements = slice(lo, lo + dpg.CHUNK)
             L, dinv, B, l = driver.element_system(kernels, elements, cfg)
@@ -171,6 +172,11 @@ def test_element_systems_match_loop(name):
                 (c, _), d = cho_equilibrated_cholesky(expect.G)
                 assert_same_bits(L[i], c)
                 assert_same_bits(dinv[i], d)
+                pivot_min = min(pivot_min, np.diag(c).min())
+        # the smallest pivot diag(L)**2 of every cho_factor of the mesh
+        stats = {}
+        driver.assemble(mesh, cfg, kernels, stats)
+        assert_same_bits(stats["gram_pivot_min"], float(pivot_min) ** 2)
 
 
 @pytest.mark.parametrize("name", MESHES)
@@ -218,21 +224,19 @@ def test_one_blas_thread_gives_the_bits_of_two(name, t, blas_at_two):
     kernels = driver.MeshKernels(mesh, cfg)
 
     def run():
-        _, chunks, A, rhs = driver.assemble(mesh, cfg, kernels)
-        return chunks, A, rhs, linalg.solve_spd(A, rhs)
+        _, (L, _, B, _), A, rhs = driver.assemble(mesh, cfg, kernels)
+        return L, B, A, rhs, linalg.solve_spd(A, rhs)
 
     with linalg.one_blas_thread():
-        chunks, A, rhs, x = run()
+        L, B, A, rhs, x = run()
     assert [get() for get, _ in linalg._blas_thread_controls()] == [2] * blas_at_two
-    chunks2, A2, rhs2, x2 = run()
+    L2, B2, A2, rhs2, x2 = run()
     for part in ("data", "indices", "indptr"):
         assert_same_bits(getattr(A2, part), getattr(A, part))
     assert_same_bits(rhs2, rhs)
     assert_same_bits(x2, x)
-    assert len(chunks2) == len(chunks)
-    for (L, _, B, _), (L2, _, B2, _) in zip(chunks, chunks2):
-        assert_same_bits(L2, L)
-        assert_same_bits(B2, B)
+    assert_same_bits(L2, L)
+    assert_same_bits(B2, B)
 
 
 def test_assembled_matrix_is_exactly_symmetric():
@@ -247,20 +251,22 @@ def test_kept_systems_drop_the_gram_matrices():
     mesh = mesh_at_level(2)
     cfg = ProblemConfig(t=1e-2)
     kernels = driver.MeshKernels(mesh, cfg)
-    _, chunks, _, _ = driver.assemble(mesh, cfg, kernels)
-    assert len(chunks) == mesh.num_triangles // dpg.CHUNK
-    for lo, chunk in zip(range(0, mesh.num_triangles, dpg.CHUNK), chunks):
-        G = dpg.gram(kernels.tables[lo : lo + dpg.CHUNK], cfg.t)
-        L, dinv, B, l = chunk
-        assert L.shape == G.shape and dinv.shape == l.shape == B.shape[:2] == G.shape[:2]
-        # no kept array is G or a view of it: the n x n stack holds the
-        # Cholesky factors of the equilibrated G
-        for a in chunk:
-            owner = a if a.base is None else a.base
-            assert not (owner.shape == G.shape and np.array_equal(owner, G))
-        factor = np.tril(L)
-        G_eq = G * dinv[:, :, None] * dinv[:, None, :]
-        assert np.allclose(factor @ factor.transpose(0, 2, 1), G_eq, rtol=0.0, atol=1e-12)
+    _, systems, _, _ = driver.assemble(mesh, cfg, kernels)
+    G = dpg.gram(kernels.tables, cfg.t)
+    L, dinv, B, l = systems
+    # one stack per quantity, over the whole mesh
+    assert L.shape == G.shape and dinv.shape == l.shape == B.shape[:2] == G.shape[:2]
+    assert len(G) == mesh.num_triangles
+    # each factor is Fortran-ordered, as potrf and potrs take it
+    assert all(Li.flags.f_contiguous for Li in L)
+    # no kept array is G or a view of it: the n x n stack holds the
+    # Cholesky factors of the equilibrated G
+    for a in systems:
+        owner = a if a.base is None else a.base
+        assert not (owner.shape == G.shape and np.array_equal(owner, G))
+    factor = np.tril(L)
+    G_eq = G * dinv[:, :, None] * dinv[:, None, :]
+    assert np.allclose(factor @ factor.transpose(0, 2, 1), G_eq, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", MESHES)

@@ -27,9 +27,10 @@ def random_spd(n, seed, cond=None):
 
 
 def sparse(D):
-    """D as the solver assembles it: every entry passed, the lower triangle kept."""
-    idx = np.indices(D.shape)
-    return symmetric_from_coo(D.shape[0], idx[0].ravel(), idx[1].ravel(), D.ravel())
+    """D as the solver assembles it: the triplets of its lower triangle."""
+    rows, cols = np.indices(D.shape).reshape(2, -1)
+    lower = rows >= cols
+    return symmetric_from_coo(D.shape[0], rows[lower], cols[lower], D.ravel()[lower])
 
 
 def test_sparse_from_coo_sums_duplicates():
@@ -43,12 +44,18 @@ def test_sparse_from_coo_sums_duplicates():
     assert np.allclose(A.diagonal(), [2.0, 3.0, 5.0])
 
 
-def test_sparse_from_coo_drops_upper_triangle():
-    # scatter provides both (i, j) and (j, i); only one may be kept
+def test_sparse_from_coo_mirrors_the_lower_triangle():
     D = random_spd(6, seed=1)
     A = sparse(D)
     assert np.abs(A.toarray() - D).max() < 1e-14
     assert (A != A.T).nnz == 0
+
+
+def test_sparse_from_coo_rejects_upper_triplets():
+    # both halves of the pair (1, 0), (0, 1): the upper one is an error
+    rows, cols = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="lower-triangle triplets"):
+        symmetric_from_coo(2, rows, cols, np.array([2.0, 1.0, 1.0, 2.0]))
 
 
 def test_solve_identity():
@@ -143,8 +150,18 @@ def test_cg_iterations_are_the_callback_count():
     assert info == 0
     assert np.array_equal(x, x_ref)
     assert stats["cg_iterations"] == len(seen) > 0
+    assert stats["factor_s"] == stats["factor_nnz"] == 0
     solve_spd(A, b, stats=stats)
     assert stats["cg_iterations"] == 0
+
+
+def test_direct_solve_reports_its_factor():
+    # the L and U factors of a dense n x n matrix hold n (n + 1) entries,
+    # the unit diagonal of L included
+    stats = {}
+    solve_spd(sparse(random_spd(8, seed=6)), np.ones(8), stats=stats)
+    assert stats["factor_nnz"] == 8 * 9
+    assert stats["factor_s"] > 0.0
 
 
 def blas_counts():
