@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -14,7 +15,7 @@ from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
 from .linalg import DIRECT_SIZE_LIMIT, SolveError
 from .manufactured import verify_manufactured
-from .mesh import mesh_at_level, write_mesh_text
+from .mesh import mesh_at_level, refine_uniform, unit_square_initial, write_mesh_text
 from .quadrature import map_to_triangle, triangle_rule
 
 
@@ -36,6 +37,34 @@ def _reject(args, message):
     return 2
 
 
+def _direct_size_error(level, configs):
+    """Why the direct solver cannot take mesh `level` under `configs`, or None.
+
+    A too-large level would fail only after the solves below it.  The
+    meshes are refined up to `level`, and no further than the first one
+    past DIRECT_SIZE_LIMIT.
+    """
+    mesh = unit_square_initial()
+    while True:
+        n_free = max(DofMap(mesh, cfg).n_free for cfg in configs)
+        if n_free > DIRECT_SIZE_LIMIT:
+            return (f"level {mesh.level} has {n_free} free dofs, more than "
+                    f"the {DIRECT_SIZE_LIMIT} of the direct solver")
+        if mesh.level >= level:
+            return None
+        mesh = refine_uniform(mesh)
+
+
+def _path_error(path):
+    """Why `path` cannot be opened for writing, or None; no file is created."""
+    if os.path.isdir(path):
+        return f"{path} is a directory"
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"{path}: no directory {folder}"
+    return None
+
+
 def _cmd_study(args):
     t_list = args.t_list
     if args.levels < 1:
@@ -50,14 +79,14 @@ def _cmd_study(args):
     if config.bc == "clamped" and args.levels < 2:
         return _reject(args, f"--levels must be >= 2 for clamped plates, whose "
                              f"studies start at level 1 (got {args.levels})")
-    if config.solver == "direct":
-        # a too-large finest level would fail only after the coarser solves
-        finest = mesh_at_level(args.levels - 1)
-        n_free = max(DofMap(finest, cfg).n_free for cfg in configs)
-        if n_free > DIRECT_SIZE_LIMIT:
-            return _reject(args, f"level {finest.level} has {n_free} free dofs, more than "
-                                 f"the {DIRECT_SIZE_LIMIT} of the direct solver; "
-                                 "use --solver cg")
+    # the files are written only after every solve
+    outputs = {"--out": None if args.out == "-" else args.out,
+               "--stats": args.stats, "--dump-mesh": args.dump_mesh}
+    for flag, path in outputs.items():
+        if path is not None and (error := _path_error(path)):
+            return _reject(args, f"{flag} {error}")
+    if config.solver == "direct" and (error := _direct_size_error(args.levels - 1, configs)):
+        return _reject(args, f"{error}; use --solver cg")
     progress = None
     if not args.quiet:
         progress = lambda line: print(line, file=sys.stderr)
@@ -169,6 +198,9 @@ def _cmd_limit(args):
         return _reject(args, f"--level must be >= 0 (got {args.level})")
     if not all(t > 0.0 and np.isfinite(t) for t in args.t_list):
         return _reject(args, "the limit study needs finite thicknesses t > 0")
+    configs = [ProblemConfig(t=t) for t in (0.0, *args.t_list)]
+    if error := _direct_size_error(args.level, configs):
+        return _reject(args, error)
     out = kirchhoff_limit_check(level=args.level, t_sequence=tuple(args.t_list))
     print(f"level {out['level']} mesh, distance to the t = 0 solution")
     print(f"{'t':>10s} {'|u(t)-u(0)|':>14s} {'|M(t)-M(0)|':>14s}")

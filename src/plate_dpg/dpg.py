@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import hct, quadrature, testspace
-from .testspace import BarycentricMap, BrokenTestBasis
+from .testspace import BarycentricMap
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
 N_TRACE_COLS = 36  # 4 generating fields x 9 vertex dofs
@@ -70,16 +70,26 @@ class ProblemConfig:
                              f"[{lowest}, {quadrature.MAX_TRIANGLE_DEGREE}] for test "
                              f"degree {self.test_degree}")
 
-    def n_field(self):
-        return 6 if self.t > 0.0 else 4
+
+def n_components(t):
+    """Test components (z, Theta11, Theta12, Theta22, tau1, tau2) at thickness t.
+
+    At t = 0 tau leaves, and with it the rotation: the count is also that
+    of an element's field unknowns (u, M11, M12, M22, theta1, theta2).
+    """
+    return 6 if t > 0.0 else 4
 
 
 class ElementKernel:
     """Basis tables of a stack of triangles at their volume and edge quadrature points.
 
     Built from the triangles `coords` (ne, 3, 2) in one stacked call per
-    CHUNK of them, with the quadrature rules taken once.  Every table
-    carries the elements on its leading axis.  Volume tables: points
+    CHUNK of them, with the quadrature rules taken once.  The broken test
+    space has one block of the `n_scalar` Bernstein polynomials of
+    `degree` per component of `n_components(t)`, in the order (z, Theta11,
+    Theta12, Theta22, tau1, tau2); `block(comp)` is the slice of one
+    component in the `n_test(t)` columns.  Every table carries the
+    elements on its leading axis.  Volume tables: points
     `vpts` (ne, nq, 2), weights `vw` (ne, nq), test basis values `V` and
     derivatives `Dx`, `Dy`, `Hxx`, `Hxy`, `Hyy` (ne, nq, n_scalar).  Edge
     tables are stacked over the three edges: weights `ew` (ne, 3, nqe),
@@ -93,8 +103,10 @@ class ElementKernel:
     NAMES = ("vpts", "vw", "V", "Dx", "Dy", "Hxx", "Hxy", "Hyy",
              "ew", "en", "tv", "tx", "ty", "hv", "hx", "hy")
 
-    def __init__(self, coords, layout=None, quad_degree=14):
-        self.layout = layout if layout is not None else BrokenTestBasis()
+    def __init__(self, coords, degree=3, quad_degree=14):
+        self.degree = degree
+        self.quad_degree = quad_degree
+        self.n_scalar = testspace.scalar_basis_size(degree)
         coords = np.asarray(coords, dtype=float)
         vol = quadrature.triangle_rule(quad_degree)
         erule = quadrature.edge_rule(EDGE_DEGREE)
@@ -102,10 +114,10 @@ class ElementKernel:
             xy = coords[lo : lo + CHUNK]
             bary = BarycentricMap(xy)
             vpts, vw = quadrature.map_to_triangles(vol, xy)
-            val, grad, hess = testspace.eval_scalar_basis(bary, vpts, self.layout.degree)
+            val, grad, hess = testspace.eval_scalar_basis(bary, vpts, degree)
             ends = xy[:, [1, 2, 0]]
             epts, ew = quadrature.map_to_edge(erule, xy, ends)
-            tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, self.layout.degree)
+            tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, degree)
             element = hct.build_hct_element(xy)
             traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
             hgrad = np.stack([g for _, g in traces], axis=1)
@@ -116,10 +128,10 @@ class ElementKernel:
                 tv=tval, tx=tgrad[..., 0], ty=tgrad[..., 1],
                 hv=np.stack([v for v, _ in traces], axis=1),
                 hx=hgrad[..., 0], hy=hgrad[..., 1])
-            for name in self.NAMES:
+            for name, table in chunk.items():
                 if lo == 0:
-                    setattr(self, name, np.empty((len(coords),) + chunk[name].shape[1:]))
-                getattr(self, name)[lo : lo + CHUNK] = chunk[name]
+                    setattr(self, name, np.empty((len(coords),) + table.shape[1:]))
+                getattr(self, name)[lo : lo + CHUNK] = table
 
     def __len__(self):
         return self.vw.shape[0]
@@ -129,6 +141,13 @@ class ElementKernel:
         for name in self.NAMES:
             setattr(view, name, getattr(self, name)[elements])
         return view
+
+    def n_test(self, t):
+        return n_components(t) * self.n_scalar
+
+    def block(self, comp):
+        """Slice of component `comp` in (z, th11, th12, th22, tau1, tau2)."""
+        return slice(comp * self.n_scalar, (comp + 1) * self.n_scalar)
 
 
 class _Blocks:
@@ -213,7 +232,7 @@ def gram(k, t):
 
     G = R^T R, with R stacking the square-root-weighted features row-wise.
     """
-    n_test = k.layout.n_test(t)
+    n_test = k.n_test(t)
     e11, e22, e12 = _strain_features(k, t)
     feats = [
         (1.0, _place(0, k.V)),
@@ -240,10 +259,9 @@ def gram(k, t):
 
 
 def b_field(k, t):
-    """Volume blocks (ne, n_test, n_field) of the trial-to-test matrix: u, M, (theta)."""
-    n_field = 6 if t > 0.0 else 4
-    n_test = k.layout.n_test(t)
-    B = np.empty((len(k), n_test, n_field))
+    """Volume blocks (ne, n_test, n_components(t)) of the trial-to-test matrix: u, M, (theta)."""
+    n_test = k.n_test(t)
+    B = np.empty((len(k), n_test, n_components(t)))
     w = k.vw
     e11, e22, e12 = _strain_features(k, t)
     B[:, :, 0] = _weighted_sum(w, _scaled_div_feature(k, t), n_test)
@@ -263,7 +281,7 @@ def b_trace(k, t):
     Column order: field-major (u-hat, M11-hat, M12-hat, M22-hat), then
     the nine vertex dofs (value, d/dx, d/dy per vertex) of each.
     """
-    n_test = k.layout.n_test(t)
+    n_test = k.n_test(t)
     # one contiguous (ne, n_test, 9) accumulator per generating field
     blocks = [np.zeros((len(k), n_test, 9)) for _ in TRACE_FIELDS]
     tt = t * t
@@ -317,8 +335,8 @@ def b_trace(k, t):
 
 def load(k, f_values, t):
     """Load functionals -(f, z) (ne, n_test) against the test basis."""
-    l = np.zeros((len(k), k.layout.n_test(t)))
-    l[:, k.layout.block(0)] = (-(k.vw * f_values)[:, None, :] @ k.V)[:, 0, :]
+    l = np.zeros((len(k), k.n_test(t)))
+    l[:, k.block(0)] = (-(k.vw * f_values)[:, None, :] @ k.V)[:, 0, :]
     return l
 
 

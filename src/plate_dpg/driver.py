@@ -8,7 +8,7 @@ elimination of vertex dofs, which zeroes the corresponding edge traces
 exactly: the value trace of a C1 field along a boundary edge is the
 cubic fixed by the endpoint values and tangential derivatives.
 
-Element tables (`dpg.ElementKernel`), element systems and condensation run
+Element tables (`MeshKernels`), element systems and condensation run
 on chunks of `dpg.CHUNK` elements, the estimator once on the whole-mesh
 stacks they fill; each stacked operation gives every element the bits of
 the per-element formulas.  Assembly accumulates the element normal-equation
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dpg, linalg, manufactured, mesh as meshmod, quadrature
-from .testspace import BrokenTestBasis
 
 N_TRACE_PER_VERTEX = 12
 TRACE_U, TRACE_M11, TRACE_M12, TRACE_M22 = 0, 1, 2, 3
@@ -39,7 +38,7 @@ class DofMap:
 
     def __init__(self, mesh, config):
         self.mesh = mesh
-        self.n_field = config.n_field()
+        self.n_field = dpg.n_components(config.t)
         self.field_total = self.n_field * mesh.num_triangles
         self.n_total = self.field_total + N_TRACE_PER_VERTEX * mesh.num_vertices
         if config.bc == "clamped":
@@ -47,8 +46,7 @@ class DofMap:
         else:
             constrained = apply_bc_simply_supported(mesh)
         self.constrained = np.zeros(self.n_total, dtype=bool)
-        for v, f, c in constrained:
-            self.constrained[self.trace_dof(v, f, c)] = True
+        self.constrained[self.trace_dof(*np.array(constrained).T)] = True
         self.free_index = np.full(self.n_total, -1, dtype=np.int64)
         free = np.flatnonzero(~self.constrained)
         self.free_index[free] = np.arange(free.size)
@@ -59,13 +57,15 @@ class DofMap:
         # ordered field-major, then by vertex, then (value, d/dx, d/dy)
         nt = mesh.num_triangles
         fields = self.n_field * np.arange(nt)[:, None] + np.arange(self.n_field)
-        traces = (self.field_total
-                  + N_TRACE_PER_VERTEX * mesh.triangles[:, None, :, None]
-                  + 3 * np.arange(4)[None, :, None, None]
-                  + np.arange(3)[None, None, None, :])
+        traces = self.trace_dof(mesh.triangles[:, None, :, None],
+                                np.arange(4)[:, None, None], np.arange(3))
         self.element_dofs = np.hstack([fields, traces.reshape(nt, dpg.N_TRACE_COLS)])
 
     def trace_dof(self, vertex, tfield, comp):
+        """Global index of trace dof `comp` of generating field `tfield` at `vertex`.
+
+        Takes integers or integer arrays, broadcast against each other.
+        """
         return (self.field_total + N_TRACE_PER_VERTEX * vertex
                 + 3 * tfield + comp)
 
@@ -108,27 +108,29 @@ def apply_bc_clamped(mesh):
     return sorted(out)
 
 
-class MeshKernels:
-    """Per-mesh cache: stacked element tables and load values."""
+class MeshKernels(dpg.ElementKernel):
+    """The element tables of one mesh, with the load values `f_values` (nt, nq).
+
+    The load is taken once per mesh, at the volume quadrature points; a
+    slice of elements slices it with the tables.
+    """
+
+    NAMES = dpg.ElementKernel.NAMES + ("f_values",)
 
     def __init__(self, mesh, config):
         self.vertices = mesh.vertices.copy()
         self.triangles = mesh.triangles.copy()
-        self.test_degree = config.test_degree
-        self.quad_degree = config.quad_degree
-        self.tables = dpg.ElementKernel(
-            mesh.vertices[mesh.triangles], BrokenTestBasis(config.test_degree),
-            config.quad_degree)
+        super().__init__(mesh.vertices[mesh.triangles], config.test_degree,
+                         config.quad_degree)
         ex = manufactured.ExactSolution(0.0)
-        vpts = self.tables.vpts
-        self.f_values = ex.f(vpts[..., 0], vpts[..., 1])
+        self.f_values = ex.f(self.vpts[..., 0], self.vpts[..., 1])
 
     def check(self, mesh, config):
         """Raise ValueError unless these kernels were built for `mesh` and `config`."""
         if not (np.array_equal(self.vertices, mesh.vertices)
                 and np.array_equal(self.triangles, mesh.triangles)):
             raise ValueError("cached kernels were built for another mesh")
-        if (self.test_degree, self.quad_degree) != (config.test_degree, config.quad_degree):
+        if (self.degree, self.quad_degree) != (config.test_degree, config.quad_degree):
             raise ValueError("cached kernels were built with different discretization knobs")
 
 
@@ -168,11 +170,11 @@ def element_system(kernels, elements, config):
     `dpg.gram_factors`, the trial-to-test matrices (ne, n_test, m) and the
     load vectors (ne, n_test).  G itself is not kept.
     """
-    k = kernels.tables[elements]
+    k = kernels[elements]
     t = config.t
     G = dpg.gram(k, t)
     B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
-    l = dpg.load(k, kernels.f_values[elements], t)
+    l = dpg.load(k, k.f_values, t)
     L, dinv = dpg.gram_factors(G, B, l)
     return L, dinv, B, l
 
@@ -188,7 +190,7 @@ def assemble(mesh, config, kernels, stats=None):
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
     nt = mesh.num_triangles
-    n = kernels.tables.layout.n_test(config.t)
+    n = kernels.n_test(config.t)
     m = dof.element_dofs.shape[1]
     A_loc = np.empty((nt, m, m))
     b_loc = np.empty((nt, m))

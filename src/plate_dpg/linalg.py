@@ -86,9 +86,9 @@ class SolveError(Exception):
 
 
 class NotPositiveDefiniteError(SolveError):
-    def __init__(self, pivot, message=None):
+    def __init__(self, pivot):
         self.pivot = pivot
-        super().__init__(message or f"matrix is not positive definite (pivot {pivot})")
+        super().__init__(f"matrix is not positive definite (pivot {pivot})")
 
 
 class IterativeSolveError(SolveError):

@@ -1,11 +1,9 @@
-"""Broken polynomial test space on a triangle, or on a stack of triangles.
+"""Scalar Bernstein basis of the broken test space, on a triangle or a stack of them.
 
-Scalar shape functions are Bernstein polynomials of the barycentric
-coordinates of the physical triangle.  A test function is a 4-tuple
-(z, Theta, tau) with scalar z, symmetric 2x2 tensor Theta stored as
-(11, 12, 22), and vector tau; each component is spanned by the same
-scalar basis, giving 6 * n_scalar local degrees of freedom.  For the
-degenerate thickness t = 0 the tau block is dropped from the layout.
+Shape functions are Bernstein polynomials of the barycentric coordinates
+of the physical triangle.  Each component of a test function (z, Theta,
+tau) is spanned by the same scalar basis; `dpg.ElementKernel` lays the
+components out.
 """
 
 import functools
@@ -13,6 +11,7 @@ import math
 
 import numpy as np
 
+# the test degrees `ProblemConfig` accepts
 MIN_DEGREE, MAX_DEGREE = 2, 5
 
 
@@ -112,8 +111,6 @@ def eval_scalar_basis(tri, pts, degree=3):
     over the stack, so the tables equal that loop's on each triangle alone
     bit for bit.
     """
-    if not MIN_DEGREE <= degree <= MAX_DEGREE:
-        raise ValueError(f"test-space degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]")
     rows, weights, first, second = _term_tables(degree)
     bary = tri if isinstance(tri, BarycentricMap) else BarycentricMap(tri)
     lam = bary(pts)
@@ -142,28 +139,3 @@ def eval_scalar_basis(tri, pts, degree=3):
     return (np.ascontiguousarray(val.transpose(1, 2, 0)).reshape(lead + (nq, nb)),
             np.ascontiguousarray(grad.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 2)),
             np.ascontiguousarray(hess.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 3)))
-
-
-class BrokenTestBasis:
-    """Degree-of-freedom layout of the broken test space on one element.
-
-    Blocks are ordered (z, Theta11, Theta12, Theta22, tau1, tau2), each of
-    size n_scalar; at t = 0 the two tau blocks are absent.
-    """
-
-    def __init__(self, degree=3):
-        if not MIN_DEGREE <= degree <= MAX_DEGREE:
-            raise ValueError(f"test-space degree must be in [{MIN_DEGREE}, {MAX_DEGREE}]")
-        self.degree = degree
-        self.n_scalar = scalar_basis_size(degree)
-
-    def n_components(self, t):
-        return 6 if t > 0.0 else 4
-
-    def n_test(self, t):
-        return self.n_components(t) * self.n_scalar
-
-    def block(self, comp):
-        """Slice of component `comp` in (z, th11, th12, th22, tau1, tau2)."""
-        ns = self.n_scalar
-        return slice(comp * ns, (comp + 1) * ns)

@@ -20,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve, null_space
 
 from plate_dpg import dpg, linalg, manufactured, quadrature
 from plate_dpg.hct import _GRAD_S, _VALUE_S, N_DOFS
-from plate_dpg.testspace import BarycentricMap, BrokenTestBasis, eval_scalar_basis
+from plate_dpg.testspace import BarycentricMap, eval_scalar_basis, scalar_basis_size
 
 
 def _edge_points(p, q, s):
@@ -103,14 +103,14 @@ LoopSystem = namedtuple("LoopSystem", "G B l")
 class LoopKernel:
     """Tables of one triangle and its element system, one element at a time."""
 
-    def __init__(self, coords, layout=None, quad_degree=14):
+    def __init__(self, coords, degree=3, quad_degree=14):
         self.coords = np.asarray(coords, dtype=float)
-        self.layout = layout if layout is not None else BrokenTestBasis()
+        self.n_scalar = scalar_basis_size(degree)
         self.hct = LoopHct(self.coords)
         bary = BarycentricMap(self.coords)
         vol = quadrature.triangle_rule(quad_degree)
         self.vpts, self.vw = quadrature.map_to_triangle(vol, self.coords)
-        val, grad, hess = eval_scalar_basis(bary, self.vpts, self.layout.degree)
+        val, grad, hess = eval_scalar_basis(bary, self.vpts, degree)
         self.V = val
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
@@ -124,7 +124,7 @@ class LoopKernel:
             we = erule.weights * np.hypot(*(q - p))
             d = q - p
             n = np.array([d[1], -d[0]]) / np.hypot(*d)
-            tval, tgrad, _ = eval_scalar_basis(bary, pts, self.layout.degree)
+            tval, tgrad, _ = eval_scalar_basis(bary, pts, degree)
             hval, hgrad = self.hct.edge_trace(k, erule.points)
             self.edges.append(
                 dict(w=we, n=n, tv=tval, tx=tgrad[:, :, 0], ty=tgrad[:, :, 1],
@@ -138,9 +138,12 @@ class LoopKernel:
         key = {"ew": "w", "en": "n"}.get(name, name)
         return np.stack([e[key] for e in self.edges])
 
+    def n_test(self, t):
+        return dpg.n_components(t) * self.n_scalar
+
     def _place(self, t, comp, table):
-        ns = self.layout.n_scalar
-        out = np.zeros((table.shape[0], self.layout.n_test(t)))
+        ns = self.n_scalar
+        out = np.zeros((table.shape[0], self.n_test(t)))
         out[:, comp * ns : (comp + 1) * ns] = table
         return out
 
@@ -189,7 +192,7 @@ class LoopKernel:
 
     def b_field(self, t):
         n_field = 6 if t > 0.0 else 4
-        B = np.empty((self.layout.n_test(t), n_field))
+        B = np.empty((self.n_test(t), n_field))
         w = self.vw
         e11, e22, e12 = self.strain_features(t)
         B[:, 0] = w @ self.scaled_div_feature(t)
@@ -202,11 +205,11 @@ class LoopKernel:
         return B
 
     def b_trace(self, t):
-        ns = self.layout.n_scalar
-        n_test = self.layout.n_test(t)
+        ns = self.n_scalar
+        n_test = self.n_test(t)
         B = np.zeros((n_test, dpg.N_TRACE_COLS))
         tt = t * t
-        zsl = self.layout.block(0)
+        zsl = slice(0, ns)
         for e in self.edges:
             w, n = e["w"], e["n"]
             tv, tx, ty = e["tv"], e["tx"], e["ty"]
@@ -260,8 +263,8 @@ class LoopKernel:
         return B
 
     def load(self, f_values, t):
-        l = np.zeros(self.layout.n_test(t))
-        l[self.layout.block(0)] = -(self.vw * f_values) @ self.V
+        l = np.zeros(self.n_test(t))
+        l[: self.n_scalar] = -(self.vw * f_values) @ self.V
         return l
 
     def system(self, t, f_values):
@@ -301,7 +304,7 @@ def cho_residual(system, x_local):
 
 def strided_b_trace(k, t):
     """`dpg.b_trace` of a stack, accumulated in strided column views of one array."""
-    n_test = k.layout.n_test(t)
+    n_test = k.n_test(t)
     B = np.zeros((len(k), n_test, dpg.N_TRACE_COLS))
     tt = t * t
     for e in range(3):
@@ -354,8 +357,7 @@ def diags_scaled(A, s):
 
 def loop_kernels(mesh, config):
     """One LoopKernel per element, with the load values at its quadrature points."""
-    kernels = [LoopKernel(mesh.triangle_coords(ti), BrokenTestBasis(config.test_degree),
-                          config.quad_degree)
+    kernels = [LoopKernel(mesh.triangle_coords(ti), config.test_degree, config.quad_degree)
                for ti in range(mesh.num_triangles)]
     ex = manufactured.ExactSolution(0.0)
     f_values = [ex.f(k.vpts[:, 0], k.vpts[:, 1]) for k in kernels]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import HctScalarField, hct_elements, trace_pair_edge, trace_pair_volume
-from plate_dpg import dpg
+from plate_dpg import dpg, testspace
 from plate_dpg.dpg import (
     ElementKernel,
     ProblemConfig,
@@ -28,7 +28,7 @@ from plate_dpg.dpg import (
 )
 from plate_dpg.hct import build_hct_element, eval_hct, eval_on_parent_edge
 from plate_dpg.quadrature import map_to_triangle, triangle_rule
-from plate_dpg.testspace import BrokenTestBasis, eval_scalar_basis, scalar_basis_size
+from plate_dpg.testspace import eval_scalar_basis, scalar_basis_size
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -69,9 +69,9 @@ def scalar_coeffs(coords, fun):
     return np.linalg.solve(val, fun(pts[:, 0], pts[:, 1]))
 
 
-def component_vector(layout, t, coords, component, fun):
-    v = np.zeros(layout.n_test(t))
-    v[layout.block(component)] = scalar_coeffs(coords, fun)
+def component_vector(kernel, t, coords, component, fun):
+    v = np.zeros(kernel.n_test(t))
+    v[kernel.block(component)] = scalar_coeffs(coords, fun)
     return v
 
 
@@ -86,8 +86,8 @@ def test_config_validation():
         ProblemConfig(t=0.5, bc="clamped")
     with pytest.raises(ValueError):
         ProblemConfig(solver="multigrid")
-    assert ProblemConfig(t=0.0, bc="clamped").n_field() == 4
-    assert ProblemConfig(t=1e-3).n_field() == 6
+    assert dpg.n_components(ProblemConfig(t=0.0, bc="clamped").t) == 4
+    assert dpg.n_components(ProblemConfig(t=1e-3).t) == 6
 
 
 def test_config_rejects_bad_discretization():
@@ -100,28 +100,47 @@ def test_config_rejects_bad_discretization():
     ProblemConfig(test_degree=5, quad_degree=20)
 
 
+# ---- the test layout of the element tables
+
+
+def test_component_layout():
+    kernel = make_kernel(REF)
+    assert kernel.n_scalar == 10
+    assert kernel.n_test(1.0) == 60
+    assert kernel.n_test(0.0) == 40
+    assert dpg.n_components(0.5) == 6
+    assert kernel.block(2) == slice(20, 30)
+
+
+def test_degree_bounds():
+    # ProblemConfig rejects the degrees outside these bounds
+    # (test_config_rejects_bad_discretization)
+    for degree in range(testspace.MIN_DEGREE, testspace.MAX_DEGREE + 1):
+        kernel = ElementKernel([REF], degree, quad_degree=2 * degree)
+        assert kernel.n_test(1.0) == 6 * kernel.n_scalar
+        assert kernel.V.shape[-1] == kernel.tv.shape[-1] == kernel.n_scalar
+
+
 # ---- Gram matrix
 
 
 def test_gram_constant_deflection_test():
     kernel = make_kernel(REF)
-    layout = kernel.layout
     G = gram(kernel, 1.0)[0]
-    v = component_vector(layout, 1.0, REF, 0, lambda x, y: np.ones_like(x))
+    v = component_vector(kernel, 1.0, REF, 0, lambda x, y: np.ones_like(x))
     # constant z: only the L2 term survives
     assert abs(v @ G @ v - 0.5) < 1e-13
 
 
 def test_gram_linear_deflection_test():
     kernel = make_kernel(REF)
-    layout = kernel.layout
     G1 = gram(kernel, 1.0)[0]
-    v1 = component_vector(layout, 1.0, REF, 0, lambda x, y: x)
+    v1 = component_vector(kernel, 1.0, REF, 0, lambda x, y: x)
     # |x|^2 over the triangle is 1/12; the gradient term adds t * area
     assert abs(v1 @ G1 @ v1 - 7.0 / 12.0) < 1e-13
 
     G0 = gram(kernel, 0.0)[0]
-    v0 = component_vector(layout, 0.0, REF, 0, lambda x, y: x)
+    v0 = component_vector(kernel, 0.0, REF, 0, lambda x, y: x)
     assert abs(v0 @ G0 @ v0 - 1.0 / 12.0) < 1e-13
 
 
@@ -148,14 +167,14 @@ def test_gram_size_depends_on_thickness():
 def test_b_field_deflection_column_against_divergence_free_test():
     kernel = make_kernel(REF)
     B = b_field(kernel, 0.0, )[0]
-    v = component_vector(kernel.layout, 0.0, REF, 1, lambda x, y: np.ones_like(x))
+    v = component_vector(kernel, 0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v @ B[:, 0]) < 1e-14
 
 
 def test_b_field_deflection_column_against_linear_shear_test():
     kernel = make_kernel(REF)
     B = b_field(kernel, 1.0, )[0]
-    v = component_vector(kernel.layout, 1.0, REF, 4, lambda x, y: x)
+    v = component_vector(kernel, 1.0, REF, 4, lambda x, y: x)
     # (u, t div tau) with tau = (x, 0): integral of 1 over the triangle
     assert abs(v @ B[:, 0] - 0.5) < 1e-13
 
@@ -163,7 +182,7 @@ def test_b_field_deflection_column_against_linear_shear_test():
 def test_b_field_moment_column_constant_test():
     kernel = make_kernel(REF)
     B = b_field(kernel, 1.0, )[0]
-    v = component_vector(kernel.layout, 1.0, REF, 1, lambda x, y: np.ones_like(x))
+    v = component_vector(kernel, 1.0, REF, 1, lambda x, y: np.ones_like(x))
     # (M, C^{-1} Theta) with both constant: the element area
     assert abs(v @ B[:, 1] - 0.5) < 1e-13
 
@@ -195,13 +214,13 @@ def test_b_trace_closed_contour_identities():
     # constant test z = 1 at t = 1: every skeleton term of the deflection
     # trace involves div Theta, tau, or grad z, all zero here
     B = b_trace(kernel, 1.0)[0]
-    v = component_vector(kernel.layout, 1.0, REF, 0, lambda x, y: np.ones_like(x))
+    v = component_vector(kernel, 1.0, REF, 0, lambda x, y: np.ones_like(x))
     assert abs(v @ (B @ qhat)) < 1e-13
 
     # constant test Theta = E11 at t = 0: <grad u, Theta n> integrates
     # n_1 around the closed element boundary
     B0 = b_trace(kernel, 0.0)[0]
-    v0 = component_vector(kernel.layout, 0.0, REF, 1, lambda x, y: np.ones_like(x))
+    v0 = component_vector(kernel, 0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v0 @ (B0 @ qhat)) < 1e-13
 
 
@@ -210,10 +229,9 @@ def test_edge_degree_integrates_the_skeleton_exactly(monkeypatch, t):
     # at the highest test degree the edge integrands have degree 8, so
     # dpg.EDGE_DEGREE = 8 must match the highest edge rule to roundoff
     coords = random_triangle(17)
-    layout = BrokenTestBasis(5)
-    B = b_trace(ElementKernel([coords], layout, quad_degree=20), t)[0]
+    B = b_trace(ElementKernel([coords], 5, quad_degree=20), t)[0]
     monkeypatch.setattr(dpg, "EDGE_DEGREE", 21)
-    B_ref = b_trace(ElementKernel([coords], layout, quad_degree=20), t)[0]
+    B_ref = b_trace(ElementKernel([coords], 5, quad_degree=20), t)[0]
     assert np.abs(B - B_ref).max() < 1e-13 * np.abs(B_ref).max()
 
 
@@ -230,13 +248,13 @@ def test_load_constant():
     kernel = make_kernel(REF)
     f = np.ones(kernel.vpts.shape[1])
     l = load(kernel, f[None], 1.0)[0]
-    v = component_vector(kernel.layout, 1.0, REF, 0, lambda x, y: np.ones_like(x))
+    v = component_vector(kernel, 1.0, REF, 0, lambda x, y: np.ones_like(x))
     assert abs(v @ l + 0.5) < 1e-14
     # the load tests only the deflection component
-    w = component_vector(kernel.layout, 1.0, REF, 1, lambda x, y: x + y)
+    w = component_vector(kernel, 1.0, REF, 1, lambda x, y: x + y)
     assert abs(w @ l) < 1e-14
     for comp in (2, 3, 4, 5):
-        assert np.abs(l[kernel.layout.block(comp)]).max() == 0.0
+        assert np.abs(l[kernel.block(comp)]).max() == 0.0
 
 
 # ---- local normal equations
@@ -437,7 +455,7 @@ def test_trace_pairing_bounded_by_test_norm():
         G = gram(kernel, t)[0]
         q_norm = np.sqrt(triple_test_norm_sq(triple, t))
         for _ in range(5):
-            v = rng.standard_normal(kernel.layout.n_test(t))
+            v = rng.standard_normal(kernel.n_test(t))
             pairing = abs(v @ (B @ qhat))
             v_norm = np.sqrt(v @ G @ v)
             assert pairing <= q_norm * v_norm * (1.0 + 1e-9) + 1e-12
@@ -471,8 +489,7 @@ def test_ultraweak_consistency_identity(t):
     rng = np.random.default_rng(17)
     coords = random_triangle(70)
     kernel = make_kernel(coords)
-    layout = kernel.layout
-    ns = layout.n_scalar
+    ns = kernel.n_scalar
     tt = t * t
 
     uq = Quadratic(rng.standard_normal(6))
@@ -488,14 +505,14 @@ def test_ultraweak_consistency_identity(t):
     hu = uq.hess()
 
     def place(comp, table):
-        out = np.zeros((table.shape[0], layout.n_test(t)))
+        out = np.zeros((table.shape[0], kernel.n_test(t)))
         out[:, comp * ns : (comp + 1) * ns] = table
         return out
 
     V, Dx, Dy = kernel.V[0], kernel.Dx[0], kernel.Dy[0]
     th = [place(1, V), place(2, V), place(3, V)]
-    e11, e22, e12 = (f.full(layout.n_test(t))[0] for f in _strain_features(kernel, t))
-    S = _scaled_div_feature(kernel, t).full(layout.n_test(t))[0]
+    e11, e22, e12 = (f.full(kernel.n_test(t))[0] for f in _strain_features(kernel, t))
+    S = _scaled_div_feature(kernel, t).full(kernel.n_test(t))[0]
 
     lhs = (w * uv) @ S
     lhs += (w * Mv[:, 0]) @ (th[0] + e11)

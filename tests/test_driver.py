@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plate_dpg import linalg
+from plate_dpg import dpg, driver, linalg
 from plate_dpg.cli import main
 from plate_dpg.dpg import ProblemConfig, condense, local_residuals
 from plate_dpg.driver import (
@@ -260,6 +260,36 @@ def test_solve_rejects_a_large_backward_error(level1, monkeypatch):
         assemble_and_solve(mesh, cfg, kernels)
 
 
+@pytest.fixture(scope="module")
+def degree3_study():
+    return run_study([1e-2, 0.0], 3, ProblemConfig())
+
+
+# no other test ran a test degree but 3 from the tables to the errors
+@pytest.mark.parametrize("degree, quad_degree", [(2, 4), (5, 10)])
+def test_study_runs_at_other_test_degrees(monkeypatch, degree3_study, degree, quad_degree):
+    kept_rows = []
+    assemble = driver.assemble
+
+    def recording(mesh, config, kernels, stats=None):
+        out = assemble(mesh, config, kernels, stats)
+        _, (_, _, B, _), _, _ = out
+        kept_rows.append((config.t, B.shape[1]))
+        return out
+
+    monkeypatch.setattr(driver, "assemble", recording)
+    t_list = [1e-2, 0.0]
+    records = run_study(t_list, 3, ProblemConfig(test_degree=degree, quad_degree=quad_degree))
+    assert [(r.t, r.level) for r in records] == [(t, k) for t in t_list for k in range(3)]
+    n_scalar = (degree + 1) * (degree + 2) // 2
+    assert kept_rows == [(t, dpg.n_components(t) * n_scalar) for t in t_list for _ in range(3)]
+    for rec, ref in zip(records, degree3_study):
+        assert all(np.isfinite([rec.err_u, rec.err_M, rec.eta]))
+        if rec.level == 2:
+            assert abs(rec.err_u - ref.err_u) <= 0.1 * ref.err_u
+            assert abs(rec.err_M - ref.err_M) <= 0.1 * ref.err_M
+
+
 def test_study_errors_decrease_and_rates_match():
     cfg = ProblemConfig(t=1e-2)
     records = run_study([1e-2], 3, cfg)
@@ -375,6 +405,10 @@ def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     (["--test-degree", "7"], "test degree 7"),
     (["--levels", "8"], "level 7 has 786428 free dofs, more than the 200000 of the "
                         "direct solver; use --solver cg"),
+    # each output path was opened only after the whole study had run
+    (["--out", "missing/study.csv"], "--out missing/study.csv: no directory missing"),
+    (["--stats", "missing/stats.json"], "--stats missing/stats.json: no directory missing"),
+    (["--dump-mesh", "."], "--dump-mesh . is a directory"),
 ])
 def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
     out = tmp_path / "study.csv"
@@ -384,6 +418,17 @@ def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
     assert len(lines) == 1
     assert lines[0].startswith(f"plate-dpg study: error: {message}")
     assert not out.exists()
+
+
+def test_cli_limit_rejects_a_level_past_the_direct_solver(run_cli, tmp_path):
+    # limit --level 7 once built the level-7 kernels and systems and then
+    # ended in a ValueError traceback from solve_spd
+    proc = run_cli(["limit", "--level", "7"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "plate-dpg limit: error: level 7 has 786428 free dofs, more than the 200000 "
+        "of the direct solver"]
 
 
 def test_cli_study_names_the_failed_solve(monkeypatch, capsys, tmp_path):

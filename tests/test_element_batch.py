@@ -133,6 +133,19 @@ def test_small_chunks_build_the_same_tables(monkeypatch):
     assert_tables_match_loop(coords, ElementKernel(coords))
 
 
+def test_mesh_kernels_are_element_tables_sliced_by_chunk():
+    mesh = jittered_mesh(2, seed=9)
+    kernels = driver.MeshKernels(mesh, ProblemConfig())
+    assert isinstance(kernels, ElementKernel)
+    assert "f_values" in kernels.NAMES
+    for lo in range(0, mesh.num_triangles, dpg.CHUNK):
+        chunk = slice(lo, lo + dpg.CHUNK)
+        k = kernels[chunk]
+        assert (k.degree, k.quad_degree, k.n_scalar) == (3, 14, 10)
+        for name in kernels.NAMES:
+            assert_same_bits(getattr(k, name), getattr(kernels, name)[chunk])
+
+
 @pytest.mark.parametrize("t", T_VALUES)
 def test_batched_builders_match_loop_on_random_triangles(t):
     coords = random_triangles()
@@ -163,7 +176,7 @@ def test_element_systems_match_loop(name):
         for lo in range(0, mesh.num_triangles, dpg.CHUNK):
             elements = slice(lo, lo + dpg.CHUNK)
             L, dinv, B, l = driver.element_system(kernels, elements, cfg)
-            G = dpg.gram(kernels.tables[elements], t)
+            G = dpg.gram(kernels[elements], t)
             for i, (ref, f) in enumerate(zip(refs[elements], f_values[elements])):
                 expect = ref.system(t, f)
                 assert_same_bits(G[i], expect.G)
@@ -252,7 +265,7 @@ def test_kept_systems_drop_the_gram_matrices():
     cfg = ProblemConfig(t=1e-2)
     kernels = driver.MeshKernels(mesh, cfg)
     _, systems, _, _ = driver.assemble(mesh, cfg, kernels)
-    G = dpg.gram(kernels.tables, cfg.t)
+    G = dpg.gram(kernels, cfg.t)
     L, dinv, B, l = systems
     # one stack per quantity, over the whole mesh
     assert L.shape == G.shape and dinv.shape == l.shape == B.shape[:2] == G.shape[:2]
@@ -287,7 +300,7 @@ def test_condensation_and_estimator_match_cho_wrappers(name):
             elements = slice(lo, lo + dpg.CHUNK)
             chunk = driver.element_system(kernels, elements, cfg)
             _, _, B, l = chunk
-            G = dpg.gram(kernels.tables[elements], t)
+            G = dpg.gram(kernels[elements], t)
             A, b = dpg.condense(*chunk)
             x = rng.standard_normal(B.shape[::2])
             eta = dpg.local_residuals(*chunk, x)

@@ -1,16 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 
 from plate_dpg import quadrature
 from plate_dpg.mesh import mesh_at_level
-from plate_dpg.testspace import (
-    BarycentricMap,
-    BrokenTestBasis,
-    eval_scalar_basis,
-    scalar_basis_size,
-)
+from plate_dpg.testspace import BarycentricMap, eval_scalar_basis, scalar_basis_size
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -204,25 +198,6 @@ def test_barycentric_roundtrip():
     assert np.abs(lam - np.eye(3)).max() < 1e-13
     # gradients of the barycentric coordinates sum to zero
     assert np.abs(grad.sum(axis=0)).max() < 1e-13
-
-
-def test_component_layout():
-    layout = BrokenTestBasis(3)
-    assert layout.n_scalar == 10
-    assert layout.n_test(1.0) == 60
-    assert layout.n_test(0.0) == 40
-    assert layout.n_components(0.5) == 6
-    assert layout.block(2) == slice(20, 30)
-
-
-def test_degree_bounds():
-    with pytest.raises(ValueError):
-        BrokenTestBasis(1)
-    with pytest.raises(ValueError):
-        BrokenTestBasis(6)
-    for degree in (2, 4, 5):
-        layout = BrokenTestBasis(degree)
-        assert layout.n_test(1.0) == 6 * layout.n_scalar
 
 
 def test_stacked_tables_match_loop_reference_bit_for_bit():
