@@ -14,8 +14,11 @@ Run from the root of a source checkout; everything is imported from
   backward-error check and the estimator), with the peak RSS of each and
   the number of BLAS libraries the solve ran on one thread
   (`blas_pinned`) and the seconds and entries of the sparse LU factor
-  (`factor_s`, `factor_nnz`), each null where the checkout does not
-  report it;
+  (`factor_s`, `factor_nnz`) and the number of processes the element
+  systems ran in (`parts`), each null where the checkout does not
+  report it, and `peak_pss_mb`, the peak of the summed proportional set
+  size of the solve's process tree, which unlike the peak RSS also
+  counts a forked child;
 - the wall time and summary line of the Tier-1 test command;
 - the Python, numpy and scipy versions, the core count, the BLAS
   library of numpy and of scipy, and the thread count each of their
@@ -27,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,6 +69,7 @@ print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spen
                       blas_pinned=sol.stats.get("blas_pinned"),
                       factor_s=sol.stats.get("factor_s"),
                       factor_nnz=sol.stats.get("factor_nnz"),
+                      parts=sol.stats.get("parts"),
                       peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
 """
 
@@ -107,6 +112,43 @@ def run(args, env=None, check=True):
     return proc.stdout
 
 
+def tree_pss_kb(pid):
+    """Summed PSS in kB of process `pid` and its descendants, 0 for one that has ended."""
+    total = 0
+    try:
+        with open(f"/proc/{pid}/smaps_rollup") as f:
+            total += sum(int(line.split()[1]) for line in f if line.startswith("Pss:"))
+        children = []
+        for task in os.listdir(f"/proc/{pid}/task"):
+            with open(f"/proc/{pid}/task/{task}/children") as f:
+                children += f.read().split()
+    except (FileNotFoundError, ProcessLookupError):
+        return total
+    return total + sum(tree_pss_kb(int(child)) for child in children)
+
+
+def run_sampled(args, env, interval=0.02):
+    """(stdout, peak summed PSS in MB) of a command's process tree, sampled every `interval` s."""
+    proc = subprocess.Popen(args, cwd=ROOT, stdout=subprocess.PIPE, text=True, env=env)
+    done = threading.Event()
+    peak = [0]
+
+    def sample():
+        while not done.wait(interval):
+            peak[0] = max(peak[0], tree_pss_kb(proc.pid))
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        out, _ = proc.communicate()
+    finally:
+        done.set()
+        sampler.join()
+    if proc.returncode != 0:
+        raise SystemExit(f"record.py: {' '.join(args)} exited with code {proc.returncode}")
+    return out, peak[0] / 1024
+
+
 def last_json(text):
     return json.loads(text.strip().splitlines()[-1])
 
@@ -132,7 +174,9 @@ def main(argv=None):
         print(workload, record["perfbench"][workload], file=sys.stderr)
     record["solves"] = []
     for level, t in SOLVES:
-        solve = last_json(run([sys.executable, "-c", SOLVE, str(level), repr(t)], env))
+        stdout, peak_pss_mb = run_sampled([sys.executable, "-c", SOLVE, str(level), repr(t)],
+                                          env)
+        solve = dict(last_json(stdout), peak_pss_mb=peak_pss_mb)
         record["solves"].append(solve)
         print("solve", solve, file=sys.stderr)
     start = time.perf_counter()

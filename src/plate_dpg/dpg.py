@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from . import hct, quadrature, testspace
+from . import hct, parts, quadrature, testspace
 from .testspace import BarycentricMap
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
@@ -98,6 +98,11 @@ class ElementKernel:
     (ne, 3, nqe, 9).  Slicing with a slice of element indices gives the
     tables of those elements as views.  `gram`, `b_field`, `b_trace` and
     `load` take a stack and return one matrix or vector per element.
+
+    The tables are allocated by `parts.empty`.  Chunk 0 is built first,
+    which gives their shapes; the other chunks run through
+    `parts.run_chunks`, the second half of them in a forked child where
+    the process has two cores, with the bits of one process.
     """
 
     NAMES = ("vpts", "vw", "V", "Dx", "Dy", "Hxx", "Hxy", "Hyy",
@@ -108,30 +113,38 @@ class ElementKernel:
         self.quad_degree = quad_degree
         self.n_scalar = testspace.scalar_basis_size(degree)
         coords = np.asarray(coords, dtype=float)
+        if len(coords) == 0:
+            raise ValueError("element tables need at least one triangle")
         vol = quadrature.triangle_rule(quad_degree)
         erule = quadrature.edge_rule(EDGE_DEGREE)
-        for lo in range(0, len(coords), CHUNK):
-            xy = coords[lo : lo + CHUNK]
-            bary = BarycentricMap(xy)
-            vpts, vw = quadrature.map_to_triangles(vol, xy)
-            val, grad, hess = testspace.eval_scalar_basis(bary, vpts, degree)
-            ends = xy[:, [1, 2, 0]]
-            epts, ew = quadrature.map_to_edge(erule, xy, ends)
-            tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, degree)
-            element = hct.build_hct_element(xy)
-            traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
-            hgrad = np.stack([g for _, g in traces], axis=1)
-            chunk = dict(
-                vpts=vpts, vw=vw, V=val, Dx=grad[..., 0], Dy=grad[..., 1],
-                Hxx=hess[..., 0], Hxy=hess[..., 1], Hyy=hess[..., 2],
-                ew=ew, en=hct.unit_normals(xy, ends),
-                tv=tval, tx=tgrad[..., 0], ty=tgrad[..., 1],
-                hv=np.stack([v for v, _ in traces], axis=1),
-                hx=hgrad[..., 0], hy=hgrad[..., 1])
-            for name, table in chunk.items():
-                if lo == 0:
-                    setattr(self, name, np.empty((len(coords),) + table.shape[1:]))
-                getattr(self, name)[lo : lo + CHUNK] = table
+
+        def fill(starts):
+            for lo in starts:
+                xy = coords[lo : lo + CHUNK]
+                bary = BarycentricMap(xy)
+                vpts, vw = quadrature.map_to_triangles(vol, xy)
+                val, grad, hess = testspace.eval_scalar_basis(bary, vpts, degree)
+                ends = xy[:, [1, 2, 0]]
+                epts, ew = quadrature.map_to_edge(erule, xy, ends)
+                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, degree)
+                element = hct.build_hct_element(xy)
+                traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
+                hgrad = np.stack([g for _, g in traces], axis=1)
+                chunk = dict(
+                    vpts=vpts, vw=vw, V=val, Dx=grad[..., 0], Dy=grad[..., 1],
+                    Hxx=hess[..., 0], Hxy=hess[..., 1], Hyy=hess[..., 2],
+                    ew=ew, en=hct.unit_normals(xy, ends),
+                    tv=tval, tx=tgrad[..., 0], ty=tgrad[..., 1],
+                    hv=np.stack([v for v, _ in traces], axis=1),
+                    hx=hgrad[..., 0], hy=hgrad[..., 1])
+                for name, table in chunk.items():
+                    if lo == 0:
+                        setattr(self, name, parts.empty((len(coords),) + table.shape[1:]))
+                    getattr(self, name)[lo : lo + CHUNK] = table
+
+        # chunk 0 gives the table shapes, and the rest may run in two parts
+        fill([0])
+        parts.run_chunks(range(CHUNK, len(coords), CHUNK), fill)
 
     def __len__(self):
         return self.vw.shape[0]

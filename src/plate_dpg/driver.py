@@ -9,7 +9,8 @@ exactly: the value trace of a C1 field along a boundary edge is the
 cubic fixed by the endpoint values and tangential derivatives.
 
 Element tables (`MeshKernels`), element systems and condensation run
-on chunks of `dpg.CHUNK` elements, the estimator once on the whole-mesh
+on chunks of `dpg.CHUNK` elements, split between this process and one
+forked child (`parts.run_chunks`), the estimator once on the whole-mesh
 stacks they fill; each stacked operation gives every element the bits of
 the per-element formulas.  Assembly accumulates the element normal-equation
 contributions in element order: a deterministic reduction for a fixed mesh.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dpg, linalg, manufactured, mesh as meshmod, quadrature
+from . import dpg, linalg, manufactured, mesh as meshmod, parts, quadrature
 
 N_TRACE_PER_VERTEX = 12
 TRACE_U, TRACE_M11, TRACE_M12, TRACE_M22 = 0, 1, 2, 3
@@ -145,7 +146,8 @@ class Solution:
     n_free: int
     residual_inf: float           # free-system residual, consistency guard
     # what the solve did: seconds per phase (systems_s: element systems and
-    # condensation, assembly_s, solve_s, estimator_s), n_free, nnz of the
+    # condensation, assembly_s, solve_s, estimator_s), parts (the number of
+    # processes the element systems ran in, 1 or 2), n_free, nnz of the
     # assembled matrix, residual_inf, gram_pivot_min (the smallest pivot
     # diag(L)**2 of the equilibrated Gram factors), eta_max and eta_mean,
     # cg_iterations (0 on the direct path) and blas_pinned (the OpenBLAS
@@ -183,25 +185,33 @@ def assemble(mesh, config, kernels, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
     Returns (dof map, the whole-mesh `element_system` stacks, A as a full
-    CSC matrix, rhs).  The COO triplets and the rhs sums run element by
-    element, in element order.  A given dict `stats` receives systems_s,
-    assembly_s, gram_pivot_min and nnz (see `Solution.stats`).
+    CSC matrix, rhs).  The chunks of element systems and their
+    condensation run through `parts.run_chunks`: where the process has
+    two cores, a forked child fills the second half of the stacks, which
+    live in shared memory, with the bits of one process.  The COO triplets and
+    the rhs sums run element by element, in element order.  A given dict
+    `stats` receives systems_s, parts, assembly_s, gram_pivot_min and nnz
+    (see `Solution.stats`).
     """
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
     nt = mesh.num_triangles
     n = kernels.n_test(config.t)
     m = dof.element_dofs.shape[1]
-    A_loc = np.empty((nt, m, m))
-    b_loc = np.empty((nt, m))
+    A_loc = parts.empty((nt, m, m))
+    b_loc = parts.empty((nt, m))
     # each L[i] is Fortran-ordered, as dpotrf leaves its factor
-    L = np.empty((nt, n, n)).transpose(0, 2, 1)
-    dinv, B, l = np.empty((nt, n)), np.empty((nt, n, m)), np.empty((nt, n))
-    with _timed(stats, "systems_s"):
-        for lo in range(0, nt, dpg.CHUNK):
+    L = parts.empty((nt, n, n)).transpose(0, 2, 1)
+    dinv, B, l = (parts.empty(shape) for shape in ((nt, n), (nt, n, m), (nt, n)))
+
+    def fill(starts):
+        for lo in starts:
             chunk = slice(lo, lo + dpg.CHUNK)
             L[chunk], dinv[chunk], B[chunk], l[chunk] = element_system(kernels, chunk, config)
             A_loc[chunk], b_loc[chunk] = dpg.condense(L[chunk], dinv[chunk], B[chunk], l[chunk])
+
+    with _timed(stats, "systems_s"):
+        stats["parts"] = parts.run_chunks(range(0, nt, dpg.CHUNK), fill)
     stats["gram_pivot_min"] = float(np.diagonal(L, axis1=1, axis2=2).min()) ** 2
 
     with _timed(stats, "assembly_s"):
@@ -211,9 +221,12 @@ def assemble(mesh, config, kernels, stats=None):
         pairs = keep[:, None, :] & (fidx[:, :, None] >= fidx[:, None, :])
         rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
         cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
-        A = linalg.symmetric_from_coo(dof.n_free, rows, cols, A_loc[pairs])
+        vals = A_loc[pairs]
         rhs = np.zeros(dof.n_free)
         np.add.at(rhs, fidx[keep], b_loc[keep])
+        # the local matrices are freed before the sparse matrix is built
+        del A_loc, b_loc, pairs
+        A = linalg.symmetric_from_coo(dof.n_free, rows, cols, vals)
     stats["nnz"] = A.nnz
     return dof, (L, dinv, B, l), A, rhs
 

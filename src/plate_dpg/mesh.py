@@ -41,8 +41,24 @@ class Mesh:
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=np.int64)
         self.level = level
+        self._check_arrays()
         self._build_edges()
         self._validate()
+
+    def _check_arrays(self):
+        """Raise a one-line ValueError for arrays that are not a triangle mesh."""
+        v, tri = self.vertices, self.triangles
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise ValueError(f"vertices must have shape (nv, 2), not {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
+        if tri.ndim != 2 or tri.shape[1] != 3:
+            raise ValueError(f"triangles must have shape (nt, 3), not {tri.shape}")
+        if len(tri) == 0:
+            raise ValueError("a mesh needs at least one triangle")
+        bad = (tri < 0) | (tri >= len(v))
+        if bad.any():
+            raise ValueError(f"vertex index {tri[bad][0]} is outside [0, {len(v)})")
 
     @property
     def num_vertices(self):

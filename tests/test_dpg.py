@@ -121,6 +121,12 @@ def test_degree_bounds():
         assert kernel.V.shape[-1] == kernel.tv.shape[-1] == kernel.n_scalar
 
 
+def test_tables_of_no_triangles_are_rejected():
+    # an AttributeError on `vw` before
+    with pytest.raises(ValueError, match="^element tables need at least one triangle$"):
+        ElementKernel(np.zeros((0, 3, 2)))
+
+
 # ---- Gram matrix
 
 

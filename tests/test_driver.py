@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plate_dpg import dpg, driver, linalg
+from plate_dpg import dpg, driver, linalg, parts
 from plate_dpg.cli import main
 from plate_dpg.dpg import ProblemConfig, condense, local_residuals
 from plate_dpg.driver import (
@@ -361,7 +361,7 @@ def test_cli_study_writes_csv_and_mesh(run_cli, tmp_path):
 
 STATS_KEYS = {"systems_s", "assembly_s", "solve_s", "estimator_s", "n_free", "nnz",
               "residual_inf", "gram_pivot_min", "eta_max", "eta_mean", "blas_pinned",
-              "cg_iterations", "factor_s", "factor_nnz"}
+              "cg_iterations", "factor_s", "factor_nnz", "parts"}
 
 
 def test_cli_study_writes_solve_stats(capsys, tmp_path):
@@ -480,5 +480,7 @@ def test_solution_stats_report_the_solve():
     assert sol.eta_elements.min() <= stats["eta_mean"] <= stats["eta_max"]
     assert stats["blas_pinned"] == len(linalg._blas_thread_controls())
     assert stats["cg_iterations"] == 0
+    # the 64 elements are four chunks
+    assert stats["parts"] == parts.part_count()
     # the diagonals of L (unit) and U (the positive pivots) are stored
     assert stats["factor_nnz"] >= 2 * sol.n_free

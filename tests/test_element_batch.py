@@ -9,6 +9,7 @@ must give the same bits: `np.array_equal` and equal bytes, so signed
 zeros count too.
 """
 
+import os
 import re
 import warnings
 
@@ -231,7 +232,10 @@ def test_small_chunks_assemble_the_same_bits(monkeypatch):
 
 @pytest.mark.parametrize("t", (1e-2, 0.0))
 @pytest.mark.parametrize("name", ["uniform level 2", "18-element grid", "jittered level 2"])
-def test_one_blas_thread_gives_the_bits_of_two(name, t, blas_at_two):
+def test_one_blas_thread_gives_the_bits_of_two(name, t, blas_at_two, monkeypatch):
+    # a chunk loop in two parts runs on one BLAS thread, so the loops of
+    # this test run in one process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     mesh = MESHES[name]()
     cfg = ProblemConfig(t=t)
     kernels = driver.MeshKernels(mesh, cfg)

@@ -120,6 +120,26 @@ def test_rejects_overshared_edge():
         Mesh(verts, tris)
 
 
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("vertices, triangles, message", [
+    # numpy would wrap -1 to the last vertex
+    (TRIANGLE, [[0, 1, -1]], r"vertex index -1 is outside \[0, 3\)"),
+    # an IndexError from the edge loop before
+    (TRIANGLE, [[0, 1, 3]], r"vertex index 3 is outside \[0, 3\)"),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]], [[0, 1, 2]], "vertices must be finite"),
+    ([[0.0, 0.0, 0.0]] * 3, [[0, 1, 2]], r"vertices must have shape \(nv, 2\), not \(3, 3\)"),
+    # an unpacking ValueError from the edge loop before
+    (TRIANGLE, [[0, 1]], r"triangles must have shape \(nt, 3\), not \(1, 2\)"),
+    # an IndexError from the boundary tags before
+    (TRIANGLE, np.zeros((0, 3), dtype=np.int64), "a mesh needs at least one triangle"),
+])
+def test_rejects_arrays_that_are_not_a_mesh(vertices, triangles, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Mesh(np.array(vertices), np.array(triangles))
+
+
 def test_mesh_text_dump():
     m = unit_square_initial()
     buf = io.StringIO()
