@@ -121,12 +121,14 @@ class ElementKernel:
         def fill(starts):
             for lo in starts:
                 xy = coords[lo : lo + CHUNK]
-                bary = BarycentricMap(xy)
+                # mapped first: it rejects a clockwise, degenerate or NaN triangle,
+                # on which the barycentric inverse would fail or go on with NaN
                 vpts, vw = quadrature.map_to_triangles(vol, xy)
+                bary = BarycentricMap(xy)
                 val, grad, hess = testspace.eval_scalar_basis(bary, vpts, degree)
                 ends = xy[:, [1, 2, 0]]
                 epts, ew = quadrature.map_to_edge(erule, xy, ends)
-                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, degree)
+                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, degree, order=1)
                 element = hct.build_hct_element(xy)
                 traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
                 hgrad = np.stack([g for _, g in traces], axis=1)

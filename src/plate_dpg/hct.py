@@ -18,7 +18,7 @@ The constraint rows of a stack of triangles are built together.
 """
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import get_lapack_funcs
 
 from .testspace import BarycentricMap, eval_scalar_basis
 
@@ -61,8 +61,11 @@ def build_hct_element(coords):
     The constraint rows of all triangles are built from stacked basis
     tables, one evaluation per point set; each table is taken at the same
     points, in the same groups, as on a single triangle, so every triangle
-    gets the bits it gets on its own.  The null space, the nodal matrix and
-    its inverse are computed triangle by triangle.
+    gets the bits it gets on its own.  Each evaluation takes only the
+    derivatives its rows use.  The null space and the nodal matrix are
+    computed triangle by triangle with scipy's bare `gesdd`, as
+    `scipy.linalg.null_space` computes them, and the nodal inverses and
+    the coefficients in one stacked call each.
     """
     coords = np.asarray(coords, dtype=float)
     lead = coords.shape[:-2]
@@ -76,8 +79,8 @@ def build_hct_element(coords):
     # C0 and C1 across internal edge k (p_k, center), shared by subs k - 1 and k:
     # one row per point, values at _VALUE_S, then d/dx and d/dy at _GRAD_S
     internal = [_edge_points(P, center[:, None], s)[:, _SUB_EDGES] for s in (_VALUE_S, _GRAD_S)]
-    val, _, _ = eval_scalar_basis(subs, internal[0], 3)
-    _, grad, _ = eval_scalar_basis(subs, internal[1], 3)
+    val, _, _ = eval_scalar_basis(subs, internal[0], 3, order=0)
+    _, grad, _ = eval_scalar_basis(subs, internal[1], 3, order=1)
     # (ne, sub, side, 10 points, 10): side 0 is the sub's edge s, side 1 its edge s + 1
     tabs = np.concatenate([val, grad[..., 0], grad[..., 1]], axis=3)
     A = np.zeros((ne, 33, 30))
@@ -88,29 +91,43 @@ def build_hct_element(coords):
 
     # reduced condition: normal derivative affine along exterior edge k of sub k
     n = unit_normals(P, Q)[:, :, None, None]
-    _, grad, _ = eval_scalar_basis(subs, _edge_points(P, Q, _GRAD_S), 3)
+    _, grad, _ = eval_scalar_basis(subs, _edge_points(P, Q, _GRAD_S), 3, order=1)
     gn = grad[..., 0] * n[..., 0] + grad[..., 1] * n[..., 1]  # (ne, 3, 3, 10)
     for k in range(3):
         A[:, 30 + k, 10 * k : 10 * k + 10] = gn[:, k, 1] - 0.5 * (gn[:, k, 0] + gn[:, k, 2])
     A /= np.linalg.norm(A, axis=2)[:, :, None]
 
+    # null space of each A[i] as scipy's null_space(A[i], rcond=1e-10) takes it:
+    # the wrapper's checks once for the stack, then its gesdd call with the
+    # lwork of its svd (every A[i] has one shape) and its rank rule
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (A,), ilp64="preferred")
+    lwork = int(gesdd_lwork(*A.shape[1:], compute_uv=True, full_matrices=True)[0])
+
     # nodal matrix: value, d/dx, d/dy at each parent vertex (taken from sub k,
     # whose first vertex is parent vertex k; continuity makes the choice moot)
-    val, grad, _ = eval_scalar_basis(subs, P[:, :, None], 3)
-    coeffs = np.empty((ne, N_DOFS, 3, 10))
+    val, grad, _ = eval_scalar_basis(subs, P[:, :, None], 3, order=1)
+    Z = np.empty((ne, 30, N_DOFS))
+    N = np.empty((ne, N_DOFS, N_DOFS))
     for i in range(ne):
-        Z = null_space(A[i], rcond=1e-10)
-        if Z.shape[1] != N_DOFS:
-            raise RuntimeError(
-                f"constraint null space has dimension {Z.shape[1]}, expected {N_DOFS}"
-            )
-        N = np.empty((N_DOFS, N_DOFS))
+        _, s, vh, info = gesdd(A[i], compute_uv=True, lwork=lwork, full_matrices=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
+        num = np.sum(s > np.amax(s) * 1e-10, dtype=int)
+        if len(vh) - num != N_DOFS:
+            raise RuntimeError(f"constraint null space has dimension {len(vh) - num}, "
+                               f"expected {N_DOFS}")
+        Z[i] = vh[num:].T
         for k in range(3):
-            Zk = Z[10 * k : 10 * k + 10]
-            N[3 * k] = val[i, k, 0] @ Zk
-            N[3 * k + 1] = grad[i, k, 0, :, 0] @ Zk
-            N[3 * k + 2] = grad[i, k, 0, :, 1] @ Zk
-        coeffs[i] = (Z @ np.linalg.inv(N)).T.reshape(N_DOFS, 3, 10)
+            Zk = Z[i, 10 * k : 10 * k + 10]
+            N[i, 3 * k] = val[i, k, 0] @ Zk
+            N[i, 3 * k + 1] = grad[i, k, 0, :, 0] @ Zk
+            N[i, 3 * k + 2] = grad[i, k, 0, :, 1] @ Zk
+    # C order: the trace tables' products take their BLAS path from the layout
+    coeffs = np.ascontiguousarray(np.swapaxes(Z @ np.linalg.inv(N), 1, 2))
     return HctElement(coords, sub_coords.reshape(lead + (3, 3, 2)),
                       coeffs.reshape(lead + (N_DOFS, 3, 10)))
 
@@ -168,6 +185,7 @@ def eval_on_parent_edge(element, local_edge, s):
     k = local_edge
     pts = _edge_points(element.coords[..., k, :], element.coords[..., (k + 1) % 3, :],
                        np.asarray(s, dtype=float))
-    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[..., k, :, :]), pts, 3)
+    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[..., k, :, :]), pts, 3,
+                                order=1)
     C = np.swapaxes(element.coeffs[..., :, k, :], -1, -2)
     return v @ C, np.einsum("...qbd,...bj->...qjd", g, C)

@@ -75,13 +75,15 @@ def map_to_triangles(rule, coords):
     """Push a reference-triangle rule to every triangle of `coords` (ne, 3, 2).
 
     Returns (points (ne, nq, 2), weights (ne, nq)).  Every operation is
-    elementwise, so each triangle gets the bits it gets on its own.
+    elementwise, so each triangle gets the bits it gets on its own.  A
+    triangle whose Jacobian is not > 0 (clockwise, degenerate, or NaN from
+    a non-finite vertex) is rejected.
     """
     coords = np.asarray(coords, dtype=float)
     d1 = coords[:, 1] - coords[:, 0]
     d2 = coords[:, 2] - coords[:, 0]
     jac = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(jac <= 0.0):
+    if not (jac > 0.0).all():
         raise ValueError("triangle must be CCW and non-degenerate")
     ref = rule.points[:, :, None]
     pts = coords[:, None, 0] + ref[:, 0] * d1[:, None] + ref[:, 1] * d2[:, None]

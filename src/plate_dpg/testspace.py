@@ -92,26 +92,31 @@ def _term_tables(degree):
     return tables
 
 
-def eval_scalar_basis(tri, pts, degree=3):
-    """Bernstein basis values, gradients, and Hessians at points.
+def eval_scalar_basis(tri, pts, degree=3, order=2):
+    """Bernstein basis values and, up to `order`, gradients and Hessians at points.
 
     `tri` is a stack of triangles, as (..., 3, 2) vertices or their
     `BarycentricMap`, and `pts` holds points (..., [extra axes], nq, 2) as
     the map takes them; a single triangle is a stack with no leading axis.
 
     Returns C-contiguous (val (..., nq, nb), grad (..., nq, nb, 2),
-    hess (..., nq, nb, 3)) with the Hessian stored as (xx, xy, yy).  Each
-    term of `_term_tables` is formed from lambda powers built by repeated
-    multiplication, as ((cmb * p0) * p1) * p2 for the value and as
+    hess (..., nq, nb, 3)) with the Hessian stored as (xx, xy, yy); an
+    output above `order` (0: values, 1: and gradients, 2: and Hessians)
+    is not computed and comes back as None.  Only the term rows of
+    `_term_tables` that the kept outputs use are gathered: row 0 for
+    order 0, rows 0-3 for order 1, all 13 for order 2.  Each term is
+    formed from lambda powers built by repeated multiplication, as
+    ((cmb * p0) * p1) * p2 for the value and as
     w * ((p0 * p1) * p2) * grad_lambda[m, .] (* grad_lambda[n, .]) for the
     derivatives.  The derivative terms of one entry are summed in table
     order starting from +0.0, so an entry whose terms are all -0.0 reads
     +0.0.  Every operation and its order are those of a loop over basis
     functions that accumulates into zeros, and all of them are elementwise
     over the stack, so the tables equal that loop's on each triangle alone
-    bit for bit.
+    bit for bit, whatever the order.
     """
     rows, weights, first, second = _term_tables(degree)
+    n_terms = (1, 4, 13)[order]
     bary = tri if isinstance(tri, BarycentricMap) else BarycentricMap(tri)
     lam = bary(pts)
     lead, nq = lam.shape[:-2], lam.shape[-2]
@@ -124,18 +129,22 @@ def eval_scalar_basis(tri, pts, degree=3):
     pw[:, 0] = 1.0
     for a in range(1, degree + 1):
         pw[:, a] = pw[:, a - 1] * lam.transpose(2, 0, 1)
-    p0, p1, p2 = pw.reshape((3 * (degree + 1),) + lam.shape[:2])[rows]  # (13, nb, ne, nq)
-    w = weights[:, :, None, None]
+    # (n_terms, nb, ne, nq)
+    p0, p1, p2 = pw.reshape((3 * (degree + 1),) + lam.shape[:2])[rows[:, :n_terms]]
+    w = weights[:n_terms, :, None, None]
     val = ((w[0] * p0[0]) * p1[0]) * p2[0]
-    terms = w[1:] * ((p0[1:] * p1[1:]) * p2[1:])
-    gl = glam.transpose(1, 2, 0)[:, :, None, :, None]                   # (3, 2, 1, ne, 1)
-    grad = (terms[:3, None] * gl).sum(axis=0, initial=0.0)
-    g = glam.reshape(-1, 6).T
-    hess = ((terms[3:, None] * g[first][:, :, None, :, None])
-            * g[second][:, :, None, :, None]).sum(axis=0, initial=0.0)
+    nb = val.shape[0]
     # C order: matrix products on transposed views take another BLAS path,
     # which changes the last bits of every element matrix built from these
-    nb = val.shape[0]
-    return (np.ascontiguousarray(val.transpose(1, 2, 0)).reshape(lead + (nq, nb)),
-            np.ascontiguousarray(grad.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 2)),
-            np.ascontiguousarray(hess.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 3)))
+    out = [np.ascontiguousarray(val.transpose(1, 2, 0)).reshape(lead + (nq, nb))]
+    if order >= 1:
+        terms = w[1:] * ((p0[1:] * p1[1:]) * p2[1:])
+        gl = glam.transpose(1, 2, 0)[:, :, None, :, None]               # (3, 2, 1, ne, 1)
+        grad = (terms[:3, None] * gl).sum(axis=0, initial=0.0)
+        out.append(np.ascontiguousarray(grad.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 2)))
+    if order >= 2:
+        g = glam.reshape(-1, 6).T
+        hess = ((terms[3:, None] * g[first][:, :, None, :, None])
+                * g[second][:, :, None, :, None]).sum(axis=0, initial=0.0)
+        out.append(np.ascontiguousarray(hess.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 3)))
+    return tuple(out) + (None,) * (2 - order)

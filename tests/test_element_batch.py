@@ -95,10 +95,10 @@ TRIANGLE_SETS = [*MESHES, "12 random triangles"]
 
 
 def triangles_of(name):
-    """The (ne, 3, 2) vertices of a mesh of MESHES, or the random triangles."""
+    """The (ne, 3, 2) vertices of a mesh of MESHES or "jittered level 3", or the random triangles."""
     if name == "12 random triangles":
         return random_triangles()
-    mesh = MESHES[name]()
+    mesh = jittered_mesh(3, seed=5) if name == "jittered level 3" else MESHES[name]()
     return mesh.vertices[mesh.triangles]
 
 
@@ -115,16 +115,32 @@ def test_element_tables_match_loop(name):
     assert_tables_match_loop(coords, ElementKernel(coords))
 
 
-@pytest.mark.parametrize("name", TRIANGLE_SETS)
+# the reference takes each null space from scipy's `null_space`, the
+# package from the bare `gesdd` that it calls
+@pytest.mark.parametrize("name", [*TRIANGLE_SETS, "jittered level 3"])
 def test_hct_bases_match_loop(name):
     coords = triangles_of(name)
     element = build_hct_element(coords)
+    assert element.coeffs.flags.c_contiguous
     for ti, xy in enumerate(coords):
         ref = LoopHct(xy)
         assert_same_bits(element.coeffs[ti], ref.coeffs)
         assert_same_bits(element.sub_coords[ti], ref.sub_coords)
     # a single triangle is a stack of one
     assert_same_bits(build_hct_element(coords[-1]).coeffs, element.coeffs[-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hct_bases_of_a_non_finite_triangle_raise_what_null_space_raised(bad):
+    coords = random_triangles()
+    coords[7, 2, 0] = bad
+    # the arithmetic on the way warns about the non-finite values
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError) as old:
+            LoopHct(coords[7])
+        with pytest.raises(ValueError) as new:
+            build_hct_element(coords)
+    assert str(new.value) == str(old.value) == "array must not contain infs or NaNs"
 
 
 def test_small_chunks_build_the_same_tables(monkeypatch):

@@ -7,13 +7,14 @@ loop in this process alone.
 
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
 from test_element_batch import MESHES, assert_same_bits, grid_mesh
 from plate_dpg import driver, parts
-from plate_dpg.dpg import ProblemConfig
+from plate_dpg.dpg import ElementKernel, ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
 two_cores = pytest.mark.skipif(parts.part_count() < 2, reason="the process has one core")
@@ -166,3 +167,28 @@ def test_one_core_or_one_chunk_never_forks(monkeypatch, one_core):
     stats = {}
     driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg), stats)
     assert stats["parts"] == 1
+
+
+BAD_TRIANGLES = {
+    "collinear": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+    "clockwise": [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+    "NaN vertex": [[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]],
+}
+
+
+@pytest.mark.parametrize("element", [0, -1])
+@pytest.mark.parametrize("case", BAD_TRIANGLES)
+def test_bad_triangles_are_rejected_in_either_half(case, element):
+    # element 0 is in chunk 0, the last element in the last of four chunks,
+    # which the forked half builds; a collinear triangle ended in a bare
+    # "Singular matrix" and a NaN vertex deep in the HCT null space before
+    mesh = mesh_at_level(2)
+    coords = mesh.vertices[mesh.triangles]
+    coords[element] = BAD_TRIANGLES[case]
+    with pytest.raises(ValueError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ElementKernel(coords)
+    assert str(err.value) == "triangle must be CCW and non-degenerate"
+    if element == -1 and parts.part_count() == 2:
+        assert "raised in the forked half of a chunk loop" in err.value.__notes__[0]
+    assert_no_child_left()

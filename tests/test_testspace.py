@@ -224,3 +224,41 @@ def test_stacked_tables_match_loop_reference_bit_for_bit():
                     for a, b in zip(tables, ref):
                         assert a.flags.c_contiguous
                         assert a[(ti,) + group].tobytes() == b.tobytes()
+
+
+def test_lower_orders_are_the_leading_outputs_of_order_2():
+    # a single triangle, a stack, and the HCT layout of a stack of
+    # subtriangle maps (ne, 3) with points (ne, 3 subs, 2 sides, 4, 2)
+    rng = np.random.default_rng(17)
+    triangles = []
+    for scale in (1e-4, 1.0, 10.0):
+        for _ in range(2):
+            coords = scale * rng.uniform(-1.0, 1.0, (3, 2)) + rng.uniform(-5, 5, 2)
+            if np.linalg.det(coords[1:] - coords[0]) < 0:
+                coords = coords[[0, 2, 1]]
+            triangles.append(coords)
+    triangles = np.array(triangles)
+
+    def points(tri, extra):
+        """Points of each triangle of `tri` (..., 3, 2) on the axes `extra` (..., nq)."""
+        lam = rng.dirichlet((2.0, 2.0, 2.0), size=tri.shape[:-2] + extra)
+        return lam @ tri.reshape(tri.shape[:-2] + (1,) * (len(extra) - 1) + (3, 2))
+
+    subs = triangles.reshape(2, 3, 3, 2)
+    cases = [
+        (triangles[0], points(triangles[0], (7,))),
+        (BarycentricMap(triangles), points(triangles, (7,))),
+        (BarycentricMap(subs), points(subs, (2, 4))),
+    ]
+    assert cases[2][1].shape == (2, 3, 2, 4, 2)
+    for tri, pts in cases:
+        for degree in range(2, 6):
+            full = eval_scalar_basis(tri, pts, degree)
+            for order in (0, 1, 2):
+                lean = eval_scalar_basis(tri, pts, degree, order=order)
+                assert len(lean) == 3
+                for a, b in zip(lean[: order + 1], full):
+                    assert a.shape == b.shape and a.flags.c_contiguous
+                    assert np.array_equal(a, b)
+                    assert a.tobytes() == b.tobytes()
+                assert all(a is None for a in lean[order + 1:])
