@@ -70,9 +70,7 @@ def _cmd_study(args):
     if args.levels < 1:
         return _reject(args, f"--levels must be >= 1 (got {args.levels})")
     try:
-        configs = [ProblemConfig(t=t, bc=args.bc, test_degree=args.test_degree,
-                                 quad_degree=args.quad_degree, solver=args.solver)
-                   for t in t_list]
+        configs = [ProblemConfig(t=t, bc=args.bc, solver=args.solver) for t in t_list]
     except ValueError as err:
         return _reject(args, str(err))
     config = configs[0]
@@ -231,10 +229,6 @@ def build_parser():
                        help="number of refinement levels, starting at 0")
     study.add_argument("--bc", choices=("simply-supported", "clamped"),
                        default="simply-supported")
-    study.add_argument("--quad-degree", type=int, default=14,
-                       help="volume quadrature exactness degree")
-    study.add_argument("--test-degree", type=int, default=3,
-                       help="polynomial degree of the broken test space")
     study.add_argument("--solver", choices=("direct", "cg"), default="direct")
     study.add_argument("--out", default="-",
                        help="output CSV path, '-' for stdout")

@@ -32,7 +32,17 @@ from .testspace import BarycentricMap
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
 N_TRACE_COLS = 36  # 4 generating fields x 9 vertex dofs
-# b_trace's edge integrands have degree <= test_degree + 3 <= 8; edge_rule(8) is exact to 9
+# Bernstein degree of the enriched broken test space (practical DPG,
+# Gopalakrishnan and Qiu 2014) for constant fields and traces cubic along
+# each edge; every study, `limit` and `verify` runs at 3
+TEST_DEGREE = 3
+N_SCALAR = testspace.scalar_basis_size(TEST_DEGREE)  # polynomials per component
+# at degree 3 the volume integrands have degree 11 or less (the load: f, of
+# degree 8, times a cubic), so 11 would do; 14 stays because its points are in
+# every G, B and l
+QUAD_DEGREE = 14
+# at degree 3 b_trace's edge integrands have degree 6 or less, so 6 would do;
+# 8 stays because its points are in every B
 EDGE_DEGREE = 8
 # elements per stacked call, for the element tables and the element systems:
 # the transient stacked R of the Gram matrices stays near 6 MB, and a chunk's
@@ -42,12 +52,10 @@ CHUNK = 16
 
 @dataclass
 class ProblemConfig:
-    """Thickness, boundary condition, and discretization knobs."""
+    """Thickness, boundary condition, and solver."""
 
     t: float = 0.01
     bc: str = "simply-supported"
-    test_degree: int = 3
-    quad_degree: int = 14
     solver: str = "direct"
 
     def __post_init__(self):
@@ -60,15 +68,6 @@ class ProblemConfig:
             raise ValueError("clamped plates are supported only at t = 0")
         if self.solver not in ("direct", "cg"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if not testspace.MIN_DEGREE <= self.test_degree <= testspace.MAX_DEGREE:
-            raise ValueError(f"test degree {self.test_degree} is outside "
-                             f"[{testspace.MIN_DEGREE}, {testspace.MAX_DEGREE}]")
-        # the Gram integrand is a product of two test functions
-        lowest = 2 * self.test_degree
-        if not lowest <= self.quad_degree <= quadrature.MAX_TRIANGLE_DEGREE:
-            raise ValueError(f"quadrature degree {self.quad_degree} is outside "
-                             f"[{lowest}, {quadrature.MAX_TRIANGLE_DEGREE}] for test "
-                             f"degree {self.test_degree}")
 
 
 def n_components(t):
@@ -80,21 +79,30 @@ def n_components(t):
     return 6 if t > 0.0 else 4
 
 
+def n_test(t):
+    """Columns of the broken test space at thickness t: N_SCALAR per component."""
+    return n_components(t) * N_SCALAR
+
+
+def block(comp):
+    """Slice of component `comp` (z, th11, th12, th22, tau1, tau2) in the n_test(t) columns."""
+    return slice(comp * N_SCALAR, (comp + 1) * N_SCALAR)
+
+
 class ElementKernel:
     """Basis tables of a stack of triangles at their volume and edge quadrature points.
 
     Built from the triangles `coords` (ne, 3, 2) in one stacked call per
-    CHUNK of them, with the quadrature rules taken once.  The broken test
-    space has one block of the `n_scalar` Bernstein polynomials of
-    `degree` per component of `n_components(t)`, in the order (z, Theta11,
-    Theta12, Theta22, tau1, tau2); `block(comp)` is the slice of one
-    component in the `n_test(t)` columns.  Every table carries the
-    elements on its leading axis.  Volume tables: points
-    `vpts` (ne, nq, 2), weights `vw` (ne, nq), test basis values `V` and
-    derivatives `Dx`, `Dy`, `Hxx`, `Hxy`, `Hyy` (ne, nq, n_scalar).  Edge
-    tables are stacked over the three edges: weights `ew` (ne, 3, nqe),
+    CHUNK of them, with the rules of QUAD_DEGREE and EDGE_DEGREE taken
+    once.  The test basis tables hold the N_SCALAR Bernstein polynomials
+    of TEST_DEGREE, one block of each component's test functions (see
+    `block`).  Every table carries the elements on its leading axis.
+    Volume tables: points `vpts` (ne, nq, 2), weights `vw` (ne, nq), test
+    basis values `V` and derivatives `Dx`, `Dy`, `Hxx`, `Hxy`, `Hyy`
+    (ne, nq, N_SCALAR).  Edge tables are stacked over the three edges:
+    weights `ew` (ne, 3, nqe),
     outward unit normals `en` (ne, 3, 2), test basis `tv`, `tx`, `ty`
-    (ne, 3, nqe, n_scalar) and C1 trace basis `hv`, `hx`, `hy`
+    (ne, 3, nqe, N_SCALAR) and C1 trace basis `hv`, `hx`, `hy`
     (ne, 3, nqe, 9).  Slicing with a slice of element indices gives the
     tables of those elements as views.  `gram`, `b_field`, `b_trace` and
     `load` take a stack and return one matrix or vector per element.
@@ -108,27 +116,25 @@ class ElementKernel:
     NAMES = ("vpts", "vw", "V", "Dx", "Dy", "Hxx", "Hxy", "Hyy",
              "ew", "en", "tv", "tx", "ty", "hv", "hx", "hy")
 
-    def __init__(self, coords, degree=3, quad_degree=14):
-        self.degree = degree
-        self.quad_degree = quad_degree
-        self.n_scalar = testspace.scalar_basis_size(degree)
+    def __init__(self, coords):
         coords = np.asarray(coords, dtype=float)
         if len(coords) == 0:
             raise ValueError("element tables need at least one triangle")
-        vol = quadrature.triangle_rule(quad_degree)
+        vol = quadrature.triangle_rule(QUAD_DEGREE)
         erule = quadrature.edge_rule(EDGE_DEGREE)
 
         def fill(starts):
             for lo in starts:
                 xy = coords[lo : lo + CHUNK]
-                # mapped first: it rejects a clockwise, degenerate or NaN triangle,
-                # on which the barycentric inverse would fail or go on with NaN
+                # mapped first: it rejects a clockwise, degenerate or non-finite
+                # triangle, on which the barycentric inverse would fail or go on with NaN
                 vpts, vw = quadrature.map_to_triangles(vol, xy)
                 bary = BarycentricMap(xy)
-                val, grad, hess = testspace.eval_scalar_basis(bary, vpts, degree)
+                val, grad, hess = testspace.eval_scalar_basis(bary, vpts, TEST_DEGREE)
                 ends = xy[:, [1, 2, 0]]
                 epts, ew = quadrature.map_to_edge(erule, xy, ends)
-                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, degree, order=1)
+                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, TEST_DEGREE,
+                                                             order=1)
                 element = hct.build_hct_element(xy)
                 traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
                 hgrad = np.stack([g for _, g in traces], axis=1)
@@ -156,13 +162,6 @@ class ElementKernel:
         for name in self.NAMES:
             setattr(view, name, getattr(self, name)[elements])
         return view
-
-    def n_test(self, t):
-        return n_components(t) * self.n_scalar
-
-    def block(self, comp):
-        """Slice of component `comp` in (z, th11, th12, th22, tau1, tau2)."""
-        return slice(comp * self.n_scalar, (comp + 1) * self.n_scalar)
 
 
 class _Blocks:
@@ -202,14 +201,14 @@ class _Blocks:
         blocks[comp] = op(blocks.get(comp, 0.0), value)
         return _Blocks(blocks)
 
-    def full(self, n_test, out=None):
-        """The full-width array, written into `out` (all +0.0) when given."""
+    def full(self, n, out=None):
+        """The full-width (..., n) array, written into `out` (all +0.0) when given."""
         a = next(iter(self.blocks.values()))
         ns = a.shape[-1]
         if out is None:
-            out = np.zeros(a.shape[:-1] + (n_test,))
-        for c, block in self.blocks.items():
-            out[..., c * ns : (c + 1) * ns] = block
+            out = np.zeros(a.shape[:-1] + (n,))
+        for c, table in self.blocks.items():
+            out[..., c * ns : (c + 1) * ns] = table
         return out
 
 
@@ -237,9 +236,9 @@ def _scaled_div_feature(k, t):
     return s
 
 
-def _weighted_sum(w, feature, n_test):
-    """w @ F per element: one gemv over the full (nq, n_test) feature."""
-    return (w[:, None, :] @ feature.full(n_test))[:, 0, :]
+def _weighted_sum(w, feature, n):
+    """w @ F per element: one gemv over the full (nq, n) feature."""
+    return (w[:, None, :] @ feature.full(n))[:, 0, :]
 
 
 def gram(k, t):
@@ -247,7 +246,7 @@ def gram(k, t):
 
     G = R^T R, with R stacking the square-root-weighted features row-wise.
     """
-    n_test = k.n_test(t)
+    n = n_test(t)
     e11, e22, e12 = _strain_features(k, t)
     feats = [
         (1.0, _place(0, k.V)),
@@ -266,27 +265,27 @@ def gram(k, t):
         ]
     ne, nq = k.vw.shape
     sqw = np.sqrt(k.vw)[:, :, None]
-    R = np.zeros((ne, len(feats) * nq, n_test))
+    R = np.zeros((ne, len(feats) * nq, n))
     for i, (c, F) in enumerate(feats):
-        (np.sqrt(c) * sqw * F).full(n_test, out=R[:, i * nq : (i + 1) * nq])
+        (np.sqrt(c) * sqw * F).full(n, out=R[:, i * nq : (i + 1) * nq])
     G = R.transpose(0, 2, 1) @ R
     return 0.5 * (G + G.transpose(0, 2, 1))
 
 
 def b_field(k, t):
     """Volume blocks (ne, n_test, n_components(t)) of the trial-to-test matrix: u, M, (theta)."""
-    n_test = k.n_test(t)
-    B = np.empty((len(k), n_test, n_components(t)))
+    n = n_test(t)
+    B = np.empty((len(k), n, n_components(t)))
     w = k.vw
     e11, e22, e12 = _strain_features(k, t)
-    B[:, :, 0] = _weighted_sum(w, _scaled_div_feature(k, t), n_test)
+    B[:, :, 0] = _weighted_sum(w, _scaled_div_feature(k, t), n)
     # the identity law: the compliance of a Theta component is that component
-    B[:, :, 1] = _weighted_sum(w, _place(1, k.V) + e11, n_test)
-    B[:, :, 2] = 2.0 * _weighted_sum(w, _place(2, k.V) + e12, n_test)
-    B[:, :, 3] = _weighted_sum(w, _place(3, k.V) + e22, n_test)
+    B[:, :, 1] = _weighted_sum(w, _place(1, k.V) + e11, n)
+    B[:, :, 2] = 2.0 * _weighted_sum(w, _place(2, k.V) + e12, n)
+    B[:, :, 3] = _weighted_sum(w, _place(3, k.V) + e22, n)
     if t > 0.0:
-        B[:, :, 4] = t * _weighted_sum(w, _place(4, k.V) - _place(0, k.Dx), n_test)
-        B[:, :, 5] = t * _weighted_sum(w, _place(5, k.V) - _place(0, k.Dy), n_test)
+        B[:, :, 4] = t * _weighted_sum(w, _place(4, k.V) - _place(0, k.Dx), n)
+        B[:, :, 5] = t * _weighted_sum(w, _place(5, k.V) - _place(0, k.Dy), n)
     return B
 
 
@@ -296,9 +295,9 @@ def b_trace(k, t):
     Column order: field-major (u-hat, M11-hat, M12-hat, M22-hat), then
     the nine vertex dofs (value, d/dx, d/dy per vertex) of each.
     """
-    n_test = k.n_test(t)
-    # one contiguous (ne, n_test, 9) accumulator per generating field
-    blocks = [np.zeros((len(k), n_test, 9)) for _ in TRACE_FIELDS]
+    n = n_test(t)
+    # one contiguous (ne, n, 9) accumulator per generating field
+    blocks = [np.zeros((len(k), n, 9)) for _ in TRACE_FIELDS]
     tt = t * t
     for e in range(3):
         w = k.ew[:, e, :, None]
@@ -321,7 +320,7 @@ def b_trace(k, t):
 
         # (w F)^T per feature, as the left operand of one gemm per element
         qnT, Thn1T, Thn2T, zfT, w1T, w2T = (
-            (w * F).full(n_test).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
+            (w * F).full(n).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
         )
         # u-hat columns: -<u, n.(div Th + t(tau - grad z))> + <grad u, Th n>
         blocks[0] += qnT @ (-hv) + Thn1T @ hx + Thn2T @ hy
@@ -350,8 +349,8 @@ def b_trace(k, t):
 
 def load(k, f_values, t):
     """Load functionals -(f, z) (ne, n_test) against the test basis."""
-    l = np.zeros((len(k), k.n_test(t)))
-    l[:, k.block(0)] = (-(k.vw * f_values)[:, None, :] @ k.V)[:, 0, :]
+    l = np.zeros((len(k), n_test(t)))
+    l[:, block(0)] = (-(k.vw * f_values)[:, None, :] @ k.V)[:, 0, :]
     return l
 
 

@@ -113,7 +113,8 @@ class MeshKernels(dpg.ElementKernel):
     """The element tables of one mesh, with the load values `f_values` (nt, nq).
 
     The load is taken once per mesh, at the volume quadrature points; a
-    slice of elements slices it with the tables.
+    slice of elements slices it with the tables.  The tables are the same
+    for every `config`: its t, bc and solver enter only the element systems.
     """
 
     NAMES = dpg.ElementKernel.NAMES + ("f_values",)
@@ -121,18 +122,15 @@ class MeshKernels(dpg.ElementKernel):
     def __init__(self, mesh, config):
         self.vertices = mesh.vertices.copy()
         self.triangles = mesh.triangles.copy()
-        super().__init__(mesh.vertices[mesh.triangles], config.test_degree,
-                         config.quad_degree)
+        super().__init__(mesh.vertices[mesh.triangles])
         ex = manufactured.ExactSolution(0.0)
         self.f_values = ex.f(self.vpts[..., 0], self.vpts[..., 1])
 
-    def check(self, mesh, config):
-        """Raise ValueError unless these kernels were built for `mesh` and `config`."""
+    def check(self, mesh):
+        """Raise ValueError unless these kernels were built for `mesh`."""
         if not (np.array_equal(self.vertices, mesh.vertices)
                 and np.array_equal(self.triangles, mesh.triangles)):
             raise ValueError("cached kernels were built for another mesh")
-        if (self.degree, self.quad_degree) != (config.test_degree, config.quad_degree):
-            raise ValueError("cached kernels were built with different discretization knobs")
 
 
 @dataclass
@@ -196,7 +194,7 @@ def assemble(mesh, config, kernels, stats=None):
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
     nt = mesh.num_triangles
-    n = kernels.n_test(config.t)
+    n = dpg.n_test(config.t)
     m = dof.element_dofs.shape[1]
     A_loc = parts.empty((nt, m, m))
     b_loc = parts.empty((nt, m))
@@ -241,7 +239,7 @@ def assemble_and_solve(mesh, config, kernels=None):
     if kernels is None:
         kernels = MeshKernels(mesh, config)
     else:
-        kernels.check(mesh, config)
+        kernels.check(mesh)
     with linalg.one_blas_thread() as blas_pinned:
         stats = {"blas_pinned": blas_pinned}
         dof, systems, A, rhs = assemble(mesh, config, kernels, stats)

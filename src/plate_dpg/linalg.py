@@ -128,17 +128,17 @@ def _scaled(A, s):
     return scaled
 
 
-def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None, stats=None):
+def solve_spd(A, b, method="direct", stats=None):
     """Solve A x = b for symmetric positive definite A.
 
     `A` is the full matrix as a scipy sparse matrix (as `symmetric_from_coo`
     returns it).  The direct path factors with SuperLU in symmetric mode and
     diagonal pivoting, so non-positive pivots are detected and reported; it
-    refuses systems beyond DIRECT_SIZE_LIMIT unknowns.  The
-    cg path runs Jacobi-preconditioned conjugate gradients to relative
-    residual `tol` (default CG_TOL = 1e-14) and fails loudly when it does
-    not converge.  Its result agrees with the direct one to about
-    cond(A) * `tol` relative, with cond(A) the condition number after
+    refuses systems beyond DIRECT_SIZE_LIMIT unknowns.  The cg path runs
+    Jacobi-preconditioned conjugate gradients to relative residual CG_TOL =
+    1e-14 in at most max(200 n, 10,000) iterations and fails loudly when it
+    does not converge.  Its result agrees with the direct one to about
+    cond(A) * CG_TOL relative, with cond(A) the condition number after
     Jacobi scaling.  A given dict `stats` receives "cg_iterations", the
     number of CG iterations run (0 on the direct path), and "factor_s" and
     "factor_nnz", the seconds of the `splu` call and the entries of its
@@ -190,9 +190,8 @@ def solve_spd(A, b, method="direct", tol=CG_TOL, maxiter=None, stats=None):
 
         # with its dtype given, LinearOperator makes no probing matvec call
         precond = spla.LinearOperator(full.shape, matvec=jacobi, dtype=float)
-        if maxiter is None:
-            maxiter = max(200 * n, 10_000)
-        x, info = spla.cg(full, b, rtol=tol, atol=0.0, maxiter=maxiter, M=precond)
+        maxiter = max(200 * n, 10_000)
+        x, info = spla.cg(full, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond)
         if info != 0:
             res = np.linalg.norm(full @ x - b) / max(np.linalg.norm(b), 1e-300)
             raise IterativeSolveError(info if info > 0 else maxiter, res)

@@ -68,10 +68,6 @@ class Mesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
-    @property
-    def num_edges(self):
-        return self.edges.shape[0]
-
     def _build_edges(self):
         index = {}
         edges = []
@@ -117,10 +113,6 @@ class Mesh:
     def _validate(self):
         if np.any(signed_areas(self) <= 0.0):
             raise ValueError("triangle with non-positive area (orientation must be CCW)")
-
-    def triangle_coords(self, ti):
-        """Vertex coordinates of triangle ti as a (3, 2) array."""
-        return self.vertices[self.triangles[ti]]
 
 
 def signed_areas(mesh):

@@ -12,6 +12,11 @@ from scipy.special import roots_jacobi
 # reference triangle: vertices (0,0), (1,0), (0,1)
 MAX_TRIANGLE_DEGREE = 20
 MAX_EDGE_DEGREE = 21
+# largest vertex coordinate of a mapped triangle: below it no product of two
+# coordinate differences overflows; above it the squares of the coordinates
+# do (the triangle (0, 0), (1, 0), (1e200, 1e200) ended in a singular
+# barycentric inverse of its HCT split)
+COORD_MAX = np.sqrt(np.finfo(float).max) / 8
 
 
 class QuadRule:
@@ -76,10 +81,13 @@ def map_to_triangles(rule, coords):
 
     Returns (points (ne, nq, 2), weights (ne, nq)).  Every operation is
     elementwise, so each triangle gets the bits it gets on its own.  A
-    triangle whose Jacobian is not > 0 (clockwise, degenerate, or NaN from
-    a non-finite vertex) is rejected.
+    triangle with a coordinate that is not finite or above COORD_MAX in
+    magnitude is rejected before any arithmetic, on which inf would warn,
+    and one whose Jacobian is not > 0 (clockwise or degenerate) after it.
     """
     coords = np.asarray(coords, dtype=float)
+    if not (np.abs(coords) <= COORD_MAX).all():  # NaN fails it too
+        raise ValueError("triangle must be CCW and non-degenerate")
     d1 = coords[:, 1] - coords[:, 0]
     d2 = coords[:, 2] - coords[:, 0]
     jac = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]

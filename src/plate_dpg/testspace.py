@@ -2,17 +2,14 @@
 
 Shape functions are Bernstein polynomials of the barycentric coordinates
 of the physical triangle.  Each component of a test function (z, Theta,
-tau) is spanned by the same scalar basis; `dpg.ElementKernel` lays the
-components out.
+tau) is spanned by the same scalar basis; `dpg` fixes its degree and lays
+the components out.
 """
 
 import functools
 import math
 
 import numpy as np
-
-# the test degrees `ProblemConfig` accepts
-MIN_DEGREE, MAX_DEGREE = 2, 5
 
 
 def scalar_basis_size(degree):

@@ -103,14 +103,14 @@ LoopSystem = namedtuple("LoopSystem", "G B l")
 class LoopKernel:
     """Tables of one triangle and its element system, one element at a time."""
 
-    def __init__(self, coords, degree=3, quad_degree=14):
+    def __init__(self, coords):
         self.coords = np.asarray(coords, dtype=float)
-        self.n_scalar = scalar_basis_size(degree)
+        self.n_scalar = scalar_basis_size(dpg.TEST_DEGREE)
         self.hct = LoopHct(self.coords)
         bary = BarycentricMap(self.coords)
-        vol = quadrature.triangle_rule(quad_degree)
+        vol = quadrature.triangle_rule(dpg.QUAD_DEGREE)
         self.vpts, self.vw = quadrature.map_to_triangle(vol, self.coords)
-        val, grad, hess = eval_scalar_basis(bary, self.vpts, degree)
+        val, grad, hess = eval_scalar_basis(bary, self.vpts, dpg.TEST_DEGREE)
         self.V = val
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
@@ -124,7 +124,7 @@ class LoopKernel:
             we = erule.weights * np.hypot(*(q - p))
             d = q - p
             n = np.array([d[1], -d[0]]) / np.hypot(*d)
-            tval, tgrad, _ = eval_scalar_basis(bary, pts, degree)
+            tval, tgrad, _ = eval_scalar_basis(bary, pts, dpg.TEST_DEGREE)
             hval, hgrad = self.hct.edge_trace(k, erule.points)
             self.edges.append(
                 dict(w=we, n=n, tv=tval, tx=tgrad[:, :, 0], ty=tgrad[:, :, 1],
@@ -304,7 +304,7 @@ def cho_residual(system, x_local):
 
 def strided_b_trace(k, t):
     """`dpg.b_trace` of a stack, accumulated in strided column views of one array."""
-    n_test = k.n_test(t)
+    n_test = dpg.n_test(t)
     B = np.zeros((len(k), n_test, dpg.N_TRACE_COLS))
     tt = t * t
     for e in range(3):
@@ -355,10 +355,9 @@ def diags_scaled(A, s):
     return (sp.diags(s) @ sp.csc_matrix(A) @ sp.diags(s)).tocsc()
 
 
-def loop_kernels(mesh, config):
+def loop_kernels(mesh):
     """One LoopKernel per element, with the load values at its quadrature points."""
-    kernels = [LoopKernel(mesh.triangle_coords(ti), config.test_degree, config.quad_degree)
-               for ti in range(mesh.num_triangles)]
+    kernels = [LoopKernel(mesh.vertices[mesh.triangles[ti]]) for ti in range(mesh.num_triangles)]
     ex = manufactured.ExactSolution(0.0)
     f_values = [ex.f(k.vpts[:, 0], k.vpts[:, 1]) for k in kernels]
     return kernels, f_values
@@ -408,13 +407,13 @@ def loop_solve(mesh, config, kernels, f_values, dof):
     return A, rhs, x, np.sqrt(eta_sq)
 
 
-def loop_l2_errors(mesh, u_el, M_el, theta_el, t, quad_degree=16):
+def loop_l2_errors(mesh, u_el, M_el, theta_el, t):
     """L2 errors of elementwise constants, summed element by element."""
     ex = manufactured.ExactSolution(t)
-    rule = quadrature.triangle_rule(quad_degree)
+    rule = quadrature.triangle_rule(manufactured.L2_QUAD_DEGREE)
     su = sm = sth = 0.0
     for ti in range(mesh.num_triangles):
-        pts, w = quadrature.map_to_triangle(rule, mesh.triangle_coords(ti))
+        pts, w = quadrature.map_to_triangle(rule, mesh.vertices[mesh.triangles[ti]])
         x, y = pts[:, 0], pts[:, 1]
         su += w @ (ex.u(x, y) - u_el[ti]) ** 2
         m11, m12, m22 = ex.M(x, y)

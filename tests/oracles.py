@@ -157,7 +157,7 @@ def element_means(mesh, t, quad_degree=14):
     M = np.empty((nt, 3))
     th = np.empty((nt, 2))
     for ti in range(nt):
-        pts, w = map_to_triangle(rule, mesh.triangle_coords(ti))
+        pts, w = map_to_triangle(rule, mesh.vertices[mesh.triangles[ti]])
         x, y = pts[:, 0], pts[:, 1]
         area = w.sum()
         u[ti] = (w @ ex.u(x, y)) / area

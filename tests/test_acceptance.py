@@ -257,7 +257,7 @@ def test_criterion_6_structural_properties(capsys):
                                 eval_hct(element, pts, taud[1])[0]], axis=1)
                 return z, gz, Th, dTh, tau
 
-            pair_val = trace_pair_edge(mesh.triangle_coords(ti), trace,
+            pair_val = trace_pair_edge(mesh.vertices[mesh.triangles[ti]], trace,
                                        test_gen, t)
             total += pair_val
             scale += abs(pair_val)
@@ -278,7 +278,7 @@ def test_criterion_6_structural_properties(capsys):
     rng = np.random.default_rng(10)
     field = HctScalarField(mesh, rng.standard_normal(3 * nv))
     s = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    for e in range(mesh.num_edges):
+    for e in range(len(mesh.edges)):
         if mesh.edge_tris[e, 1] == -1:
             continue
         ta, tb = mesh.edge_tris[e]
@@ -297,7 +297,7 @@ def test_criterion_6_structural_properties(capsys):
     for _ in range(10):
         ti = int(rng.integers(mesh.num_triangles))
         lam = rng.dirichlet((2.0, 2.0, 2.0))
-        pts = (lam @ mesh.triangle_coords(ti))[None, :]
+        pts = (lam @ mesh.vertices[mesh.triangles[ti]])[None, :]
         v, g, _ = quad.eval(ti, elements, pts)
         ok = ok and abs(v[0] - pts[0, 0] ** 2) < 1e-11
         ok = ok and np.abs(g[0] - [2.0 * pts[0, 0], 0.0]).max() < 1e-10

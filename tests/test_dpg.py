@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import HctScalarField, hct_elements, trace_pair_edge, trace_pair_volume
-from plate_dpg import dpg, testspace
+from plate_dpg import dpg, quadrature
 from plate_dpg.dpg import (
     ElementKernel,
     ProblemConfig,
@@ -42,9 +42,9 @@ def random_triangle(seed, low=0.05):
             return coords
 
 
-def make_kernel(coords, quad_degree=14):
+def make_kernel(coords):
     """The tables of one triangle, as a one-element stack."""
-    return ElementKernel([coords], quad_degree=quad_degree)
+    return ElementKernel([coords])
 
 
 def condense_one(G, B, l):
@@ -69,9 +69,9 @@ def scalar_coeffs(coords, fun):
     return np.linalg.solve(val, fun(pts[:, 0], pts[:, 1]))
 
 
-def component_vector(kernel, t, coords, component, fun):
-    v = np.zeros(kernel.n_test(t))
-    v[kernel.block(component)] = scalar_coeffs(coords, fun)
+def component_vector(t, coords, component, fun):
+    v = np.zeros(dpg.n_test(t))
+    v[dpg.block(component)] = scalar_coeffs(coords, fun)
     return v
 
 
@@ -90,35 +90,27 @@ def test_config_validation():
     assert dpg.n_components(ProblemConfig(t=1e-3).t) == 6
 
 
-def test_config_rejects_bad_discretization():
-    for bad in (dict(test_degree=1), dict(test_degree=6),
-                dict(quad_degree=5), dict(quad_degree=21),
-                dict(test_degree=5, quad_degree=9)):
-        with pytest.raises(ValueError):
-            ProblemConfig(**bad)
-    ProblemConfig(test_degree=2, quad_degree=4)
-    ProblemConfig(test_degree=5, quad_degree=20)
-
-
 # ---- the test layout of the element tables
 
 
 def test_component_layout():
     kernel = make_kernel(REF)
-    assert kernel.n_scalar == 10
-    assert kernel.n_test(1.0) == 60
-    assert kernel.n_test(0.0) == 40
+    assert dpg.N_SCALAR == scalar_basis_size(dpg.TEST_DEGREE) == 10
+    assert kernel.V.shape[-1] == kernel.tv.shape[-1] == dpg.N_SCALAR
+    assert dpg.n_test(1.0) == 60
+    assert dpg.n_test(0.0) == 40
     assert dpg.n_components(0.5) == 6
-    assert kernel.block(2) == slice(20, 30)
+    assert dpg.block(2) == slice(20, 30)
 
 
 def test_degree_bounds():
-    # ProblemConfig rejects the degrees outside these bounds
-    # (test_config_rejects_bad_discretization)
-    for degree in range(testspace.MIN_DEGREE, testspace.MAX_DEGREE + 1):
-        kernel = ElementKernel([REF], degree, quad_degree=2 * degree)
-        assert kernel.n_test(1.0) == 6 * kernel.n_scalar
-        assert kernel.V.shape[-1] == kernel.tv.shape[-1] == kernel.n_scalar
+    # the product of two test functions, the Gram integrand, is integrated
+    # exactly by the volume and edge rules, which exist at these degrees
+    assert 2 * dpg.TEST_DEGREE <= dpg.QUAD_DEGREE <= quadrature.MAX_TRIANGLE_DEGREE
+    assert 2 * dpg.TEST_DEGREE <= dpg.EDGE_DEGREE <= quadrature.MAX_EDGE_DEGREE
+    kernel = make_kernel(REF)
+    assert kernel.vw.shape[-1] == len(quadrature.triangle_rule(dpg.QUAD_DEGREE).weights)
+    assert kernel.ew.shape[-1] == len(quadrature.edge_rule(dpg.EDGE_DEGREE).weights)
 
 
 def test_tables_of_no_triangles_are_rejected():
@@ -133,7 +125,7 @@ def test_tables_of_no_triangles_are_rejected():
 def test_gram_constant_deflection_test():
     kernel = make_kernel(REF)
     G = gram(kernel, 1.0)[0]
-    v = component_vector(kernel, 1.0, REF, 0, lambda x, y: np.ones_like(x))
+    v = component_vector(1.0, REF, 0, lambda x, y: np.ones_like(x))
     # constant z: only the L2 term survives
     assert abs(v @ G @ v - 0.5) < 1e-13
 
@@ -141,12 +133,12 @@ def test_gram_constant_deflection_test():
 def test_gram_linear_deflection_test():
     kernel = make_kernel(REF)
     G1 = gram(kernel, 1.0)[0]
-    v1 = component_vector(kernel, 1.0, REF, 0, lambda x, y: x)
+    v1 = component_vector(1.0, REF, 0, lambda x, y: x)
     # |x|^2 over the triangle is 1/12; the gradient term adds t * area
     assert abs(v1 @ G1 @ v1 - 7.0 / 12.0) < 1e-13
 
     G0 = gram(kernel, 0.0)[0]
-    v0 = component_vector(kernel, 0.0, REF, 0, lambda x, y: x)
+    v0 = component_vector(0.0, REF, 0, lambda x, y: x)
     assert abs(v0 @ G0 @ v0 - 1.0 / 12.0) < 1e-13
 
 
@@ -173,14 +165,14 @@ def test_gram_size_depends_on_thickness():
 def test_b_field_deflection_column_against_divergence_free_test():
     kernel = make_kernel(REF)
     B = b_field(kernel, 0.0, )[0]
-    v = component_vector(kernel, 0.0, REF, 1, lambda x, y: np.ones_like(x))
+    v = component_vector(0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v @ B[:, 0]) < 1e-14
 
 
 def test_b_field_deflection_column_against_linear_shear_test():
     kernel = make_kernel(REF)
     B = b_field(kernel, 1.0, )[0]
-    v = component_vector(kernel, 1.0, REF, 4, lambda x, y: x)
+    v = component_vector(1.0, REF, 4, lambda x, y: x)
     # (u, t div tau) with tau = (x, 0): integral of 1 over the triangle
     assert abs(v @ B[:, 0] - 0.5) < 1e-13
 
@@ -188,7 +180,7 @@ def test_b_field_deflection_column_against_linear_shear_test():
 def test_b_field_moment_column_constant_test():
     kernel = make_kernel(REF)
     B = b_field(kernel, 1.0, )[0]
-    v = component_vector(kernel, 1.0, REF, 1, lambda x, y: np.ones_like(x))
+    v = component_vector(1.0, REF, 1, lambda x, y: np.ones_like(x))
     # (M, C^{-1} Theta) with both constant: the element area
     assert abs(v @ B[:, 1] - 0.5) < 1e-13
 
@@ -220,24 +212,24 @@ def test_b_trace_closed_contour_identities():
     # constant test z = 1 at t = 1: every skeleton term of the deflection
     # trace involves div Theta, tau, or grad z, all zero here
     B = b_trace(kernel, 1.0)[0]
-    v = component_vector(kernel, 1.0, REF, 0, lambda x, y: np.ones_like(x))
+    v = component_vector(1.0, REF, 0, lambda x, y: np.ones_like(x))
     assert abs(v @ (B @ qhat)) < 1e-13
 
     # constant test Theta = E11 at t = 0: <grad u, Theta n> integrates
     # n_1 around the closed element boundary
     B0 = b_trace(kernel, 0.0)[0]
-    v0 = component_vector(kernel, 0.0, REF, 1, lambda x, y: np.ones_like(x))
+    v0 = component_vector(0.0, REF, 1, lambda x, y: np.ones_like(x))
     assert abs(v0 @ (B0 @ qhat)) < 1e-13
 
 
 @pytest.mark.parametrize("t", [0.0, 1e-2, 1.0])
 def test_edge_degree_integrates_the_skeleton_exactly(monkeypatch, t):
-    # at the highest test degree the edge integrands have degree 8, so
+    # at the test degree 3 the edge integrands have degree 6 or less, so
     # dpg.EDGE_DEGREE = 8 must match the highest edge rule to roundoff
     coords = random_triangle(17)
-    B = b_trace(ElementKernel([coords], 5, quad_degree=20), t)[0]
+    B = b_trace(make_kernel(coords), t)[0]
     monkeypatch.setattr(dpg, "EDGE_DEGREE", 21)
-    B_ref = b_trace(ElementKernel([coords], 5, quad_degree=20), t)[0]
+    B_ref = b_trace(make_kernel(coords), t)[0]
     assert np.abs(B - B_ref).max() < 1e-13 * np.abs(B_ref).max()
 
 
@@ -254,13 +246,13 @@ def test_load_constant():
     kernel = make_kernel(REF)
     f = np.ones(kernel.vpts.shape[1])
     l = load(kernel, f[None], 1.0)[0]
-    v = component_vector(kernel, 1.0, REF, 0, lambda x, y: np.ones_like(x))
+    v = component_vector(1.0, REF, 0, lambda x, y: np.ones_like(x))
     assert abs(v @ l + 0.5) < 1e-14
     # the load tests only the deflection component
-    w = component_vector(kernel, 1.0, REF, 1, lambda x, y: x + y)
+    w = component_vector(1.0, REF, 1, lambda x, y: x + y)
     assert abs(w @ l) < 1e-14
     for comp in (2, 3, 4, 5):
-        assert np.abs(l[kernel.block(comp)]).max() == 0.0
+        assert np.abs(l[dpg.block(comp)]).max() == 0.0
 
 
 # ---- local normal equations
@@ -461,7 +453,7 @@ def test_trace_pairing_bounded_by_test_norm():
         G = gram(kernel, t)[0]
         q_norm = np.sqrt(triple_test_norm_sq(triple, t))
         for _ in range(5):
-            v = rng.standard_normal(kernel.n_test(t))
+            v = rng.standard_normal(dpg.n_test(t))
             pairing = abs(v @ (B @ qhat))
             v_norm = np.sqrt(v @ G @ v)
             assert pairing <= q_norm * v_norm * (1.0 + 1e-9) + 1e-12
@@ -495,7 +487,7 @@ def test_ultraweak_consistency_identity(t):
     rng = np.random.default_rng(17)
     coords = random_triangle(70)
     kernel = make_kernel(coords)
-    ns = kernel.n_scalar
+    ns = dpg.N_SCALAR
     tt = t * t
 
     uq = Quadratic(rng.standard_normal(6))
@@ -511,14 +503,14 @@ def test_ultraweak_consistency_identity(t):
     hu = uq.hess()
 
     def place(comp, table):
-        out = np.zeros((table.shape[0], kernel.n_test(t)))
+        out = np.zeros((table.shape[0], dpg.n_test(t)))
         out[:, comp * ns : (comp + 1) * ns] = table
         return out
 
     V, Dx, Dy = kernel.V[0], kernel.Dx[0], kernel.Dy[0]
     th = [place(1, V), place(2, V), place(3, V)]
-    e11, e22, e12 = (f.full(kernel.n_test(t))[0] for f in _strain_features(kernel, t))
-    S = _scaled_div_feature(kernel, t).full(kernel.n_test(t))[0]
+    e11, e22, e12 = (f.full(dpg.n_test(t))[0] for f in _strain_features(kernel, t))
+    S = _scaled_div_feature(kernel, t).full(dpg.n_test(t))[0]
 
     lhs = (w * uv) @ S
     lhs += (w * Mv[:, 0]) @ (th[0] + e11)
@@ -632,7 +624,7 @@ def test_jump_orthogonality():
                                        axis=1)
                         return z, gz, Th, dTh, tau
 
-                    pair = trace_pair_edge(mesh.triangle_coords(ti), trace,
+                    pair = trace_pair_edge(mesh.vertices[mesh.triangles[ti]], trace,
                                            test_gen, t)
                     total += pair
                     scale += abs(pair)

@@ -123,7 +123,7 @@ def test_edge_trace_constant():
 def test_edge_trace_linear_and_quadratic():
     # bottom edge of the unit square, parameterized by s in [0, 1]
     mesh = unit_square_initial()
-    coords = mesh.triangle_coords(0)  # (0,0), (1,0), (.5,.5); edge 0 is y = 0
+    coords = mesh.vertices[mesh.triangles[0]]  # (0,0), (1,0), (.5,.5); edge 0 is y = 0
     element = build_hct_element(coords)
     s = np.linspace(0.0, 1.0, 9)
 
@@ -172,7 +172,7 @@ def test_global_c1_continuity():
     rng = np.random.default_rng(10)
     field = HctScalarField(mesh, rng.standard_normal(3 * mesh.num_vertices))
     s = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    interior = [e for e in range(mesh.num_edges)
+    interior = [e for e in range(len(mesh.edges))
                 if mesh.edge_tris[e, 1] != -1]
     for e in interior:
         ta, tb = mesh.edge_tris[e]
@@ -195,7 +195,7 @@ def test_interpolate_smooth_function():
     field = interpolate(mesh, lambda x, y: x * y, lambda x, y: (y, x))
     pts = np.array([[0.3, 0.4]])
     for ti in range(mesh.num_triangles):
-        coords = mesh.triangle_coords(ti)
+        coords = mesh.vertices[mesh.triangles[ti]]
         c = coords.mean(axis=0, keepdims=True)
         val, grad, _ = field.eval(ti, elements, c)
         assert abs(val[0] - c[0, 0] * c[0, 1]) < 1e-11

@@ -81,7 +81,7 @@ def test_direct_and_cg_agree():
     b = np.random.default_rng(5).standard_normal(40)
     A = sparse(D)
     xd = solve_spd(A, b, method="direct")
-    xc = solve_spd(A, b, method="cg", tol=1e-12)
+    xc = solve_spd(A, b, method="cg")
     assert np.abs(xd - xc).max() < 1e-8 * np.abs(xd).max()
 
 
@@ -121,13 +121,24 @@ def test_solve_rejects_indefinite():
         solve_spd(A, np.ones(2))
 
 
-def test_cg_reports_nonconvergence():
+def test_cg_reports_nonconvergence(monkeypatch):
     D = random_spd(40, seed=8, cond=1e10)
     A = sparse(D)
     b = np.ones(40)
+    calls = []
+    cg = spla.cg
+
+    def two_iterations(*args, **kwargs):
+        calls.append(kwargs)
+        return cg(*args, **{**kwargs, "maxiter": 2})
+
+    monkeypatch.setattr(linalg.spla, "cg", two_iterations)
     with pytest.raises(IterativeSolveError) as info:
-        solve_spd(A, b, method="cg", tol=1e-14, maxiter=2)
+        solve_spd(A, b, method="cg")
+    # scipy's cg reports its iteration count on nonconvergence
     assert info.value.iterations == 2
+    assert info.value.residual > linalg.CG_TOL
+    assert [(c["rtol"], c["maxiter"]) for c in calls] == [(linalg.CG_TOL, 10_000)]
 
 
 def test_unknown_method():
@@ -141,11 +152,11 @@ def test_cg_iterations_are_the_callback_count():
     b = np.random.default_rng(5).standard_normal(40)
     A = sparse(D)
     stats = {}
-    x = solve_spd(A, b, method="cg", tol=1e-12, stats=stats)
+    x = solve_spd(A, b, method="cg", stats=stats)
     seen = []
     d = A.diagonal()
     M = spla.LinearOperator(A.shape, matvec=lambda v: v / d)
-    x_ref, info = spla.cg(A, b, rtol=1e-12, atol=0.0, maxiter=10_000, M=M,
+    x_ref, info = spla.cg(A, b, rtol=linalg.CG_TOL, atol=0.0, maxiter=10_000, M=M,
                           callback=seen.append)
     assert info == 0
     assert np.array_equal(x, x_ref)

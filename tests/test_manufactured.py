@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import element_means
+from plate_dpg import manufactured
 from plate_dpg.manufactured import (
     ExactSolution,
     g0,
@@ -131,7 +132,7 @@ def test_errors_of_means_match_independent_quadrature():
     acc_u = 0.0
     acc_M = 0.0
     for ti in range(mesh.num_triangles):
-        pts, w = map_to_triangle(rule, mesh.triangle_coords(ti))
+        pts, w = map_to_triangle(rule, mesh.vertices[mesh.triangles[ti]])
         x, y = pts[:, 0], pts[:, 1]
         acc_u += w @ (ex.u(x, y) - u_el[ti]) ** 2
         m = ex.M(x, y)
@@ -141,16 +142,20 @@ def test_errors_of_means_match_independent_quadrature():
     assert abs(err_M - np.sqrt(acc_M)) < 1e-12 * err_M
 
 
-def test_error_quadrature_self_consistent():
+def test_error_quadrature_self_consistent(monkeypatch):
     mesh = mesh_at_level(1)
     nt = mesh.num_triangles
     zero_u = np.zeros(nt)
     zero_M = np.zeros((nt, 3))
+
+    def errors_at(degree):
+        monkeypatch.setattr(manufactured, "L2_QUAD_DEGREE", degree)
+        return l2_errors(mesh, zero_u, zero_M, None, 0.01)
+
     # squared exact fields have degree 24, so low rules are approximate:
     # degree 12 is good to ~1e-9 relative, 16 vs 18 to ~1e-12
-    a = l2_errors(mesh, zero_u, zero_M, None, 0.01, quad_degree=12)
-    b = l2_errors(mesh, zero_u, zero_M, None, 0.01, quad_degree=16)
-    c = l2_errors(mesh, zero_u, zero_M, None, 0.01, quad_degree=18)
+    assert manufactured.L2_QUAD_DEGREE == 16
+    a, b, c = errors_at(12), errors_at(16), errors_at(18)
     assert abs(a[0] - b[0]) < 5e-9 * b[0]
     assert abs(a[1] - b[1]) < 5e-9 * b[1]
     assert abs(b[0] - c[0]) < 1e-12 * c[0]

@@ -51,7 +51,7 @@ def test_triangle_count_growth():
 
 def test_interior_edges_have_two_neighbors():
     m = mesh_at_level(2)
-    interior = np.setdiff1d(np.arange(m.num_edges), m.boundary_edges)
+    interior = np.setdiff1d(np.arange(len(m.edges)), m.boundary_edges)
     assert np.all(m.edge_tris[interior] >= 0)
     assert np.all(m.edge_tris[m.boundary_edges, 1] == -1)
 
@@ -84,7 +84,7 @@ def test_normals_close_up():
     m = mesh_at_level(2)
     for ti in range(m.num_triangles):
         total = np.zeros(2)
-        coords = m.triangle_coords(ti)
+        coords = m.vertices[m.triangles[ti]]
         for k in range(3):
             d = coords[(k + 1) % 3] - coords[k]
             total += np.hypot(*d) * edge_outward_normal(m, ti, k)

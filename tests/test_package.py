@@ -3,6 +3,8 @@
 Every module-level function and class in `src/plate_dpg` must be exported
 through `plate_dpg.__all__`, named by the benchmark in `perfbench/`, or
 used outside its own definition by package code that is itself reached.
+Every method and property of a package class, dunders aside, must be read
+by package code outside its own definition or named by the benchmark.
 The benchmark's tracer (`perfbench/tracer.py`) only wraps what others
 call, so a name it alone mentions is not reached.  Code that only tests
 reach belongs under `tests/` (see `oracles.py`).
@@ -10,6 +12,7 @@ reach belongs under `tests/` (see `oracles.py`).
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import plate_dpg
@@ -29,6 +32,40 @@ def _used_names(node):
     return out
 
 
+def _benchmark_text(perfbench):
+    """The benchmark's sources, its tracer aside."""
+    return "\n".join(p.read_text() for p in sorted(perfbench.glob("*.py"))
+                     if p.name != "tracer.py")
+
+
+def _reads(node):
+    """How often `node` reads each name or attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute))
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def unread_members(package=PACKAGE, perfbench=PERFBENCH):
+    """`module.Class.name` of every non-dunder method and property nothing outside the tests reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    bench = _benchmark_text(perfbench)
+    out = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                name = getattr(member, "name", "")
+                if (not isinstance(member, ast.FunctionDef) or name.startswith("__")
+                        or reads[name] > _reads(member)[name]
+                        or re.search(rf"\b{re.escape(name)}\b", bench)):
+                    continue
+                out.append(f"{module}.{cls.name}.{name}")
+    return out
+
+
 def unreferenced_definitions(package=PACKAGE, perfbench=PERFBENCH):
     """`module.name` of every top-level def/class that nothing outside the tests reaches.
 
@@ -41,8 +78,7 @@ def unreferenced_definitions(package=PACKAGE, perfbench=PERFBENCH):
         for node in ast.parse(path.read_text()).body:
             name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             nodes.append((path.stem, name, _used_names(node)))
-    bench = "\n".join(p.read_text() for p in sorted(perfbench.glob("*.py"))
-                      if p.name != "tracer.py")
+    bench = _benchmark_text(perfbench)
     roots = set(plate_dpg.__all__)
     kept = [n for n in nodes if n[1] is None or n[1] in roots
             or re.search(rf"\b{re.escape(n[1])}\b", bench)]
@@ -60,6 +96,10 @@ def test_every_definition_is_reached_outside_the_tests():
     assert unreferenced_definitions() == []
 
 
+def test_every_method_and_property_is_read_outside_the_tests():
+    assert unread_members() == []
+
+
 def test_the_check_sees_a_test_only_function(tmp_path):
     package, bench = tmp_path / "package", tmp_path / "bench"
     package.mkdir()
@@ -72,6 +112,15 @@ def test_the_check_sees_a_test_only_function(tmp_path):
         "def helper():\n    return oracle\n\n"
         "def benchmarked():\n    pass\n\n"
         "def traced():\n    pass\n\n"
-        "VALUE = used()\n")
+        "VALUE = used()\n\n"
+        "class Kept:\n"
+        "    def __init__(self):\n        self.value = self.read()\n\n"
+        "    def read(self):\n        return self.size\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def unread(self):\n        return self.unread()\n\n"
+        "    @property\n    def unread_property(self):\n        return 2\n\n"
+        "    def benchmarked(self):\n        pass\n\n"
+        "KEPT = Kept()\n")
     assert unreferenced_definitions(package, bench) == ["mod.oracle", "mod.helper",
                                                         "mod.traced"]
+    assert unread_members(package, bench) == ["mod.Kept.unread", "mod.Kept.unread_property"]

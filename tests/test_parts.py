@@ -173,6 +173,8 @@ BAD_TRIANGLES = {
     "collinear": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
     "clockwise": [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
     "NaN vertex": [[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]],
+    "inf vertex": [[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]],
+    "huge vertex": [[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]],
 }
 
 
@@ -181,7 +183,9 @@ BAD_TRIANGLES = {
 def test_bad_triangles_are_rejected_in_either_half(case, element):
     # element 0 is in chunk 0, the last element in the last of four chunks,
     # which the forked half builds; a collinear triangle ended in a bare
-    # "Singular matrix" and a NaN vertex deep in the HCT null space before
+    # "Singular matrix" and a NaN vertex deep in the HCT null space before,
+    # an inf vertex warned "invalid value encountered in multiply" before
+    # its ValueError, and the huge vertex ended in a bare "Singular matrix"
     mesh = mesh_at_level(2)
     coords = mesh.vertices[mesh.triangles]
     coords[element] = BAD_TRIANGLES[case]

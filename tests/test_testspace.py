@@ -59,7 +59,7 @@ def _dyadic_shapes(level):
     mesh = mesh_at_level(level)
     shapes = {}
     for ti in range(mesh.num_triangles):
-        coords = mesh.triangle_coords(ti)
+        coords = mesh.vertices[mesh.triangles[ti]]
         shapes.setdefault((coords[1:] - coords[0]).tobytes(), coords)
     return list(shapes.values())
 
