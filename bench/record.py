@@ -13,12 +13,12 @@ Run from the root of a source checkout; everything is imported from
   `assemble` and `solve_spd` (the rest of `assemble_and_solve` is the
   backward-error check and the estimator), with the peak RSS of each and
   the number of BLAS libraries the solve ran on one thread
-  (`blas_pinned`) and the seconds and entries of the sparse LU factor
-  (`factor_s`, `factor_nnz`) and the number of processes the element
-  systems ran in (`parts`), each null where the checkout does not
-  report it, and `peak_pss_mb`, the peak of the summed proportional set
-  size of the solve's process tree, which unlike the peak RSS also
-  counts a forked child;
+  (`blas_pinned`), the seconds, entries and stored entries of the
+  sparse LU factor (`factor_s`, `factor_nnz`, `factor_stored`) and the
+  number of processes the element systems ran in (`parts`), each null
+  where the checkout does not report it, and `peak_pss_mb`, the peak of
+  the summed proportional set size of the solve's process tree, which
+  unlike the peak RSS also counts a forked child;
 - the wall time and summary line of the Tier-1 test command;
 - the Python, numpy and scipy versions, the core count, the BLAS
   library of numpy and of scipy, and the thread count each of their
@@ -69,6 +69,7 @@ print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spen
                       blas_pinned=sol.stats.get("blas_pinned"),
                       factor_s=sol.stats.get("factor_s"),
                       factor_nnz=sol.stats.get("factor_nnz"),
+                      factor_stored=sol.stats.get("factor_stored"),
                       parts=sol.stats.get("parts"),
                       peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
 """

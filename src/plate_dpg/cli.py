@@ -13,10 +13,10 @@ from . import __version__
 from .dpg import ElementKernel, ProblemConfig, gram, gram_factors
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
 from .hct import build_hct_element
-from .linalg import DIRECT_SIZE_LIMIT, SolveError
+from .linalg import SolveError
 from .manufactured import verify_manufactured
-from .mesh import mesh_at_level, refine_uniform, unit_square_initial, write_mesh_text
-from .quadrature import map_to_triangle, triangle_rule
+from .mesh import mesh_at_level, write_mesh_text
+from .quadrature import map_to_triangles, triangle_rule
 
 
 def _parse_t_list(text):
@@ -37,24 +37,6 @@ def _reject(args, message):
     return 2
 
 
-def _direct_size_error(level, configs):
-    """Why the direct solver cannot take mesh `level` under `configs`, or None.
-
-    A too-large level would fail only after the solves below it.  The
-    meshes are refined up to `level`, and no further than the first one
-    past DIRECT_SIZE_LIMIT.
-    """
-    mesh = unit_square_initial()
-    while True:
-        n_free = max(DofMap(mesh, cfg).n_free for cfg in configs)
-        if n_free > DIRECT_SIZE_LIMIT:
-            return (f"level {mesh.level} has {n_free} free dofs, more than "
-                    f"the {DIRECT_SIZE_LIMIT} of the direct solver")
-        if mesh.level >= level:
-            return None
-        mesh = refine_uniform(mesh)
-
-
 def _path_error(path):
     """Why `path` cannot be opened for writing, or None; no file is created."""
     if os.path.isdir(path):
@@ -66,30 +48,21 @@ def _path_error(path):
 
 
 def _cmd_study(args):
-    t_list = args.t_list
-    if args.levels < 1:
-        return _reject(args, f"--levels must be >= 1 (got {args.levels})")
-    try:
-        configs = [ProblemConfig(t=t, bc=args.bc, solver=args.solver) for t in t_list]
-    except ValueError as err:
-        return _reject(args, str(err))
-    config = configs[0]
-    if config.bc == "clamped" and args.levels < 2:
-        return _reject(args, f"--levels must be >= 2 for clamped plates, whose "
-                             f"studies start at level 1 (got {args.levels})")
     # the files are written only after every solve
     outputs = {"--out": None if args.out == "-" else args.out,
                "--stats": args.stats, "--dump-mesh": args.dump_mesh}
     for flag, path in outputs.items():
         if path is not None and (error := _path_error(path)):
             return _reject(args, f"{flag} {error}")
-    if config.solver == "direct" and (error := _direct_size_error(args.levels - 1, configs)):
-        return _reject(args, f"{error}; use --solver cg")
     progress = None
     if not args.quiet:
         progress = lambda line: print(line, file=sys.stderr)
+    meshes = []
     try:
-        records = run_study(t_list, args.levels, config, progress=progress)
+        config = ProblemConfig(t=args.t_list[0], bc=args.bc, solver=args.solver)
+        records = run_study(args.t_list, args.levels, config, meshes, progress=progress)
+    except ValueError as err:
+        return _reject(args, str(err))
     except SolveError as err:
         print(f"plate-dpg study: error: {err}", file=sys.stderr)
         return 1
@@ -105,7 +78,7 @@ def _cmd_study(args):
                 fh.write(json.dumps({"level": r.level, "t": r.t, "stats": r.stats}) + "\n")
         print(f"wrote {len(records)} solve stats to {args.stats}", file=sys.stderr)
     if args.dump_mesh:
-        mesh = mesh_at_level(args.levels - 1)
+        mesh = meshes[args.levels - 1]
         with open(args.dump_mesh, "w") as fh:
             write_mesh_text(mesh, fh)
         print(f"wrote level-{mesh.level} mesh to {args.dump_mesh}",
@@ -125,7 +98,7 @@ def _property_suite(lines):
     ok = True
     rule = triangle_rule(14)
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pts, w = map_to_triangle(rule, tri)
+    (pts,), (w,) = map_to_triangles(rule, tri[None])
     # integral of x^9 y^4 over the reference triangle
     exact = 362880.0 * 24.0 / 1307674368000.0
     got = float(w @ (pts[:, 0] ** 9 * pts[:, 1] ** 4))
@@ -192,14 +165,10 @@ def _cmd_verify(args):
 
 
 def _cmd_limit(args):
-    if args.level < 0:
-        return _reject(args, f"--level must be >= 0 (got {args.level})")
-    if not all(t > 0.0 and np.isfinite(t) for t in args.t_list):
-        return _reject(args, "the limit study needs finite thicknesses t > 0")
-    configs = [ProblemConfig(t=t) for t in (0.0, *args.t_list)]
-    if error := _direct_size_error(args.level, configs):
-        return _reject(args, error)
-    out = kirchhoff_limit_check(level=args.level, t_sequence=tuple(args.t_list))
+    try:
+        out = kirchhoff_limit_check(level=args.level, t_sequence=tuple(args.t_list))
+    except ValueError as err:
+        return _reject(args, str(err))
     print(f"level {out['level']} mesh, distance to the t = 0 solution")
     print(f"{'t':>10s} {'|u(t)-u(0)|':>14s} {'|M(t)-M(0)|':>14s}")
     for t, du, dM in out["rows"]:

@@ -28,18 +28,13 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import hct, parts, quadrature, testspace
-from .testspace import BarycentricMap
+from .testspace import N_SCALAR, BarycentricMap
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
 N_TRACE_COLS = 36  # 4 generating fields x 9 vertex dofs
-# Bernstein degree of the enriched broken test space (practical DPG,
-# Gopalakrishnan and Qiu 2014) for constant fields and traces cubic along
-# each edge; every study, `limit` and `verify` runs at 3
-TEST_DEGREE = 3
-N_SCALAR = testspace.scalar_basis_size(TEST_DEGREE)  # polynomials per component
-# at degree 3 the volume integrands have degree 11 or less (the load: f, of
-# degree 8, times a cubic), so 11 would do; 14 stays because its points are in
-# every G, B and l
+# at test degree 3 (testspace.DEGREE) the volume integrands have degree 11 or
+# less (the load: f, of degree 8, times a cubic), so 11 would do; 14 stays
+# because its points are in every G, B and l
 QUAD_DEGREE = 14
 # at degree 3 b_trace's edge integrands have degree 6 or less, so 6 would do;
 # 8 stays because its points are in every B
@@ -95,7 +90,7 @@ class ElementKernel:
     Built from the triangles `coords` (ne, 3, 2) in one stacked call per
     CHUNK of them, with the rules of QUAD_DEGREE and EDGE_DEGREE taken
     once.  The test basis tables hold the N_SCALAR Bernstein polynomials
-    of TEST_DEGREE, one block of each component's test functions (see
+    of testspace.DEGREE, one block of each component's test functions (see
     `block`).  Every table carries the elements on its leading axis.
     Volume tables: points `vpts` (ne, nq, 2), weights `vw` (ne, nq), test
     basis values `V` and derivatives `Dx`, `Dy`, `Hxx`, `Hxy`, `Hyy`
@@ -130,11 +125,10 @@ class ElementKernel:
                 # triangle, on which the barycentric inverse would fail or go on with NaN
                 vpts, vw = quadrature.map_to_triangles(vol, xy)
                 bary = BarycentricMap(xy)
-                val, grad, hess = testspace.eval_scalar_basis(bary, vpts, TEST_DEGREE)
+                val, grad, hess = testspace.eval_scalar_basis(bary, vpts)
                 ends = xy[:, [1, 2, 0]]
                 epts, ew = quadrature.map_to_edge(erule, xy, ends)
-                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, TEST_DEGREE,
-                                                             order=1)
+                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, order=1)
                 element = hct.build_hct_element(xy)
                 traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
                 hgrad = np.stack([g for _, g in traces], axis=1)

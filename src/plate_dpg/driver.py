@@ -38,7 +38,6 @@ class DofMap:
     """Global index layout and the constrained-dof mask for one mesh."""
 
     def __init__(self, mesh, config):
-        self.mesh = mesh
         self.n_field = dpg.n_components(config.t)
         self.field_total = self.n_field * mesh.num_triangles
         self.n_total = self.field_total + N_TRACE_PER_VERTEX * mesh.num_vertices
@@ -305,6 +304,25 @@ def _rate(prev, cur):
     return float(np.log2(prev / cur))
 
 
+def _mesh_chain(levels, config, mesh_chain, hint=""):
+    """`mesh_chain` extended to `levels` meshes from level 0, one refinement at a time.
+
+    On the direct path each level's free dofs under `config` are counted
+    as it is reached, and the first level past linalg.DIRECT_SIZE_LIMIT
+    raises ValueError, ended by `hint`, before a finer mesh is built.
+    """
+    for level in range(levels):
+        if level == len(mesh_chain):
+            mesh_chain.append(meshmod.refine_uniform(mesh_chain[-1]) if mesh_chain
+                              else meshmod.unit_square_initial())
+        if config.solver == "direct":
+            n_free = DofMap(mesh_chain[level], config).n_free
+            if n_free > linalg.DIRECT_SIZE_LIMIT:
+                raise ValueError(f"level {level} has {n_free} free dofs, more than the "
+                                 f"{linalg.DIRECT_SIZE_LIMIT} of the direct solver{hint}")
+    return mesh_chain
+
+
 def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
               progress=None):
     """Solve on levels 0..levels-1 for each thickness; returns StudyRecords.
@@ -315,23 +333,35 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     the trace representation rather than a solution kernel; level 1 has
     none.
 
-    Meshes and element tables are shared across thicknesses.  `progress`
-    is an optional callable taking a status string.  A failed solve raises
+    Before any solve, ValueError rejects an empty `t_list`, a t that
+    `config` with that t rejects, fewer than 1 level (2 if clamped) and,
+    on the direct path, a level past linalg.DIRECT_SIZE_LIMIT free dofs.
+    A given `mesh_chain` (levels 0, 1, ...) is extended in place.  Meshes
+    and element tables are shared across thicknesses.  `progress` is an
+    optional callable taking a status string.  A failed solve raises
     linalg.SolveError naming its level and t.
     """
     from dataclasses import replace
 
-    if mesh_chain is None:
-        mesh_chain = [meshmod.mesh_at_level(0)]
-    while len(mesh_chain) < levels:
-        mesh_chain.append(meshmod.refine_uniform(mesh_chain[-1]))
+    if not len(t_list):
+        raise ValueError("t_list must hold at least one thickness")
+    configs = [replace(config, t=t) for t in t_list]
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1 (got {levels})")
+    first = 1 if config.bc == "clamped" else 0
+    if levels <= first:
+        raise ValueError(f"levels must be >= 2 for clamped plates, whose studies "
+                         f"start at level 1 (got {levels})")
+    # the free dofs grow with the field components, so the widest layout bounds them
+    widest = max(configs, key=lambda cfg: dpg.n_components(cfg.t))
+    mesh_chain = _mesh_chain(levels, widest, [] if mesh_chain is None else mesh_chain,
+                             hint="; use the cg solver")
     if kernels_chain is None:
         kernels_chain = [None] * levels
     records = []
-    for t in t_list:
-        cfg = replace(config, t=t)
+    for t, cfg in zip(t_list, configs):
         prev = None
-        for level in range(1 if config.bc == "clamped" else 0, levels):
+        for level in range(first, levels):
             if kernels_chain[level] is None:
                 kernels_chain[level] = MeshKernels(mesh_chain[level], cfg)
             start = time.perf_counter()
@@ -389,9 +419,17 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
     must shrink monotonically as t decreases.  Also evaluates the identity
     ||u(t) - u(0)||_L2 = t^2 ||lap phi||_L2 of the closed-form solution, in
     extended precision because the difference is far below the field scale.
+
+    Before any solve, ValueError rejects a negative `level`, one past
+    linalg.DIRECT_SIZE_LIMIT free dofs, and an empty `t_sequence` or one
+    with a t that is not finite and > 0.
     """
+    if level < 0:
+        raise ValueError(f"level must be >= 0 (got {level})")
+    if not len(t_sequence) or not all(t > 0.0 and np.isfinite(t) for t in t_sequence):
+        raise ValueError("the limit study needs finite thicknesses t > 0")
     config = dpg.ProblemConfig(t=0.0)
-    msh = meshmod.mesh_at_level(level)
+    msh = _mesh_chain(level + 1, dpg.ProblemConfig(t=t_sequence[0]), [])[level]
     kernels = MeshKernels(msh, config)
     sol0 = assemble_and_solve(msh, config, kernels)
     rows = []

@@ -26,6 +26,8 @@ from .testspace import BarycentricMap, eval_scalar_basis
 N_DOFS = 9
 _VALUE_S = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _GRAD_S = np.array([0.0, 0.5, 1.0])
+# the message of quadrature.map_to_triangles for the triangles it rejects
+_BAD_TRIANGLE = "triangle must be CCW and non-degenerate"
 
 
 class HctElement:
@@ -74,13 +76,18 @@ def build_hct_element(coords):
     center = P.mean(axis=1)
     Q = P[:, _NEXT]
     sub_coords = np.stack([P, Q, np.broadcast_to(center[:, None], P.shape)], axis=2)
-    subs = BarycentricMap(sub_coords)                       # (ne, 3) maps
+    # a long, thin or far-off triangle that passes the quadrature map can make
+    # a subtriangle map singular, or lose the constraints' 9-dim null space
+    try:
+        subs = BarycentricMap(sub_coords)                   # (ne, 3) maps
+    except np.linalg.LinAlgError:
+        raise ValueError(_BAD_TRIANGLE) from None
 
     # C0 and C1 across internal edge k (p_k, center), shared by subs k - 1 and k:
     # one row per point, values at _VALUE_S, then d/dx and d/dy at _GRAD_S
     internal = [_edge_points(P, center[:, None], s)[:, _SUB_EDGES] for s in (_VALUE_S, _GRAD_S)]
-    val, _, _ = eval_scalar_basis(subs, internal[0], 3, order=0)
-    _, grad, _ = eval_scalar_basis(subs, internal[1], 3, order=1)
+    val, _, _ = eval_scalar_basis(subs, internal[0], order=0)
+    _, grad, _ = eval_scalar_basis(subs, internal[1], order=1)
     # (ne, sub, side, 10 points, 10): side 0 is the sub's edge s, side 1 its edge s + 1
     tabs = np.concatenate([val, grad[..., 0], grad[..., 1]], axis=3)
     A = np.zeros((ne, 33, 30))
@@ -91,7 +98,7 @@ def build_hct_element(coords):
 
     # reduced condition: normal derivative affine along exterior edge k of sub k
     n = unit_normals(P, Q)[:, :, None, None]
-    _, grad, _ = eval_scalar_basis(subs, _edge_points(P, Q, _GRAD_S), 3, order=1)
+    _, grad, _ = eval_scalar_basis(subs, _edge_points(P, Q, _GRAD_S), order=1)
     gn = grad[..., 0] * n[..., 0] + grad[..., 1] * n[..., 1]  # (ne, 3, 3, 10)
     for k in range(3):
         A[:, 30 + k, 10 * k : 10 * k + 10] = gn[:, k, 1] - 0.5 * (gn[:, k, 0] + gn[:, k, 2])
@@ -107,7 +114,7 @@ def build_hct_element(coords):
 
     # nodal matrix: value, d/dx, d/dy at each parent vertex (taken from sub k,
     # whose first vertex is parent vertex k; continuity makes the choice moot)
-    val, grad, _ = eval_scalar_basis(subs, P[:, :, None], 3, order=1)
+    val, grad, _ = eval_scalar_basis(subs, P[:, :, None], order=1)
     Z = np.empty((ne, 30, N_DOFS))
     N = np.empty((ne, N_DOFS, N_DOFS))
     for i in range(ne):
@@ -118,8 +125,7 @@ def build_hct_element(coords):
             raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
         num = np.sum(s > np.amax(s) * 1e-10, dtype=int)
         if len(vh) - num != N_DOFS:
-            raise RuntimeError(f"constraint null space has dimension {len(vh) - num}, "
-                               f"expected {N_DOFS}")
+            raise ValueError(_BAD_TRIANGLE)
         Z[i] = vh[num:].T
         for k in range(3):
             Zk = Z[i, 10 * k : 10 * k + 10]
@@ -164,7 +170,7 @@ def eval_hct(element, pts, dofs=None):
         idx = np.flatnonzero(sub == s)
         if idx.size == 0:
             continue
-        v, g, h = eval_scalar_basis(sub_maps[s], pts[idx], 3)
+        v, g, h = eval_scalar_basis(sub_maps[s], pts[idx])
         C = element.coeffs[:, s, :].T  # (10, 9)
         val[idx] = v @ C
         grad[idx] = np.einsum("qbd,bj->qjd", g, C)
@@ -185,7 +191,7 @@ def eval_on_parent_edge(element, local_edge, s):
     k = local_edge
     pts = _edge_points(element.coords[..., k, :], element.coords[..., (k + 1) % 3, :],
                        np.asarray(s, dtype=float))
-    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[..., k, :, :]), pts, 3,
+    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[..., k, :, :]), pts,
                                 order=1)
     C = np.swapaxes(element.coeffs[..., :, k, :], -1, -2)
     return v @ C, np.einsum("...qbd,...bj->...qjd", g, C)

@@ -140,12 +140,13 @@ def solve_spd(A, b, method="direct", stats=None):
     does not converge.  Its result agrees with the direct one to about
     cond(A) * CG_TOL relative, with cond(A) the condition number after
     Jacobi scaling.  A given dict `stats` receives "cg_iterations", the
-    number of CG iterations run (0 on the direct path), and "factor_s" and
-    "factor_nnz", the seconds of the `splu` call and the entries of its
-    factors L and U (both 0 on the cg path).
+    number of CG iterations run (0 on the direct path), and "factor_s",
+    "factor_nnz" and "factor_stored", the seconds of the `splu` call, the
+    entries of its factors L and U, and the entries SuperLU stores for them,
+    the padding of its relaxed supernodes included (all 0 on the cg path).
     """
     stats = {} if stats is None else stats
-    stats.update(cg_iterations=0, factor_s=0.0, factor_nnz=0)
+    stats.update(cg_iterations=0, factor_s=0.0, factor_nnz=0, factor_stored=0)
     b = np.asarray(b, dtype=float)
     full = sp.csc_matrix(A)
     n = full.shape[0]
@@ -171,6 +172,7 @@ def solve_spd(A, b, method="direct", stats=None):
             options={"SymmetricMode": True},
         )
         stats["factor_s"] = time.perf_counter() - start
+        stats["factor_stored"] = lu.nnz
         # freed before lu.U builds the CSC factors, the memory peak of a solve
         del scaled
         # lu.U builds (and caches) both factors

@@ -67,15 +67,6 @@ def edge_rule(degree):
     return QuadRule(0.5 * (xg + 1.0), 0.5 * wg, 2 * n - 1)
 
 
-def map_to_triangle(rule, coords):
-    """Push a reference-triangle rule to the physical triangle `coords`.
-
-    Returns (points (nq, 2), weights (nq,)); weights sum to the triangle area.
-    """
-    pts, w = map_to_triangles(rule, np.asarray(coords, dtype=float)[None])
-    return pts[0], w[0]
-
-
 def map_to_triangles(rule, coords):
     """Push a reference-triangle rule to every triangle of `coords` (ne, 3, 2).
 

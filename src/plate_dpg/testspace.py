@@ -2,26 +2,19 @@
 
 Shape functions are Bernstein polynomials of the barycentric coordinates
 of the physical triangle.  Each component of a test function (z, Theta,
-tau) is spanned by the same scalar basis; `dpg` fixes its degree and lays
-the components out.
+tau) is spanned by the same scalar basis of degree DEGREE; `dpg` lays the
+components out.
 """
 
-import functools
 import math
 
 import numpy as np
 
-
-def scalar_basis_size(degree):
-    return (degree + 1) * (degree + 2) // 2
-
-
-def _multi_indices(degree):
-    out = []
-    for i in range(degree, -1, -1):
-        for j in range(degree - i, -1, -1):
-            out.append((i, j, degree - i - j))
-    return out
+# Bernstein degree of every basis here: the enriched broken test space
+# (practical DPG, Gopalakrishnan and Qiu 2014) for constant fields and traces
+# cubic along each edge, and the cubics on the HCT element's subtriangles
+DEGREE = 3
+N_SCALAR = (DEGREE + 1) * (DEGREE + 2) // 2  # polynomials of the basis
 
 
 class BarycentricMap:
@@ -51,9 +44,8 @@ class BarycentricMap:
         return pts @ np.swapaxes(Ainv[..., :2], -1, -2) + Ainv[..., None, :, 2]
 
 
-@functools.lru_cache(maxsize=None)
-def _term_tables(degree):
-    """Exponents and integer weights of the Bernstein terms of one degree.
+def _term_tables():
+    """Exponents and integer weights of the Bernstein terms of DEGREE.
 
     Along the term axis, row 0 holds the value of basis function b,
     cmb lam^e; rows 1-3 its first lambda-derivative terms
@@ -62,13 +54,14 @@ def _term_tables(degree):
     A term of weight zero keeps exponent 0 in place of a negative one.
 
     Returns read-only arrays: `rows` (3, 13, nb), the row of lam_m^exponent
-    in the (3 (degree + 1), nq) table of powers; `weights` (13, nb); and
+    in the (3 (DEGREE + 1), nq) table of powers; `weights` (13, nb); and
     `first`, `second` (9, 3), the entries of the flattened (3, 2)
     grad_lambda that multiply the (xx, xy, yy) Hessian terms.
     """
-    E = np.array(_multi_indices(degree))
+    E = np.array([(i, j, DEGREE - i - j)
+                  for i in range(DEGREE, -1, -1) for j in range(DEGREE - i, -1, -1)])
     cmb = np.array([
-        math.factorial(degree)
+        math.factorial(DEGREE)
         // (math.factorial(e[0]) * math.factorial(e[1]) * math.factorial(e[2]))
         for e in E
     ])
@@ -79,7 +72,7 @@ def _term_tables(degree):
     hess_w = grad_w[hess_m] * lowered[hess_m, :, hess_n]     # cmb e_m (e - 1_m)_n
     hess_exp = lowered[hess_m] - unit[hess_n][:, None, :]
     exps = np.concatenate([E[None], lowered, hess_exp]).clip(min=0)
-    rows = (np.arange(3) * (degree + 1) + exps).transpose(2, 0, 1)
+    rows = (np.arange(3) * (DEGREE + 1) + exps).transpose(2, 0, 1)
     weights = np.concatenate([cmb[None], grad_w, hess_w]).astype(float)
     first = 2 * hess_m[:, None] + np.array([0, 0, 1])
     second = 2 * hess_n[:, None] + np.array([0, 1, 1])
@@ -89,12 +82,15 @@ def _term_tables(degree):
     return tables
 
 
-def eval_scalar_basis(tri, pts, degree=3, order=2):
+_ROWS, _WEIGHTS, _FIRST, _SECOND = _term_tables()
+
+
+def eval_scalar_basis(bary, pts, order=2):
     """Bernstein basis values and, up to `order`, gradients and Hessians at points.
 
-    `tri` is a stack of triangles, as (..., 3, 2) vertices or their
-    `BarycentricMap`, and `pts` holds points (..., [extra axes], nq, 2) as
-    the map takes them; a single triangle is a stack with no leading axis.
+    `bary` is the `BarycentricMap` of a stack of triangles, and `pts` holds
+    points (..., [extra axes], nq, 2) as the map takes them; a single
+    triangle is a stack with no leading axis.
 
     Returns C-contiguous (val (..., nq, nb), grad (..., nq, nb, 2),
     hess (..., nq, nb, 3)) with the Hessian stored as (xx, xy, yy); an
@@ -112,23 +108,21 @@ def eval_scalar_basis(tri, pts, degree=3, order=2):
     over the stack, so the tables equal that loop's on each triangle alone
     bit for bit, whatever the order.
     """
-    rows, weights, first, second = _term_tables(degree)
     n_terms = (1, 4, 13)[order]
-    bary = tri if isinstance(tri, BarycentricMap) else BarycentricMap(tri)
     lam = bary(pts)
     lead, nq = lam.shape[:-2], lam.shape[-2]
     glam = bary.grad.reshape(bary.grad.shape[:-2]
                              + (1,) * (lam.ndim - bary.grad.ndim) + (3, 2))
     glam = np.broadcast_to(glam, lead + (3, 2)).reshape(-1, 3, 2)
     lam = lam.reshape(-1, nq, 3)
-    # pw[m, a] = lam[..., m] ** a, (3, degree + 1, ne, nq) for ne stacked triangles
-    pw = np.empty((3, degree + 1) + lam.shape[:2])
+    # pw[m, a] = lam[..., m] ** a, (3, DEGREE + 1, ne, nq) for ne stacked triangles
+    pw = np.empty((3, DEGREE + 1) + lam.shape[:2])
     pw[:, 0] = 1.0
-    for a in range(1, degree + 1):
+    for a in range(1, DEGREE + 1):
         pw[:, a] = pw[:, a - 1] * lam.transpose(2, 0, 1)
     # (n_terms, nb, ne, nq)
-    p0, p1, p2 = pw.reshape((3 * (degree + 1),) + lam.shape[:2])[rows[:, :n_terms]]
-    w = weights[:n_terms, :, None, None]
+    p0, p1, p2 = pw.reshape((3 * (DEGREE + 1),) + lam.shape[:2])[_ROWS[:, :n_terms]]
+    w = _WEIGHTS[:n_terms, :, None, None]
     val = ((w[0] * p0[0]) * p1[0]) * p2[0]
     nb = val.shape[0]
     # C order: matrix products on transposed views take another BLAS path,
@@ -141,7 +135,7 @@ def eval_scalar_basis(tri, pts, degree=3, order=2):
         out.append(np.ascontiguousarray(grad.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 2)))
     if order >= 2:
         g = glam.reshape(-1, 6).T
-        hess = ((terms[3:, None] * g[first][:, :, None, :, None])
-                * g[second][:, :, None, :, None]).sum(axis=0, initial=0.0)
+        hess = ((terms[3:, None] * g[_FIRST][:, :, None, :, None])
+                * g[_SECOND][:, :, None, :, None]).sum(axis=0, initial=0.0)
         out.append(np.ascontiguousarray(hess.transpose(2, 3, 1, 0)).reshape(lead + (nq, nb, 3)))
     return tuple(out) + (None,) * (2 - order)

@@ -20,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve, null_space
 
 from plate_dpg import dpg, linalg, manufactured, quadrature
 from plate_dpg.hct import _GRAD_S, _VALUE_S, N_DOFS
-from plate_dpg.testspace import BarycentricMap, eval_scalar_basis, scalar_basis_size
+from plate_dpg.testspace import N_SCALAR, BarycentricMap, eval_scalar_basis
 
 
 def _edge_points(p, q, s):
@@ -42,7 +42,7 @@ class LoopHct:
 
         def basis_row(sub, pts, kind):
             # (npts, 10) tables of subtriangle `sub` at `pts`
-            val, grad, _ = eval_scalar_basis(self.sub_maps[sub], pts, 3)
+            val, grad, _ = eval_scalar_basis(self.sub_maps[sub], pts)
             if kind == "val":
                 return (val,)
             return grad[:, :, 0], grad[:, :, 1]
@@ -68,7 +68,7 @@ class LoopHct:
             d = q - p
             n = np.array([d[1], -d[0]]) / np.hypot(*d)
             pts = _edge_points(p, q, _GRAD_S)
-            _, grad, _ = eval_scalar_basis(self.sub_maps[k], pts, 3)
+            _, grad, _ = eval_scalar_basis(self.sub_maps[k], pts)
             gn = grad[:, :, 0] * n[0] + grad[:, :, 1] * n[1]  # (3, 10)
             row = np.zeros(30)
             row[10 * k : 10 * k + 10] = gn[1] - 0.5 * (gn[0] + gn[2])
@@ -82,7 +82,7 @@ class LoopHct:
         # nodal matrix: value, d/dx, d/dy at each parent vertex, from sub k
         N = np.empty((N_DOFS, N_DOFS))
         for k in range(3):
-            val, grad, _ = eval_scalar_basis(self.sub_maps[k], coords[k][None, :], 3)
+            val, grad, _ = eval_scalar_basis(self.sub_maps[k], coords[k][None, :])
             N[3 * k] = val[0] @ Z[10 * k : 10 * k + 10]
             N[3 * k + 1] = grad[0, :, 0] @ Z[10 * k : 10 * k + 10]
             N[3 * k + 2] = grad[0, :, 1] @ Z[10 * k : 10 * k + 10]
@@ -91,7 +91,7 @@ class LoopHct:
     def edge_trace(self, k, s):
         """Basis values (nq, 9) and gradients (nq, 9, 2) on exterior edge k at s."""
         pts = _edge_points(self.coords[k], self.coords[(k + 1) % 3], np.asarray(s))
-        v, g, _ = eval_scalar_basis(self.sub_maps[k], pts, 3)
+        v, g, _ = eval_scalar_basis(self.sub_maps[k], pts)
         C = self.coeffs[:, k, :].T
         return v @ C, np.einsum("qbd,bj->qjd", g, C)
 
@@ -105,12 +105,11 @@ class LoopKernel:
 
     def __init__(self, coords):
         self.coords = np.asarray(coords, dtype=float)
-        self.n_scalar = scalar_basis_size(dpg.TEST_DEGREE)
         self.hct = LoopHct(self.coords)
         bary = BarycentricMap(self.coords)
         vol = quadrature.triangle_rule(dpg.QUAD_DEGREE)
-        self.vpts, self.vw = quadrature.map_to_triangle(vol, self.coords)
-        val, grad, hess = eval_scalar_basis(bary, self.vpts, dpg.TEST_DEGREE)
+        (self.vpts,), (self.vw,) = quadrature.map_to_triangles(vol, self.coords[None])
+        val, grad, hess = eval_scalar_basis(bary, self.vpts)
         self.V = val
         self.Dx, self.Dy = grad[:, :, 0], grad[:, :, 1]
         self.Hxx, self.Hxy, self.Hyy = hess[:, :, 0], hess[:, :, 1], hess[:, :, 2]
@@ -124,7 +123,7 @@ class LoopKernel:
             we = erule.weights * np.hypot(*(q - p))
             d = q - p
             n = np.array([d[1], -d[0]]) / np.hypot(*d)
-            tval, tgrad, _ = eval_scalar_basis(bary, pts, dpg.TEST_DEGREE)
+            tval, tgrad, _ = eval_scalar_basis(bary, pts)
             hval, hgrad = self.hct.edge_trace(k, erule.points)
             self.edges.append(
                 dict(w=we, n=n, tv=tval, tx=tgrad[:, :, 0], ty=tgrad[:, :, 1],
@@ -139,10 +138,10 @@ class LoopKernel:
         return np.stack([e[key] for e in self.edges])
 
     def n_test(self, t):
-        return dpg.n_components(t) * self.n_scalar
+        return dpg.n_components(t) * N_SCALAR
 
     def _place(self, t, comp, table):
-        ns = self.n_scalar
+        ns = N_SCALAR
         out = np.zeros((table.shape[0], self.n_test(t)))
         out[:, comp * ns : (comp + 1) * ns] = table
         return out
@@ -205,7 +204,7 @@ class LoopKernel:
         return B
 
     def b_trace(self, t):
-        ns = self.n_scalar
+        ns = N_SCALAR
         n_test = self.n_test(t)
         B = np.zeros((n_test, dpg.N_TRACE_COLS))
         tt = t * t
@@ -264,7 +263,7 @@ class LoopKernel:
 
     def load(self, f_values, t):
         l = np.zeros(self.n_test(t))
-        l[: self.n_scalar] = -(self.vw * f_values) @ self.V
+        l[: N_SCALAR] = -(self.vw * f_values) @ self.V
         return l
 
     def system(self, t, f_values):
@@ -363,13 +362,13 @@ def loop_kernels(mesh):
     return kernels, f_values
 
 
-def element_dofs(dof, ti):
+def element_dofs(dof, mesh, ti):
     """Global dofs of one element's columns: fields, then 36 trace dofs."""
     out = np.empty(dof.n_field + dpg.N_TRACE_COLS, dtype=np.int64)
     out[: dof.n_field] = dof.n_field * ti + np.arange(dof.n_field)
     k = dof.n_field
     for tfield in range(4):
-        for v in dof.mesh.triangles[ti]:
+        for v in mesh.triangles[ti]:
             base = dof.trace_dof(v, tfield, 0)
             out[k : k + 3] = (base, base + 1, base + 2)
             k += 3
@@ -388,7 +387,7 @@ def loop_solve(mesh, config, kernels, f_values, dof):
         sysm = kernels[ti].system(config.t, f_values[ti])
         A_T, b_T = cho_normal_contribution(sysm)
         systems.append(sysm)
-        fidx = dof.free_index[element_dofs(dof, ti)]
+        fidx = dof.free_index[element_dofs(dof, mesh, ti)]
         keep = fidx >= 0
         sub = fidx[keep]
         A_keep = A_T[np.ix_(keep, keep)]
@@ -403,7 +402,7 @@ def loop_solve(mesh, config, kernels, f_values, dof):
     x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver)
     eta_sq = np.empty(mesh.num_triangles)
     for ti in range(mesh.num_triangles):
-        eta_sq[ti] = cho_residual(systems[ti], x[element_dofs(dof, ti)]) ** 2
+        eta_sq[ti] = cho_residual(systems[ti], x[element_dofs(dof, mesh, ti)]) ** 2
     return A, rhs, x, np.sqrt(eta_sq)
 
 
@@ -413,7 +412,7 @@ def loop_l2_errors(mesh, u_el, M_el, theta_el, t):
     rule = quadrature.triangle_rule(manufactured.L2_QUAD_DEGREE)
     su = sm = sth = 0.0
     for ti in range(mesh.num_triangles):
-        pts, w = quadrature.map_to_triangle(rule, mesh.vertices[mesh.triangles[ti]])
+        (pts,), (w,) = quadrature.map_to_triangles(rule, mesh.vertices[mesh.triangles[ti]][None])
         x, y = pts[:, 0], pts[:, 1]
         su += w @ (ex.u(x, y) - u_el[ti]) ** 2
         m11, m12, m22 = ex.M(x, y)

@@ -61,7 +61,7 @@ def trace_pair_volume(subtris, gen_a, gen_b, t, quad_degree=14):
     rule = quadrature.triangle_rule(quad_degree)
     total = 0.0
     for tri in subtris:
-        pts, w = quadrature.map_to_triangle(rule, tri)
+        (pts,), (w,) = quadrature.map_to_triangles(rule, np.asarray(tri)[None])
         u, gu, M, ea, sa, th = gen_a(pts)
         z, gz, Th, eb, sb, tau = gen_b(pts)
         frob_Me = M[:, 0] * eb[:, 0] + 2.0 * M[:, 1] * eb[:, 1] + M[:, 2] * eb[:, 2]
@@ -148,7 +148,7 @@ def edge_outward_normal(mesh, ti, local_edge):
 
 def element_means(mesh, t, quad_degree=14):
     """Per-element means of the exact fields: the best constant approximants."""
-    from plate_dpg.quadrature import map_to_triangle, triangle_rule
+    from plate_dpg.quadrature import map_to_triangles, triangle_rule
 
     ex = ExactSolution(t)
     rule = triangle_rule(quad_degree)
@@ -157,7 +157,7 @@ def element_means(mesh, t, quad_degree=14):
     M = np.empty((nt, 3))
     th = np.empty((nt, 2))
     for ti in range(nt):
-        pts, w = map_to_triangle(rule, mesh.vertices[mesh.triangles[ti]])
+        (pts,), (w,) = map_to_triangles(rule, mesh.vertices[mesh.triangles[ti]][None])
         x, y = pts[:, 0], pts[:, 1]
         area = w.sum()
         u[ti] = (w @ ex.u(x, y)) / area

@@ -27,8 +27,8 @@ from plate_dpg.dpg import (
     local_residuals,
 )
 from plate_dpg.hct import build_hct_element, eval_hct, eval_on_parent_edge
-from plate_dpg.quadrature import map_to_triangle, triangle_rule
-from plate_dpg.testspace import eval_scalar_basis, scalar_basis_size
+from plate_dpg.quadrature import map_to_triangles, triangle_rule
+from plate_dpg.testspace import DEGREE, N_SCALAR, BarycentricMap, eval_scalar_basis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -63,9 +63,9 @@ def residual_one(G, B, l, x):
 def scalar_coeffs(coords, fun):
     """Coefficients of a degree <= 3 function in the scalar test basis."""
     rng = np.random.default_rng(1234)
-    lam = rng.dirichlet((2.0, 2.0, 2.0), size=scalar_basis_size(3))
+    lam = rng.dirichlet((2.0, 2.0, 2.0), size=N_SCALAR)
     pts = lam @ coords
-    val, _, _ = eval_scalar_basis(coords, pts, 3)
+    val, _, _ = eval_scalar_basis(BarycentricMap(coords), pts)
     return np.linalg.solve(val, fun(pts[:, 0], pts[:, 1]))
 
 
@@ -95,7 +95,7 @@ def test_config_validation():
 
 def test_component_layout():
     kernel = make_kernel(REF)
-    assert dpg.N_SCALAR == scalar_basis_size(dpg.TEST_DEGREE) == 10
+    assert dpg.N_SCALAR == N_SCALAR == 10
     assert kernel.V.shape[-1] == kernel.tv.shape[-1] == dpg.N_SCALAR
     assert dpg.n_test(1.0) == 60
     assert dpg.n_test(0.0) == 40
@@ -106,8 +106,8 @@ def test_component_layout():
 def test_degree_bounds():
     # the product of two test functions, the Gram integrand, is integrated
     # exactly by the volume and edge rules, which exist at these degrees
-    assert 2 * dpg.TEST_DEGREE <= dpg.QUAD_DEGREE <= quadrature.MAX_TRIANGLE_DEGREE
-    assert 2 * dpg.TEST_DEGREE <= dpg.EDGE_DEGREE <= quadrature.MAX_EDGE_DEGREE
+    assert 2 * DEGREE <= dpg.QUAD_DEGREE <= quadrature.MAX_TRIANGLE_DEGREE
+    assert 2 * DEGREE <= dpg.EDGE_DEGREE <= quadrature.MAX_EDGE_DEGREE
     kernel = make_kernel(REF)
     assert kernel.vw.shape[-1] == len(quadrature.triangle_rule(dpg.QUAD_DEGREE).weights)
     assert kernel.ew.shape[-1] == len(quadrature.edge_rule(dpg.EDGE_DEGREE).weights)
@@ -423,7 +423,7 @@ def triple_test_norm_sq(triple, t, quad_degree=12):
     rule = triangle_rule(quad_degree)
     total = 0.0
     for k in range(3):
-        pts, w = map_to_triangle(rule, triple.element.sub_coords[k])
+        (pts,), (w,) = map_to_triangles(rule, triple.element.sub_coords[k][None])
         u, gu, hu = eval_hct(triple.element, pts, triple.u_dofs)
         m = [eval_hct(triple.element, pts, triple.m_dofs[c]) for c in range(3)]
         M = np.stack([m[0][0], m[1][0], m[2][0]], axis=1)

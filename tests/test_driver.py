@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from plate_dpg import linalg, parts
+from plate_dpg import driver, linalg, parts
+from plate_dpg import mesh as meshmod
 from plate_dpg.cli import main
 from plate_dpg.dpg import ProblemConfig, condense, local_residuals
 from plate_dpg.driver import (
@@ -30,7 +31,7 @@ from plate_dpg.driver import (
     write_csv,
 )
 from plate_dpg.linalg import SolveError
-from plate_dpg.mesh import Mesh, mesh_at_level
+from plate_dpg.mesh import Mesh, mesh_at_level, write_mesh_text
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,78 @@ def test_kirchhoff_limit_check_small():
     assert out["identity_rel_err"] < 1e-12
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The calls of driver.assemble_and_solve and driver.MeshKernels during the test.
+
+    Each call is recorded and then fails the test, so a request that is
+    not rejected in time never reaches the tables and solves of a large
+    level.
+    """
+    calls = []
+
+    def refused(name):
+        def call(mesh, config, kernels=None):
+            calls.append((name, mesh.level, config.t))
+            raise AssertionError(f"{name} ran on level {mesh.level}, t = {config.t}")
+        return call
+
+    monkeypatch.setattr(driver, "assemble_and_solve", refused("assemble_and_solve"))
+    monkeypatch.setattr(driver, "MeshKernels", refused("MeshKernels"))
+    return calls
+
+
+# before run_study checked its request, levels=0 and a clamped levels=1
+# returned [], and a bad t last in the list was rejected after the solves
+# of the t before it
+@pytest.mark.parametrize("t_list, levels, config, message", [
+    ([1e-2], 0, ProblemConfig(t=1e-2), "levels must be >= 1 (got 0)"),
+    ([0.0], 1, ProblemConfig(t=0.0, bc="clamped"),
+     "levels must be >= 2 for clamped plates, whose studies start at level 1 (got 1)"),
+    ([1e-2, -1.0], 3, ProblemConfig(t=1e-2), "thickness t must be finite and >= 0"),
+    ([1e-2, math.inf], 3, ProblemConfig(t=1e-2), "thickness t must be finite and >= 0"),
+    ([0.0, 1e-2], 2, ProblemConfig(t=0.0, bc="clamped"),
+     "clamped plates are supported only at t = 0"),
+    ([], 2, ProblemConfig(t=1e-2), "t_list must hold at least one thickness"),
+    ([1e-2], 8, ProblemConfig(t=1e-2), "level 7 has 786428 free dofs, more than the "
+                                       "200000 of the direct solver; use the cg solver"),
+])
+def test_run_study_rejects_a_bad_request_before_any_solve(solves, t_list, levels, config,
+                                                          message):
+    with pytest.raises(ValueError) as err:
+        run_study(t_list, levels, config)
+    assert str(err.value) == message
+    assert solves == []
+
+
+def test_run_study_refines_no_level_past_the_direct_solver(solves):
+    # the free dofs are counted for the widest layout (t > 0) as each level
+    # is reached, so the level past the limit is the last mesh built
+    chain = []
+    with pytest.raises(ValueError, match="^level 7 has 786428 free dofs"):
+        run_study([0.0, 1e-2], 9, ProblemConfig(t=0.0), chain)
+    assert [m.level for m in chain] == list(range(8))
+    assert solves == []
+
+
+@pytest.mark.parametrize("level, t_sequence, message", [
+    (-1, (1e-1,), "level must be >= 0 (got -1)"),
+    (1, (1e-1, 0.0), "the limit study needs finite thicknesses t > 0"),
+    (1, (1e-1, -1e-2), "the limit study needs finite thicknesses t > 0"),
+    (1, (1e-1, math.inf), "the limit study needs finite thicknesses t > 0"),
+    (1, (), "the limit study needs finite thicknesses t > 0"),
+    (7, (1e-1,), "level 7 has 786428 free dofs, more than the 200000 of the direct solver"),
+])
+def test_kirchhoff_limit_check_rejects_a_bad_request_before_any_solve(
+        solves, level, t_sequence, message):
+    # level=-1 solved level 0 and reported "level -1", and a t = 0 made the
+    # identity 0/0, which max() dropped, so the check passed
+    with pytest.raises(ValueError) as err:
+        kirchhoff_limit_check(level=level, t_sequence=t_sequence)
+    assert str(err.value) == message
+    assert solves == []
+
+
 def test_cli_version(run_cli, tmp_path):
     proc = run_cli(["--version"], tmp_path)
     assert proc.returncode == 0
@@ -322,9 +395,31 @@ def test_cli_study_writes_csv_and_mesh(run_cli, tmp_path):
     assert len(dump) == 29
 
 
+def test_cli_study_builds_each_mesh_once(monkeypatch, capsys, tmp_path):
+    # the study once built every level again to check the direct solver's
+    # size, and --dump-mesh the finest once more: 9 refinements here
+    refine = meshmod.refine_uniform
+    levels = []
+
+    def counted(mesh):
+        levels.append(mesh.level + 1)
+        return refine(mesh)
+
+    monkeypatch.setattr(meshmod, "refine_uniform", counted)
+    path = tmp_path / "mesh.txt"
+    assert main(["study", "--t-list", "1e-2", "--levels", "4", "--quiet",
+                 "--dump-mesh", str(path)]) == 0
+    assert levels == [1, 2, 3]
+    monkeypatch.undo()
+    buf = io.StringIO()
+    write_mesh_text(mesh_at_level(3), buf)
+    assert path.read_text() == buf.getvalue()
+    assert capsys.readouterr().err == f"wrote level-3 mesh to {path}\n"
+
+
 STATS_KEYS = {"systems_s", "assembly_s", "solve_s", "estimator_s", "n_free", "nnz",
               "residual_inf", "gram_pivot_min", "eta_max", "eta_mean", "blas_pinned",
-              "cg_iterations", "factor_s", "factor_nnz", "parts"}
+              "cg_iterations", "factor_s", "factor_nnz", "factor_stored", "parts"}
 
 
 def test_cli_study_writes_solve_stats(capsys, tmp_path):
@@ -357,40 +452,55 @@ def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
 # before these settings were validated, each of them ran: --levels 0 wrote
 # a header-only CSV and exited 0, and clamped with the default t-list and
 # with --levels 1 with a traceback; --levels 8 solved levels 0-6 and then
-# ended in a traceback past the direct solver's limit
+# ended in a traceback past the direct solver's limit.  The first two and
+# the limit are run_study's messages.
 @pytest.mark.parametrize("args, message", [
-    (["--levels", "0"], "--levels must be >= 1"),
+    (["--levels", "0"], "levels must be >= 1"),
     (["--bc", "clamped", "--t-list", "0", "--levels", "1"],
-     "--levels must be >= 2 for clamped plates"),
+     "levels must be >= 2 for clamped plates"),
     (["--t-list=-1e-2"], "thickness t must be finite and >= 0"),
     (["--bc", "clamped"], "clamped plates"),
     (["--t-list", "1e-2,inf"], "thickness t must be finite and >= 0"),
     (["--levels", "8"], "level 7 has 786428 free dofs, more than the 200000 of the "
-                        "direct solver; use --solver cg"),
+                        "direct solver; use the cg solver"),
     # each output path was opened only after the whole study had run
     (["--out", "missing/study.csv"], "--out missing/study.csv: no directory missing"),
     (["--stats", "missing/stats.json"], "--stats missing/stats.json: no directory missing"),
     (["--dump-mesh", "."], "--dump-mesh . is a directory"),
 ])
-def test_cli_rejects_bad_settings_in_one_line(run_cli, tmp_path, args, message):
+def test_cli_rejects_bad_settings_in_one_line(solves, capsys, tmp_path, args, message):
     out = tmp_path / "study.csv"
-    proc = run_cli(["study", "--quiet", "--out", str(out), *args], tmp_path)
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
+    assert main(["study", "--quiet", "--out", str(out), *args]) == 2
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"plate-dpg study: error: {message}")
     assert not out.exists()
+    assert solves == []
 
 
-def test_cli_limit_rejects_a_level_past_the_direct_solver(run_cli, tmp_path):
+def test_cli_limit_rejects_a_level_past_the_direct_solver(solves, capsys):
     # limit --level 7 once built the level-7 kernels and systems and then
     # ended in a ValueError traceback from solve_spd
-    proc = run_cli(["limit", "--level", "7"], tmp_path)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
+    assert main(["limit", "--level", "7"]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
         "plate-dpg limit: error: level 7 has 786428 free dofs, more than the 200000 "
         "of the direct solver"]
+    assert solves == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--level", "-1"], "level must be >= 0 (got -1)"),
+    (["--t-list", "0"], "the limit study needs finite thicknesses t > 0"),
+    (["--t-list", "1e-1,-1e-2"], "the limit study needs finite thicknesses t > 0"),
+])
+def test_cli_limit_rejects_bad_settings_in_one_line(solves, capsys, args, message):
+    assert main(["limit", *args]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [f"plate-dpg limit: error: {message}"]
+    assert solves == []
 
 
 def test_cli_study_names_the_failed_solve(monkeypatch, capsys, tmp_path):
@@ -446,3 +556,5 @@ def test_solution_stats_report_the_solve():
     assert stats["parts"] == parts.part_count()
     # the diagonals of L (unit) and U (the positive pivots) are stored
     assert stats["factor_nnz"] >= 2 * sol.n_free
+    # SuperLU stores each entry of L and U, and pads its relaxed supernodes
+    assert stats["factor_stored"] >= stats["factor_nnz"]

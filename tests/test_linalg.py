@@ -161,7 +161,7 @@ def test_cg_iterations_are_the_callback_count():
     assert info == 0
     assert np.array_equal(x, x_ref)
     assert stats["cg_iterations"] == len(seen) > 0
-    assert stats["factor_s"] == stats["factor_nnz"] == 0
+    assert stats["factor_s"] == stats["factor_nnz"] == stats["factor_stored"] == 0
     solve_spd(A, b, stats=stats)
     assert stats["cg_iterations"] == 0
 
@@ -172,6 +172,7 @@ def test_direct_solve_reports_its_factor():
     stats = {}
     solve_spd(sparse(random_spd(8, seed=6)), np.ones(8), stats=stats)
     assert stats["factor_nnz"] == 8 * 9
+    assert stats["factor_stored"] >= stats["factor_nnz"]
     assert stats["factor_s"] > 0.0
 
 

@@ -13,7 +13,7 @@ from plate_dpg.manufactured import (
     verify_manufactured,
 )
 from plate_dpg.mesh import mesh_at_level
-from plate_dpg.quadrature import map_to_triangle, triangle_rule
+from plate_dpg.quadrature import map_to_triangles, triangle_rule
 
 
 def test_profile_values():
@@ -132,7 +132,7 @@ def test_errors_of_means_match_independent_quadrature():
     acc_u = 0.0
     acc_M = 0.0
     for ti in range(mesh.num_triangles):
-        pts, w = map_to_triangle(rule, mesh.vertices[mesh.triangles[ti]])
+        (pts,), (w,) = map_to_triangles(rule, mesh.vertices[mesh.triangles[ti]][None])
         x, y = pts[:, 0], pts[:, 1]
         acc_u += w @ (ex.u(x, y) - u_el[ti]) ** 2
         m = ex.M(x, y)

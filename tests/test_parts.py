@@ -175,6 +175,12 @@ BAD_TRIANGLES = {
     "NaN vertex": [[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]],
     "inf vertex": [[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]],
     "huge vertex": [[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]],
+    # mapped without complaint, and rejected only by the HCT set-up
+    "long thin 1e12": [[0.0, 0.0], [1.0, 0.0], [1e12, 1e12]],
+    "long thin 1e16": [[0.0, 0.0], [1.0, 0.0], [1e16, 1e16]],
+    "long thin 1e20": [[0.0, 0.0], [1.0, 0.0], [1e20, 1e20]],
+    "long thin 1e100": [[0.0, 0.0], [1.0, 0.0], [1e100, 1e100]],
+    "small far off": [[1e150, 1e150], [1e150 + 1e140, 1e150], [1e150, 1e150 + 1e140]],
 }
 
 
@@ -185,7 +191,9 @@ def test_bad_triangles_are_rejected_in_either_half(case, element):
     # which the forked half builds; a collinear triangle ended in a bare
     # "Singular matrix" and a NaN vertex deep in the HCT null space before,
     # an inf vertex warned "invalid value encountered in multiply" before
-    # its ValueError, and the huge vertex ended in a bare "Singular matrix"
+    # its ValueError, and the huge vertex ended in a bare "Singular matrix";
+    # so did the long thin triangles from 1e16 on, and the one at 1e12 and
+    # the small far-off one in "constraint null space has dimension 16" and 0
     mesh = mesh_at_level(2)
     coords = mesh.vertices[mesh.triangles]
     coords[element] = BAD_TRIANGLES[case]

@@ -7,7 +7,7 @@ from plate_dpg.quadrature import (
     QuadRule,
     edge_rule,
     map_to_edge,
-    map_to_triangle,
+    map_to_triangles,
     triangle_rule,
 )
 
@@ -114,7 +114,7 @@ def test_rejects_nonpositive_weights():
 
 def test_map_to_triangle_weights_sum_to_area():
     coords = np.array([[0.2, 0.1], [1.4, 0.3], [0.5, 1.9]])
-    pts, w = map_to_triangle(triangle_rule(5), coords)
+    (pts,), (w,) = map_to_triangles(triangle_rule(5), coords[None])
     d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
     area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
     assert abs(w.sum() - area) < 1e-14
@@ -128,7 +128,7 @@ def test_map_to_triangle_weights_sum_to_area():
 def test_map_to_triangle_rejects_flipped():
     coords = REF[[0, 2, 1]]
     with pytest.raises(ValueError):
-        map_to_triangle(triangle_rule(3), coords)
+        map_to_triangles(triangle_rule(3), coords[None])
 
 
 def test_map_to_edge():

@@ -4,31 +4,31 @@ import numpy as np
 
 from plate_dpg import quadrature
 from plate_dpg.mesh import mesh_at_level
-from plate_dpg.testspace import BarycentricMap, eval_scalar_basis, scalar_basis_size
+from plate_dpg.testspace import DEGREE, N_SCALAR, BarycentricMap, eval_scalar_basis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def _loop_scalar_basis(coords, pts, degree):
+def _loop_scalar_basis(coords, pts):
     """Reference: the basis accumulated term by term in a per-function loop."""
     to_lambda = BarycentricMap(coords)
     glam = to_lambda.grad
     lam = to_lambda(pts)
     nq = lam.shape[0]
-    nb = scalar_basis_size(degree)
+    nb = N_SCALAR
     # lam powers, pw[m][a] = lam[:, m] ** a
     pw = [[np.ones(nq)] for _ in range(3)]
     for m in range(3):
-        for _ in range(degree):
+        for _ in range(DEGREE):
             pw[m].append(pw[m][-1] * lam[:, m])
 
-    multi_indices = [(i, j, degree - i - j)
-                     for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
+    multi_indices = [(i, j, DEGREE - i - j)
+                     for i in range(DEGREE, -1, -1) for j in range(DEGREE - i, -1, -1)]
     val = np.empty((nq, nb))
     grad = np.zeros((nq, nb, 2))
     hess = np.zeros((nq, nb, 3))
     for b, e in enumerate(multi_indices):
-        cmb = math.factorial(degree) // (
+        cmb = math.factorial(DEGREE) // (
             math.factorial(e[0]) * math.factorial(e[1]) * math.factorial(e[2])
         )
         val[:, b] = cmb * pw[0][e[0]] * pw[1][e[1]] * pw[2][e[2]]
@@ -70,24 +70,25 @@ def random_points(coords, n, seed):
     return lam @ coords
 
 
-def fit_coefficients(coords, fun, degree=3):
-    """Coefficients reproducing `fun` exactly, for fun of degree <= `degree`."""
-    nb = scalar_basis_size(degree)
-    pts = random_points(coords, nb, seed=42)
-    val, _, _ = eval_scalar_basis(coords, pts, degree)
+def fit_coefficients(coords, fun):
+    """Coefficients reproducing `fun` exactly, for fun of degree <= DEGREE."""
+    pts = random_points(coords, N_SCALAR, seed=42)
+    val, _, _ = eval_scalar_basis(BarycentricMap(coords), pts)
     return np.linalg.solve(val, fun(pts[:, 0], pts[:, 1]))
 
 
 def test_basis_sizes():
-    assert scalar_basis_size(2) == 6
-    assert scalar_basis_size(3) == 10
-    assert scalar_basis_size(5) == 21
+    assert (DEGREE, N_SCALAR) == (3, 10)
+    pts = random_points(REF, 4, seed=5)
+    val, grad, hess = eval_scalar_basis(BarycentricMap(REF), pts)
+    assert val.shape == (4, N_SCALAR)
+    assert grad.shape == (4, N_SCALAR, 2) and hess.shape == (4, N_SCALAR, 3)
 
 
 def test_partition_of_unity():
     coords = np.array([[0.1, -0.4], [2.0, 0.3], [0.7, 1.5]])
     pts = random_points(coords, 30, seed=0)
-    val, grad, hess = eval_scalar_basis(coords, pts, 3)
+    val, grad, hess = eval_scalar_basis(BarycentricMap(coords), pts)
     assert np.abs(val.sum(axis=1) - 1.0).max() < 1e-13
     assert np.abs(grad.sum(axis=1)).max() < 1e-12
     assert np.abs(hess.sum(axis=1)).max() < 1e-11
@@ -96,7 +97,7 @@ def test_partition_of_unity():
 def test_constant_reproduction():
     c = fit_coefficients(REF, lambda x, y: np.ones_like(x))
     pts = random_points(REF, 10, seed=1)
-    val, grad, hess = eval_scalar_basis(REF, pts, 3)
+    val, grad, hess = eval_scalar_basis(BarycentricMap(REF), pts)
     assert np.abs(val @ c - 1.0).max() < 1e-12
     assert np.abs(np.einsum("qbd,b->qd", grad, c)).max() < 1e-12
     assert np.abs(np.einsum("qbd,b->qd", hess, c)).max() < 1e-11
@@ -105,7 +106,7 @@ def test_constant_reproduction():
 def test_linear_reproduction():
     c = fit_coefficients(REF, lambda x, y: x)
     pts = random_points(REF, 10, seed=2)
-    val, grad, _ = eval_scalar_basis(REF, pts, 3)
+    val, grad, _ = eval_scalar_basis(BarycentricMap(REF), pts)
     assert np.abs(val @ c - pts[:, 0]).max() < 1e-13
     g = np.einsum("qbd,b->qd", grad, c)
     assert np.abs(g - [1.0, 0.0]).max() < 1e-12
@@ -114,7 +115,7 @@ def test_linear_reproduction():
 def test_cubic_hessian():
     c = fit_coefficients(REF, lambda x, y: x**3)
     pts = random_points(REF, 10, seed=3)
-    _, _, hess = eval_scalar_basis(REF, pts, 3)
+    _, _, hess = eval_scalar_basis(BarycentricMap(REF), pts)
     h = np.einsum("qbd,b->qd", hess, c)
     assert np.abs(h[:, 0] - 6.0 * pts[:, 0]).max() < 1e-12
     assert np.abs(h[:, 1]).max() < 1e-12
@@ -137,7 +138,7 @@ def test_random_cubic_reproduction():
 
     c = fit_coefficients(coords, q)
     pts = random_points(coords, 20, seed=8)
-    val, _, _ = eval_scalar_basis(coords, pts, 3)
+    val, _, _ = eval_scalar_basis(BarycentricMap(coords), pts)
     assert np.abs(val @ c - q(pts[:, 0], pts[:, 1])).max() < 1e-11
 
 
@@ -145,11 +146,12 @@ def test_derivatives_match_finite_differences():
     coords = np.array([[0.0, 0.0], [1.1, 0.2], [0.3, 0.9]])
     pts = random_points(coords, 5, seed=4)
     h = 1e-6
-    val, grad, hess = eval_scalar_basis(coords, pts, 3)
-    vxp, _, _ = eval_scalar_basis(coords, pts + [h, 0.0], 3)
-    vxm, _, _ = eval_scalar_basis(coords, pts - [h, 0.0], 3)
-    vyp, _, _ = eval_scalar_basis(coords, pts + [0.0, h], 3)
-    vym, _, _ = eval_scalar_basis(coords, pts - [0.0, h], 3)
+    bary = BarycentricMap(coords)
+    val, grad, hess = eval_scalar_basis(bary, pts)
+    vxp, _, _ = eval_scalar_basis(bary, pts + [h, 0.0])
+    vxm, _, _ = eval_scalar_basis(bary, pts - [h, 0.0])
+    vyp, _, _ = eval_scalar_basis(bary, pts + [0.0, h])
+    vym, _, _ = eval_scalar_basis(bary, pts - [0.0, h])
     assert np.abs((vxp - vxm) / (2 * h) - grad[:, :, 0]).max() < 1e-8
     assert np.abs((vyp - vym) / (2 * h) - grad[:, :, 1]).max() < 1e-8
     assert np.abs((vxp - 2 * val + vxm) / h**2 - hess[:, :, 0]).max() < 1e-3
@@ -174,20 +176,19 @@ def test_matches_loop_reference_bit_for_bit():
         lam = rng.uniform(-1.0, 1.5, (7, 2))
         lam = np.hstack([lam, 1.0 - lam.sum(axis=1, keepdims=True)])
         point_sets = [
-            quadrature.map_to_triangle(vol, coords)[0],
+            quadrature.map_to_triangles(vol, coords[None])[0][0],
             quadrature.map_to_edge(edge, coords[1], coords[2])[0],
             lam @ coords,  # inside and outside the triangle
         ]
         for pts in point_sets:
-            for degree in range(2, 6):
-                new = eval_scalar_basis(coords, pts, degree)
-                ref = _loop_scalar_basis(coords, pts, degree)
-                for a, b in zip(new, ref):
-                    assert a.shape == b.shape
-                    assert a.flags.c_contiguous
-                    assert np.array_equal(a, b)
-                    # signs of zeros too
-                    assert a.tobytes() == b.tobytes()
+            new = eval_scalar_basis(BarycentricMap(coords), pts)
+            ref = _loop_scalar_basis(coords, pts)
+            for a, b in zip(new, ref):
+                assert a.shape == b.shape
+                assert a.flags.c_contiguous
+                assert np.array_equal(a, b)
+                # signs of zeros too
+                assert a.tobytes() == b.tobytes()
 
 
 def test_barycentric_roundtrip():
@@ -216,14 +217,13 @@ def test_stacked_tables_match_loop_reference_bit_for_bit():
     edge, _ = quadrature.map_to_edge(quadrature.edge_rule(8), triangles,
                                      triangles[:, [1, 2, 0]])
     for pts in (vol, edge):                    # (ne, nq, 2) and (ne, 3, nqe, 2)
-        for degree in range(2, 6):
-            tables = eval_scalar_basis(BarycentricMap(triangles), pts, degree)
-            for ti, coords in enumerate(triangles):
-                for group in np.ndindex(pts.shape[1:-2]):
-                    ref = _loop_scalar_basis(coords, pts[(ti,) + group], degree)
-                    for a, b in zip(tables, ref):
-                        assert a.flags.c_contiguous
-                        assert a[(ti,) + group].tobytes() == b.tobytes()
+        tables = eval_scalar_basis(BarycentricMap(triangles), pts)
+        for ti, coords in enumerate(triangles):
+            for group in np.ndindex(pts.shape[1:-2]):
+                ref = _loop_scalar_basis(coords, pts[(ti,) + group])
+                for a, b in zip(tables, ref):
+                    assert a.flags.c_contiguous
+                    assert a[(ti,) + group].tobytes() == b.tobytes()
 
 
 def test_lower_orders_are_the_leading_outputs_of_order_2():
@@ -246,19 +246,18 @@ def test_lower_orders_are_the_leading_outputs_of_order_2():
 
     subs = triangles.reshape(2, 3, 3, 2)
     cases = [
-        (triangles[0], points(triangles[0], (7,))),
+        (BarycentricMap(triangles[0]), points(triangles[0], (7,))),
         (BarycentricMap(triangles), points(triangles, (7,))),
         (BarycentricMap(subs), points(subs, (2, 4))),
     ]
     assert cases[2][1].shape == (2, 3, 2, 4, 2)
-    for tri, pts in cases:
-        for degree in range(2, 6):
-            full = eval_scalar_basis(tri, pts, degree)
-            for order in (0, 1, 2):
-                lean = eval_scalar_basis(tri, pts, degree, order=order)
-                assert len(lean) == 3
-                for a, b in zip(lean[: order + 1], full):
-                    assert a.shape == b.shape and a.flags.c_contiguous
-                    assert np.array_equal(a, b)
-                    assert a.tobytes() == b.tobytes()
-                assert all(a is None for a in lean[order + 1:])
+    for bary, pts in cases:
+        full = eval_scalar_basis(bary, pts)
+        for order in (0, 1, 2):
+            lean = eval_scalar_basis(bary, pts, order=order)
+            assert len(lean) == 3
+            for a, b in zip(lean[: order + 1], full):
+                assert a.shape == b.shape and a.flags.c_contiguous
+                assert np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
+            assert all(a is None for a in lean[order + 1:])
