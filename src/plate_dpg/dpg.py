@@ -39,10 +39,9 @@ QUAD_DEGREE = 14
 # at degree 3 b_trace's edge integrands have degree 6 or less, so 6 would do;
 # 8 stays because its points are in every B
 EDGE_DEGREE = 8
-# elements per stacked call, for the element tables and the element systems:
-# the transient stacked R of the Gram matrices stays near 6 MB, and a chunk's
-# tables well below that; larger chunks save little time and raise peak memory
-CHUNK = 16
+# largest error of a triangle's barycentric map at its own vertices: half the
+# digits; uniform and jittered meshes stay below 1e-13
+BARY_TOL = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -88,8 +87,8 @@ class ElementKernel:
     """Basis tables of a stack of triangles at their volume and edge quadrature points.
 
     Built from the triangles `coords` (ne, 3, 2) in one stacked call per
-    CHUNK of them, with the rules of QUAD_DEGREE and EDGE_DEGREE taken
-    once.  The test basis tables hold the N_SCALAR Bernstein polynomials
+    chunk of them (`parts.stack_chunks`), with the rules of QUAD_DEGREE and
+    EDGE_DEGREE taken once.  The test basis tables hold the N_SCALAR Bernstein polynomials
     of testspace.DEGREE, one block of each component's test functions (see
     `block`).  Every table carries the elements on its leading axis.
     Volume tables: points `vpts` (ne, nq, 2), weights `vw` (ne, nq), test
@@ -101,11 +100,6 @@ class ElementKernel:
     (ne, 3, nqe, 9).  Slicing with a slice of element indices gives the
     tables of those elements as views.  `gram`, `b_field`, `b_trace` and
     `load` take a stack and return one matrix or vector per element.
-
-    The tables are allocated by `parts.empty`.  Chunk 0 is built first,
-    which gives their shapes; the other chunks run through
-    `parts.run_chunks`, the second half of them in a forked child where
-    the process has two cores, with the bits of one process.
     """
 
     NAMES = ("vpts", "vw", "V", "Dx", "Dy", "Hxx", "Hxy", "Hyy",
@@ -118,35 +112,30 @@ class ElementKernel:
         vol = quadrature.triangle_rule(QUAD_DEGREE)
         erule = quadrature.edge_rule(EDGE_DEGREE)
 
-        def fill(starts):
-            for lo in starts:
-                xy = coords[lo : lo + CHUNK]
-                # mapped first: it rejects a clockwise, degenerate or non-finite
-                # triangle, on which the barycentric inverse would fail or go on with NaN
-                vpts, vw = quadrature.map_to_triangles(vol, xy)
-                bary = BarycentricMap(xy)
-                val, grad, hess = testspace.eval_scalar_basis(bary, vpts)
-                ends = xy[:, [1, 2, 0]]
-                epts, ew = quadrature.map_to_edge(erule, xy, ends)
-                tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, order=1)
-                element = hct.build_hct_element(xy)
-                traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
-                hgrad = np.stack([g for _, g in traces], axis=1)
-                chunk = dict(
-                    vpts=vpts, vw=vw, V=val, Dx=grad[..., 0], Dy=grad[..., 1],
-                    Hxx=hess[..., 0], Hxy=hess[..., 1], Hyy=hess[..., 2],
-                    ew=ew, en=hct.unit_normals(xy, ends),
-                    tv=tval, tx=tgrad[..., 0], ty=tgrad[..., 1],
-                    hv=np.stack([v for v, _ in traces], axis=1),
-                    hx=hgrad[..., 0], hy=hgrad[..., 1])
-                for name, table in chunk.items():
-                    if lo == 0:
-                        setattr(self, name, parts.empty((len(coords),) + table.shape[1:]))
-                    getattr(self, name)[lo : lo + CHUNK] = table
+        def tables(elements):
+            xy = coords[elements]
+            # mapped first: it rejects a clockwise, degenerate or non-finite
+            # triangle, on which the barycentric inverse would fail or go on with NaN
+            vpts, vw = quadrature.map_to_triangles(vol, xy)
+            bary = BarycentricMap(xy)
+            # and a long, thin one whose barycentric map does not give its own
+            # vertices back, before its basis tables overflow or end in NaN
+            if not (np.abs(bary(xy) - np.eye(3)) <= BARY_TOL).all():
+                raise ValueError("triangle must be CCW and non-degenerate")
+            val, grad, hess = testspace.eval_scalar_basis(bary, vpts)
+            ends = xy[:, [1, 2, 0]]
+            epts, ew = quadrature.map_to_edge(erule, xy, ends)
+            tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, order=1)
+            element = hct.build_hct_element(xy)
+            traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
+            hgrad = np.stack([g for _, g in traces], axis=1)
+            return (vpts, vw, val, grad[..., 0], grad[..., 1],
+                    hess[..., 0], hess[..., 1], hess[..., 2],
+                    ew, hct.unit_normals(xy, ends), tval, tgrad[..., 0], tgrad[..., 1],
+                    np.stack([v for v, _ in traces], axis=1), hgrad[..., 0], hgrad[..., 1])
 
-        # chunk 0 gives the table shapes, and the rest may run in two parts
-        fill([0])
-        parts.run_chunks(range(CHUNK, len(coords), CHUNK), fill)
+        for name, stack in zip(ElementKernel.NAMES, parts.stack_chunks(len(coords), tables)[0]):
+            setattr(self, name, stack)
 
     def __len__(self):
         return self.vw.shape[0]

@@ -9,8 +9,8 @@ exactly: the value trace of a C1 field along a boundary edge is the
 cubic fixed by the endpoint values and tangential derivatives.
 
 Element tables (`MeshKernels`), element systems and condensation run
-on chunks of `dpg.CHUNK` elements, split between this process and one
-forked child (`parts.run_chunks`), the estimator once on the whole-mesh
+on chunks of `parts.CHUNK` elements, split between this process and one
+forked child (`parts.stack_chunks`), the estimator once on the whole-mesh
 stacks they fill; each stacked operation gives every element the bits of
 the per-element formulas.  Assembly accumulates the element normal-equation
 contributions in element order: a deterministic reduction for a fixed mesh.
@@ -182,33 +182,24 @@ def assemble(mesh, config, kernels, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
     Returns (dof map, the whole-mesh `element_system` stacks, A as a full
-    CSC matrix, rhs).  The chunks of element systems and their
-    condensation run through `parts.run_chunks`: where the process has
-    two cores, a forked child fills the second half of the stacks, which
-    live in shared memory, with the bits of one process.  The COO triplets and
-    the rhs sums run element by element, in element order.  A given dict
-    `stats` receives systems_s, parts, assembly_s, gram_pivot_min and nnz
-    (see `Solution.stats`).
+    CSC matrix, rhs).  The element systems and their condensation run
+    chunk by chunk in `parts.stack_chunks`, with the bits of one process.
+    The COO triplets and the rhs sums run element by element, in element
+    order.  A given dict `stats` receives systems_s, parts, assembly_s,
+    gram_pivot_min and nnz (see `Solution.stats`).
     """
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
-    nt = mesh.num_triangles
-    n = dpg.n_test(config.t)
-    m = dof.element_dofs.shape[1]
-    A_loc = parts.empty((nt, m, m))
-    b_loc = parts.empty((nt, m))
-    # each L[i] is Fortran-ordered, as dpotrf leaves its factor
-    L = parts.empty((nt, n, n)).transpose(0, 2, 1)
-    dinv, B, l = (parts.empty(shape) for shape in ((nt, n), (nt, n, m), (nt, n)))
 
-    def fill(starts):
-        for lo in starts:
-            chunk = slice(lo, lo + dpg.CHUNK)
-            L[chunk], dinv[chunk], B[chunk], l[chunk] = element_system(kernels, chunk, config)
-            A_loc[chunk], b_loc[chunk] = dpg.condense(L[chunk], dinv[chunk], B[chunk], l[chunk])
+    def systems(elements):
+        L, dinv, B, l = element_system(kernels, elements, config)
+        # each L[i] is Fortran-ordered, as dpotrf leaves its factor: stacked as L[i].T
+        return (L.transpose(0, 2, 1), dinv, B, l) + dpg.condense(L, dinv, B, l)
 
     with _timed(stats, "systems_s"):
-        stats["parts"] = parts.run_chunks(range(0, nt, dpg.CHUNK), fill)
+        (Lt, dinv, B, l, A_loc, b_loc), stats["parts"] = parts.stack_chunks(
+            mesh.num_triangles, systems)
+    L = Lt.transpose(0, 2, 1)
     stats["gram_pivot_min"] = float(np.diagonal(L, axis1=1, axis2=2).min()) ** 2
 
     with _timed(stats, "assembly_s"):

@@ -39,11 +39,11 @@ class Mesh:
 
     def __init__(self, vertices, triangles, level=0):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=np.int64)
+        self.triangles = np.asarray(triangles)
         self.level = level
         self._check_arrays()
+        self.triangles = self.triangles.astype(np.int64, copy=False)
         self._build_edges()
-        self._validate()
 
     def _check_arrays(self):
         """Raise a one-line ValueError for arrays that are not a triangle mesh."""
@@ -56,9 +56,14 @@ class Mesh:
             raise ValueError(f"triangles must have shape (nt, 3), not {tri.shape}")
         if len(tri) == 0:
             raise ValueError("a mesh needs at least one triangle")
+        # a cast to int64 would take 1.7 for 1 and "1" for 1
+        if tri.dtype.kind not in "iu":
+            raise ValueError(f"vertex indices must be integers, not {tri.dtype}")
         bad = (tri < 0) | (tri >= len(v))
         if bad.any():
             raise ValueError(f"vertex index {tri[bad][0]} is outside [0, {len(v)})")
+        if np.any(signed_areas(self) <= 0.0):
+            raise ValueError("triangle with non-positive area (orientation must be CCW)")
 
     @property
     def num_vertices(self):
@@ -73,6 +78,7 @@ class Mesh:
         edges = []
         tri_edges = np.empty((self.num_triangles, 3), dtype=np.int64)
         adj = []
+        tails = []
         for ti, (a, b, c) in enumerate(self.triangles):
             for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
                 key = (min(p, q), max(p, q))
@@ -82,9 +88,14 @@ class Mesh:
                     index[key] = e
                     edges.append(key)
                     adj.append([ti, -1])
+                    tails.append(p)  # the vertex its first triangle leaves it from
                 else:
                     if adj[e][1] != -1:
                         raise ValueError("edge shared by more than two triangles")
+                    # CCW neighbours traverse their shared edge in opposite directions
+                    if tails[e] == p:
+                        raise ValueError(f"triangles {adj[e][0]} and {ti} overlap: both "
+                                         f"traverse edge {p}-{q} in one direction")
                     adj[e][1] = ti
                 tri_edges[ti, k] = e
         self.edges = np.array(edges, dtype=np.int64)
@@ -109,11 +120,6 @@ class Mesh:
         for e in self.boundary_edges:
             bverts.update(self.edges[e])
         self.boundary_vertices = np.array(sorted(bverts), dtype=np.int64)
-
-    def _validate(self):
-        if np.any(signed_areas(self) <= 0.0):
-            raise ValueError("triangle with non-positive area (orientation must be CCW)")
-
 
 def signed_areas(mesh):
     p = mesh.vertices[mesh.triangles]

@@ -1,15 +1,15 @@
 """Chunk loops run in two parts: this process and one forked child.
 
 The element tables and the element systems are built chunk by chunk, and
-the chunks are independent.  `run_chunks` fills the first half of a
-loop's chunks here and the second half in one child made by `os.fork`,
-which writes into stacks allocated by `empty` in anonymous shared
-memory, so the parent reads the child's chunks where they were written.
-Each chunk is computed by the same code on the same inputs as in one
-process, so the stacks hold the same bits.  There is no pool and no
-setting: the part count is 2 where this process may run on two cores
-(`os.sched_getaffinity`) and the loop has two chunks or more, and 1
-otherwise, which runs the loop here without a fork.
+the chunks are independent.  `stack_chunks` is the one loop: it
+allocates the whole-mesh stacks, computes the first half of the chunks
+here and the second half in one child made by `os.fork`, which writes
+into stacks in anonymous shared memory, so the parent reads the child's
+chunks where they were written.  Each chunk is computed by the same code
+on the same inputs as in one process, so the stacks hold the same bits.
+There is no pool and no setting: the part count is 2 where this process
+may run on two cores (`os.sched_getaffinity`) and the loop has two chunks
+or more, and 1 otherwise, which runs the loop here without a fork.
 """
 
 import mmap
@@ -22,6 +22,11 @@ import numpy as np
 
 from . import linalg
 
+# elements per chunk, for the element tables and the element systems: the
+# transient stacked R of the Gram matrices stays near 6 MB, and a chunk's
+# tables well below that; larger chunks save little time and raise peak memory
+CHUNK = 16
+
 
 def part_count():
     """Processes a chunk loop may run in: 2 where this process has two cores, else 1.
@@ -33,42 +38,42 @@ def part_count():
     return min(2, len(os.sched_getaffinity(0)))
 
 
-def empty(shape):
-    """An uninitialised float array of `shape` that a chunk loop's child can fill.
+def stack_chunks(n, compute):
+    """Whole stacks of `n` elements, computed CHUNK at a time; returns (stacks, parts).
 
-    With two parts it lives in anonymous shared memory, so a forked
-    child's writes land in the parent's pages.  The pages are mapped here
-    at allocation (MAP_POPULATE), so this process's RSS counts the whole
-    array, also the part only a child writes, and the memory is unmapped
-    with the last array that uses it.  With one part it is `np.empty`.
+    `compute(elements)` takes a slice of element indices and returns that
+    chunk's arrays, with the elements on the leading axis; `stacks` holds
+    one (n, ...) float array per returned array, and `parts` is the number
+    of processes the loop ran in.  Chunk 0 is computed first, here, and
+    gives the stack shapes.  With one part (one core, or one chunk) the
+    stacks are `np.empty` and every chunk is computed here.  With two, the
+    stacks live in anonymous shared memory, mapped at allocation
+    (MAP_POPULATE), so this process's RSS counts them whole and a forked
+    child's writes land in this process's pages; this process computes the
+    first half of the chunks, rounded up, chunk 0 included, and one forked
+    child the rest, both inside `linalg.one_blas_thread()`.  An exception in either half is raised here with its type and message,
+    the first half's first, as the loop in one process would raise it.
+    The child is reaped on every path, and killed first when this half
+    fails.
     """
-    if part_count() < 2:
-        return np.empty(shape)
-    count = int(np.prod(shape))
-    buffer = mmap.mmap(-1, max(count, 1) * np.dtype(float).itemsize,
-                       flags=mmap.MAP_SHARED | mmap.MAP_POPULATE)
-    return np.frombuffer(buffer, dtype=float, count=count).reshape(shape)
+    starts = range(0, n, CHUNK)
+    first = compute(slice(0, CHUNK))
+    n_parts = part_count() if len(starts) > 1 else 1
+    stacks = tuple(_empty((n,) + a.shape[1:], shared=n_parts > 1) for a in first)
 
+    def fill(part):
+        for lo in part:
+            chunk = slice(lo, lo + CHUNK)
+            # the last chunk's arrays are held until the next ones are computed:
+            # freed first, glibc hands the heap back to the system after each
+            # chunk, which tripled the page faults of a level-4 table build
+            arrays = first if lo == 0 else compute(chunk)
+            for stack, a in zip(stacks, arrays):
+                stack[chunk] = a
 
-def run_chunks(starts, fill):
-    """Fill the chunks that start at `starts`; returns the number of processes used.
-
-    `fill(part)` loops over the chunk starts in `part` and must write its
-    results only into arrays of `empty`.  It is called once per
-    process: a call per chunk would free the loop's temporaries after
-    each chunk, and glibc then hands the heap back to the system, which
-    tripled the page faults of a level-5 table build.  With one part,
-    `fill` gets every start.  With two, this process fills the first half
-    of the chunks and one forked child the second half, both inside
-    `linalg.one_blas_thread()`.  An exception in either half is raised
-    here with its type and message, the first half's first, as the loop
-    in one process would raise it.  The child is reaped on every path,
-    and killed first when this half fails.
-    """
-    starts = list(starts)
-    if part_count() < 2 or len(starts) < 2:
+    if n_parts == 1:
         fill(starts)
-        return 1
+        return stacks, 1
     half = (len(starts) + 1) // 2
     with linalg.one_blas_thread():
         read_fd, write_fd = os.pipe()
@@ -96,7 +101,20 @@ def run_chunks(starts, fill):
     if status != 0:
         raise ChildProcessError("the forked half of a chunk loop ended with exit code "
                                 f"{os.waitstatus_to_exitcode(status)} and no report")
-    return 2
+    return stacks, 2
+
+
+def _empty(shape, shared):
+    """An uninitialised float array, in anonymous shared memory if `shared`.
+
+    Shared memory is unmapped with the last array that uses it.
+    """
+    if not shared:
+        return np.empty(shape)
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(count, 1) * np.dtype(float).itemsize,
+                       flags=mmap.MAP_SHARED | mmap.MAP_POPULATE)
+    return np.frombuffer(buffer, dtype=float, count=count).reshape(shape)
 
 
 def _child(read_fd, write_fd, fill, starts):

@@ -30,7 +30,7 @@ from element_loop import (
     loop_solve,
     strided_b_trace,
 )
-from plate_dpg import dpg, driver, linalg, manufactured
+from plate_dpg import dpg, driver, linalg, manufactured, parts
 from plate_dpg.dpg import ElementKernel, ProblemConfig
 from plate_dpg.hct import build_hct_element
 from plate_dpg.mesh import Mesh, mesh_at_level
@@ -145,7 +145,7 @@ def test_hct_bases_of_a_non_finite_triangle_raise_what_null_space_raised(bad):
 
 def test_small_chunks_build_the_same_tables(monkeypatch):
     # chunks of 5 over 64 elements end in a partial chunk of 4
-    monkeypatch.setattr(dpg, "CHUNK", 5)
+    monkeypatch.setattr(parts, "CHUNK", 5)
     coords = triangles_of("jittered level 2")
     assert_tables_match_loop(coords, ElementKernel(coords))
 
@@ -155,8 +155,8 @@ def test_mesh_kernels_are_element_tables_sliced_by_chunk():
     kernels = driver.MeshKernels(mesh, ProblemConfig())
     assert isinstance(kernels, ElementKernel)
     assert "f_values" in kernels.NAMES
-    for lo in range(0, mesh.num_triangles, dpg.CHUNK):
-        chunk = slice(lo, lo + dpg.CHUNK)
+    for lo in range(0, mesh.num_triangles, parts.CHUNK):
+        chunk = slice(lo, lo + parts.CHUNK)
         k = kernels[chunk]
         assert k.V.shape[-1] == k.tv.shape[-1] == dpg.N_SCALAR == 10
         for name in kernels.NAMES:
@@ -190,8 +190,8 @@ def test_element_systems_match_loop(name):
     for t in T_VALUES:
         cfg = ProblemConfig(t=t)
         pivot_min = np.inf
-        for lo in range(0, mesh.num_triangles, dpg.CHUNK):
-            elements = slice(lo, lo + dpg.CHUNK)
+        for lo in range(0, mesh.num_triangles, parts.CHUNK):
+            elements = slice(lo, lo + parts.CHUNK)
             L, dinv, B, l = driver.element_system(kernels, elements, cfg)
             G = dpg.gram(kernels[elements], t)
             for i, (ref, f) in enumerate(zip(refs[elements], f_values[elements])):
@@ -239,7 +239,7 @@ def test_small_chunks_assemble_the_same_bits(monkeypatch):
     cfg = ProblemConfig(t=1e-8)
     kernels = driver.MeshKernels(mesh, cfg)
     _, _, A, rhs = driver.assemble(mesh, cfg, kernels)
-    monkeypatch.setattr(dpg, "CHUNK", 5)
+    monkeypatch.setattr(parts, "CHUNK", 5)
     _, _, A5, rhs5 = driver.assemble(mesh, cfg, kernels)
     for part in ("data", "indices", "indptr"):
         assert_same_bits(getattr(A5, part), getattr(A, part))
@@ -316,8 +316,8 @@ def test_condensation_and_estimator_match_cho_wrappers(name):
     rng = np.random.default_rng(17)
     for t in T_VALUES:
         cfg = ProblemConfig(t=t)
-        for lo in range(0, mesh.num_triangles, dpg.CHUNK):
-            elements = slice(lo, lo + dpg.CHUNK)
+        for lo in range(0, mesh.num_triangles, parts.CHUNK):
+            elements = slice(lo, lo + parts.CHUNK)
             chunk = driver.element_system(kernels, elements, cfg)
             _, _, B, l = chunk
             G = dpg.gram(kernels[elements], t)

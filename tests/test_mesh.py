@@ -134,6 +134,13 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     (TRIANGLE, [[0, 1]], r"triangles must have shape \(nt, 3\), not \(1, 2\)"),
     # an IndexError from the boundary tags before
     (TRIANGLE, np.zeros((0, 3), dtype=np.int64), "a mesh needs at least one triangle"),
+    # the triangle [0, 1, 2] before, by a cast to int64
+    (TRIANGLE, [[0, 1.7, 2]], "vertex indices must be integers, not float64"),
+    (TRIANGLE, [["0", "1", "2"]], "vertex indices must be integers, not <U1"),
+    # built before, with edge 0-1 counted as interior, though both
+    # triangles lie on one side of it
+    ([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0], [0.8, 1.0]], [[0, 1, 2], [0, 1, 3]],
+     "triangles 0 and 1 overlap: both traverse edge 0-1 in one direction"),
 ])
 def test_rejects_arrays_that_are_not_a_mesh(vertices, triangles, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -5,6 +5,7 @@ reference patches `os.sched_getaffinity` to one core, which runs the same
 loop in this process alone.
 """
 
+import mmap
 import os
 import signal
 import warnings
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from test_element_batch import MESHES, assert_same_bits, grid_mesh
-from plate_dpg import driver, parts
+from plate_dpg import driver, parts, quadrature
 from plate_dpg.dpg import ElementKernel, ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
@@ -111,44 +112,97 @@ def test_the_first_half_error_wins_and_the_child_is_reaped():
 
 
 @two_cores
-def test_an_interrupt_in_the_first_half_reaps_the_child():
-    out = parts.empty(4)
+def test_an_interrupt_in_the_first_half_reaps_the_child(monkeypatch):
+    monkeypatch.setattr(parts, "CHUNK", 1)
 
-    def fill(part):
-        if 0 in part:
+    def compute(elements):
+        if elements.start == 1:
             raise KeyboardInterrupt
-        out[part] = part
+        return (np.full(1, elements.start),)
 
+    # chunks 0 and 1 are this process's, 2 and 3 the child's
     with pytest.raises(KeyboardInterrupt):
-        parts.run_chunks(range(4), fill)
+        parts.stack_chunks(4, compute)
     assert_no_child_left()
 
 
 @two_cores
-def test_a_child_that_dies_without_a_report_is_an_error():
-    def fill(part):
-        if 3 in part:
+def test_a_child_that_dies_without_a_report_is_an_error(monkeypatch):
+    monkeypatch.setattr(parts, "CHUNK", 1)
+
+    def compute(elements):
+        if elements.start == 3:
             os.kill(os.getpid(), signal.SIGKILL)
+        return (np.zeros(1),)
 
     with pytest.raises(ChildProcessError, match="exit code -9 and no report"):
-        parts.run_chunks(range(4), fill)
+        parts.stack_chunks(4, compute)
     assert_no_child_left()
 
 
 @two_cores
-def test_the_child_fills_the_second_half_of_a_shared_stack():
-    out = parts.empty((5, 2))
-    pids = parts.empty(5)
+def test_the_child_fills_the_second_half_of_a_shared_stack(monkeypatch):
+    monkeypatch.setattr(parts, "CHUNK", 1)
 
-    def fill(part):
-        out[part] = np.array(part)[:, None]
-        pids[part] = os.getpid()
+    def compute(elements):
+        return np.full((1, 2), elements.start), np.full(1, os.getpid())
 
-    assert parts.run_chunks(range(5), fill) == 2
+    (out, pids), n_parts = parts.stack_chunks(5, compute)
+    assert n_parts == 2
     assert_same_bits(out, np.repeat(np.arange(5.0), 2).reshape(5, 2))
     # the first half, rounded up, is this process's
     assert (pids[:3] == os.getpid()).all() and (pids[3:] != os.getpid()).all()
     assert_no_child_left()
+
+
+@two_cores
+@pytest.mark.parametrize("chunk, n_chunks", [(4, 4), (3, 6), (5, 4), (6, 3), (7, 3), (16, 1)])
+def test_both_loops_give_this_process_the_first_half_of_the_chunks(chunk, n_chunks,
+                                                                   monkeypatch):
+    # the level-1 mesh has 16 elements
+    monkeypatch.setattr(parts, "CHUNK", chunk)
+    mesh = mesh_at_level(1)
+    coords = mesh.vertices[mesh.triangles]
+    tables, systems = [], []
+    map_to_triangles = quadrature.map_to_triangles
+    element_system = driver.element_system
+
+    def record_tables(rule, xy):
+        tables.append(int(np.flatnonzero((coords == xy[0]).all(axis=(1, 2)))[0]))
+        return map_to_triangles(rule, xy)
+
+    def record_systems(kernels, elements, config):
+        systems.append(elements.start)
+        return element_system(kernels, elements, config)
+
+    # the child's records stay in the child: these are this process's chunks
+    monkeypatch.setattr(quadrature, "map_to_triangles", record_tables)
+    monkeypatch.setattr(driver, "element_system", record_systems)
+    cfg = ProblemConfig()
+    stats = {}
+    driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg), stats)
+    assert stats["parts"] == min(2, n_chunks)
+    expect = list(range(0, 16, chunk))[: (n_chunks + 1) // 2]
+    assert tables == systems == expect
+    assert_no_child_left()
+
+
+@two_cores
+def test_a_one_chunk_loop_neither_forks_nor_maps_shared_memory(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-chunk loop forked or mapped shared memory")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    (out,), n_parts = parts.stack_chunks(parts.CHUNK, lambda elements: (np.ones(parts.CHUNK),))
+    assert n_parts == 1
+    assert_same_bits(out, np.ones(parts.CHUNK))
+    # the level-0 mesh is one chunk of 4 elements
+    mesh = mesh_at_level(0)
+    cfg = ProblemConfig()
+    stats = {}
+    driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg), stats)
+    assert stats["parts"] == 1
 
 
 def test_one_core_or_one_chunk_never_forks(monkeypatch, one_core):
@@ -175,11 +229,13 @@ BAD_TRIANGLES = {
     "NaN vertex": [[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]],
     "inf vertex": [[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]],
     "huge vertex": [[0.0, 0.0], [1.0, 0.0], [1e200, 1e200]],
-    # mapped without complaint, and rejected only by the HCT set-up
-    "long thin 1e12": [[0.0, 0.0], [1.0, 0.0], [1e12, 1e12]],
-    "long thin 1e16": [[0.0, 0.0], [1.0, 0.0], [1e16, 1e16]],
-    "long thin 1e20": [[0.0, 0.0], [1.0, 0.0], [1e20, 1e20]],
-    "long thin 1e100": [[0.0, 0.0], [1.0, 0.0], [1e100, 1e100]],
+    # mapped without complaint, and rejected by the barycentric gate: a long,
+    # thin triangle's map does not give its vertices back.  The HCT set-up
+    # rejected those of 1e12 to 1e100; those of 1e67 on warned of an overflow
+    # in it or in the basis tables first, and 1e104 on ended in "array must
+    # not contain infs or NaNs"; 1e9.5, between two rejected ones, built
+    **{f"long thin 1e{e:g}": [[0.0, 0.0], [1.0, 0.0], [10 ** e, 10 ** e]]
+       for e in (9.5, 12, 16, 20, 67, 74, 100, 104, 111.5, 121.5, 152)},
     "small far off": [[1e150, 1e150], [1e150 + 1e140, 1e150], [1e150, 1e150 + 1e140]],
 }
 
