@@ -10,6 +10,8 @@ mutated incrementally.
 
 import numpy as np
 
+from . import quadrature
+
 # side tags for boundary edges of the unit square
 BOTTOM, RIGHT, TOP, LEFT = "bottom", "right", "top", "left"
 
@@ -38,7 +40,7 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, level=0):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = np.asarray(vertices)
         self.triangles = np.asarray(triangles)
         self.level = level
         self._check_arrays()
@@ -46,12 +48,22 @@ class Mesh:
         self._build_edges()
 
     def _check_arrays(self):
-        """Raise a one-line ValueError for arrays that are not a triangle mesh."""
+        """Raise a one-line ValueError for arrays that are not a triangle mesh.
+
+        Vertices that pass are cast to float before any area is computed.
+        """
         v, tri = self.vertices, self.triangles
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"vertices must have shape (nv, 2), not {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("vertices must be finite")
+        # a cast to float would take "1" for 1
+        if v.dtype.kind not in "iuf":
+            raise ValueError(f"vertices must be integers or floats, not {v.dtype}")
+        # before any area, where a product of differences above COORD_MAX
+        # overflows, and before the cast, which warns on a long double past it
+        if not (np.abs(v) <= quadrature.COORD_MAX).all():  # NaN fails it too
+            raise ValueError("vertices must be finite and at most "
+                             f"{quadrature.COORD_MAX:.3g} in magnitude")
+        self.vertices = v = v.astype(float, copy=False)
         if tri.ndim != 2 or tri.shape[1] != 3:
             raise ValueError(f"triangles must have shape (nt, 3), not {tri.shape}")
         if len(tri) == 0:

@@ -1,15 +1,15 @@
 """Chunk loops run in two parts: this process and one forked child.
 
 The element tables and the element systems are built chunk by chunk, and
-the chunks are independent.  `stack_chunks` is the one loop: it
-allocates the whole-mesh stacks, computes the first half of the chunks
-here and the second half in one child made by `os.fork`, which writes
-into stacks in anonymous shared memory, so the parent reads the child's
-chunks where they were written.  Each chunk is computed by the same code
-on the same inputs as in one process, so the stacks hold the same bits.
-There is no pool and no setting: the part count is 2 where this process
-may run on two cores (`os.sched_getaffinity`) and the loop has two chunks
-or more, and 1 otherwise, which runs the loop here without a fork.
+the chunks are independent.  `stack_chunks` is the one loop: it takes the
+stack layout from an empty chunk, then computes the first half of the
+chunks here and the second half in one child made by `os.fork`, which
+writes into whole-mesh stacks in anonymous shared memory, where the parent
+reads them.  Each chunk is computed by the same code on the same inputs as
+in one process, so the stacks hold the same bits.  There is no pool and
+no setting: the part count is 2 where this process may run on two cores
+(`os.sched_getaffinity`) and the loop has two chunks or more, and 1
+otherwise, which runs the loop here without a fork.
 """
 
 import mmap
@@ -41,25 +41,24 @@ def part_count():
 def stack_chunks(n, compute):
     """Whole stacks of `n` elements, computed CHUNK at a time; returns (stacks, parts).
 
-    `compute(elements)` takes a slice of element indices and returns that
-    chunk's arrays, with the elements on the leading axis; `stacks` holds
-    one (n, ...) float array per returned array, and `parts` is the number
-    of processes the loop ran in.  Chunk 0 is computed first, here, and
-    gives the stack shapes.  With one part (one core, or one chunk) the
+    `compute(elements)` takes a slice of element indices, the empty slice
+    included, and returns that chunk's arrays with the elements on the leading
+    axis; the empty chunk's arrays give the stack layout.  `stacks` holds one
+    (n, ...) float array per returned array, and `parts` is the number of
+    processes the loop ran in.  With one part (one core, or one chunk) the
     stacks are `np.empty` and every chunk is computed here.  With two, the
     stacks live in anonymous shared memory, mapped at allocation
     (MAP_POPULATE), so this process's RSS counts them whole and a forked
     child's writes land in this process's pages; this process computes the
-    first half of the chunks, rounded up, chunk 0 included, and one forked
-    child the rest, both inside `linalg.one_blas_thread()`.  An exception in either half is raised here with its type and message,
-    the first half's first, as the loop in one process would raise it.
-    The child is reaped on every path, and killed first when this half
-    fails.
+    first ceil(N/2) of the N chunks and one forked child the rest, both inside
+    `linalg.one_blas_thread()`.  An exception in either half is raised here
+    with its type and message, the first half's first, as in one process.  The
+    child is reaped on every path, and killed first when this half fails.
     """
     starts = range(0, n, CHUNK)
-    first = compute(slice(0, CHUNK))
     n_parts = part_count() if len(starts) > 1 else 1
-    stacks = tuple(_empty((n,) + a.shape[1:], shared=n_parts > 1) for a in first)
+    layout = compute(slice(0, 0))  # nothing else is computed before the fork
+    stacks = tuple(_empty((n,) + a.shape[1:], shared=n_parts > 1) for a in layout)
 
     def fill(part):
         for lo in part:
@@ -67,7 +66,7 @@ def stack_chunks(n, compute):
             # the last chunk's arrays are held until the next ones are computed:
             # freed first, glibc hands the heap back to the system after each
             # chunk, which tripled the page faults of a level-4 table build
-            arrays = first if lo == 0 else compute(chunk)
+            arrays = compute(chunk)
             for stack, a in zip(stacks, arrays):
                 stack[chunk] = a
 

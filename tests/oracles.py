@@ -1,10 +1,11 @@
 """Reference implementations the tests compare the solver against.
 
-None of these run in the solver itself: the duality pairings cross-check
-the assembled skeleton terms, the globally C1 field and the vertex
-interpolant exercise the trace element across a mesh, the edge-trace
-coefficients and outward normals pin down the element geometry, and the
-element means are the best elementwise constants for the error tests.
+None of these run in the solver itself: the duality pairings of smooth
+triples cross-check the assembled skeleton terms, the globally C1 field
+and the vertex interpolant exercise the trace element across a mesh, the
+edge-trace coefficients and outward normals pin down the element geometry,
+random triangles vary it, and the element means are the best elementwise
+constants for the error tests.
 """
 
 import numpy as np
@@ -72,6 +73,38 @@ def trace_pair_volume(subtris, gen_a, gen_b, t, quad_degree=14):
     return total
 
 
+class HctTriple:
+    """Deflection/moment/rotation triple built from four C1 scalar fields.
+
+    Called on points, it returns the (u, grad_u, M, div_M, theta) tuple the
+    edge pairing takes, with theta = grad_u.
+    """
+
+    def __init__(self, coords, seed):
+        rng = np.random.default_rng(seed)
+        self.element = build_hct_element(coords)
+        self.u_dofs = rng.standard_normal(9)
+        self.m_dofs = rng.standard_normal((3, 9))
+
+    @classmethod
+    def from_dofs(cls, element, u_dofs, m_dofs):
+        out = cls.__new__(cls)
+        out.element = element
+        out.u_dofs = np.asarray(u_dofs, dtype=float)
+        out.m_dofs = np.asarray(m_dofs, dtype=float)
+        return out
+
+    def __call__(self, pts):
+        u, gu, _ = eval_hct(self.element, pts, self.u_dofs)
+        m = [eval_hct(self.element, pts, self.m_dofs[c]) for c in range(3)]
+        M = np.stack([m[0][0], m[1][0], m[2][0]], axis=1)
+        dM = np.stack(
+            [m[0][1][:, 0] + m[1][1][:, 1], m[1][1][:, 0] + m[2][1][:, 1]],
+            axis=1,
+        )
+        return u, gu, M, dM, gu.copy()
+
+
 # ---- the C1 trace element across a mesh
 
 
@@ -129,6 +162,16 @@ def interpolate(mesh, f, grad_f):
 
 
 # ---- mesh geometry and the exact solution
+
+
+def random_triangle(seed):
+    """A CCW triangle with vertices drawn uniformly in [-1, 1]^2, area above 0.05."""
+    rng = np.random.default_rng(seed)
+    while True:
+        coords = rng.uniform(-1.0, 1.0, (3, 2))
+        d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
+        if 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]) > 0.05:
+            return coords
 
 
 def edge_outward_normal(mesh, ti, local_edge):

@@ -12,7 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import HctScalarField, hct_elements, interpolate, trace_pair_edge
+from oracles import (
+    HctScalarField,
+    HctTriple,
+    hct_elements,
+    interpolate,
+    random_triangle,
+    trace_pair_edge,
+)
 from plate_dpg.dpg import (
     ElementKernel,
     ProblemConfig,
@@ -55,15 +62,6 @@ def _verdict(capsys, num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _random_triangle(seed, low=0.05):
-    rng = np.random.default_rng(seed)
-    while True:
-        coords = rng.uniform(-1.0, 1.0, (3, 2))
-        d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
-        if 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]) > low:
-            return coords
-
-
 def _shaped_triangle(seed, min_quality=0.6):
     # shape-regular population, the kind uniform red refinement produces
     rng = np.random.default_rng(seed)
@@ -78,34 +76,6 @@ def _shaped_triangle(seed, min_quality=0.6):
         lmax = max(np.hypot(*d1), np.hypot(*d2), np.hypot(*d3))
         if 4.0 * area / (math.sqrt(3.0) * lmax * lmax) > min_quality:
             return coords
-
-
-class _Triple:
-    """Deflection/moment/rotation generator built from C1 scalar fields."""
-
-    def __init__(self, coords, seed):
-        rng = np.random.default_rng(seed)
-        self.element = build_hct_element(coords)
-        self.u_dofs = rng.standard_normal(9)
-        self.m_dofs = rng.standard_normal((3, 9))
-
-    @classmethod
-    def from_dofs(cls, element, u_dofs, m_dofs):
-        out = cls.__new__(cls)
-        out.element = element
-        out.u_dofs = np.asarray(u_dofs, dtype=float)
-        out.m_dofs = np.asarray(m_dofs, dtype=float)
-        return out
-
-    def __call__(self, pts):
-        u, gu, _ = eval_hct(self.element, pts, self.u_dofs)
-        m = [eval_hct(self.element, pts, self.m_dofs[c]) for c in range(3)]
-        M = np.stack([m[0][0], m[1][0], m[2][0]], axis=1)
-        dM = np.stack(
-            [m[0][1][:, 0] + m[1][1][:, 1], m[1][1][:, 0] + m[2][1][:, 1]],
-            axis=1,
-        )
-        return u, gu, M, dM, gu.copy()
 
 
 def test_criterion_1_manufactured_verify(run_cli, capsys):
@@ -181,7 +151,7 @@ def test_criterion_6_structural_properties(capsys):
 
     # Gram matrices stay symmetric positive definite across thickness
     for k in range(50):
-        coords = _random_triangle(900 + k)
+        coords = random_triangle(900 + k)
         kern = ElementKernel([coords])
         for t in (0.0, 1e-8, 1e-4, 1.0):
             G = gram(kern, t)[0]
@@ -195,9 +165,9 @@ def test_criterion_6_structural_properties(capsys):
     # edge pairing is skew-symmetric in its two triples
     worst_skew = 0.0
     for k in range(10):
-        coords = _random_triangle(700 + k)
-        a = _Triple(coords, seed=800 + k)
-        b = _Triple(coords, seed=850 + k)
+        coords = random_triangle(700 + k)
+        a = HctTriple(coords, seed=800 + k)
+        b = HctTriple(coords, seed=850 + k)
         for t in (0.0, 1e-4, 1.0):
             ab = trace_pair_edge(coords, a, b, t)
             ba = trace_pair_edge(coords, b, a, t)
@@ -237,7 +207,7 @@ def test_criterion_6_structural_properties(capsys):
         for ti in range(mesh.num_triangles):
             element = elements[ti]
             verts = mesh.triangles[ti]
-            trace = _Triple.from_dofs(
+            trace = HctTriple.from_dofs(
                 element,
                 qhat[verts, 0].ravel(),
                 np.stack([qhat[verts, 1 + c].ravel() for c in range(3)]),
@@ -266,7 +236,7 @@ def test_criterion_6_structural_properties(capsys):
     notes.append(f"jump {worst_jump:.1e}")
 
     # scalar C1 element: nodal duality, global C1 glue, quadratic exactness
-    coords = _random_triangle(77)
+    coords = random_triangle(77)
     element = build_hct_element(coords)
     val, grad, _ = eval_hct(element, coords)
     dofmat = np.empty((9, 9))

@@ -11,7 +11,14 @@ and scaling in the volume and trace blocks.
 import numpy as np
 import pytest
 
-from oracles import HctScalarField, hct_elements, trace_pair_edge, trace_pair_volume
+from oracles import (
+    HctScalarField,
+    HctTriple,
+    hct_elements,
+    random_triangle,
+    trace_pair_edge,
+    trace_pair_volume,
+)
 from plate_dpg import dpg, quadrature
 from plate_dpg.dpg import (
     ElementKernel,
@@ -26,20 +33,11 @@ from plate_dpg.dpg import (
     load,
     local_residuals,
 )
-from plate_dpg.hct import build_hct_element, eval_hct, eval_on_parent_edge
+from plate_dpg.hct import eval_hct
 from plate_dpg.quadrature import map_to_triangles, triangle_rule
 from plate_dpg.testspace import DEGREE, N_SCALAR, BarycentricMap, eval_scalar_basis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def random_triangle(seed, low=0.05):
-    rng = np.random.default_rng(seed)
-    while True:
-        coords = rng.uniform(-1.0, 1.0, (3, 2))
-        d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
-        if 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]) > low:
-            return coords
 
 
 def make_kernel(coords):
@@ -338,35 +336,7 @@ def test_gram_invariance_of_normal_equations():
     assert np.abs(b1 - b2).max() < 1e-9 * max(np.abs(b1).max(), 1.0)
 
 
-# ---- smooth-triple generators for the pairing diagnostics
-
-
-class HctTriple:
-    """Deflection/moment/rotation triple built from four C1 scalar fields."""
-
-    def __init__(self, coords, seed):
-        rng = np.random.default_rng(seed)
-        self.element = build_hct_element(coords)
-        self.u_dofs = rng.standard_normal(9)
-        self.m_dofs = rng.standard_normal((3, 9))
-
-    @classmethod
-    def from_dofs(cls, element, u_dofs, m_dofs):
-        out = cls.__new__(cls)
-        out.element = element
-        out.u_dofs = np.asarray(u_dofs, dtype=float)
-        out.m_dofs = np.asarray(m_dofs, dtype=float)
-        return out
-
-    def __call__(self, pts):
-        u, gu, _ = eval_hct(self.element, pts, self.u_dofs)
-        m = [eval_hct(self.element, pts, self.m_dofs[c]) for c in range(3)]
-        M = np.stack([m[0][0], m[1][0], m[2][0]], axis=1)
-        dM = np.stack(
-            [m[0][1][:, 0] + m[1][1][:, 1], m[1][1][:, 0] + m[2][1][:, 1]],
-            axis=1,
-        )
-        return u, gu, M, dM, gu.copy()
+# ---- duality pairings of smooth triples
 
 
 def test_trace_pairing_skew_symmetry():

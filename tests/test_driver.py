@@ -136,7 +136,7 @@ def test_theta_present_only_for_positive_thickness():
 def test_zero_load_gives_zero_solution(level1):
     mesh, cfg, _, _ = level1
     kernels = MeshKernels(mesh, cfg)
-    kernels.f_values = [np.zeros_like(fv) for fv in kernels.f_values]
+    kernels.f_values = np.zeros_like(kernels.f_values)
     sol = assemble_and_solve(mesh, cfg, kernels)
     assert np.abs(sol.u).max() == 0.0
     assert np.abs(sol.M).max() == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import HctScalarField, hct_edge_trace, hct_elements, interpolate
+from oracles import HctScalarField, hct_edge_trace, hct_elements, interpolate, random_triangle
 from plate_dpg.hct import (
     N_DOFS,
     build_hct_element,
@@ -11,16 +11,6 @@ from plate_dpg.hct import (
 from plate_dpg.mesh import mesh_at_level, unit_square_initial
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def random_triangle(seed):
-    rng = np.random.default_rng(seed)
-    while True:
-        coords = rng.uniform(-1.0, 1.0, (3, 2))
-        d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
-        area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-        if area > 0.05:
-            return coords
 
 
 def interior_points(coords, n, seed):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -128,7 +129,8 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     (TRIANGLE, [[0, 1, -1]], r"vertex index -1 is outside \[0, 3\)"),
     # an IndexError from the edge loop before
     (TRIANGLE, [[0, 1, 3]], r"vertex index 3 is outside \[0, 3\)"),
-    ([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]], [[0, 1, 2]], "vertices must be finite"),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]], [[0, 1, 2]],
+     r"vertices must be finite and at most 1.68e\+153 in magnitude"),
     ([[0.0, 0.0, 0.0]] * 3, [[0, 1, 2]], r"vertices must have shape \(nv, 2\), not \(3, 3\)"),
     # an unpacking ValueError from the edge loop before
     (TRIANGLE, [[0, 1]], r"triangles must have shape \(nt, 3\), not \(1, 2\)"),
@@ -141,9 +143,20 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     # triangles lie on one side of it
     ([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0], [0.8, 1.0]], [[0, 1, 2], [0, 1, 3]],
      "triangles 0 and 1 overlap: both traverse edge 0-1 in one direction"),
+    # signed_areas warned "overflow encountered in multiply" before, and the
+    # mesh was built with an infinite area
+    ([[0, 0], [1e200, 0], [0, 1e200]], [[0, 1, 2]],
+     r"vertices must be finite and at most 1.68e\+153 in magnitude"),
+    # a float mesh before, by a cast to float
+    ([["0", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]],
+     "vertices must be integers or floats, not <U1"),
+    # checked before the cast, which warned of an overflow
+    (np.array([[0, 0], [1, 0], [0, np.longdouble("1e4000")]], dtype=np.longdouble), [[0, 1, 2]],
+     r"vertices must be finite and at most 1.68e\+153 in magnitude"),
 ])
 def test_rejects_arrays_that_are_not_a_mesh(vertices, triangles, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{message}$"), warnings.catch_warnings():
+        warnings.simplefilter("error")
         Mesh(np.array(vertices), np.array(triangles))
 
 

@@ -167,12 +167,15 @@ def test_both_loops_give_this_process_the_first_half_of_the_chunks(chunk, n_chun
     map_to_triangles = quadrature.map_to_triangles
     element_system = driver.element_system
 
+    # the empty chunk that gives each loop its stack layout is not recorded
     def record_tables(rule, xy):
-        tables.append(int(np.flatnonzero((coords == xy[0]).all(axis=(1, 2)))[0]))
+        if len(xy):
+            tables.append(int(np.flatnonzero((coords == xy[0]).all(axis=(1, 2)))[0]))
         return map_to_triangles(rule, xy)
 
     def record_systems(kernels, elements, config):
-        systems.append(elements.start)
+        if elements != slice(0, 0):
+            systems.append(elements.start)
         return element_system(kernels, elements, config)
 
     # the child's records stay in the child: these are this process's chunks
@@ -188,13 +191,69 @@ def test_both_loops_give_this_process_the_first_half_of_the_chunks(chunk, n_chun
 
 
 @two_cores
+def test_only_the_empty_chunk_is_computed_before_the_fork(monkeypatch):
+    # a chunk computed before the fork runs serially on every forked solve
+    monkeypatch.setattr(parts, "CHUNK", 4)
+    mesh = mesh_at_level(1)
+    calls, at_fork = [], []
+    map_to_triangles = quadrature.map_to_triangles
+    element_system = driver.element_system
+    fork = os.fork
+
+    def record_tables(rule, xy):
+        calls.append(("tables", len(xy)))
+        return map_to_triangles(rule, xy)
+
+    def record_systems(kernels, elements, config):
+        calls.append(("systems", elements))
+        return element_system(kernels, elements, config)
+
+    def record_fork():
+        at_fork.append(calls.copy())
+        calls.clear()
+        return fork()
+
+    monkeypatch.setattr(quadrature, "map_to_triangles", record_tables)
+    monkeypatch.setattr(driver, "element_system", record_systems)
+    monkeypatch.setattr(os, "fork", record_fork)
+    cfg = ProblemConfig()
+    driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg))
+    assert at_fork[0] == [("tables", 0)]
+    # after the tables loop, this process computed its half of the chunks
+    assert at_fork[1] == [("tables", 4)] * 2 + [("systems", slice(0, 0))]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("t", (1e-2, 0.0))
+def test_both_chunk_functions_give_the_stack_layout_from_an_empty_slice(t, monkeypatch):
+    computes = []
+    stack_chunks = parts.stack_chunks
+
+    def capture(n, compute):
+        computes.append(compute)
+        return stack_chunks(n, compute)
+
+    monkeypatch.setattr(parts, "stack_chunks", capture)
+    mesh = mesh_at_level(1)
+    cfg = ProblemConfig(t=t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg))
+        assert len(computes) == 2  # the tables, then the systems
+        for compute in computes:
+            empty, full = compute(slice(0, 0)), compute(slice(0, parts.CHUNK))
+            assert [a.shape for a in empty] == [(0,) + a.shape[1:] for a in full]
+
+
+@two_cores
 def test_a_one_chunk_loop_neither_forks_nor_maps_shared_memory(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a one-chunk loop forked or mapped shared memory")
 
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(mmap, "mmap", refuse)
-    (out,), n_parts = parts.stack_chunks(parts.CHUNK, lambda elements: (np.ones(parts.CHUNK),))
+    (out,), n_parts = parts.stack_chunks(parts.CHUNK,
+                                         lambda elements: (np.ones(parts.CHUNK)[elements],))
     assert n_parts == 1
     assert_same_bits(out, np.ones(parts.CHUNK))
     # the level-0 mesh is one chunk of 4 elements
