@@ -8,15 +8,18 @@ Run from the root of a source checkout; everything is imported from
 - the medians `perfbench/run.py --trace 0 --seconds 15` reports for the
   `study`, `sweep` and `cg` workloads (setup_s, solve_s, wall_s,
   peak_rss_mb);
-- single solves of the manufactured problem on uniform levels 4 and 5 at
-  t = 1e-2 and t = 0, split with `perf_counter` into `MeshKernels`,
+- single solves of the manufactured problem on uniform levels 4, 5 and 6
+  at t = 1e-2 and t = 0, split with `perf_counter` into `MeshKernels`,
   `assemble` and `solve_spd` (the rest of `assemble_and_solve` is the
   backward-error check and the estimator), with the peak RSS of each and
   the number of BLAS libraries the solve ran on one thread
   (`blas_pinned`), the seconds, entries and stored entries of the
-  sparse LU factor (`factor_s`, `factor_nnz`, `factor_stored`) and the
-  number of processes the element systems ran in (`parts`), each null
-  where the checkout does not report it, and `peak_pss_mb`, the peak of
+  sparse LU factor (`factor_s`, `factor_nnz`, `factor_stored`), the
+  number of processes the element systems ran in (`parts`), the MB of
+  the stacks kept from the element systems to the estimator (`kept_mb`)
+  and the seconds of the element systems and of assembly (`systems_s`,
+  `assembly_s`) from `Solution.stats`, each null where the checkout does
+  not report it, and `peak_pss_mb`, the peak of
   the summed proportional set size of the solve's process tree, which
   unlike the peak RSS also counts a forked child;
 - the wall time and summary line of the Tier-1 test command;
@@ -35,7 +38,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("study", "sweep", "cg")
-SOLVES = [(4, 1e-2), (4, 0.0), (5, 1e-2), (5, 0.0)]
+# the level-6 solves take about 48 s and 82 s and up to 3.7 GB each; they run
+# one after the other, as every solve does
+SOLVES = [(4, 1e-2), (4, 0.0), (5, 1e-2), (5, 0.0), (6, 1e-2), (6, 0.0)]
 
 # run in a fresh interpreter: one timed solve, printed as one JSON line
 SOLVE = """
@@ -71,6 +76,9 @@ print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spen
                       factor_nnz=sol.stats.get("factor_nnz"),
                       factor_stored=sol.stats.get("factor_stored"),
                       parts=sol.stats.get("parts"),
+                      kept_mb=sol.stats.get("kept_mb"),
+                      systems_s=sol.stats.get("systems_s"),
+                      assembly_s=sol.stats.get("assembly_s"),
                       peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
 """
 

@@ -22,6 +22,7 @@ potrf and potrs, and the estimator's scalar dot, run per element.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,6 +373,25 @@ def gram_factors(G, *data):
     return L, dinv
 
 
+def pack_lower(L):
+    """The lower triangles of a stack of factors L (ne, n, n), packed: (ne, n(n+1)/2).
+
+    Each element's row holds its entries L[i, j], j <= i, in
+    `np.tril_indices(n)` order: row 0 of the triangle, then row 1, and so on.
+    """
+    ne, n = L.shape[:2]
+    rows, cols = np.tril_indices(n)
+    # L[e, i, j] is entry j * n + i of L[e].T, a C-ordered view when L[e] is
+    # Fortran-ordered, as `gram_factors` leaves it; `take` gives a C-ordered stack
+    return np.take(L.transpose(0, 2, 1).reshape(ne, n * n), cols * n + rows, axis=1)
+
+
+def packed_diagonal(Lp):
+    """The diagonals (ne, n) of a stack of packed triangles `pack_lower` gives."""
+    i = np.arange((math.isqrt(8 * Lp.shape[-1] + 1) - 1) // 2)
+    return Lp[:, i * (i + 3) // 2]
+
+
 def _cho_solve(L, rhs):
     """G^{-1} rhs from one factor L of `gram_factors`, as `cho_solve` gives it."""
     x, info = dpotrs(L, rhs, lower=1)
@@ -399,15 +419,26 @@ def condense(L, dinv, B, l):
     return 0.5 * (A + A.transpose(0, 2, 1)), b
 
 
-def local_residuals(L, dinv, B, l, x_loc):
+def local_residuals(Lp, dinv, B, l, x_loc):
     """Test-norm magnitudes (ne,) of the local residuals l - B x for trial dofs x_loc (ne, m).
 
-    Reuses the factors (L, dinv) of `gram_factors` that `condense` used.
+    Reuses the factors of `gram_factors` that `condense` used: dinv, and
+    the lower triangles of L packed by `pack_lower` (ne, n(n+1)/2), half
+    the memory of the full stack.  Each triangle is written into the lower
+    triangle of one reused Fortran-ordered n x n buffer, whose upper
+    triangle stays zero; `dpotrs` reads only the lower one, so every
+    element gets the bits of its full factor.
     """
     r = (l - (B @ x_loc[:, :, None])[:, :, 0]) * dinv
     if not np.isfinite(r).all():
         raise ValueError("array must not contain infs or NaNs")
+    n = dinv.shape[1]
+    Li = np.zeros((n, n), order="F")
+    # a boolean mask takes its entries row by row, in `np.tril_indices` order,
+    # at a third of the cost of the index pair
+    lower = np.tri(n, dtype=bool)
     eta = np.empty(len(r))
-    for i, (Li, ri) in enumerate(zip(L, r)):
+    for i, (Lpi, ri) in enumerate(zip(Lp, r)):
+        Li[lower] = Lpi
         eta[i] = np.sqrt(max(float(ri @ _cho_solve(Li, ri)), 0.0))
     return eta

@@ -144,11 +144,14 @@ class Solution:
     residual_inf: float           # free-system residual, consistency guard
     # what the solve did: seconds per phase (systems_s: element systems and
     # condensation, assembly_s, solve_s, estimator_s), parts (the number of
-    # processes the element systems ran in, 1 or 2), n_free, nnz of the
-    # assembled matrix, residual_inf, gram_pivot_min (the smallest pivot
-    # diag(L)**2 of the equilibrated Gram factors), eta_max and eta_mean,
-    # cg_iterations (0 on the direct path) and blas_pinned (the OpenBLAS
-    # libraries the solve ran on one thread)
+    # processes the element systems ran in, 1 or 2), kept_mb (the MB of the
+    # stacks kept from the element systems to the estimator: the packed
+    # lower triangles of the Gram factors, dinv, B and l; 14.3 of them are
+    # the factors at level 4, t > 0), n_free, nnz of the assembled matrix,
+    # residual_inf, gram_pivot_min (the smallest pivot diag(L)**2 of the
+    # equilibrated Gram factors), eta_max and eta_mean, cg_iterations (0 on
+    # the direct path) and blas_pinned (the OpenBLAS libraries the solve
+    # ran on one thread)
     stats: dict = field(default_factory=dict)
 
 
@@ -181,26 +184,28 @@ def element_system(kernels, elements, config):
 def assemble(mesh, config, kernels, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
-    Returns (dof map, the whole-mesh `element_system` stacks, A as a full
-    CSC matrix, rhs).  The element systems and their condensation run
+    Returns (dof map, the whole-mesh `element_system` stacks with each
+    factor L kept as its lower triangle packed by `dpg.pack_lower`, A as a
+    full CSC matrix, rhs).  The element systems and their condensation run
     chunk by chunk in `parts.stack_chunks`, with the bits of one process.
     The COO triplets and the rhs sums run element by element, in element
-    order.  A given dict `stats` receives systems_s, parts, assembly_s,
-    gram_pivot_min and nnz (see `Solution.stats`).
+    order.  A given dict `stats` receives systems_s, parts, kept_mb,
+    assembly_s, gram_pivot_min and nnz (see `Solution.stats`).
     """
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
 
     def systems(elements):
         L, dinv, B, l = element_system(kernels, elements, config)
-        # each L[i] is Fortran-ordered, as dpotrf leaves its factor: stacked as L[i].T
-        return (L.transpose(0, 2, 1), dinv, B, l) + dpg.condense(L, dinv, B, l)
+        # the estimator reads only the factors' lower triangles: they are kept packed
+        return (dpg.pack_lower(L), dinv, B, l) + dpg.condense(L, dinv, B, l)
 
     with _timed(stats, "systems_s"):
-        (Lt, dinv, B, l, A_loc, b_loc), stats["parts"] = parts.stack_chunks(
+        (Lp, dinv, B, l, A_loc, b_loc), stats["parts"] = parts.stack_chunks(
             mesh.num_triangles, systems)
-    L = Lt.transpose(0, 2, 1)
-    stats["gram_pivot_min"] = float(np.diagonal(L, axis1=1, axis2=2).min()) ** 2
+    kept = (Lp, dinv, B, l)
+    stats["kept_mb"] = sum(a.nbytes for a in kept) / 2**20
+    stats["gram_pivot_min"] = float(dpg.packed_diagonal(Lp).min()) ** 2
 
     with _timed(stats, "assembly_s"):
         fidx = dof.free_index[dof.element_dofs]
@@ -216,7 +221,7 @@ def assemble(mesh, config, kernels, stats=None):
         del A_loc, b_loc, pairs
         A = linalg.symmetric_from_coo(dof.n_free, rows, cols, vals)
     stats["nnz"] = A.nnz
-    return dof, (L, dinv, B, l), A, rhs
+    return dof, kept, A, rhs
 
 
 def assemble_and_solve(mesh, config, kernels=None):

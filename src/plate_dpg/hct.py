@@ -57,6 +57,15 @@ _NEXT = [1, 2, 0]
 _SUB_EDGES = [[0, 1], [1, 2], [2, 0]]
 
 
+def _rank_message(xy, null_dim):
+    """The one-line error for a triangle whose constraints lose their 9-dim null space."""
+    ratio = np.abs(xy).max() / np.hypot(*(xy[_NEXT] - xy).T).max()
+    return (f"HCT constraints of a triangle have a {null_dim}-dim null space, not "
+            f"{N_DOFS} (largest vertex coordinate / diameter = {ratio:.3g}): the triangle "
+            "is too thin, or too far from the origin for its size; translate or refine "
+            "the mesh")
+
+
 def build_hct_element(coords):
     """Construct the nine nodal basis functions on each triangle of `coords` (..., 3, 2).
 
@@ -125,7 +134,7 @@ def build_hct_element(coords):
             raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
         num = np.sum(s > np.amax(s) * 1e-10, dtype=int)
         if len(vh) - num != N_DOFS:
-            raise ValueError(_BAD_TRIANGLE)
+            raise ValueError(_rank_message(P[i], len(vh) - num))
         Z[i] = vh[num:].T
         for k in range(3):
             Zk = Z[i, 10 * k : 10 * k + 10]

@@ -4,7 +4,7 @@ None of these run in the solver itself: the duality pairings of smooth
 triples cross-check the assembled skeleton terms, the globally C1 field
 and the vertex interpolant exercise the trace element across a mesh, the
 edge-trace coefficients and outward normals pin down the element geometry,
-random triangles vary it, and the element means are the best elementwise
+random triangles and jittered meshes vary it, and the element means are the best elementwise
 constants for the error tests.
 """
 
@@ -13,6 +13,7 @@ import numpy as np
 from plate_dpg import quadrature
 from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_hct, eval_on_parent_edge
 from plate_dpg.manufactured import ExactSolution
+from plate_dpg.mesh import Mesh, mesh_at_level
 
 
 # ---- diagnostic pairings used to cross-check the assembled skeleton terms
@@ -172,6 +173,17 @@ def random_triangle(seed):
         d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
         if 0.5 * (d1[0] * d2[1] - d1[1] * d2[0]) > 0.05:
             return coords
+
+
+def jittered_mesh(level, seed):
+    """Uniform mesh with interior vertices moved by up to 0.3 h per coordinate."""
+    base = mesh_at_level(level)
+    h = 2.0 ** -(level + 1)
+    interior = np.setdiff1d(np.arange(base.num_vertices), base.boundary_vertices)
+    rng = np.random.default_rng(seed)
+    vertices = base.vertices.copy()
+    vertices[interior] += rng.uniform(-0.3 * h, 0.3 * h, size=(interior.size, 2))
+    return Mesh(vertices, base.triangles, level=level)
 
 
 def edge_outward_normal(mesh, ti, local_edge):

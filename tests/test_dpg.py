@@ -32,6 +32,7 @@ from plate_dpg.dpg import (
     gram_factors,
     load,
     local_residuals,
+    pack_lower,
 )
 from plate_dpg.hct import eval_hct
 from plate_dpg.quadrature import map_to_triangles, triangle_rule
@@ -55,7 +56,7 @@ def condense_one(G, B, l):
 def residual_one(G, B, l, x):
     """`local_residuals` of one element's G, B, l and trial dofs x, as a stack of one."""
     L, dinv = gram_factors(G[None], B[None], l[None])
-    return local_residuals(L, dinv, B[None], l[None], x[None])[0]
+    return local_residuals(pack_lower(L), dinv, B[None], l[None], x[None])[0]
 
 
 def scalar_coeffs(coords, fun):

@@ -10,7 +10,7 @@ import pytest
 from plate_dpg import driver, linalg, parts
 from plate_dpg import mesh as meshmod
 from plate_dpg.cli import main
-from plate_dpg.dpg import ProblemConfig, condense, local_residuals
+from plate_dpg.dpg import ProblemConfig, condense, local_residuals, pack_lower
 from plate_dpg.driver import (
     CSV_HEADER,
     DX,
@@ -182,7 +182,8 @@ def test_solution_minimizes_residual(level1):
     mesh, cfg, kernels, sol = level1
     dof = DofMap(mesh, cfg)
     x = _full_coefficients(dof, sol)
-    systems = element_system(kernels, slice(None), cfg)
+    L, *rest = element_system(kernels, slice(None), cfg)
+    systems = (pack_lower(L), *rest)
 
     def eta_of(vec):
         s = 0.0
@@ -419,7 +420,8 @@ def test_cli_study_builds_each_mesh_once(monkeypatch, capsys, tmp_path):
 
 STATS_KEYS = {"systems_s", "assembly_s", "solve_s", "estimator_s", "n_free", "nnz",
               "residual_inf", "gram_pivot_min", "eta_max", "eta_mean", "blas_pinned",
-              "cg_iterations", "factor_s", "factor_nnz", "factor_stored", "parts"}
+              "cg_iterations", "factor_s", "factor_nnz", "factor_stored", "parts",
+              "kept_mb"}
 
 
 def test_cli_study_writes_solve_stats(capsys, tmp_path):
@@ -535,6 +537,17 @@ def test_cli_clamped_study_starts_at_level_1_and_converges(run_cli, tmp_path):
     assert [row["level"] for row in rows] == ["1", "2", "3", "4"]
     assert rows[0]["rate_u"] == "nan"
     assert 0.9 <= float(rows[-1]["rate_u"]) <= 1.2
+
+
+@pytest.mark.parametrize("t", (1e-2, 0.0))
+def test_kept_mb_counts_the_stacks_kept_for_the_estimator(t):
+    mesh, cfg = mesh_at_level(2), ProblemConfig(t=t)
+    stats = {}
+    _, kept, _, _ = driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg), stats)
+    Lp, dinv, B, l = kept
+    assert stats["kept_mb"] == (Lp.nbytes + dinv.nbytes + B.nbytes + l.nbytes) / 2**20
+    n = dinv.shape[1]
+    assert Lp.nbytes == mesh.num_triangles * n * (n + 1) // 2 * 8
 
 
 def test_solution_stats_report_the_solve():

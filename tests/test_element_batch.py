@@ -30,6 +30,7 @@ from element_loop import (
     loop_solve,
     strided_b_trace,
 )
+from oracles import jittered_mesh
 from plate_dpg import dpg, driver, linalg, manufactured, parts
 from plate_dpg.dpg import ElementKernel, ProblemConfig
 from plate_dpg.hct import build_hct_element
@@ -43,17 +44,6 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.dtype == b.dtype
     assert np.array_equal(a, b)
     assert a.tobytes() == b.tobytes()
-
-
-def jittered_mesh(level, seed):
-    """Uniform mesh with interior vertices moved by up to 0.3 h per coordinate."""
-    base = mesh_at_level(level)
-    h = 2.0 ** -(level + 1)
-    interior = np.setdiff1d(np.arange(base.num_vertices), base.boundary_vertices)
-    rng = np.random.default_rng(seed)
-    vertices = base.vertices.copy()
-    vertices[interior] += rng.uniform(-0.3 * h, 0.3 * h, size=(interior.size, 2))
-    return Mesh(vertices, base.triangles, level=level)
 
 
 def grid_mesh(n):
@@ -286,20 +276,44 @@ def test_kept_systems_drop_the_gram_matrices():
     kernels = driver.MeshKernels(mesh, cfg)
     _, systems, _, _ = driver.assemble(mesh, cfg, kernels)
     G = dpg.gram(kernels, cfg.t)
-    L, dinv, B, l = systems
-    # one stack per quantity, over the whole mesh
-    assert L.shape == G.shape and dinv.shape == l.shape == B.shape[:2] == G.shape[:2]
+    Lp, dinv, B, l = systems
+    ne, n = dinv.shape
+    # one stack per quantity, over the whole mesh; each factor keeps only
+    # its lower triangle, packed
+    assert Lp.shape == (ne, n * (n + 1) // 2)
+    assert dinv.shape == l.shape == B.shape[:2] == G.shape[:2]
     assert len(G) == mesh.num_triangles
-    # each factor is Fortran-ordered, as potrf and potrs take it
-    assert all(Li.flags.f_contiguous for Li in L)
-    # no kept array is G or a view of it: the n x n stack holds the
+    # no kept array is G or a view of it: the packed stack holds the
     # Cholesky factors of the equilibrated G
     for a in systems:
         owner = a if a.base is None else a.base
         assert not (owner.shape == G.shape and np.array_equal(owner, G))
-    factor = np.tril(L)
+    factor = np.zeros(G.shape)
+    factor[(slice(None),) + np.tril_indices(n)] = Lp
+    assert_same_bits(dpg.packed_diagonal(Lp), np.diagonal(factor, axis1=1, axis2=2))
     G_eq = G * dinv[:, :, None] * dinv[:, None, :]
     assert np.allclose(factor @ factor.transpose(0, 2, 1), G_eq, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_parts", (1, 2))
+@pytest.mark.parametrize("t", (1e-2, 0.0))
+def test_estimator_on_packed_factors_matches_full_factor_loop(t, n_parts, monkeypatch):
+    # 18 elements: one full chunk and a partial one
+    if n_parts == 1:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif parts.part_count() < 2:
+        pytest.skip("the process has one core")
+    mesh = MESHES["18-element grid"]()
+    cfg = ProblemConfig(t=t)
+    kernels = driver.MeshKernels(mesh, cfg)
+    stats = {}
+    _, (Lp, dinv, B, l), _, _ = driver.assemble(mesh, cfg, kernels, stats)
+    assert stats["parts"] == n_parts
+    G = dpg.gram(kernels, t)
+    x = np.random.default_rng(3).standard_normal(B.shape[::2])
+    eta = dpg.local_residuals(Lp, dinv, B, l, x)
+    for i, sysm in enumerate(map(LoopSystem, G, B, l)):
+        assert_same_bits(eta[i], cho_residual(sysm, x[i]))
 
 
 @pytest.mark.parametrize("name", MESHES)
@@ -323,7 +337,8 @@ def test_condensation_and_estimator_match_cho_wrappers(name):
             G = dpg.gram(kernels[elements], t)
             A, b = dpg.condense(*chunk)
             x = rng.standard_normal(B.shape[::2])
-            eta = dpg.local_residuals(*chunk, x)
+            L, dinv, _, _ = chunk
+            eta = dpg.local_residuals(dpg.pack_lower(L), dinv, B, l, x)
             for i, sysm in enumerate(map(LoopSystem, G, B, l)):
                 A_ref, b_ref = cho_normal_contribution(sysm)
                 assert_same_bits(A[i], A_ref)
@@ -406,5 +421,5 @@ def test_non_finite_trial_dofs_raise_what_the_cho_wrappers_raised():
         cho_residual(LoopSystem(G, B, l), x)
     L, dinv = dpg.gram_factors(G[None], B[None], l[None])
     with pytest.raises(ValueError) as new:
-        dpg.local_residuals(L, dinv, B[None], l[None], x[None])
+        dpg.local_residuals(dpg.pack_lower(L), dinv, B[None], l[None], x[None])
     assert str(new.value) == str(old.value)

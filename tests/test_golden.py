@@ -1,0 +1,120 @@
+"""Bit-for-bit guard: the solver's outputs hash to the values in golden.json.
+
+Each output is hashed with SHA-256 over exact values: `float.hex` of each
+scalar and the raw bytes of each array (with its dtype and shape).  The
+outputs are the acceptance study on the four benchmark thicknesses at
+levels 0-3, the fields, estimator and assembled matrix of one jittered
+level-3 mesh at t = 1e-2 and t = 0, the Kirchhoff limit check at level 2
+and the `verify` report.
+
+The hashes hold for one environment, whose fingerprint golden.json keeps.
+On another one the test is skipped and names the fields that differ.
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+rewrites golden.json from this tree and environment; under a north star
+that allows no change to any number it is never run.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from oracles import jittered_mesh
+from plate_dpg import cli, driver
+from plate_dpg.dpg import ProblemConfig
+
+GOLDEN = Path(__file__).with_name("golden.json")
+STUDY_T = (1e-2, 1e-4, 1e-6, 1e-8)  # the t list of the benchmark's study workload
+STUDY_LEVELS = 4
+JITTER_LEVEL, JITTER_SEED = 3, 0
+
+
+def fingerprint():
+    """The versions and machine the hashes were taken on."""
+
+    def blas(config):
+        dep = config.get("Build Dependencies", {}).get("blas", {})
+        return f"{dep.get('name', '?')} {dep.get('version', '?')}"
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": blas(np.show_config(mode="dicts")),
+        "scipy_blas": blas(scipy.show_config(mode="dicts")),
+        "machine": platform.machine(),
+    }
+
+
+def digest(*values):
+    """SHA-256 of scalars (by `float.hex`), strings, and arrays (by their raw bytes)."""
+    h = hashlib.sha256()
+    for v in values:
+        if isinstance(v, str):
+            h.update(b"s" + v.encode())
+        elif isinstance(v, np.ndarray):
+            h.update(f"a{v.dtype.str}{v.shape}".encode() + np.ascontiguousarray(v).tobytes())
+        else:
+            h.update(b"f" + float(v).hex().encode())
+    return h.hexdigest()
+
+
+def outputs():
+    """{name: SHA-256} of every guarded output of this tree."""
+    out = {}
+    records = driver.run_study(STUDY_T, STUDY_LEVELS, ProblemConfig())
+    out["study"] = digest(*(getattr(r, name) for r in records
+                            for name in driver.CSV_HEADER.split(",")))
+
+    mesh = jittered_mesh(JITTER_LEVEL, JITTER_SEED)
+    kernels = driver.MeshKernels(mesh, ProblemConfig())
+    for t in (1e-2, 0.0):
+        cfg = ProblemConfig(t=t)
+        sol = driver.assemble_and_solve(mesh, cfg, kernels)
+        _, _, A, _ = driver.assemble(mesh, cfg, kernels)
+        arrays = {"u": sol.u, "M": sol.M, "theta": sol.theta, "trace": sol.trace,
+                  "eta_elements": sol.eta_elements,
+                  "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr}
+        for name, a in arrays.items():
+            out[f"jittered t={t:g} {name}"] = digest("none" if a is None else a)
+
+    limit = driver.kirchhoff_limit_check(level=2)
+    out["limit"] = digest(*(v for row in limit["rows"] for v in row),
+                          str(limit["monotone_u"]), str(limit["monotone_M"]),
+                          limit["identity_rel_err"])
+
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = cli.main(["verify"])
+    out["verify"] = digest(report.getvalue(), code)
+    return out
+
+
+def test_outputs_keep_their_bits():
+    golden = json.loads(GOLDEN.read_text())
+    here = fingerprint()
+    differ = [k for k in golden["fingerprint"] if golden["fingerprint"][k] != here.get(k)]
+    if differ:
+        pytest.skip("golden hashes were taken on another environment: "
+                    + ", ".join(f"{k} {golden['fingerprint'][k]!r} != {here.get(k)!r}"
+                                for k in differ))
+    got = outputs()
+    changed = sorted(k for k in golden["sha256"] if got.get(k) != golden["sha256"][k])
+    assert got.keys() == golden["sha256"].keys()
+    assert not changed, f"outputs whose bits changed: {', '.join(changed)}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit(f"usage: {sys.argv[0]} --write")
+    GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(), "sha256": outputs()},
+                                 indent=1) + "\n")

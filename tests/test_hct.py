@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import HctScalarField, hct_edge_trace, hct_elements, interpolate, random_triangle
+from plate_dpg.dpg import ElementKernel
 from plate_dpg.hct import (
     N_DOFS,
     build_hct_element,
@@ -196,6 +199,23 @@ def test_rejects_degenerate_triangle():
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(Exception):
         build_hct_element(bad)
+
+
+def test_far_off_triangle_names_the_lost_rank():
+    # the unit right triangle builds at an offset of 1e5; at 1e6 its constraint
+    # rows lose the digits of its coordinates, which ended in "triangle must be
+    # CCW and non-degenerate"
+    assert build_hct_element(REF + 1e5).coeffs.shape == (N_DOFS, 3, 10)
+    # the null-space dimension found depends on the SVD's rounding
+    message = (r"HCT constraints of a triangle have a \d+-dim null space, not 9 \(largest "
+               r"vertex coordinate / diameter = 7\.07e\+05\): the triangle is too thin, or "
+               r"too far from the origin for its size; translate or refine the mesh")
+    with pytest.raises(ValueError) as err:
+        build_hct_element(REF + 1e6)
+    assert re.fullmatch(message, str(err.value))
+    with pytest.raises(ValueError) as err:
+        ElementKernel([REF + 1e6])
+    assert re.fullmatch(message, str(err.value))
 
 
 def test_dof_vector_shape_checked():
