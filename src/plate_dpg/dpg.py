@@ -122,7 +122,7 @@ class ElementKernel:
             # and a long, thin one whose barycentric map does not give its own
             # vertices back, before its basis tables overflow or end in NaN
             if not (np.abs(bary(xy) - np.eye(3)) <= BARY_TOL).all():
-                raise ValueError("triangle must be CCW and non-degenerate")
+                raise ValueError(quadrature.BAD_TRIANGLE)
             val, grad, hess = testspace.eval_scalar_basis(bary, vpts)
             ends = xy[:, [1, 2, 0]]
             epts, ew = quadrature.map_to_edge(erule, xy, ends)
@@ -148,81 +148,37 @@ class ElementKernel:
         return view
 
 
-class _Blocks:
-    """A (ne, nq, n_test) array of test-function features, held by component.
+def _full_width(blocks, n, scale=None, out=None):
+    """The (..., n) test-function feature {component: (..., N_SCALAR) block}, zero elsewhere.
 
-    `blocks` maps a component of (z, th11, th12, th22, tau1, tau2) to its
-    (ne, nq, n_scalar) block; every other entry is zero.  The per-element
-    formulas build the same features as zero-padded full-width arrays.
+    Each block, times `scale` when given, is written into its columns
+    (`block`) of `out`, which must hold +0.0, or of a new zeroed array.
     """
-
-    __array_ufunc__ = None  # `ndarray * _Blocks` goes to __rmul__
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-
-    def _apply(self, op, other):
-        if not isinstance(other, _Blocks):
-            return _Blocks({c: op(a, other) for c, a in self.blocks.items()})
-        comps = self.blocks.keys() | other.blocks.keys()
-        return _Blocks({c: op(self.blocks.get(c, 0.0), other.blocks.get(c, 0.0))
-                        for c in comps})
-
-    def __add__(self, other):
-        return self._apply(np.add, other)
-
-    def __sub__(self, other):
-        return self._apply(np.subtract, other)
-
-    def __mul__(self, other):
-        return self._apply(np.multiply, other)
-
-    __rmul__ = __mul__  # IEEE products commute, bits included
-
-    def update(self, comp, op, value):
-        """Block `comp` replaced by op(block, value), as `out[:, block] op= value` would."""
-        blocks = dict(self.blocks)
-        blocks[comp] = op(blocks.get(comp, 0.0), value)
-        return _Blocks(blocks)
-
-    def full(self, n, out=None):
-        """The full-width (..., n) array, written into `out` (all +0.0) when given."""
-        a = next(iter(self.blocks.values()))
-        ns = a.shape[-1]
-        if out is None:
-            out = np.zeros(a.shape[:-1] + (n,))
-        for c, table in self.blocks.items():
-            out[..., c * ns : (c + 1) * ns] = table
-        return out
+    if out is None:
+        out = np.zeros(next(iter(blocks.values())).shape[:-1] + (n,))
+    for c, table in blocks.items():
+        if scale is None:
+            out[..., block(c)] = table
+        else:
+            np.multiply(scale, table, out=out[..., block(c)])
+    return out
 
 
-def _place(comp, table):
-    return _Blocks({comp: table})
+def _features(k, t):
+    """Features e11, e22, e12 of eps(grad z - t^2 div Theta) and div(div Theta + t(tau - grad z)).
 
-
-def _strain_features(k, t):
-    """(e11, e22, e12) of eps(grad z - t^2 div Theta) per test dof."""
+    Each maps a component of (z, th11, th12, th22, tau1, tau2) to its
+    (ne, nq, N_SCALAR) block per test dof; the other components are zero.
+    """
     tt = t * t
-    e11 = _place(0, k.Hxx) - tt * (_place(1, k.Hxx) + _place(2, k.Hxy))
-    e22 = _place(0, k.Hyy) - tt * (_place(2, k.Hxy) + _place(3, k.Hyy))
-    e12 = _place(0, k.Hxy) - 0.5 * tt * (
-        _place(1, k.Hxy) + _place(2, k.Hyy) + _place(2, k.Hxx) + _place(3, k.Hxy)
-    )
-    return e11, e22, e12
-
-
-def _scaled_div_feature(k, t):
-    """div(div Theta + t(tau - grad z)) per test dof."""
-    s = _place(1, k.Hxx) + 2.0 * _place(2, k.Hxy) + _place(3, k.Hyy)
+    h = 0.5 * tt
+    e11 = {0: k.Hxx, 1: -tt * k.Hxx, 2: -tt * k.Hxy}
+    e22 = {0: k.Hyy, 2: -tt * k.Hxy, 3: -tt * k.Hyy}
+    e12 = {0: k.Hxy, 1: -h * k.Hxy, 2: -h * (k.Hyy + k.Hxx), 3: -h * k.Hxy}
+    s = {1: k.Hxx, 2: 2.0 * k.Hxy, 3: k.Hyy}
     if t > 0.0:
-        s = s - t * (_place(0, k.Hxx) + _place(0, k.Hyy))
-        s = s + t * (_place(4, k.Dx) + _place(5, k.Dy))
-    return s
-
-
-def _weighted_sum(w, feature, n):
-    """w @ F per element: one gemv over the full (nq, n) feature."""
-    return (w[:, None, :] @ feature.full(n))[:, 0, :]
+        s.update({0: -t * (k.Hxx + k.Hyy), 4: t * k.Dx, 5: t * k.Dy})
+    return e11, e22, e12, s
 
 
 def gram(k, t):
@@ -231,27 +187,16 @@ def gram(k, t):
     G = R^T R, with R stacking the square-root-weighted features row-wise.
     """
     n = n_test(t)
-    e11, e22, e12 = _strain_features(k, t)
-    feats = [
-        (1.0, _place(0, k.V)),
-        (1.0, _place(1, k.V)),
-        (2.0, _place(2, k.V)),
-        (1.0, _place(3, k.V)),
-        (1.0, e11), (1.0, e22), (2.0, e12),
-        (1.0, _scaled_div_feature(k, t)),
-    ]
+    e11, e22, e12, s = _features(k, t)
+    feats = [(1.0, {0: k.V}), (1.0, {1: k.V}), (2.0, {2: k.V}), (1.0, {3: k.V}),
+             (1.0, e11), (1.0, e22), (2.0, e12), (1.0, s)]
     if t > 0.0:
-        feats += [
-            (t, _place(0, k.Dx)),
-            (t, _place(0, k.Dy)),
-            (t, _place(4, k.V)),
-            (t, _place(5, k.V)),
-        ]
+        feats += [(t, {0: k.Dx}), (t, {0: k.Dy}), (t, {4: k.V}), (t, {5: k.V})]
     ne, nq = k.vw.shape
     sqw = np.sqrt(k.vw)[:, :, None]
     R = np.zeros((ne, len(feats) * nq, n))
     for i, (c, F) in enumerate(feats):
-        (np.sqrt(c) * sqw * F).full(n, out=R[:, i * nq : (i + 1) * nq])
+        _full_width(F, n, np.sqrt(c) * sqw, out=R[:, i * nq : (i + 1) * nq])
     G = R.transpose(0, 2, 1) @ R
     return 0.5 * (G + G.transpose(0, 2, 1))
 
@@ -259,17 +204,17 @@ def gram(k, t):
 def b_field(k, t):
     """Volume blocks (ne, n_test, n_components(t)) of the trial-to-test matrix: u, M, (theta)."""
     n = n_test(t)
-    B = np.empty((len(k), n, n_components(t)))
-    w = k.vw
-    e11, e22, e12 = _strain_features(k, t)
-    B[:, :, 0] = _weighted_sum(w, _scaled_div_feature(k, t), n)
+    e11, e22, e12, s = _features(k, t)
     # the identity law: the compliance of a Theta component is that component
-    B[:, :, 1] = _weighted_sum(w, _place(1, k.V) + e11, n)
-    B[:, :, 2] = 2.0 * _weighted_sum(w, _place(2, k.V) + e12, n)
-    B[:, :, 3] = _weighted_sum(w, _place(3, k.V) + e22, n)
+    cols = [(1.0, s), (1.0, {**e11, 1: k.V + e11[1]}), (2.0, {**e12, 2: k.V + e12[2]}),
+            (1.0, {**e22, 3: k.V + e22[3]})]
     if t > 0.0:
-        B[:, :, 4] = t * _weighted_sum(w, _place(4, k.V) - _place(0, k.Dx), n)
-        B[:, :, 5] = t * _weighted_sum(w, _place(5, k.V) - _place(0, k.Dy), n)
+        cols += [(t, {4: k.V, 0: -k.Dx}), (t, {5: k.V, 0: -k.Dy})]
+    B = np.empty((len(k), n, len(cols)))
+    w = k.vw[:, None, :]
+    for j, (c, F) in enumerate(cols):
+        # w @ F per element: one gemv over the full (nq, n) feature
+        B[:, :, j] = c * (w @ _full_width(F, n))[:, 0, :]
     return B
 
 
@@ -289,22 +234,18 @@ def b_trace(k, t):
         n1 = k.en[:, e, 1, None, None]
         tv, tx, ty = k.tv[:, e], k.tx[:, e], k.ty[:, e]
         hv, hx, hy = k.hv[:, e], k.hx[:, e], k.hy[:, e]
-        dTh1 = _Blocks({1: tx, 2: ty})
-        dTh2 = _Blocks({2: tx, 3: ty})
-        Thn1 = _Blocks({1: n0 * tv, 2: n1 * tv})
-        Thn2 = _Blocks({2: n0 * tv, 3: n1 * tv})
-        zf = _place(0, tv)
-        w1 = _place(0, tx) - tt * dTh1
-        w2 = _place(0, ty) - tt * dTh2
-        qn = n0 * dTh1 + n1 * dTh2
+        Thn1 = {1: n0 * tv, 2: n1 * tv}
+        Thn2 = {2: n0 * tv, 3: n1 * tv}
+        zf = {0: tv}
+        w1 = {0: tx, 1: -tt * tx, 2: -tt * ty}        # grad z - t^2 div Th, first row
+        w2 = {0: ty, 2: -tt * tx, 3: -tt * ty}
+        qn = {1: n0 * tx, 2: n0 * ty + n1 * tx, 3: n1 * ty}  # n . div Th
         if t > 0.0:
-            qn = qn.update(0, np.subtract, t * (n0 * tx + n1 * ty))
-            qn = qn.update(4, np.add, t * n0 * tv)
-            qn = qn.update(5, np.add, t * n1 * tv)
+            qn.update({0: -t * (n0 * tx + n1 * ty), 4: t * n0 * tv, 5: t * n1 * tv})
 
         # (w F)^T per feature, as the left operand of one gemm per element
         qnT, Thn1T, Thn2T, zfT, w1T, w2T = (
-            (w * F).full(n).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
+            _full_width(F, n, w).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
         )
         # u-hat columns: -<u, n.(div Th + t(tau - grad z))> + <grad u, Th n>
         blocks[0] += qnT @ (-hv) + Thn1T @ hx + Thn2T @ hy

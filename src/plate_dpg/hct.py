@@ -20,14 +20,13 @@ The constraint rows of a stack of triangles are built together.
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .quadrature import BAD_TRIANGLE
 from .testspace import BarycentricMap, eval_scalar_basis
 
 # local dof order: (value, d/dx, d/dy) at vertex 0, then vertex 1, then vertex 2
 N_DOFS = 9
 _VALUE_S = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _GRAD_S = np.array([0.0, 0.5, 1.0])
-# the message of quadrature.map_to_triangles for the triangles it rejects
-_BAD_TRIANGLE = "triangle must be CCW and non-degenerate"
 
 
 class HctElement:
@@ -90,7 +89,7 @@ def build_hct_element(coords):
     try:
         subs = BarycentricMap(sub_coords)                   # (ne, 3) maps
     except np.linalg.LinAlgError:
-        raise ValueError(_BAD_TRIANGLE) from None
+        raise ValueError(BAD_TRIANGLE) from None
 
     # C0 and C1 across internal edge k (p_k, center), shared by subs k - 1 and k:
     # one row per point, values at _VALUE_S, then d/dx and d/dy at _GRAD_S

@@ -17,6 +17,8 @@ MAX_EDGE_DEGREE = 21
 # do (the triangle (0, 0), (1, 0), (1e200, 1e200) ended in a singular
 # barycentric inverse of its HCT split)
 COORD_MAX = np.sqrt(np.finfo(float).max) / 8
+# the message of every rejected triangle, here and in `hct` and `dpg`
+BAD_TRIANGLE = "triangle must be CCW and non-degenerate"
 
 
 class QuadRule:
@@ -78,12 +80,12 @@ def map_to_triangles(rule, coords):
     """
     coords = np.asarray(coords, dtype=float)
     if not (np.abs(coords) <= COORD_MAX).all():  # NaN fails it too
-        raise ValueError("triangle must be CCW and non-degenerate")
+        raise ValueError(BAD_TRIANGLE)
     d1 = coords[:, 1] - coords[:, 0]
     d2 = coords[:, 2] - coords[:, 0]
     jac = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     if not (jac > 0.0).all():
-        raise ValueError("triangle must be CCW and non-degenerate")
+        raise ValueError(BAD_TRIANGLE)
     ref = rule.points[:, :, None]
     pts = coords[:, None, 0] + ref[:, 0] * d1[:, None] + ref[:, 1] * d2[:, None]
     return pts, rule.weights * jac[:, None]

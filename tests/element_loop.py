@@ -4,12 +4,13 @@ These are the per-element formulas the stacked code in `plate_dpg.hct`,
 `plate_dpg.dpg`, `plate_dpg.driver` and `plate_dpg.manufactured`
 reproduces bit for bit: the reduced HCT basis and the basis tables of
 each triangle are built on their own, every test-function feature is a
-zero-padded (nq, n_test) array built with `_place`, and every loop runs
-in element order.  The condensation and the estimator go through scipy's
-`cho_factor` and `cho_solve`, the trace blocks of a stack accumulate in
-strided column views (`strided_b_trace`), and the Jacobi scaling of the
-direct solve is a sparse matrix product (`diags_scaled`).  Tests compare
-the package against them with `np.array_equal` and equal bytes.
+zero-padded (nq, n_test) array built with `LoopKernel._place`, and every
+loop runs in element order.  The condensation and the estimator go
+through scipy's `cho_factor` and `cho_solve`, the trace blocks of a
+stack accumulate in strided column views of zero-padded features
+(`strided_b_trace`), and the Jacobi scaling of the direct solve is a
+sparse matrix product (`diags_scaled`).  Tests compare the package
+against them with `np.array_equal` and equal bytes.
 """
 
 from collections import namedtuple
@@ -303,29 +304,40 @@ def cho_residual(system, x_local):
 
 def strided_b_trace(k, t):
     """`dpg.b_trace` of a stack, accumulated in strided column views of one array."""
+    ns = N_SCALAR
     n_test = dpg.n_test(t)
     B = np.zeros((len(k), n_test, dpg.N_TRACE_COLS))
     tt = t * t
+    zsl = slice(0, ns)
     for e in range(3):
         w = k.ew[:, e, :, None]
         n0 = k.en[:, e, 0, None, None]
         n1 = k.en[:, e, 1, None, None]
         tv, tx, ty = k.tv[:, e], k.tx[:, e], k.ty[:, e]
         hv, hx, hy = k.hv[:, e], k.hx[:, e], k.hy[:, e]
-        dTh1 = dpg._Blocks({1: tx, 2: ty})
-        dTh2 = dpg._Blocks({2: tx, 3: ty})
-        Thn1 = dpg._Blocks({1: n0 * tv, 2: n1 * tv})
-        Thn2 = dpg._Blocks({2: n0 * tv, 3: n1 * tv})
-        zf = dpg._place(0, tv)
-        w1 = dpg._place(0, tx) - tt * dTh1
-        w2 = dpg._place(0, ty) - tt * dTh2
+        # the zero-padded full-width features of `LoopKernel.b_trace`, stacked
+        dTh1, dTh2, Thn1, Thn2, zf, w1, w2 = (
+            np.zeros(tv.shape[:-1] + (n_test,)) for _ in range(7))
+        dTh1[..., 1 * ns : 2 * ns] = tx
+        dTh1[..., 2 * ns : 3 * ns] = ty
+        dTh2[..., 2 * ns : 3 * ns] = tx
+        dTh2[..., 3 * ns : 4 * ns] = ty
+        Thn1[..., 1 * ns : 2 * ns] = n0 * tv
+        Thn1[..., 2 * ns : 3 * ns] = n1 * tv
+        Thn2[..., 2 * ns : 3 * ns] = n0 * tv
+        Thn2[..., 3 * ns : 4 * ns] = n1 * tv
+        zf[..., zsl] = tv
+        w1[..., zsl] = tx
+        w2[..., zsl] = ty
+        w1 -= tt * dTh1
+        w2 -= tt * dTh2
         qn = n0 * dTh1 + n1 * dTh2
         if t > 0.0:
-            qn = qn.update(0, np.subtract, t * (n0 * tx + n1 * ty))
-            qn = qn.update(4, np.add, t * n0 * tv)
-            qn = qn.update(5, np.add, t * n1 * tv)
+            qn[..., zsl] -= t * (n0 * tx + n1 * ty)
+            qn[..., 4 * ns : 5 * ns] += t * n0 * tv
+            qn[..., 5 * ns : 6 * ns] += t * n1 * tv
         qnT, Thn1T, Thn2T, zfT, w1T, w2T = (
-            (w * F).full(n_test).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
+            (w * F).transpose(0, 2, 1) for F in (qn, Thn1, Thn2, zf, w1, w2)
         )
         B[:, :, 0:9] += qnT @ (-hv) + Thn1T @ hx + Thn2T @ hy
         for c, (d1, d2, m1, m2) in enumerate(

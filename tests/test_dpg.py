@@ -11,6 +11,7 @@ and scaling in the volume and trace blocks.
 import numpy as np
 import pytest
 
+from element_loop import LoopKernel
 from oracles import (
     HctScalarField,
     HctTriple,
@@ -23,8 +24,6 @@ from plate_dpg import dpg, quadrature
 from plate_dpg.dpg import (
     ElementKernel,
     ProblemConfig,
-    _scaled_div_feature,
-    _strain_features,
     b_field,
     b_trace,
     condense,
@@ -480,8 +479,9 @@ def test_ultraweak_consistency_identity(t):
 
     V, Dx, Dy = kernel.V[0], kernel.Dx[0], kernel.Dy[0]
     th = [place(1, V), place(2, V), place(3, V)]
-    e11, e22, e12 = (f.full(dpg.n_test(t))[0] for f in _strain_features(kernel, t))
-    S = _scaled_div_feature(kernel, t).full(dpg.n_test(t))[0]
+    loop = LoopKernel(coords)
+    e11, e22, e12 = loop.strain_features(t)
+    S = loop.scaled_div_feature(t)
 
     lhs = (w * uv) @ S
     lhs += (w * Mv[:, 0]) @ (th[0] + e11)

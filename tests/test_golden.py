@@ -3,17 +3,20 @@
 Each output is hashed with SHA-256 over exact values: `float.hex` of each
 scalar and the raw bytes of each array (with its dtype and shape).  The
 outputs are the acceptance study on the four benchmark thicknesses at
-levels 0-3, the fields, estimator and assembled matrix of one jittered
-level-3 mesh at t = 1e-2 and t = 0, the Kirchhoff limit check at level 2
-and the `verify` report.
+levels 0-3, the clamped study at t = 0 on levels 1-3, every `MeshKernels`
+table of uniform level 2, the fields, estimator, assembled matrix and
+kept element stacks of one jittered level-3 mesh at t = 1e-2 and t = 0,
+the Kirchhoff limit check at level 2 and the `verify` report.
 
 The hashes hold for one environment, whose fingerprint golden.json keeps.
 On another one the test is skipped and names the fields that differ.
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-rewrites golden.json from this tree and environment; under a north star
-that allows no change to any number it is never run.
+adds the hashes of outputs that golden.json does not hold yet, computed
+from this tree, and keeps every hash it holds.  It refuses on another
+environment, and it exits non-zero without writing when an output it
+holds has other bits, naming that output.
 """
 
 import contextlib
@@ -31,11 +34,14 @@ import scipy
 from oracles import jittered_mesh
 from plate_dpg import cli, driver
 from plate_dpg.dpg import ProblemConfig
+from plate_dpg.mesh import mesh_at_level
 
 GOLDEN = Path(__file__).with_name("golden.json")
 STUDY_T = (1e-2, 1e-4, 1e-6, 1e-8)  # the t list of the benchmark's study workload
 STUDY_LEVELS = 4
 JITTER_LEVEL, JITTER_SEED = 3, 0
+CLAMPED_LEVELS = 4  # levels 1-3: clamped studies start at level 1
+TABLES_LEVEL = 2
 
 
 def fingerprint():
@@ -70,20 +76,28 @@ def digest(*values):
 
 def outputs():
     """{name: SHA-256} of every guarded output of this tree."""
-    out = {}
-    records = driver.run_study(STUDY_T, STUDY_LEVELS, ProblemConfig())
-    out["study"] = digest(*(getattr(r, name) for r in records
-                            for name in driver.CSV_HEADER.split(",")))
+
+    def study(*args):
+        return digest(*(getattr(r, name) for r in driver.run_study(*args)
+                        for name in driver.CSV_HEADER.split(",")))
+
+    out = {"study": study(STUDY_T, STUDY_LEVELS, ProblemConfig()),
+           "clamped study": study((0.0,), CLAMPED_LEVELS, ProblemConfig(t=0.0, bc="clamped"))}
+
+    tables = driver.MeshKernels(mesh_at_level(TABLES_LEVEL), ProblemConfig())
+    for name in tables.NAMES:
+        out[f"tables level={TABLES_LEVEL} {name}"] = digest(getattr(tables, name))
 
     mesh = jittered_mesh(JITTER_LEVEL, JITTER_SEED)
     kernels = driver.MeshKernels(mesh, ProblemConfig())
     for t in (1e-2, 0.0):
         cfg = ProblemConfig(t=t)
         sol = driver.assemble_and_solve(mesh, cfg, kernels)
-        _, _, A, _ = driver.assemble(mesh, cfg, kernels)
+        _, (Lp, dinv, B, l), A, _ = driver.assemble(mesh, cfg, kernels)
         arrays = {"u": sol.u, "M": sol.M, "theta": sol.theta, "trace": sol.trace,
                   "eta_elements": sol.eta_elements,
-                  "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr}
+                  "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr,
+                  "kept L": Lp, "kept dinv": dinv, "kept B": B, "kept l": l}
         for name, a in arrays.items():
             out[f"jittered t={t:g} {name}"] = digest("none" if a is None else a)
 
@@ -113,8 +127,45 @@ def test_outputs_keep_their_bits():
     assert not changed, f"outputs whose bits changed: {', '.join(changed)}"
 
 
+def write_new_hashes():
+    """Add the hashes golden.json lacks; refuse if a hash it holds would change."""
+    golden = json.loads(GOLDEN.read_text())
+    if golden["fingerprint"] != fingerprint():
+        raise SystemExit(f"{GOLDEN.name} was taken on another environment; not written")
+    got = outputs()
+    changed = sorted(k for k, v in golden["sha256"].items() if got.get(k) != v)
+    if changed:
+        raise SystemExit(f"outputs whose bits changed: {', '.join(changed)}; "
+                         f"{GOLDEN.name} not written")
+    added = {k: v for k, v in got.items() if k not in golden["sha256"]}
+    golden["sha256"].update(added)
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"{len(added)} hashes added: {', '.join(added) or 'none'}")
+
+
+def test_write_adds_hashes_and_keeps_the_ones_it_holds(tmp_path, monkeypatch):
+    this = sys.modules[__name__]
+    monkeypatch.setattr(this, "GOLDEN", tmp_path / "golden.json")
+    monkeypatch.setattr(this, "outputs", lambda: {"a": "1", "b": "2"})
+
+    def held(sha256, **fields):
+        this.GOLDEN.write_text(json.dumps({"fingerprint": {**fingerprint(), **fields},
+                                           "sha256": sha256}))
+
+    held({"a": "1"})
+    write_new_hashes()
+    assert json.loads(this.GOLDEN.read_text())["sha256"] == {"a": "1", "b": "2"}
+    held({"a": "0"})
+    with pytest.raises(SystemExit, match="outputs whose bits changed: a; golden.json not"):
+        write_new_hashes()
+    assert json.loads(this.GOLDEN.read_text())["sha256"] == {"a": "0"}
+    held({"a": "1"}, machine="other")
+    with pytest.raises(SystemExit, match="another environment"):
+        write_new_hashes()
+    assert json.loads(this.GOLDEN.read_text())["sha256"] == {"a": "1"}
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(f"usage: {sys.argv[0]} --write")
-    GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(), "sha256": outputs()},
-                                 indent=1) + "\n")
+    write_new_hashes()
