@@ -10,8 +10,10 @@ Run from the root of a source checkout; everything is imported from
   peak_rss_mb);
 - single solves of the manufactured problem on uniform levels 4, 5 and 6
   at t = 1e-2 and t = 0, split with `perf_counter` into `MeshKernels`,
-  `assemble` and `solve_spd` (the rest of `assemble_and_solve` is the
-  backward-error check and the estimator), with the peak RSS of each and
+  `assemble` and the rest of `assemble_and_solve`, of which `solve_s`
+  (the sparse solve, its backward-error check and the export of the
+  factor for its pivot check) and `estimator_s` come from
+  `Solution.stats`, with the peak RSS of each and
   the number of BLAS libraries the solve ran on one thread
   (`blas_pinned`), the seconds, entries and stored entries of the
   sparse LU factor (`factor_s`, `factor_nnz`, `factor_stored`), the
@@ -45,7 +47,7 @@ SOLVES = [(4, 1e-2), (4, 0.0), (5, 1e-2), (5, 0.0), (6, 1e-2), (6, 0.0)]
 # run in a fresh interpreter: one timed solve, printed as one JSON line
 SOLVE = """
 import json, resource, sys, time
-from plate_dpg import driver, linalg
+from plate_dpg import driver
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
@@ -63,13 +65,14 @@ def timed(name, fn):
 
 mesh, config = mesh_at_level(level), ProblemConfig(t=t)
 driver.assemble = timed("assemble_s", driver.assemble)
-linalg.solve_spd = timed("solve_spd_s", linalg.solve_spd)
 start = time.perf_counter()
 kernels = timed("mesh_kernels_s", driver.MeshKernels)(mesh, config)
 sol = driver.assemble_and_solve(mesh, config, kernels)
 total = time.perf_counter() - start
 spent["other_s"] = total - sum(spent.values())
 print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spent,
+                      solve_s=sol.stats.get("solve_s"),
+                      estimator_s=sol.stats.get("estimator_s"),
                       residual_inf=sol.residual_inf,
                       blas_pinned=sol.stats.get("blas_pinned"),
                       factor_s=sol.stats.get("factor_s"),

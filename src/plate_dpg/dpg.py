@@ -170,13 +170,14 @@ def _features(k, t):
     Each maps a component of (z, th11, th12, th22, tau1, tau2) to its
     (ne, nq, N_SCALAR) block per test dof; the other components are zero.
     """
-    tt = t * t
-    h = 0.5 * tt
-    e11 = {0: k.Hxx, 1: -tt * k.Hxx, 2: -tt * k.Hxy}
-    e22 = {0: k.Hyy, 2: -tt * k.Hxy, 3: -tt * k.Hyy}
-    e12 = {0: k.Hxy, 1: -h * k.Hxy, 2: -h * (k.Hyy + k.Hxx), 3: -h * k.Hxy}
+    e11, e22, e12 = {0: k.Hxx}, {0: k.Hyy}, {0: k.Hxy}
     s = {1: k.Hxx, 2: 2.0 * k.Hxy, 3: k.Hyy}
     if t > 0.0:
+        tt = t * t
+        h = 0.5 * tt
+        e11.update({1: -tt * k.Hxx, 2: -tt * k.Hxy})
+        e22.update({2: -tt * k.Hxy, 3: -tt * k.Hyy})
+        e12.update({1: -h * k.Hxy, 2: -h * (k.Hyy + k.Hxx), 3: -h * k.Hxy})
         s.update({0: -t * (k.Hxx + k.Hyy), 4: t * k.Dx, 5: t * k.Dy})
     return e11, e22, e12, s
 
@@ -205,9 +206,13 @@ def b_field(k, t):
     """Volume blocks (ne, n_test, n_components(t)) of the trial-to-test matrix: u, M, (theta)."""
     n = n_test(t)
     e11, e22, e12, s = _features(k, t)
-    # the identity law: the compliance of a Theta component is that component
-    cols = [(1.0, s), (1.0, {**e11, 1: k.V + e11[1]}), (2.0, {**e12, 2: k.V + e12[2]}),
-            (1.0, {**e22, 3: k.V + e22[3]})]
+
+    def plus_v(F, c):
+        # the identity law: the compliance of a Theta component is that
+        # component; at t = 0 its block of F is zero, and V + (+-0.0) is V
+        return {**F, c: k.V + F[c] if c in F else k.V}
+
+    cols = [(1.0, s), (1.0, plus_v(e11, 1)), (2.0, plus_v(e12, 2)), (1.0, plus_v(e22, 3))]
     if t > 0.0:
         cols += [(t, {4: k.V, 0: -k.Dx}), (t, {5: k.V, 0: -k.Dy})]
     B = np.empty((len(k), n, len(cols)))

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import dpg, linalg, manufactured, mesh as meshmod, parts, quadrature
 
@@ -181,6 +182,39 @@ def element_system(kernels, elements, config):
     return L, dinv, B, l
 
 
+def _lower_csr(n, fidx, keep, A_loc):
+    """The n x n CSR matrix of the lower-triangle entries of the element matrices `A_loc`.
+
+    `fidx` holds each element column's free dof, `keep` where it is one.
+    The triplets are built in element order, and scipy's COO-to-CSR
+    conversion sums their duplicates; they are freed on return.
+    """
+    # only the lower triangle enters A, so only its triplets are built
+    pairs = keep[:, None, :] & (fidx[:, :, None] >= fidx[:, None, :])
+    rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
+    cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
+    vals = A_loc[pairs]
+    del pairs
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _symmetric_from_lower(lower):
+    """The full CSC matrix L + L^T - diag(L) of a lower-triangular CSR matrix L.
+
+    The upper triangle is the mirror image of the lower one, so the result
+    is exactly symmetric, and its CSC arrays are the CSR arrays of the sum.
+    Each diagonal entry is (d + d) - d, and entries that come out zero are
+    dropped, as the sparse sum `lower + lower.T - diags(d)` forms them.
+    """
+    d = lower.diagonal()
+    full = lower + lower.T
+    rows = np.repeat(np.arange(full.shape[0], dtype=full.indices.dtype), np.diff(full.indptr))
+    diagonal = np.flatnonzero(full.indices == rows)
+    del rows
+    full.data[diagonal] -= d[full.indices[diagonal]]
+    return sp.csc_matrix((full.data, full.indices, full.indptr), shape=full.shape)
+
+
 def assemble(mesh, config, kernels, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
@@ -208,18 +242,15 @@ def assemble(mesh, config, kernels, stats=None):
     stats["gram_pivot_min"] = float(dpg.packed_diagonal(Lp).min()) ** 2
 
     with _timed(stats, "assembly_s"):
-        fidx = dof.free_index[dof.element_dofs]
+        # the int32 indices scipy's sparse matrices take at these sizes
+        fidx = dof.free_index[dof.element_dofs].astype(np.int32)
         keep = fidx >= 0
-        # only the lower triangle enters A, so only its triplets are built
-        pairs = keep[:, None, :] & (fidx[:, :, None] >= fidx[:, None, :])
-        rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
-        cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
-        vals = A_loc[pairs]
         rhs = np.zeros(dof.n_free)
         np.add.at(rhs, fidx[keep], b_loc[keep])
-        # the local matrices are freed before the sparse matrix is built
-        del A_loc, b_loc, pairs
-        A = linalg.symmetric_from_coo(dof.n_free, rows, cols, vals)
+        lower = _lower_csr(dof.n_free, fidx, keep, A_loc)
+        # the local matrices are freed before the sum
+        del A_loc, b_loc
+        A = _symmetric_from_lower(lower)
     stats["nnz"] = A.nnz
     return dof, kept, A, rhs
 
@@ -229,7 +260,9 @@ def assemble_and_solve(mesh, config, kernels=None):
 
     Everything after `MeshKernels` runs on one OpenBLAS thread
     (`linalg.one_blas_thread`).  Raises linalg.SolveError when the solve
-    fails or its backward error `residual_inf` exceeds RESIDUAL_MAX.
+    fails or its backward error `residual_inf` exceeds RESIDUAL_MAX.  A and
+    the kept element stacks are dropped before `linalg.spd_solver` exports
+    the factor for its pivot check, after the estimator.
     """
     if kernels is None:
         kernels = MeshKernels(mesh, config)
@@ -240,28 +273,34 @@ def assemble_and_solve(mesh, config, kernels=None):
         dof, systems, A, rhs = assemble(mesh, config, kernels, stats)
         nt = mesh.num_triangles
 
-        with _timed(stats, "solve_s"):
-            x_free = linalg.solve_spd(A, rhs, method=config.solver, stats=stats)
+        start = time.perf_counter()
+        with linalg.spd_solver(A, config.solver, stats) as solve:
+            x_free = solve(rhs)
             res = np.abs(A @ x_free - rhs).max()
-            scale = np.abs(rhs).max() + np.abs(A).max() * max(np.abs(x_free).max(), 1.0)
+            scale = np.abs(rhs).max() + np.abs(A.data).max() * max(np.abs(x_free).max(), 1.0)
             residual_inf = res / scale
-        if not residual_inf <= RESIDUAL_MAX:
-            raise linalg.SolveError(f"backward error residual_inf = {residual_inf:.3e} "
-                                    f"exceeds {RESIDUAL_MAX:g}")
+            del A
+            stats["solve_s"] = time.perf_counter() - start
+            if not residual_inf <= RESIDUAL_MAX:
+                raise linalg.SolveError(f"backward error residual_inf = {residual_inf:.3e} "
+                                        f"exceeds {RESIDUAL_MAX:g}")
 
-        x = np.zeros(dof.n_total)
-        x[dof.free] = x_free
-
-        nf = dof.n_field
-        fields = x[: dof.field_total].reshape(nt, nf)
-        x_loc = x[dof.element_dofs]
-        with _timed(stats, "estimator_s"):
-            eta = dpg.local_residuals(*systems, x_loc)
-            # a scalar power calls libm's pow, whose bits can differ from eta * eta
-            eta_sq = np.array([e ** 2 for e in eta])
+            x = np.zeros(dof.n_total)
+            x[dof.free] = x_free
+            x_loc = x[dof.element_dofs]
+            with _timed(stats, "estimator_s"):
+                eta = dpg.local_residuals(*systems, x_loc)
+                del systems
+                # a scalar power calls libm's pow, whose bits can differ from eta * eta
+                eta_sq = np.array([e ** 2 for e in eta])
+            start = time.perf_counter()
+        # the factor's export and pivot check on exit belong to the solve
+        stats["solve_s"] += time.perf_counter() - start
         eta_elements = np.sqrt(eta_sq)
         stats.update(n_free=dof.n_free, residual_inf=float(residual_inf),
                      eta_max=float(eta_elements.max()), eta_mean=float(eta_elements.mean()))
+        nf = dof.n_field
+        fields = x[: dof.field_total].reshape(nt, nf)
         return Solution(
             u=fields[:, 0].copy(),
             M=fields[:, 1:4].copy(),

@@ -1,4 +1,4 @@
-"""Exactly symmetric sparse assembly and sparse symmetric positive definite solves.
+"""Sparse symmetric positive definite solves.
 
 Thin wrappers around SuperLU and conjugate gradients (via scipy.sparse)
 that add the contracts the solver relies on: loud failure on indefinite
@@ -101,54 +101,63 @@ class IterativeSolveError(SolveError):
         )
 
 
-def symmetric_from_coo(n, rows, cols, vals):
-    """The full n x n CSC matrix of the lower-triangle COO triplets of a symmetric matrix.
-
-    Duplicates are summed, and the upper triangle is the mirror image of
-    the lower one, so the result is exactly symmetric.  Raises ValueError
-    for a triplet with row < col.
-    """
-    if (rows < cols).any():
-        raise ValueError("symmetric_from_coo takes lower-triangle triplets (row >= col)")
-    lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return (lower + lower.T - sp.diags(lower.diagonal())).tocsc()
-
-
 def _scaled(A, s):
     """diag(s) A diag(s) of a CSC matrix A, with sorted indices and no stored zeros.
 
     Each entry is (s_i a_ij) s_j, as the sparse product diags(s) @ A @
     diags(s) forms it, and the entries that come out zero are dropped, as
-    that product drops them.
+    that product drops them.  The result shares A's index arrays unless an
+    entry is dropped; A itself is left as it is.
     """
-    scaled = A.sorted_indices()
-    cols = np.repeat(np.arange(A.shape[1]), np.diff(scaled.indptr))
-    scaled.data = (s[scaled.indices] * scaled.data) * s[cols]
-    scaled.eliminate_zeros()
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
+    data = s[A.indices]
+    data *= A.data
+    data *= np.repeat(s, np.diff(A.indptr))
+    scaled = sp.csc_matrix((data, A.indices, A.indptr), shape=A.shape)
+    if not data.all():
+        scaled.indices, scaled.indptr = A.indices.copy(), A.indptr.copy()
+        scaled.eliminate_zeros()
     return scaled
 
 
-def solve_spd(A, b, method="direct", stats=None):
-    """Solve A x = b for symmetric positive definite A.
+def _check_factor(lu, stats):
+    """Record the entries of SuperLU's factors L and U; raise on a non-positive pivot."""
+    # lu.U builds (and caches) both factors as CSC copies
+    stats["factor_nnz"] = lu.L.nnz + lu.U.nnz
+    bad = np.flatnonzero(lu.U.diagonal() <= 0.0)
+    if bad.size:
+        raise NotPositiveDefiniteError(int(bad[0]))
 
-    `A` is the full matrix as a scipy sparse matrix (as `symmetric_from_coo`
+
+@contextlib.contextmanager
+def spd_solver(A, method="direct", stats=None):
+    """A solver of A x = b for symmetric positive definite A, yielded as `solve(b) -> x`.
+
+    `A` is the full matrix as a scipy sparse matrix (as `driver.assemble`
     returns it).  The direct path factors with SuperLU in symmetric mode and
     diagonal pivoting, so non-positive pivots are detected and reported; it
-    refuses systems beyond DIRECT_SIZE_LIMIT unknowns.  The cg path runs
-    Jacobi-preconditioned conjugate gradients to relative residual CG_TOL =
-    1e-14 in at most max(200 n, 10,000) iterations and fails loudly when it
-    does not converge.  Its result agrees with the direct one to about
-    cond(A) * CG_TOL relative, with cond(A) the condition number after
-    Jacobi scaling.  A given dict `stats` receives "cg_iterations", the
-    number of CG iterations run (0 on the direct path), and "factor_s",
-    "factor_nnz" and "factor_stored", the seconds of the `splu` call, the
-    entries of its factors L and U, and the entries SuperLU stores for them,
-    the padding of its relaxed supernodes included (all 0 on the cg path).
+    refuses systems beyond DIRECT_SIZE_LIMIT unknowns.  It drops its own
+    references to A once the scaled matrix exists, and the factor's pivots
+    are checked on exit from the with-block: once the caller has dropped
+    what the solve no longer needs, SuperLU's L and U are exported as CSC
+    copies for the check.  NotPositiveDefiniteError is raised there also
+    when the with-block raised an Exception, and takes precedence over it.
+    The cg path runs Jacobi-preconditioned conjugate gradients to relative
+    residual CG_TOL = 1e-14 in at most max(200 n, 10,000) iterations and
+    fails loudly when it does not converge.  Its result agrees with the
+    direct one to about cond(A) * CG_TOL relative, with cond(A) the
+    condition number after Jacobi scaling.  A given dict `stats` receives
+    "cg_iterations", the number of CG iterations run (0 on the direct
+    path), and "factor_s", "factor_nnz" and "factor_stored", the seconds of
+    the `splu` call, the entries of its factors L and U (set on exit), and
+    the entries SuperLU stores for them, the padding of its relaxed
+    supernodes included (all 0 on the cg path).
     """
     stats = {} if stats is None else stats
     stats.update(cg_iterations=0, factor_s=0.0, factor_nnz=0, factor_stored=0)
-    b = np.asarray(b, dtype=float)
     full = sp.csc_matrix(A)
+    del A
     n = full.shape[0]
     d = full.diagonal()
     if np.any(d <= 0.0):
@@ -164,6 +173,7 @@ def solve_spd(A, b, method="direct", stats=None):
         # system is the same one in exact arithmetic
         s = 1.0 / np.sqrt(d)
         scaled = _scaled(full, s)
+        del full
         start = time.perf_counter()
         lu = spla.splu(
             scaled,
@@ -173,15 +183,15 @@ def solve_spd(A, b, method="direct", stats=None):
         )
         stats["factor_s"] = time.perf_counter() - start
         stats["factor_stored"] = lu.nnz
-        # freed before lu.U builds the CSC factors, the memory peak of a solve
         del scaled
-        # lu.U builds (and caches) both factors
-        stats["factor_nnz"] = lu.L.nnz + lu.U.nnz
-        pivots = lu.U.diagonal()
-        bad = np.flatnonzero(pivots <= 0.0)
-        if bad.size:
-            raise NotPositiveDefiniteError(int(bad[0]))
-        return s * lu.solve(s * b)
+        try:
+            yield lambda b: s * lu.solve(s * np.asarray(b, dtype=float))
+        except Exception:
+            # a non-positive pivot explains whatever failed after the solve
+            _check_factor(lu, stats)
+            raise
+        _check_factor(lu, stats)
+        return
     if method == "cg":
         def jacobi(v):
             # scipy's cg applies the preconditioner once per iteration, as
@@ -193,9 +203,21 @@ def solve_spd(A, b, method="direct", stats=None):
         # with its dtype given, LinearOperator makes no probing matvec call
         precond = spla.LinearOperator(full.shape, matvec=jacobi, dtype=float)
         maxiter = max(200 * n, 10_000)
-        x, info = spla.cg(full, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond)
-        if info != 0:
-            res = np.linalg.norm(full @ x - b) / max(np.linalg.norm(b), 1e-300)
-            raise IterativeSolveError(info if info > 0 else maxiter, res)
-        return x
+
+        def cg_solve(b):
+            b = np.asarray(b, dtype=float)
+            x, info = spla.cg(full, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond)
+            if info != 0:
+                res = np.linalg.norm(full @ x - b) / max(np.linalg.norm(b), 1e-300)
+                raise IterativeSolveError(info if info > 0 else maxiter, res)
+            return x
+
+        yield cg_solve
+        return
     raise ValueError(f"unknown method {method!r}")
+
+
+def solve_spd(A, b, method="direct", stats=None):
+    """Solve A x = b for symmetric positive definite A with `spd_solver`."""
+    with spd_solver(A, method, stats) as solve:
+        return solve(b)

@@ -8,8 +8,9 @@ zero-padded (nq, n_test) array built with `LoopKernel._place`, and every
 loop runs in element order.  The condensation and the estimator go
 through scipy's `cho_factor` and `cho_solve`, the trace blocks of a
 stack accumulate in strided column views of zero-padded features
-(`strided_b_trace`), and the Jacobi scaling of the direct solve is a
-sparse matrix product (`diags_scaled`).  Tests compare the package
+(`strided_b_trace`), A is the sparse sum of `oracles.symmetric_from_coo`,
+and the Jacobi scaling of the direct solve is a sparse matrix product
+(`diags_scaled`).  Tests compare the package
 against them with `np.array_equal` and equal bytes.
 """
 
@@ -19,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, null_space
 
+from oracles import symmetric_from_coo
 from plate_dpg import dpg, linalg, manufactured, quadrature
 from plate_dpg.hct import _GRAD_S, _VALUE_S, N_DOFS
 from plate_dpg.testspace import N_SCALAR, BarycentricMap, eval_scalar_basis
@@ -409,7 +411,7 @@ def loop_solve(mesh, config, kernels, f_values, dof):
         np.add.at(rhs, sub, b_T[keep])
     rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     lower = rows >= cols
-    A = linalg.symmetric_from_coo(dof.n_free, rows[lower], cols[lower], vals[lower])
+    A = symmetric_from_coo(dof.n_free, rows[lower], cols[lower], vals[lower])
     x = np.zeros(dof.n_total)
     x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver)
     eta_sq = np.empty(mesh.num_triangles)

@@ -4,11 +4,14 @@ None of these run in the solver itself: the duality pairings of smooth
 triples cross-check the assembled skeleton terms, the globally C1 field
 and the vertex interpolant exercise the trace element across a mesh, the
 edge-trace coefficients and outward normals pin down the element geometry,
-random triangles and jittered meshes vary it, and the element means are the best elementwise
-constants for the error tests.
+random triangles and jittered meshes vary it, the element means are the best elementwise
+constants for the error tests, and the sparse sums and products through
+which the solver once formed A and its Jacobi scaling pin down the bytes
+of the ones it forms in place.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from plate_dpg import quadrature
 from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_hct, eval_on_parent_edge
@@ -221,3 +224,45 @@ def element_means(mesh, t, quad_degree=14):
         tx, ty = ex.theta(x, y)
         th[ti] = [(w @ tx) / area, (w @ ty) / area]
     return u, M, th
+
+
+# ---- A and its Jacobi scaling as scipy's sparse sums and products form them
+
+
+def symmetric_from_coo(n, rows, cols, vals):
+    """The full n x n CSC matrix of the lower-triangle COO triplets of a symmetric matrix.
+
+    Duplicates are summed, and the upper triangle is the mirror image of
+    the lower one, so the result is exactly symmetric.  Raises ValueError
+    for a triplet with row < col.
+    """
+    if (rows < cols).any():
+        raise ValueError("symmetric_from_coo takes lower-triangle triplets (row >= col)")
+    lower = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return (lower + lower.T - sp.diags(lower.diagonal())).tocsc()
+
+
+def jacobi_scaled(A, s):
+    """diag(s) A diag(s) of a CSC matrix A, with sorted indices and no stored zeros.
+
+    Each entry is (s_i a_ij) s_j, as the sparse product diags(s) @ A @
+    diags(s) forms it, and the entries that come out zero are dropped, as
+    that product drops them.  Works on a sorted copy of A.
+    """
+    scaled = A.sorted_indices()
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(scaled.indptr))
+    scaled.data = (s[scaled.indices] * scaled.data) * s[cols]
+    scaled.eliminate_zeros()
+    return scaled
+
+
+def assembled_triplets(fidx, A_loc):
+    """The lower-triangle COO triplets of the element matrices `A_loc`, in element order.
+
+    `fidx` holds each element column's free dof, -1 where constrained.
+    """
+    keep = fidx >= 0
+    pairs = keep[:, None, :] & (fidx[:, :, None] >= fidx[:, None, :])
+    rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
+    cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
+    return rows, cols, A_loc[pairs]

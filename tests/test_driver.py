@@ -1,5 +1,6 @@
 """Global assembly, boundary conditions, study driver, and CLI checks."""
 
+import contextlib
 import io
 import json
 import math
@@ -244,13 +245,14 @@ def test_cached_kernels_require_the_mesh_they_were_built_for(level1):
 def test_solve_rejects_a_large_backward_error(level1, monkeypatch):
     mesh, cfg, kernels, sol = level1
     assert sol.residual_inf <= RESIDUAL_MAX
-    solve = linalg.solve_spd
+    solver = linalg.spd_solver
 
-    def perturbed(A, b, **kwargs):
-        x = solve(A, b, **kwargs)
-        return x * (1.0 + 1e-6)
+    @contextlib.contextmanager
+    def perturbed(A, *args, **kwargs):
+        with solver(A, *args, **kwargs) as solve:
+            yield lambda b: solve(b) * (1.0 + 1e-6)
 
-    monkeypatch.setattr(linalg, "solve_spd", perturbed)
+    monkeypatch.setattr(linalg, "spd_solver", perturbed)
     with pytest.raises(SolveError, match=r"residual_inf = \d\.\d{3}e-\d+ exceeds 1e-12"):
         assemble_and_solve(mesh, cfg, kernels)
 
@@ -508,14 +510,16 @@ def test_cli_limit_rejects_bad_settings_in_one_line(solves, capsys, args, messag
 def test_cli_study_names_the_failed_solve(monkeypatch, capsys, tmp_path):
     # a failed solve used to end in a NotPositiveDefiniteError traceback;
     # here every solve past level 0 fails as a singular matrix would
-    solve = linalg.solve_spd
+    solver = linalg.spd_solver
 
-    def singular_past_level_0(A, b, **kwargs):
+    @contextlib.contextmanager
+    def singular_past_level_0(A, *args, **kwargs):
         if A.shape[0] > 44:
             raise linalg.NotPositiveDefiniteError(52)
-        return solve(A, b, **kwargs)
+        with solver(A, *args, **kwargs) as solve:
+            yield solve
 
-    monkeypatch.setattr(linalg, "solve_spd", singular_past_level_0)
+    monkeypatch.setattr(linalg, "spd_solver", singular_past_level_0)
     out = tmp_path / "study.csv"
     assert main(["study", "--t-list", "1e-2", "--levels", "2", "--quiet",
                  "--out", str(out)]) == 1

@@ -1,9 +1,14 @@
+import contextlib
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
-from plate_dpg import driver, linalg
+from oracles import assembled_triplets, jacobi_scaled, jittered_mesh, symmetric_from_coo
+from plate_dpg import driver, dpg, linalg, parts
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.linalg import (
     IterativeSolveError,
@@ -11,7 +16,7 @@ from plate_dpg.linalg import (
     SolveError,
     one_blas_thread,
     solve_spd,
-    symmetric_from_coo,
+    spd_solver,
 )
 from plate_dpg.mesh import mesh_at_level
 
@@ -199,11 +204,13 @@ def test_nested_pins_restore_the_outer_counts(blas_at_two):
 def test_a_failed_solve_restores_the_counts(blas_at_two, monkeypatch):
     seen = []
 
-    def failing_solve(*args, **kwargs):
+    @contextlib.contextmanager
+    def failing_solver(*args, **kwargs):
         seen.append(blas_counts())
         raise SolveError("stubbed failure")
+        yield
 
-    monkeypatch.setattr(linalg, "solve_spd", failing_solve)
+    monkeypatch.setattr(linalg, "spd_solver", failing_solver)
     with pytest.raises(SolveError, match="stubbed failure"):
         driver.assemble_and_solve(mesh_at_level(0), ProblemConfig(t=1e-2))
     # the solve ran pinned, and the exception undid the pin
@@ -219,3 +226,214 @@ def test_solve_without_blas_controls(monkeypatch):
     assert sol.stats["blas_pinned"] == 0
     assert np.array_equal(sol.trace, pinned.trace)
     assert sol.residual_inf <= driver.RESIDUAL_MAX
+
+
+def same_bytes(got, expect):
+    """Equal dtypes and bytes of the data, indices and indptr of two sparse matrices."""
+    return all(getattr(got, part).dtype == getattr(expect, part).dtype
+               and getattr(got, part).tobytes() == getattr(expect, part).tobytes()
+               for part in ("data", "indices", "indptr"))
+
+
+ASSEMBLY_MESHES = {
+    "uniform level 2": lambda: mesh_at_level(2),
+    "uniform level 3": lambda: mesh_at_level(3),
+    "uniform level 4": lambda: mesh_at_level(4),
+    "jittered level 3": lambda: jittered_mesh(3, seed=0),
+}
+ASSEMBLY_CONFIGS = [ProblemConfig(t=1e-2), ProblemConfig(t=0.0),
+                    ProblemConfig(t=0.0, bc="clamped")]
+
+
+@pytest.mark.parametrize("name", ASSEMBLY_MESHES)
+def test_assembly_and_scaling_give_the_bytes_of_the_sparse_sums(name, monkeypatch):
+    # A and diag(s) A diag(s) are formed in place; the oracles form them
+    # with scipy's sparse sum and a sorted copy, from the int64 triplets
+    stacks = []
+    stack_chunks = parts.stack_chunks
+
+    def kept_stack_chunks(n, compute):
+        stacks.append(stack_chunks(n, compute))
+        return stacks[-1]
+
+    monkeypatch.setattr(parts, "stack_chunks", kept_stack_chunks)
+    mesh = ASSEMBLY_MESHES[name]()
+    kernels = driver.MeshKernels(mesh, ASSEMBLY_CONFIGS[0])
+    for config in ASSEMBLY_CONFIGS:
+        dof, _, A, _ = driver.assemble(mesh, config, kernels)
+        (*_, A_loc, _), _ = stacks.pop()
+        rows, cols, vals = assembled_triplets(dof.free_index[dof.element_dofs], A_loc)
+        expect = symmetric_from_coo(dof.n_free, rows, cols, vals)
+        assert same_bytes(A, expect)
+        if name == "uniform level 4" and config.t > 0.0:
+            # some duplicate sums come out exactly zero, and A drops them
+            lower = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
+            assert (lower.data == 0.0).any()
+            assert A.nnz < 2 * lower.nnz - dof.n_free
+        s = 1.0 / np.sqrt(A.diagonal())
+        assert same_bytes(linalg._scaled(A, s), jacobi_scaled(expect, s))
+
+
+def test_assembly_drops_a_duplicate_sum_of_exactly_zero():
+    # two elements on the dofs (0, 1, 2), whose (1, 0) entries sum to 0.0;
+    # the first one's last column is constrained
+    A_loc = np.array([[[2.0, 0.5, 9.0], [0.5, 3.0, 9.0], [9.0, 9.0, 9.0]],
+                      [[1.0, -0.5, 0.25], [-0.5, 1.0, 0.0], [0.25, 0.0, 4.0]]])
+    fidx = np.array([[0, 1, -1], [0, 1, 2]], dtype=np.int32)
+    lower = driver._lower_csr(3, fidx, fidx >= 0, A_loc)
+    A = driver._symmetric_from_lower(lower)
+    expect = symmetric_from_coo(3, *assembled_triplets(fidx.astype(np.int64), A_loc))
+    assert same_bytes(A, expect)
+    assert A.format == "csc"
+    assert np.array_equal(A.toarray(), [[3.0, 0.0, 0.25], [0.0, 4.0, 0.0], [0.25, 0.0, 4.0]])
+    assert A.nnz == 5
+
+
+def test_scaling_shares_the_index_arrays_unless_an_entry_underflows():
+    A = symmetric_from_coo(3, np.array([0, 1, 1, 2, 2]), np.array([0, 0, 1, 1, 2]),
+                           np.array([1e300, 2.0, 1.0, 1e-300, 1e300]))
+    s = np.array([1e-150, 1.0, 1e-150])
+    before = [getattr(A, part).copy() for part in ("data", "indices", "indptr")]
+    # (1, 2): (1e-150 * 1e-300) * 1.0 underflows to zero and is dropped
+    got, expect = linalg._scaled(A, s), jacobi_scaled(A, s)
+    assert expect.nnz == A.nnz - 2
+    assert same_bytes(got, expect)
+    assert not np.shares_memory(got.indices, A.indices)
+    for part, old in zip(("data", "indices", "indptr"), before):
+        assert getattr(A, part).tobytes() == old.tobytes()
+    s = np.array([1e-150, 1.0, 1e-10])
+    got, expect = linalg._scaled(A, s), jacobi_scaled(A, s)
+    assert got.nnz == A.nnz
+    assert same_bytes(got, expect)
+    assert np.shares_memory(got.indices, A.indices)
+    assert np.shares_memory(got.indptr, A.indptr)
+
+
+class ExportWatch:
+    """A SuperLU factor that calls `on_export` when its L or U is read."""
+
+    def __init__(self, lu, on_export):
+        self._lu, self._on_export = lu, on_export
+        self.nnz = lu.nnz
+
+    def solve(self, b):
+        return self._lu.solve(b)
+
+    @property
+    def L(self):
+        self._on_export()
+        return self._lu.L
+
+    @property
+    def U(self):
+        self._on_export()
+        return self._lu.U
+
+
+def test_the_factor_is_exported_after_A_and_the_kept_stacks_are_freed(monkeypatch):
+    refs, alive_at_export = [], []
+    assemble, splu = driver.assemble, spla.splu
+
+    def watched_assemble(*args, **kwargs):
+        dof, kept, A, rhs = assemble(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in (A, A.data, A.indices, A.indptr, *kept))
+        return dof, kept, A, rhs
+
+    def watched_splu(*args, **kwargs):
+        return ExportWatch(splu(*args, **kwargs),
+                           lambda: alive_at_export.append([r() is not None for r in refs]))
+
+    monkeypatch.setattr(driver, "assemble", watched_assemble)
+    monkeypatch.setattr(spla, "splu", watched_splu)
+    sol = driver.assemble_and_solve(mesh_at_level(2), ProblemConfig(t=1e-2))
+    assert len(refs) == 8
+    assert alive_at_export and not any(map(any, alive_at_export))
+    assert sol.stats["factor_nnz"] >= 2 * sol.n_free
+
+
+def indefinite():
+    """A 2 x 2 matrix with a positive diagonal and the pivots 1 and -3."""
+    return symmetric_from_coo(2, np.array([0, 1, 1]), np.array([0, 0, 1]),
+                              np.array([1.0, 2.0, 1.0]))
+
+
+def test_the_pivot_check_runs_on_exit():
+    stats = {}
+    with pytest.raises(NotPositiveDefiniteError, match=r"\(pivot 1\)"):
+        with spd_solver(indefinite(), stats=stats) as solve:
+            x = solve(np.ones(2))
+            # the factor solves the system; its pivots are checked on exit
+            assert np.allclose(indefinite() @ x, 1.0)
+            assert stats["factor_nnz"] == 0 < stats["factor_stored"]
+            # a failed assert above would end in the pivot error as well
+            stats["body done"] = True
+    assert stats["body done"]
+    assert stats["factor_nnz"] == 2 * 3
+
+
+def test_the_pivot_error_takes_precedence_over_an_error_in_the_with_block():
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        with spd_solver(indefinite()) as solve:
+            solve(np.ones(2))
+            raise SolveError("backward error")
+    assert str(info.value.__context__) == "backward error"
+    # a positive definite matrix passes the error on unchanged
+    with pytest.raises(SolveError, match="backward error"):
+        with spd_solver(sparse(np.eye(2))):
+            raise SolveError("backward error")
+
+
+def test_an_interrupt_skips_the_pivot_check(monkeypatch):
+    checks = []
+    monkeypatch.setattr(linalg, "_check_factor", lambda lu, stats: checks.append(lu))
+    with pytest.raises(KeyboardInterrupt):
+        with spd_solver(indefinite()):
+            raise KeyboardInterrupt
+    assert checks == []
+    with spd_solver(indefinite()):
+        pass
+    assert len(checks) == 1
+
+
+def test_clamped_level_0_is_not_positive_definite():
+    # its 9 null modes are a gauge of the trace representation
+    with pytest.raises(NotPositiveDefiniteError, match=r"^matrix is not positive "
+                       r"definite \(pivot 52\)$"):
+        driver.assemble_and_solve(mesh_at_level(0), ProblemConfig(t=0.0, bc="clamped"))
+
+
+@pytest.mark.parametrize("fails", ["residual check", "estimator"])
+def test_an_indefinite_system_fails_as_one_after_a_later_error(fails, monkeypatch):
+    mesh, config = mesh_at_level(1), ProblemConfig(t=1e-2)
+    assemble = driver.assemble
+
+    def indefinite_assemble(*args, **kwargs):
+        dof, kept, A, rhs = assemble(*args, **kwargs)
+        # an off-diagonal pair far larger than its diagonal, in place
+        i, j = 0, A.indices[A.indptr[0] + 1]
+        for col, row in ((i, j), (j, i)):
+            start, stop = A.indptr[col], A.indptr[col + 1]
+            A.data[start + np.searchsorted(A.indices[start:stop], row)] = \
+                10.0 * np.sqrt(A.diagonal()[i] * A.diagonal()[j])
+        return dof, kept, A, rhs
+
+    monkeypatch.setattr(driver, "assemble", indefinite_assemble)
+    if fails == "residual check":
+        solver = linalg.spd_solver
+
+        @contextlib.contextmanager
+        def perturbed(A, *args, **kwargs):
+            with solver(A, *args, **kwargs) as solve:
+                yield lambda b: solve(b) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(linalg, "spd_solver", perturbed)
+        later = linalg.SolveError
+    else:
+        def failing_estimator(*args):
+            raise RuntimeError("estimator failed")
+
+        monkeypatch.setattr(dpg, "local_residuals", failing_estimator)
+        later = RuntimeError
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        driver.assemble_and_solve(mesh, config)
+    assert isinstance(info.value.__context__, later)
