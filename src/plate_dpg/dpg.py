@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import hct, parts, quadrature, testspace
-from .testspace import N_SCALAR, BarycentricMap
+from .testspace import N_SCALAR
 
 TRACE_FIELDS = ("u_hat", "m11_hat", "m12_hat", "m22_hat")
 N_TRACE_COLS = 36  # 4 generating fields x 9 vertex dofs
@@ -40,9 +40,6 @@ QUAD_DEGREE = 14
 # at degree 3 b_trace's edge integrands have degree 6 or less, so 6 would do;
 # 8 stays because its points are in every B
 EDGE_DEGREE = 8
-# largest error of a triangle's barycentric map at its own vertices: half the
-# digits; uniform and jittered meshes stay below 1e-13
-BARY_TOL = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -89,18 +86,20 @@ class ElementKernel:
 
     Built from the triangles `coords` (ne, 3, 2) in one stacked call per
     chunk of them (`parts.stack_chunks`), with the rules of QUAD_DEGREE and
-    EDGE_DEGREE taken once.  The test basis tables hold the N_SCALAR Bernstein polynomials
-    of testspace.DEGREE, one block of each component's test functions (see
+    EDGE_DEGREE taken once.  Each chunk passes `testspace.triangle_gate`
+    first, which names a bad triangle by its index in `coords`.  The test
+    basis tables hold the N_SCALAR Bernstein polynomials of
+    testspace.DEGREE, one block of each component's test functions (see
     `block`).  Every table carries the elements on its leading axis.
     Volume tables: points `vpts` (ne, nq, 2), weights `vw` (ne, nq), test
     basis values `V` and derivatives `Dx`, `Dy`, `Hxx`, `Hxy`, `Hyy`
     (ne, nq, N_SCALAR).  Edge tables are stacked over the three edges:
-    weights `ew` (ne, 3, nqe),
-    outward unit normals `en` (ne, 3, 2), test basis `tv`, `tx`, `ty`
-    (ne, 3, nqe, N_SCALAR) and C1 trace basis `hv`, `hx`, `hy`
-    (ne, 3, nqe, 9).  Slicing with a slice of element indices gives the
-    tables of those elements as views.  `gram`, `b_field`, `b_trace` and
-    `load` take a stack and return one matrix or vector per element.
+    weights `ew` (ne, 3, nqe), outward unit normals `en` (ne, 3, 2), test
+    basis `tv`, `tx`, `ty` (ne, 3, nqe, N_SCALAR) and C1 trace basis `hv`,
+    `hx`, `hy` (ne, 3, nqe, 9).  Slicing with a slice of element indices
+    gives the tables of those elements as views.  `gram`, `b_field`,
+    `b_trace` and `load` take a stack and return one matrix or vector per
+    element.
     """
 
     NAMES = ("vpts", "vw", "V", "Dx", "Dy", "Hxx", "Hxy", "Hyy",
@@ -115,14 +114,8 @@ class ElementKernel:
 
         def tables(elements):
             xy = coords[elements]
-            # mapped first: it rejects a clockwise, degenerate or non-finite
-            # triangle, on which the barycentric inverse would fail or go on with NaN
+            bary = testspace.triangle_gate(xy, elements.start)
             vpts, vw = quadrature.map_to_triangles(vol, xy)
-            bary = BarycentricMap(xy)
-            # and a long, thin one whose barycentric map does not give its own
-            # vertices back, before its basis tables overflow or end in NaN
-            if not (np.abs(bary(xy) - np.eye(3)) <= BARY_TOL).all():
-                raise ValueError(quadrature.BAD_TRIANGLE)
             val, grad, hess = testspace.eval_scalar_basis(bary, vpts)
             ends = xy[:, [1, 2, 0]]
             epts, ew = quadrature.map_to_edge(erule, xy, ends)

@@ -482,17 +482,11 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
     ex_0 = manufactured.ExactSolution(0.0)
     u_0 = ex_0.u(x, y)
     lap = ex_0.lap_phi(x, y)
-
-    def element_sum(values):
-        # one extended-precision dot product per element, rounded to double
-        # and added in element order
-        return np.cumsum(np.vecdot(wl, values).astype(float))[-1]
-
-    den = element_sum(lap * lap)
+    den = manufactured.sum_over_elements(wl, lap * lap)
     ident_err = 0.0
     for t in t_sequence:
         diff = manufactured.ExactSolution(t).u(x, y) - u_0
-        num = element_sum(diff * diff)
+        num = manufactured.sum_over_elements(wl, diff * diff)
         lhs = np.sqrt(num)
         rhs = t * t * np.sqrt(den)
         ident_err = max(ident_err, abs(lhs - rhs) / rhs)

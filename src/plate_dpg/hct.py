@@ -20,8 +20,7 @@ The constraint rows of a stack of triangles are built together.
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .quadrature import BAD_TRIANGLE
-from .testspace import BarycentricMap, eval_scalar_basis
+from .testspace import BAD_TRIANGLE, BarycentricMap, eval_scalar_basis
 
 # local dof order: (value, d/dx, d/dy) at vertex 0, then vertex 1, then vertex 2
 N_DOFS = 9
@@ -75,7 +74,10 @@ def build_hct_element(coords):
     derivatives its rows use.  The null space and the nodal matrix are
     computed triangle by triangle with scipy's bare `gesdd`, as
     `scipy.linalg.null_space` computes them, and the nodal inverses and
-    the coefficients in one stacked call each.
+    the coefficients in one stacked call each.  A thin or far-off triangle
+    that `testspace.triangle_gate` passes can still lose digits here: a
+    singular subtriangle map raises ValueError(BAD_TRIANGLE), and a null
+    space other than nine-dimensional the rank message.
     """
     coords = np.asarray(coords, dtype=float)
     lead = coords.shape[:-2]
@@ -84,8 +86,6 @@ def build_hct_element(coords):
     center = P.mean(axis=1)
     Q = P[:, _NEXT]
     sub_coords = np.stack([P, Q, np.broadcast_to(center[:, None], P.shape)], axis=2)
-    # a long, thin or far-off triangle that passes the quadrature map can make
-    # a subtriangle map singular, or lose the constraints' 9-dim null space
     try:
         subs = BarycentricMap(sub_coords)                   # (ne, 3) maps
     except np.linalg.LinAlgError:

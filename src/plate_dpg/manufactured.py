@@ -189,21 +189,22 @@ def l2_errors(mesh, u_el, M_el, theta_el, t):
     pts, w = map_to_triangles(triangle_rule(L2_QUAD_DEGREE),
                               mesh.vertices[mesh.triangles])
     x, y = pts[..., 0], pts[..., 1]
-    su = _sum_over_elements(w, (ex.u(x, y) - u_el[:, None]) ** 2)
+    su = sum_over_elements(w, (ex.u(x, y) - u_el[:, None]) ** 2)
     m11, m12, m22 = ex.M(x, y)
-    sm = _sum_over_elements(w, (m11 - M_el[:, 0, None]) ** 2
-                            + 2.0 * (m12 - M_el[:, 1, None]) ** 2
-                            + (m22 - M_el[:, 2, None]) ** 2)
+    sm = sum_over_elements(w, (m11 - M_el[:, 0, None]) ** 2
+                           + 2.0 * (m12 - M_el[:, 1, None]) ** 2
+                           + (m22 - M_el[:, 2, None]) ** 2)
     sth = 0.0
     if theta_el is not None:
         tx, ty = ex.theta(x, y)
-        sth = _sum_over_elements(w, (tx - theta_el[:, 0, None]) ** 2
-                                 + (ty - theta_el[:, 1, None]) ** 2)
+        sth = sum_over_elements(w, (tx - theta_el[:, 0, None]) ** 2
+                                + (ty - theta_el[:, 1, None]) ** 2)
     return np.sqrt(su), np.sqrt(sm), np.sqrt(sth)
 
 
-def _sum_over_elements(w, values):
-    """Sum over elements of w_T @ values_T: one dot product per element, added in
-    element order (a pairwise `sum` would add in another order, with other bits)."""
-    return np.cumsum(np.vecdot(w, values))[-1]
+def sum_over_elements(w, values):
+    """Sum over elements of w_T @ values_T: one dot product per element, rounded
+    to double and added in element order (a pairwise `sum` would add in another
+    order, with other bits)."""
+    return np.cumsum(np.vecdot(w, values).astype(float, copy=False))[-1]
 

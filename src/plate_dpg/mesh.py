@@ -10,7 +10,7 @@ mutated incrementally.
 
 import numpy as np
 
-from . import quadrature
+from . import testspace
 
 # side tags for boundary edges of the unit square
 BOTTOM, RIGHT, TOP, LEFT = "bottom", "right", "top", "left"
@@ -50,7 +50,7 @@ class Mesh:
     def _check_arrays(self):
         """Raise a one-line ValueError for arrays that are not a triangle mesh.
 
-        Vertices that pass are cast to float before any area is computed.
+        Vertices that pass are cast to float before `testspace.triangle_gate`.
         """
         v, tri = self.vertices, self.triangles
         if v.ndim != 2 or v.shape[1] != 2:
@@ -58,11 +58,10 @@ class Mesh:
         # a cast to float would take "1" for 1
         if v.dtype.kind not in "iuf":
             raise ValueError(f"vertices must be integers or floats, not {v.dtype}")
-        # before any area, where a product of differences above COORD_MAX
-        # overflows, and before the cast, which warns on a long double past it
-        if not (np.abs(v) <= quadrature.COORD_MAX).all():  # NaN fails it too
+        # before the cast, which warns on a long double past COORD_MAX
+        if not (np.abs(v) <= testspace.COORD_MAX).all():  # NaN fails it too
             raise ValueError("vertices must be finite and at most "
-                             f"{quadrature.COORD_MAX:.3g} in magnitude")
+                             f"{testspace.COORD_MAX:.3g} in magnitude")
         self.vertices = v = v.astype(float, copy=False)
         if tri.ndim != 2 or tri.shape[1] != 3:
             raise ValueError(f"triangles must have shape (nt, 3), not {tri.shape}")
@@ -74,8 +73,7 @@ class Mesh:
         bad = (tri < 0) | (tri >= len(v))
         if bad.any():
             raise ValueError(f"vertex index {tri[bad][0]} is outside [0, {len(v)})")
-        if np.any(signed_areas(self) <= 0.0):
-            raise ValueError("triangle with non-positive area (orientation must be CCW)")
+        testspace.triangle_gate(v[tri], 0)
 
     @property
     def num_vertices(self):

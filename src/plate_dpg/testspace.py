@@ -15,6 +15,14 @@ import numpy as np
 # cubic along each edge, and the cubics on the HCT element's subtriangles
 DEGREE = 3
 N_SCALAR = (DEGREE + 1) * (DEGREE + 2) // 2  # polynomials of the basis
+# largest vertex coordinate of a triangle: below it no product of two
+# coordinate differences overflows; above it the squares of the coordinates do
+COORD_MAX = np.sqrt(np.finfo(float).max) / 8
+# largest error of a triangle's barycentric map at its own vertices: half the
+# digits; uniform and jittered meshes stay below 1e-13
+BARY_TOL = np.sqrt(np.finfo(float).eps)
+# the message of every rejected triangle, here and in `hct`
+BAD_TRIANGLE = "triangle must be CCW and non-degenerate"
 
 
 class BarycentricMap:
@@ -42,6 +50,40 @@ class BarycentricMap:
         lead = self._Ainv.shape[:-2]
         Ainv = self._Ainv.reshape(lead + (1,) * (pts.ndim - 2 - len(lead)) + (3, 3))
         return pts @ np.swapaxes(Ainv[..., :2], -1, -2) + Ainv[..., None, :, 2]
+
+
+def triangle_gate(coords, first):
+    """The `BarycentricMap` of the triangles `coords` (ne, 3, 2), each one checked.
+
+    In order: coordinates finite and at most COORD_MAX, the Jacobian > 0,
+    the map not singular and within BARY_TOL of the triangle's own vertices;
+    a check sees only the triangles before the first that failed so far.
+    The first bad one, at place i, raises "element {first + i}: BAD_TRIANGLE".
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = _passed((np.abs(coords) <= COORD_MAX).all(axis=(1, 2)))  # NaN fails it too
+    d1 = coords[:n, 1] - coords[:n, 0]
+    d2 = coords[:n, 2] - coords[:n, 0]
+    n = _passed(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0)
+    try:
+        bary = BarycentricMap(coords[:n])
+    except np.linalg.LinAlgError:  # raised for the stack: find the first singular map
+        for i in range(n):
+            try:
+                BarycentricMap(coords[i])
+            except np.linalg.LinAlgError:
+                n = i
+                break
+        bary = BarycentricMap(coords[:n])
+    n = _passed((np.abs(bary(coords[:n]) - np.eye(3)) <= BARY_TOL).all(axis=(1, 2)))
+    if n < len(coords):
+        raise ValueError(f"element {first + n}: {BAD_TRIANGLE}")
+    return bary
+
+
+def _passed(ok):
+    """The number of leading True entries of `ok`."""
+    return len(ok) if ok.all() else int(np.argmin(ok))
 
 
 def _term_tables():

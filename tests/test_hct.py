@@ -197,7 +197,7 @@ def test_interpolate_smooth_function():
 
 def test_rejects_degenerate_triangle():
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="^triangle must be CCW and non-degenerate$"):
         build_hct_element(bad)
 
 

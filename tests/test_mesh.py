@@ -109,7 +109,7 @@ def test_refinement_deterministic():
 
 
 def test_rejects_clockwise_triangle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^element 0: triangle must be CCW and non-degenerate$"):
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.array([[0, 2, 1]]))
 
@@ -153,6 +153,14 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     # checked before the cast, which warned of an overflow
     (np.array([[0, 0], [1, 0], [0, np.longdouble("1e4000")]], dtype=np.longdouble), [[0, 1, 2]],
      r"vertices must be finite and at most 1.68e\+153 in magnitude"),
+    # built before, and its MeshKernels ended in a bare "Singular matrix": its
+    # Jacobian is > 0, and its barycentric map singular in floating point
+    ([[3242.9574275224554, -5674.61689617546], [3242.957427522455, -5674.616896175461],
+      [3242.957427522456, -5674.616896175462]], [[0, 1, 2]],
+     "element 0: triangle must be CCW and non-degenerate"),
+    # the second triangle is clockwise
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2], [1, 2, 3]],
+     "element 1: triangle must be CCW and non-degenerate"),
 ])
 def test_rejects_arrays_that_are_not_a_mesh(vertices, triangles, message):
     with pytest.raises(ValueError, match=f"^{message}$"), warnings.catch_warnings():

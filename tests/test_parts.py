@@ -296,6 +296,10 @@ BAD_TRIANGLES = {
     **{f"long thin 1e{e:g}": [[0.0, 0.0], [1.0, 0.0], [10 ** e, 10 ** e]]
        for e in (9.5, 12, 16, 20, 67, 74, 100, 104, 111.5, 121.5, 152)},
     "small far off": [[1e150, 1e150], [1e150 + 1e140, 1e150], [1e150, 1e150 + 1e140]],
+    # a Jacobian > 0, and a barycentric map that is singular in floating point
+    "singular map": [[3242.9574275224554, -5674.61689617546],
+                     [3242.957427522455, -5674.616896175461],
+                     [3242.957427522456, -5674.616896175462]],
 }
 
 
@@ -307,15 +311,17 @@ def test_bad_triangles_are_rejected_in_either_half(case, element):
     # "Singular matrix" and a NaN vertex deep in the HCT null space before,
     # an inf vertex warned "invalid value encountered in multiply" before
     # its ValueError, and the huge vertex ended in a bare "Singular matrix";
-    # so did the long thin triangles from 1e16 on, and the one at 1e12 and
-    # the small far-off one in "constraint null space has dimension 16" and 0
+    # so did the long thin triangles from 1e16 on, the singular map, and the
+    # one at 1e12 and the small far-off one in "constraint null space has
+    # dimension 16" and 0; the gate names the element by its index in the mesh
     mesh = mesh_at_level(2)
     coords = mesh.vertices[mesh.triangles]
     coords[element] = BAD_TRIANGLES[case]
     with pytest.raises(ValueError) as err, warnings.catch_warnings():
         warnings.simplefilter("error")
         ElementKernel(coords)
-    assert str(err.value) == "triangle must be CCW and non-degenerate"
+    index = element % len(coords)  # 0 or 63
+    assert str(err.value) == f"element {index}: triangle must be CCW and non-degenerate"
     if element == -1 and parts.part_count() == 2:
         assert "raised in the forked half of a chunk loop" in err.value.__notes__[0]
     assert_no_child_left()

@@ -1,10 +1,21 @@
 import math
+import re
+import warnings
 
 import numpy as np
+import pytest
 
 from plate_dpg import quadrature
+from plate_dpg.dpg import ElementKernel
 from plate_dpg.mesh import mesh_at_level
-from plate_dpg.testspace import DEGREE, N_SCALAR, BarycentricMap, eval_scalar_basis
+from plate_dpg.testspace import (
+    BAD_TRIANGLE,
+    DEGREE,
+    N_SCALAR,
+    BarycentricMap,
+    eval_scalar_basis,
+    triangle_gate,
+)
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -261,3 +272,82 @@ def test_lower_orders_are_the_leading_outputs_of_order_2():
                 assert np.array_equal(a, b)
                 assert a.tobytes() == b.tobytes()
             assert all(a is None for a in lean[order + 1:])
+
+
+# a Jacobian > 0, and a barycentric map that is singular in floating point
+SINGULAR_MAP = [[3242.9574275224554, -5674.61689617546], [3242.957427522455, -5674.616896175461],
+                [3242.957427522456, -5674.616896175462]]
+
+
+def test_the_gate_names_the_first_bad_triangle_and_returns_the_map():
+    good = np.array([REF, REF + 1.0, 2.0 * REF])
+    bary, same = triangle_gate(good, 5), BarycentricMap(good)
+    assert bary.grad.tobytes() == same.grad.tobytes()
+    assert bary(good).tobytes() == same(good).tobytes()
+    assert triangle_gate(np.empty((0, 3, 2)), 5).grad.shape == (0, 3, 2)
+    # whichever check a later triangle fails, the first bad one is named
+    for bad in ([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]], REF[[0, 2, 1]], SINGULAR_MAP,
+                [[0.0, 0.0], [1.0, 0.0], [1e12, 1e12]]):
+        for later in ([[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]], REF[[1, 0, 2]], SINGULAR_MAP):
+            with pytest.raises(ValueError, match=f"^element 6: {BAD_TRIANGLE}$"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                triangle_gate(np.array([REF, bad, later, REF]), 5)
+
+
+def probe_triangles(exponents=np.arange(4, 153, 2), n=100, seed=0):
+    """Triangles at the limits of the triangle gate and of the HCT set-up.
+
+    For s = 10**e, e in `exponents`: (0, 0), (1, 0), (s, s);
+    (0, 0), (s, 0), (s/2, 1); the unit right triangle at (s, s); and the
+    one of size 1e-10 s there.  Then `n` seeded far-off triangles of size
+    1e-3 to 1e3 at offsets up to 1e150, `n` seeded slivers, the singular
+    map, and one whose HCT subtriangle map is singular: 502 by default.
+    """
+    tris = []
+    for s in 10.0 ** np.asarray(exponents):
+        tris += [[[0, 0], [1, 0], [s, s]], [[0, 0], [s, 0], [s / 2, 1]],
+                 [[s, s], [s + 1, s], [s, s + 1]],
+                 [[s, s], [s * (1 + 1e-10), s], [s, s * (1 + 1e-10)]]]
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        offset = 10.0 ** rng.uniform(0, 150) * rng.choice([-1, 1], 2)
+        tris.append(offset + rng.uniform(-1, 1, (3, 2)) * 10.0 ** rng.uniform(-3, 3))
+        # the third vertex at a height of 1e-16 to 1e-2 times the length over the first edge
+        p, d = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2) * 10.0 ** rng.uniform(0, 8)
+        height = 10.0 ** rng.uniform(-16, -2) * np.array([-d[1], d[0]])
+        tris.append([p, p + d, p + rng.uniform(0, 1) * d + height])
+    tris += [SINGULAR_MAP, [[-30194667564586.93, -30194667564586.91],
+                            [-30194667564586.93, -30194667564586.92],
+                            [-30194667564586.906, -30194667564586.92]]]
+    return np.array(tris, dtype=float)
+
+
+def probe_outcome(tri):
+    """How `ElementKernel` ends on one triangle: built, or one of three one-line errors.
+
+    Anything else, a LinAlgError or a warning among them, is raised.
+    """
+    rank = (r"HCT constraints of a triangle have a \d+-dim null space, not 9 \(largest "
+            r"vertex coordinate / diameter = .*\): the triangle is too thin, or too far "
+            r"from the origin for its size; translate or refine the mesh")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ElementKernel([tri])
+        except ValueError as err:
+            if str(err) == f"element 0: {BAD_TRIANGLE}":
+                return "gate"
+            if str(err) == BAD_TRIANGLE:
+                return "HCT subtriangle"
+            assert re.fullmatch(rank, str(err)), str(err)
+            return "HCT rank"
+    return "built"
+
+
+def test_every_probe_triangle_builds_or_ends_in_one_line():
+    # a bad triangle ends in the gate's line, or in one of the two checks of
+    # the HCT set-up that the gate cannot make
+    outcomes = [probe_outcome(tri) for tri in probe_triangles()]
+    assert len(outcomes) == 502
+    assert set(outcomes) == {"built", "gate", "HCT subtriangle", "HCT rank"}
