@@ -117,16 +117,14 @@ class ElementKernel:
             bary = testspace.triangle_gate(xy, elements.start)
             vpts, vw = quadrature.map_to_triangles(vol, xy)
             val, grad, hess = testspace.eval_scalar_basis(bary, vpts)
-            ends = xy[:, [1, 2, 0]]
+            ends = xy[:, quadrature.NEXT]
             epts, ew = quadrature.map_to_edge(erule, xy, ends)
             tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, order=1)
-            element = hct.build_hct_element(xy)
-            traces = [hct.eval_on_parent_edge(element, k, erule.points) for k in range(3)]
-            hgrad = np.stack([g for _, g in traces], axis=1)
+            hval, hgrad = hct.eval_on_parent_edges(hct.build_hct_element(xy), erule.points)
             return (vpts, vw, val, grad[..., 0], grad[..., 1],
                     hess[..., 0], hess[..., 1], hess[..., 2],
                     ew, hct.unit_normals(xy, ends), tval, tgrad[..., 0], tgrad[..., 1],
-                    np.stack([v for v, _ in traces], axis=1), hgrad[..., 0], hgrad[..., 1])
+                    hval, hgrad[..., 0], hgrad[..., 1])
 
         for name, stack in zip(ElementKernel.NAMES, parts.stack_chunks(len(coords), tables)[0]):
             setattr(self, name, stack)

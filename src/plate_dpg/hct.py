@@ -20,6 +20,7 @@ The constraint rows of a stack of triangles are built together.
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .quadrature import NEXT, segment_points
 from .testspace import BAD_TRIANGLE, BarycentricMap, eval_scalar_basis
 
 # local dof order: (value, d/dx, d/dy) at vertex 0, then vertex 1, then vertex 2
@@ -37,27 +38,20 @@ class HctElement:
         self.coeffs = coeffs            # (..., 9, 3, 10) Bernstein coeffs per basis/sub
 
 
-def _edge_points(p, q, s):
-    """Points p + s (q - p) of the segments p-q, given as (..., 2) endpoints: (..., ns, 2)."""
-    return p[..., None, :] + s[:, None] * (q - p)[..., None, :]
-
-
 def unit_normals(p, q):
     """Right-hand unit normals of the segments p-q, outward on a CCW triangle."""
     d = q - p
     return np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(d[..., 0], d[..., 1])[..., None]
 
 
-# vertex k + 1 of each vertex k
-_NEXT = [1, 2, 0]
 # subtriangle s meets the internal edges s and s + 1 (from parent vertex s, s + 1
 # to the center), as the right and the left side of their constraints
-_SUB_EDGES = [[0, 1], [1, 2], [2, 0]]
+_SUB_EDGES = [[k, NEXT[k]] for k in range(3)]
 
 
 def _rank_message(xy, null_dim):
     """The one-line error for a triangle whose constraints lose their 9-dim null space."""
-    ratio = np.abs(xy).max() / np.hypot(*(xy[_NEXT] - xy).T).max()
+    ratio = np.abs(xy).max() / np.hypot(*(xy[NEXT] - xy).T).max()
     return (f"HCT constraints of a triangle have a {null_dim}-dim null space, not "
             f"{N_DOFS} (largest vertex coordinate / diameter = {ratio:.3g}): the triangle "
             "is too thin, or too far from the origin for its size; translate or refine "
@@ -84,7 +78,7 @@ def build_hct_element(coords):
     P = coords.reshape(-1, 3, 2)
     ne = P.shape[0]
     center = P.mean(axis=1)
-    Q = P[:, _NEXT]
+    Q = P[:, NEXT]
     sub_coords = np.stack([P, Q, np.broadcast_to(center[:, None], P.shape)], axis=2)
     try:
         subs = BarycentricMap(sub_coords)                   # (ne, 3) maps
@@ -93,7 +87,7 @@ def build_hct_element(coords):
 
     # C0 and C1 across internal edge k (p_k, center), shared by subs k - 1 and k:
     # one row per point, values at _VALUE_S, then d/dx and d/dy at _GRAD_S
-    internal = [_edge_points(P, center[:, None], s)[:, _SUB_EDGES] for s in (_VALUE_S, _GRAD_S)]
+    internal = [segment_points(P, center[:, None], s)[:, _SUB_EDGES] for s in (_VALUE_S, _GRAD_S)]
     val, _, _ = eval_scalar_basis(subs, internal[0], order=0)
     _, grad, _ = eval_scalar_basis(subs, internal[1], order=1)
     # (ne, sub, side, 10 points, 10): side 0 is the sub's edge s, side 1 its edge s + 1
@@ -106,7 +100,7 @@ def build_hct_element(coords):
 
     # reduced condition: normal derivative affine along exterior edge k of sub k
     n = unit_normals(P, Q)[:, :, None, None]
-    _, grad, _ = eval_scalar_basis(subs, _edge_points(P, Q, _GRAD_S), order=1)
+    _, grad, _ = eval_scalar_basis(subs, segment_points(P, Q, _GRAD_S), order=1)
     gn = grad[..., 0] * n[..., 0] + grad[..., 1] * n[..., 1]  # (ne, 3, 3, 10)
     for k in range(3):
         A[:, 30 + k, 10 * k : 10 * k + 10] = gn[:, k, 1] - 0.5 * (gn[:, k, 0] + gn[:, k, 2])
@@ -189,17 +183,16 @@ def eval_hct(element, pts, dofs=None):
     return val @ dofs, grad.transpose(0, 2, 1) @ dofs, hess.transpose(0, 2, 1) @ dofs
 
 
-def eval_on_parent_edge(element, local_edge, s):
-    """Basis values and gradients at points of exterior edge `local_edge`.
+def eval_on_parent_edges(element, s):
+    """Basis values and gradients at points of the three exterior edges.
 
-    The edge is parameterized by s in [0, 1] from vertex k to vertex k+1 and
-    evaluated from its owning subtriangle, which is exact for traces.
-    Returns (val (..., nq, 9), grad (..., nq, 9, 2)) for a stack of elements.
+    Edge k is parameterized by s in [0, 1] from vertex k to vertex NEXT[k]
+    and evaluated from its owning subtriangle k, which is exact for traces;
+    the three edges of a stack of elements take one basis evaluation.
+    Returns (val (..., 3, nq, 9), grad (..., 3, nq, 9, 2)).
     """
-    k = local_edge
-    pts = _edge_points(element.coords[..., k, :], element.coords[..., (k + 1) % 3, :],
-                       np.asarray(s, dtype=float))
-    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[..., k, :, :]), pts,
-                                order=1)
-    C = np.swapaxes(element.coeffs[..., :, k, :], -1, -2)
+    coords = element.coords
+    pts = segment_points(coords, coords[..., NEXT, :], np.asarray(s, dtype=float))
+    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords), pts, order=1)
+    C = np.moveaxis(element.coeffs, -3, -1)  # (..., sub, 10, 9)
     return v @ C, np.einsum("...qbd,...bj->...qjd", g, C)

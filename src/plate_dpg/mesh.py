@@ -4,16 +4,13 @@ The initial mesh splits the square into four triangles around the center
 point.  Each refinement replaces every triangle by four children obtained
 by connecting edge midpoints, so level k has 4**(k+1) triangles.  All
 derived connectivity (edge list, edge-to-triangle adjacency, boundary
-tags) is rebuilt deterministically from the triangle array, never
-mutated incrementally.
+edges and vertices) is rebuilt deterministically from the triangle
+array, never mutated incrementally.
 """
 
 import numpy as np
 
-from . import testspace
-
-# side tags for boundary edges of the unit square
-BOTTOM, RIGHT, TOP, LEFT = "bottom", "right", "top", "left"
+from . import quadrature, testspace
 
 
 class Mesh:
@@ -33,8 +30,8 @@ class Mesh:
         Adjacent triangle indices; -1 marks a missing neighbor.
     boundary_edges : ndarray
         Indices of edges with exactly one adjacent triangle.
-    boundary_side : dict
-        Maps boundary edge index to its side tag.
+    boundary_vertices : ndarray
+        Sorted indices of the vertices of the boundary edges.
     level : int
         Number of uniform refinements applied to the initial mesh.
     """
@@ -112,30 +109,12 @@ class Mesh:
         self.tri_edges = tri_edges
         self.edge_tris = np.array(adj, dtype=np.int64)
         self.boundary_edges = np.flatnonzero(self.edge_tris[:, 1] == -1)
-        self.boundary_side = {}
-        for e in self.boundary_edges:
-            p, q = self.vertices[self.edges[e]]
-            if p[1] == 0.0 and q[1] == 0.0:
-                side = BOTTOM
-            elif p[0] == 1.0 and q[0] == 1.0:
-                side = RIGHT
-            elif p[1] == 1.0 and q[1] == 1.0:
-                side = TOP
-            elif p[0] == 0.0 and q[0] == 0.0:
-                side = LEFT
-            else:
-                side = None  # not on the unit square; BC code rejects this
-            self.boundary_side[int(e)] = side
-        bverts = set()
-        for e in self.boundary_edges:
-            bverts.update(self.edges[e])
-        self.boundary_vertices = np.array(sorted(bverts), dtype=np.int64)
+        self.boundary_vertices = np.unique(self.edges[self.boundary_edges])
+
 
 def signed_areas(mesh):
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    """Signed area of each triangle of `mesh`, positive on a CCW one."""
+    return 0.5 * quadrature.triangle_jacobians(mesh.vertices[mesh.triangles])[2]
 
 
 def unit_square_initial():

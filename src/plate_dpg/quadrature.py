@@ -4,6 +4,8 @@ Triangle rules are conical products of Gauss-Legendre and Gauss-Jacobi
 (weight 1-y) rules pushed through the Duffy map, so all weights are
 positive and the declared exactness degree is certified rather than
 transcribed from a table.  Edge rules are plain Gauss-Legendre on [0, 1].
+The geometry the rules map with lives here once: the triangle Jacobian,
+the points of a segment and the edge successor NEXT.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ from scipy.special import roots_jacobi
 # reference triangle: vertices (0,0), (1,0), (0,1)
 MAX_TRIANGLE_DEGREE = 20
 MAX_EDGE_DEGREE = 21
+# edge k of a triangle runs from vertex k to vertex NEXT[k]
+NEXT = [1, 2, 0]
 
 
 class QuadRule:
@@ -62,6 +66,13 @@ def edge_rule(degree):
     return QuadRule(0.5 * (xg + 1.0), 0.5 * wg, 2 * n - 1)
 
 
+def triangle_jacobians(coords):
+    """Edges d1 = v1 - v0, d2 = v2 - v0 of the triangles `coords` (ne, 3, 2), and det [d1 d2]."""
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    return d1, d2, d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
 def map_to_triangles(rule, coords):
     """Push a reference-triangle rule to every triangle of `coords` (ne, 3, 2).
 
@@ -70,12 +81,15 @@ def map_to_triangles(rule, coords):
     triangle is checked: callers pass those `testspace.triangle_gate` passed.
     """
     coords = np.asarray(coords, dtype=float)
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    jac = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    d1, d2, jac = triangle_jacobians(coords)
     ref = rule.points[:, :, None]
     pts = coords[:, None, 0] + ref[:, 0] * d1[:, None] + ref[:, 1] * d2[:, None]
     return pts, rule.weights * jac[:, None]
+
+
+def segment_points(p, q, s):
+    """Points p + s (q - p) of the segments p-q, given as (..., 2) endpoints: (..., ns, 2)."""
+    return p[..., None, :] + s[:, None] * (q - p)[..., None, :]
 
 
 def map_to_edge(rule, p0, p1):
@@ -85,7 +99,7 @@ def map_to_edge(rule, p0, p1):
     segment's length.  Every operation is elementwise, so each segment gets
     the bits it gets on its own.
     """
-    p0 = np.asarray(p0, dtype=float)
-    d = np.asarray(p1, dtype=float) - p0
-    pts = p0[..., None, :] + rule.points[:, None] * d[..., None, :]
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    d = p1 - p0
+    pts = segment_points(p0, p1, rule.points)
     return pts, rule.weights * np.hypot(d[..., 0], d[..., 1])[..., None]

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from . import quadrature
+
 # Bernstein degree of every basis here: the enriched broken test space
 # (practical DPG, Gopalakrishnan and Qiu 2014) for constant fields and traces
 # cubic along each edge, and the cubics on the HCT element's subtriangles
@@ -62,9 +64,7 @@ def triangle_gate(coords, first):
     """
     coords = np.asarray(coords, dtype=float)
     n = _passed((np.abs(coords) <= COORD_MAX).all(axis=(1, 2)))  # NaN fails it too
-    d1 = coords[:n, 1] - coords[:n, 0]
-    d2 = coords[:n, 2] - coords[:n, 0]
-    n = _passed(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0.0)
+    n = _passed(quadrature.triangle_jacobians(coords[:n])[2] > 0.0)
     try:
         bary = BarycentricMap(coords[:n])
     except np.linalg.LinAlgError:  # raised for the stack: find the first singular map

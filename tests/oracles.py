@@ -14,9 +14,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from plate_dpg import quadrature
-from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_hct, eval_on_parent_edge
+from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_hct, eval_on_parent_edges
 from plate_dpg.manufactured import ExactSolution
 from plate_dpg.mesh import Mesh, mesh_at_level
+from plate_dpg.testspace import BarycentricMap, eval_scalar_basis
 
 
 # ---- diagnostic pairings used to cross-check the assembled skeleton terms
@@ -117,6 +118,24 @@ def hct_elements(mesh):
     return [build_hct_element(coords) for coords in mesh.vertices[mesh.triangles]]
 
 
+def eval_on_parent_edge(element, local_edge, s):
+    """Basis values and gradients at points of exterior edge `local_edge`, one edge per call.
+
+    The reference for `hct.eval_on_parent_edges`, which takes the three
+    edges in one call.  The edge is parameterized by s in [0, 1] from
+    vertex k to vertex k+1 and evaluated from its owning subtriangle.
+    Returns (val (..., nq, 9), grad (..., nq, 9, 2)) for a stack of elements.
+    """
+    k = local_edge
+    pts = quadrature.segment_points(element.coords[..., k, :],
+                                    element.coords[..., (k + 1) % 3, :],
+                                    np.asarray(s, dtype=float))
+    v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[..., k, :, :]), pts,
+                                order=1)
+    C = np.swapaxes(element.coeffs[..., :, k, :], -1, -2)
+    return v @ C, np.einsum("...qbd,...bj->...qjd", g, C)
+
+
 def hct_edge_trace(element, local_edge):
     """Polynomial coefficients (ascending in s) of the edge traces.
 
@@ -124,8 +143,8 @@ def hct_edge_trace(element, local_edge):
     value trace and the degree <= 2 Cartesian gradient traces along edge
     `local_edge`, parameterized by s in [0, 1].
     """
-    vv, _ = eval_on_parent_edge(element, local_edge, _VALUE_S)
-    _, gg = eval_on_parent_edge(element, local_edge, _GRAD_S)
+    vv = eval_on_parent_edges(element, _VALUE_S)[0][local_edge]
+    gg = eval_on_parent_edges(element, _GRAD_S)[1][local_edge]
     V3 = np.vander(_VALUE_S, 4, increasing=True)
     V2 = np.vander(_GRAD_S, 3, increasing=True)
     value = np.linalg.solve(V3, vv).T            # (9, 4)

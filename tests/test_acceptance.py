@@ -40,7 +40,7 @@ from plate_dpg.driver import (
 from plate_dpg.hct import (
     build_hct_element,
     eval_hct,
-    eval_on_parent_edge,
+    eval_on_parent_edges,
 )
 from plate_dpg.mesh import mesh_at_level
 
@@ -254,8 +254,8 @@ def test_criterion_6_structural_properties(capsys):
         ta, tb = mesh.edge_tris[e]
         ka = list(mesh.tri_edges[ta]).index(e)
         kb = list(mesh.tri_edges[tb]).index(e)
-        va, ga = eval_on_parent_edge(elements[ta], ka, s)
-        vb, gb = eval_on_parent_edge(elements[tb], kb, s)
+        va, ga = (a[ka] for a in eval_on_parent_edges(elements[ta], s))
+        vb, gb = (a[kb] for a in eval_on_parent_edges(elements[tb], s))
         da, db = field.local_dofs(ta), field.local_dofs(tb)
         ok = ok and np.abs(va @ da - (vb @ db)[::-1]).max() < 1e-10
         gra = np.einsum("qjd,j->qd", ga, da)

@@ -25,6 +25,7 @@ from plate_dpg.driver import (
     DofMap,
     MeshKernels,
     apply_bc_clamped,
+    apply_bc_simply_supported,
     assemble_and_solve,
     element_system,
     kirchhoff_limit_check,
@@ -106,6 +107,39 @@ def test_boundary_midpoint_constraints(level1):
             (TRACE_M12, VAL), (TRACE_M12, DX),
             (TRACE_M22, VAL), (TRACE_M22, DX)}
     assert got == want
+
+
+def test_boundary_sides_complete():
+    # level k splits each side of the square into 2**k boundary edges; each
+    # side constrains its own (field, component) pairs at its vertices, and
+    # the corners get both directions
+    mesh = mesh_at_level(2)
+    horizontal = {(f, c) for f in (TRACE_U, TRACE_M12, TRACE_M22) for c in (VAL, DX)}
+    vertical = {(f, c) for f in (TRACE_U, TRACE_M11, TRACE_M12) for c in (VAL, DY)}
+    got = {}
+    for v, f, c in apply_bc_simply_supported(mesh):
+        got.setdefault(v, set()).add((f, c))
+    x, y = mesh.vertices.T
+    corner = np.isin(x, (0.0, 1.0)) & np.isin(y, (0.0, 1.0))
+    sides = [(y == 0.0, horizontal), (x == 1.0, vertical),
+             (y == 1.0, horizontal), (x == 0.0, vertical)]
+    for on_side, pairs in sides:
+        edges = [e for e in mesh.boundary_edges if on_side[mesh.edges[e]].all()]
+        assert len(edges) == 4
+        for v in np.flatnonzero(on_side):
+            assert got[v] == (horizontal | vertical if corner[v] else pairs)
+    assert sorted(got) == list(mesh.boundary_vertices)
+
+
+def test_boundary_conditions_reject_a_mesh_off_the_unit_square():
+    base = mesh_at_level(1)
+    mesh = Mesh(2.0 * base.vertices, base.triangles, level=1)
+    with pytest.raises(ValueError) as err:
+        DofMap(mesh, ProblemConfig())
+    assert str(err.value) == "boundary conditions require a unit-square mesh"
+    # the clamped condition pins the boundary vertices wherever they lie
+    dof = DofMap(mesh, ProblemConfig(t=0.0, bc="clamped"))
+    assert int(dof.constrained.sum()) == 3 * len(mesh.boundary_vertices) == 24
 
 
 def test_clamped_constraints(level1):
@@ -272,6 +306,19 @@ def test_study_errors_decrease_and_rates_match():
     assert math.isnan(records[0].rate_u)
     assert math.isnan(records[0].rate_M)
     assert math.isnan(records[0].rate_theta)
+
+
+# both ended in a bare IndexError before: run_study indexed a short chain
+@pytest.mark.parametrize("kernels, levels", [([], 2), ([None, None], 3)])
+def test_run_study_extends_a_short_kernels_chain(kernels, levels):
+    records = run_study([1e-2], levels, ProblemConfig(), [], kernels)
+    assert [r.level for r in records] == list(range(levels))
+    assert len(kernels) == levels
+    assert all(isinstance(k, MeshKernels) for k in kernels)
+    got, want = io.StringIO(), io.StringIO()
+    write_csv(records, got)
+    write_csv(run_study([1e-2], levels, ProblemConfig()), want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_csv_format():

@@ -3,13 +3,22 @@ import re
 import numpy as np
 import pytest
 
-from oracles import HctScalarField, hct_edge_trace, hct_elements, interpolate, random_triangle
-from plate_dpg.dpg import ElementKernel
+from oracles import (
+    HctScalarField,
+    eval_on_parent_edge,
+    hct_edge_trace,
+    hct_elements,
+    interpolate,
+    jittered_mesh,
+    random_triangle,
+)
+from plate_dpg import quadrature
+from plate_dpg.dpg import EDGE_DEGREE, ElementKernel
 from plate_dpg.hct import (
     N_DOFS,
     build_hct_element,
     eval_hct,
-    eval_on_parent_edge,
+    eval_on_parent_edges,
 )
 from plate_dpg.mesh import mesh_at_level, unit_square_initial
 
@@ -107,8 +116,8 @@ def test_edge_trace_constant():
     element = build_hct_element(random_triangle(7))
     dofs = dofs_of(lambda x, y: 1.0, lambda x, y: (0.0, 0.0), element.coords)
     s = np.linspace(0.0, 1.0, 7)
-    for k in range(3):
-        val, grad = eval_on_parent_edge(element, k, s)
+    vals, grads = eval_on_parent_edges(element, s)
+    for val, grad in zip(vals, grads):
         assert np.abs(val @ dofs - 1.0).max() < 1e-12
         assert np.abs(np.einsum("qjd,j->qd", grad, dofs)).max() < 1e-11
 
@@ -121,14 +130,30 @@ def test_edge_trace_linear_and_quadratic():
     s = np.linspace(0.0, 1.0, 9)
 
     dofs = dofs_of(lambda x, y: x, lambda x, y: (1.0, 0.0), coords)
-    val, _ = eval_on_parent_edge(element, 0, s)
+    val = eval_on_parent_edges(element, s)[0][0]
     assert np.abs(val @ dofs - s).max() < 1e-12
 
     dofs = dofs_of(lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0), coords)
-    val, grad = eval_on_parent_edge(element, 0, s)
+    val, grad = (a[0] for a in eval_on_parent_edges(element, s))
     assert np.abs(val @ dofs - s * s).max() < 1e-11
     tang = np.einsum("qjd,j->qd", grad, dofs)[:, 0]  # d/ds = d/dx here
     assert np.abs(tang - 2.0 * s).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["uniform level 2", "jittered level 3", "12 random triangles"])
+def test_stacked_edge_traces_match_the_per_edge_oracle(name):
+    if name == "12 random triangles":
+        coords = np.array([random_triangle(seed) for seed in range(12)])
+    else:
+        mesh = mesh_at_level(2) if name == "uniform level 2" else jittered_mesh(3, seed=0)
+        coords = mesh.vertices[mesh.triangles]
+    element = build_hct_element(coords)
+    s = quadrature.edge_rule(EDGE_DEGREE).points
+    vals, grads = eval_on_parent_edges(element, s)
+    for k in range(3):
+        val, grad = eval_on_parent_edge(element, k, s)
+        for got, want in ((vals[:, k], val), (grads[:, k], grad)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_edge_trace_polynomial_coefficients():
@@ -152,7 +177,7 @@ def test_normal_derivative_affine_on_edges():
         d = q - p
         n = np.array([d[1], -d[0]]) / np.hypot(*d)
         s = np.linspace(0.0, 1.0, 5)
-        _, grad = eval_on_parent_edge(element, k, s)
+        grad = eval_on_parent_edges(element, s)[1][k]
         dn = np.einsum("qjd,j->qd", grad, dofs) @ n
         # affine in s: second differences of equispaced samples vanish
         second = dn[2:] - 2.0 * dn[1:-1] + dn[:-2]
@@ -171,8 +196,8 @@ def test_global_c1_continuity():
         ta, tb = mesh.edge_tris[e]
         ka = list(mesh.tri_edges[ta]).index(e)
         kb = list(mesh.tri_edges[tb]).index(e)
-        va, ga = eval_on_parent_edge(elements[ta], ka, s)
-        vb, gb = eval_on_parent_edge(elements[tb], kb, s)
+        va, ga = (a[ka] for a in eval_on_parent_edges(elements[ta], s))
+        vb, gb = (a[kb] for a in eval_on_parent_edges(elements[tb], s))
         da, db = field.local_dofs(ta), field.local_dofs(tb)
         fa, fb = va @ da, vb @ db
         gra = np.einsum("qjd,j->qd", ga, da)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oracles import edge_outward_normal
-from plate_dpg import mesh as meshmod
 from plate_dpg.mesh import (
     Mesh,
     mesh_at_level,
@@ -90,14 +89,6 @@ def test_normals_close_up():
             d = coords[(k + 1) % 3] - coords[k]
             total += np.hypot(*d) * edge_outward_normal(m, ti, k)
         assert np.abs(total).max() < 1e-13
-
-
-def test_boundary_sides_complete():
-    # level k splits each side of the square into 2**k boundary edges
-    m = mesh_at_level(2)
-    sides = [m.boundary_side[int(e)] for e in m.boundary_edges]
-    for tag in (meshmod.BOTTOM, meshmod.RIGHT, meshmod.TOP, meshmod.LEFT):
-        assert sides.count(tag) == 4
 
 
 def test_refinement_deterministic():
