@@ -87,6 +87,7 @@ print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spen
 
 ENVIRONMENT = """
 import ctypes, json, os, platform, numpy, numpy.linalg._umath_linalg, scipy, scipy.linalg._fblas
+from plate_dpg.linalg import _OPENBLAS_THREAD_NAMES
 
 def blas(config):
     dep = config.get("Build Dependencies", {}).get("blas", {})
@@ -96,8 +97,7 @@ def blas_threads(module):
     # the OpenBLAS a module links, reached through its handle: numpy's,
     # scipy's or a system build
     lib = ctypes.CDLL(module.__file__)
-    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                 "openblas_get_num_threads"):
+    for name, _ in _OPENBLAS_THREAD_NAMES:
         get = getattr(lib, name, None)
         if get is not None:
             get.restype = ctypes.c_int
@@ -175,7 +175,8 @@ def main(argv=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in ("src", os.environ.get("PYTHONPATH")) if p))
 
-    record = {"label": label, "environment": last_json(run([sys.executable, "-c", ENVIRONMENT]))}
+    record = {"label": label,
+              "environment": last_json(run([sys.executable, "-c", ENVIRONMENT], env))}
     record["perfbench"] = {}
     for workload in WORKLOADS:
         result = last_json(run([sys.executable, "perfbench/run.py", "--workload", workload,

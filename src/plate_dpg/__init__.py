@@ -16,7 +16,6 @@ from .driver import (
     run_study,
     write_csv,
 )
-from .linalg import solve_spd
 from .manufactured import ExactSolution, verify_manufactured
 from .mesh import Mesh, mesh_at_level, refine_uniform, unit_square_initial
 
@@ -33,7 +32,6 @@ __all__ = [
     "mesh_at_level",
     "refine_uniform",
     "run_study",
-    "solve_spd",
     "unit_square_initial",
     "verify_manufactured",
     "write_csv",

@@ -189,8 +189,7 @@ def gram(k, t):
     R = np.zeros((ne, len(feats) * nq, n))
     for i, (c, F) in enumerate(feats):
         _full_width(F, n, np.sqrt(c) * sqw, out=R[:, i * nq : (i + 1) * nq])
-    G = R.transpose(0, 2, 1) @ R
-    return 0.5 * (G + G.transpose(0, 2, 1))
+    return R.transpose(0, 2, 1) @ R
 
 
 def b_field(k, t):
@@ -275,7 +274,7 @@ def load(k, f_values, t):
     return l
 
 
-def gram_factors(G, *data):
+def gram_factors(G, *data, first=0):
     """Cholesky factors of the equilibrated Gram matrices of a stack, and every input check.
 
     Returns (L, dinv): dinv = 1 / sqrt(diag G) per element (ne, n), and L
@@ -285,12 +284,16 @@ def gram_factors(G, *data):
     what `cho_factor` and `cho_solve` raised on the element's data:
     LinAlgError for a non-positive or non-finite diagonal of G or a matrix
     that is not positive definite, ValueError for a non-finite entry of the
-    scaled G or of the further arrays `data` (the elements' B and l).
+    scaled G or of the further arrays `data` (the elements' B and l).  A
+    LinAlgError names the first failing element, at place i of the stack,
+    as "element {first + i}: ".
     """
     diag = np.diagonal(G, axis1=1, axis2=2)
     # checked before the square root, which would warn on a negative entry
-    if not (np.isfinite(diag) & (diag > 0.0)).all():
-        raise np.linalg.LinAlgError("Gram matrix has a non-positive diagonal")
+    positive = (np.isfinite(diag) & (diag > 0.0)).all(axis=1)
+    if not positive.all():
+        raise np.linalg.LinAlgError(f"element {first + int(np.argmin(positive))}: "
+                                    "Gram matrix has a non-positive diagonal")
     dinv = 1.0 / np.sqrt(diag)
     Gt = G * dinv[:, :, None] * dinv[:, None, :]
     S = 0.5 * (Gt + Gt.transpose(0, 2, 1))
@@ -299,11 +302,11 @@ def gram_factors(G, *data):
     # S is exactly symmetric, so each S[i].T is the same matrix in Fortran
     # order, and potrf factors it in place
     L = S.transpose(0, 2, 1)
-    for Li in L:
+    for i, Li in enumerate(L):
         _, info = dpotrf(Li, lower=1, clean=0, overwrite_a=1)
         if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}-th leading minor of the array is not positive definite")
+            raise np.linalg.LinAlgError(f"element {first + i}: {info}-th leading minor "
+                                        "of the array is not positive definite")
         if info < 0:
             raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
                              'on entry to "POTRF".')

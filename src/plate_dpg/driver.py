@@ -164,6 +164,19 @@ def _timed(stats, phase):
         stats[phase] = stats.get(phase, 0.0) + time.perf_counter() - start
 
 
+@contextlib.contextmanager
+def _at_level(level, t):
+    """Prefix "level L, t = T: " to a SolveError or ValueError of the with-block.
+
+    The exception keeps its type and its other attributes.
+    """
+    try:
+        yield
+    except (linalg.SolveError, ValueError) as err:
+        err.args = (f"level {level}, t = {t:g}: {err}",)
+        raise
+
+
 def element_system(kernels, elements, config):
     """Factored local systems of the elements in the slice `elements`, built as one stack.
 
@@ -176,7 +189,7 @@ def element_system(kernels, elements, config):
     G = dpg.gram(k, t)
     B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
     l = dpg.load(k, k.f_values, t)
-    L, dinv = dpg.gram_factors(G, B, l)
+    L, dinv = dpg.gram_factors(G, B, l, first=elements.start or 0)
     return L, dinv, B, l
 
 
@@ -369,8 +382,8 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     A given `mesh_chain` (levels 0, 1, ...) and `kernels_chain` (a level's
     `MeshKernels` or None) are extended to `levels` entries and filled in
     place.  Meshes and element tables are shared across thicknesses.  `progress` is an
-    optional callable taking a status string.  A failed solve raises
-    linalg.SolveError naming its level and t.
+    optional callable taking a status string.  A linalg.SolveError or
+    ValueError of a level's tables or solve names its level and t.
     """
     from dataclasses import replace
 
@@ -393,13 +406,11 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     for t, cfg in zip(t_list, configs):
         prev = None
         for level in range(first, levels):
-            if kernels_chain[level] is None:
-                kernels_chain[level] = MeshKernels(mesh_chain[level], cfg)
-            start = time.perf_counter()
-            try:
+            with _at_level(level, t):
+                if kernels_chain[level] is None:
+                    kernels_chain[level] = MeshKernels(mesh_chain[level], cfg)
+                start = time.perf_counter()
                 sol = assemble_and_solve(mesh_chain[level], cfg, kernels_chain[level])
-            except linalg.SolveError as err:
-                raise linalg.SolveError(f"level {level}, t = {t:g}: {err}") from err
             err_u, err_M, err_th = manufactured.l2_errors(
                 mesh_chain[level], sol.u, sol.M, sol.theta, t
             )
@@ -453,7 +464,8 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
 
     Before any solve, ValueError rejects a negative `level`, one past
     linalg.DIRECT_SIZE_LIMIT free dofs, and an empty `t_sequence` or one
-    with a t that is not finite and > 0.
+    with a t that is not finite and > 0.  A linalg.SolveError or ValueError
+    of the tables or a solve names the level and t.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0 (got {level})")
@@ -461,11 +473,13 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
         raise ValueError("the limit study needs finite thicknesses t > 0")
     config = dpg.ProblemConfig(t=0.0)
     msh = _mesh_chain(level + 1, dpg.ProblemConfig(t=t_sequence[0]), [])[level]
-    kernels = MeshKernels(msh, config)
-    sol0 = assemble_and_solve(msh, config, kernels)
+    with _at_level(level, 0.0):
+        kernels = MeshKernels(msh, config)
+        sol0 = assemble_and_solve(msh, config, kernels)
     rows = []
     for t in t_sequence:
-        sol = assemble_and_solve(msh, dpg.ProblemConfig(t=t), kernels)
+        with _at_level(level, t):
+            sol = assemble_and_solve(msh, dpg.ProblemConfig(t=t), kernels)
         du = _p0_l2_diff(msh, sol.u, sol0.u)
         dM = _p0_l2_diff(msh, sol.M, sol0.M, weights=(1.0, 2.0, 1.0))
         rows.append((float(t), du, dM))

@@ -215,9 +215,3 @@ def spd_solver(A, method="direct", stats=None):
         yield cg_solve
         return
     raise ValueError(f"unknown method {method!r}")
-
-
-def solve_spd(A, b, method="direct", stats=None):
-    """Solve A x = b for symmetric positive definite A with `spd_solver`."""
-    with spd_solver(A, method, stats) as solve:
-        return solve(b)

@@ -413,7 +413,8 @@ def loop_solve(mesh, config, kernels, f_values, dof):
     lower = rows >= cols
     A = symmetric_from_coo(dof.n_free, rows[lower], cols[lower], vals[lower])
     x = np.zeros(dof.n_total)
-    x[dof.free] = linalg.solve_spd(A, rhs, method=config.solver)
+    with linalg.spd_solver(A, config.solver) as solve:
+        x[dof.free] = solve(rhs)
     eta_sq = np.empty(mesh.num_triangles)
     for ti in range(mesh.num_triangles):
         eta_sq[ti] = cho_residual(systems[ti], x[element_dofs(dof, mesh, ti)]) ** 2

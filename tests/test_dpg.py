@@ -16,11 +16,12 @@ from oracles import (
     HctScalarField,
     HctTriple,
     hct_elements,
+    jittered_mesh,
     random_triangle,
     trace_pair_edge,
     trace_pair_volume,
 )
-from plate_dpg import dpg, quadrature
+from plate_dpg import dpg, parts, quadrature
 from plate_dpg.dpg import (
     ElementKernel,
     ProblemConfig,
@@ -34,6 +35,7 @@ from plate_dpg.dpg import (
     pack_lower,
 )
 from plate_dpg.hct import eval_hct
+from plate_dpg.mesh import mesh_at_level
 from plate_dpg.quadrature import map_to_triangles, triangle_rule
 from plate_dpg.testspace import DEGREE, N_SCALAR, BarycentricMap, eval_scalar_basis
 
@@ -149,6 +151,17 @@ def test_gram_symmetric_positive_definite():
             # equilibrated Cholesky must succeed even at cond ~ 1/t
             d = 1.0 / np.sqrt(np.diag(G))
             np.linalg.cholesky(G * d[:, None] * d[None, :])
+
+
+def test_gram_of_every_chunk_is_exactly_symmetric():
+    # the stacked R^T R is one syrk per element, which computes one triangle
+    # and copies it into the other, so `gram` returns G as the product gives it
+    for mesh in (mesh_at_level(2), jittered_mesh(3, 0)):
+        kernels = ElementKernel(mesh.vertices[mesh.triangles])
+        for lo in range(0, len(kernels), parts.CHUNK):
+            for t in (1e-2, 1e-8, 0.0):
+                G = gram(kernels[lo:lo + parts.CHUNK], t)
+                assert np.array_equal(G, G.transpose(0, 2, 1))
 
 
 def test_gram_size_depends_on_thickness():

@@ -576,6 +576,23 @@ def test_cli_study_names_the_failed_solve(monkeypatch, capsys, tmp_path):
     assert not out.exists()
 
 
+# each of these ended in its element stage's message alone, which named
+# no level, t or element
+@pytest.mark.parametrize("args, message", [
+    (["study", "--t-list", "1e-2,1e10", "--levels", "3", "--quiet"],
+     "level 0, t = 1e+10: element 0: 10-th leading minor of the array is not positive definite"),
+    (["study", "--t-list", "5e-324", "--levels", "1", "--quiet"],
+     "level 0, t = 4.94066e-324: element 0: Gram matrix has a non-positive diagonal"),
+    (["limit", "--level", "2", "--t-list", "1e10,1e-2"],
+     "level 2, t = 1e+10: element 0: 10-th leading minor of the array is not positive definite"),
+])
+def test_cli_names_the_level_t_and_element_of_a_failed_element_stage(capsys, args, message):
+    assert main(args) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [f"plate-dpg {args[0]}: error: {message}"]
+
+
 def test_cli_clamped_study_starts_at_level_1_and_converges(run_cli, tmp_path):
     # level 0 of a clamped plate is singular in a trace gauge, so the study
     # skips it; the rates approach 1 as they do for the simple support

@@ -4,9 +4,10 @@ Each output is hashed with SHA-256 over exact values: `float.hex` of each
 scalar and the raw bytes of each array (with its dtype and shape).  The
 outputs are the acceptance study on the four benchmark thicknesses at
 levels 0-3, the clamped study at t = 0 on levels 1-3, every `MeshKernels`
-table of uniform level 2, the fields, estimator, assembled matrix and
-kept element stacks of one jittered level-3 mesh at t = 1e-2 and t = 0,
-the Kirchhoff limit check at level 2 and the `verify` report.
+table of uniform level 2, the fields, estimator, assembled matrix, kept
+element stacks and the counters of `Solution.stats` (STATS) of one
+jittered level-3 mesh at t = 1e-2 and t = 0, the Kirchhoff limit check at
+level 2 and the `verify` report.
 
 The hashes hold for one environment, whose fingerprint golden.json keeps.
 On another one the test is skipped and names the fields that differ.
@@ -42,6 +43,10 @@ STUDY_LEVELS = 4
 JITTER_LEVEL, JITTER_SEED = 3, 0
 CLAMPED_LEVELS = 4  # levels 1-3: clamped studies start at level 1
 TABLES_LEVEL = 2
+# the fields of Solution.stats that are not times; factor_stored moves with
+# any SuperLU option
+STATS = ("n_free", "nnz", "factor_nnz", "factor_stored", "residual_inf",
+         "gram_pivot_min", "eta_max", "eta_mean", "kept_mb")
 
 
 def fingerprint():
@@ -100,6 +105,8 @@ def outputs():
                   "kept L": Lp, "kept dinv": dinv, "kept B": B, "kept l": l}
         for name, a in arrays.items():
             out[f"jittered t={t:g} {name}"] = digest("none" if a is None else a)
+        for name in STATS:
+            out[f"jittered t={t:g} stats {name}"] = digest(sol.stats[name])
 
     limit = driver.kirchhoff_limit_check(level=2)
     out["limit"] = digest(*(v for row in limit["rows"] for v in row),

@@ -15,7 +15,6 @@ from plate_dpg.linalg import (
     NotPositiveDefiniteError,
     SolveError,
     one_blas_thread,
-    solve_spd,
     spd_solver,
 )
 from plate_dpg.mesh import mesh_at_level
@@ -65,18 +64,21 @@ def test_sparse_from_coo_rejects_upper_triplets():
 
 def test_solve_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(solve_spd(sparse(np.eye(3)), b), b)
+    with spd_solver(sparse(np.eye(3))) as solve:
+        assert np.allclose(solve(b), b)
 
 
 def test_solve_diagonal():
-    x = solve_spd(sparse(np.diag([2.0, 4.0])), np.array([2.0, 8.0]))
+    with spd_solver(sparse(np.diag([2.0, 4.0]))) as solve:
+        x = solve(np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 2.0])
 
 
 def test_solve_matches_dense_oracle():
     D = random_spd(50, seed=2)
     b = np.random.default_rng(3).standard_normal(50)
-    x = solve_spd(sparse(D), b)
+    with spd_solver(sparse(D)) as solve:
+        x = solve(b)
     x_ref = cho_solve(cho_factor(D, lower=True), b)
     assert np.abs(x - x_ref).max() < 1e-9 * np.abs(x_ref).max()
 
@@ -85,8 +87,10 @@ def test_direct_and_cg_agree():
     D = random_spd(40, seed=4, cond=1e6)
     b = np.random.default_rng(5).standard_normal(40)
     A = sparse(D)
-    xd = solve_spd(A, b, method="direct")
-    xc = solve_spd(A, b, method="cg")
+    with spd_solver(A, "direct") as solve:
+        xd = solve(b)
+    with spd_solver(A, "cg") as solve:
+        xc = solve(b)
     assert np.abs(xd - xc).max() < 1e-8 * np.abs(xd).max()
 
 
@@ -98,7 +102,8 @@ def test_solver_handles_badly_scaled_diagonal():
     D = random_spd(30, seed=7) * np.outer(s, s)
     x_ref = rng.standard_normal(30)
     b = D @ x_ref
-    x = solve_spd(sparse(D), b)
+    with spd_solver(sparse(D)) as solve:
+        x = solve(b)
     assert np.abs(x - x_ref).max() < 1e-7 * np.abs(x_ref).max()
 
 
@@ -109,21 +114,22 @@ def test_solver_residual_at_extreme_scaling():
     s = 10.0 ** rng.uniform(-6, 6, 30)
     D = random_spd(30, seed=10) * np.outer(s, s)
     b = D @ rng.standard_normal(30)
-    x = solve_spd(sparse(D), b)
+    with spd_solver(sparse(D)) as solve:
+        x = solve(b)
     res = np.abs(D @ x - b).max()
     assert res < 1e-10 * np.abs(b).max()
 
 
 def test_solve_rejects_nonpositive_diagonal():
     A = sparse(np.diag([1.0, 0.0]))
-    with pytest.raises(NotPositiveDefiniteError):
-        solve_spd(A, np.ones(2))
+    with pytest.raises(NotPositiveDefiniteError), spd_solver(A) as solve:
+        solve(np.ones(2))
 
 
 def test_solve_rejects_indefinite():
     A = sparse(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotPositiveDefiniteError):
-        solve_spd(A, np.ones(2))
+    with pytest.raises(NotPositiveDefiniteError), spd_solver(A) as solve:
+        solve(np.ones(2))
 
 
 def test_cg_reports_nonconvergence(monkeypatch):
@@ -138,8 +144,8 @@ def test_cg_reports_nonconvergence(monkeypatch):
         return cg(*args, **{**kwargs, "maxiter": 2})
 
     monkeypatch.setattr(linalg.spla, "cg", two_iterations)
-    with pytest.raises(IterativeSolveError) as info:
-        solve_spd(A, b, method="cg")
+    with pytest.raises(IterativeSolveError) as info, spd_solver(A, "cg") as solve:
+        solve(b)
     # scipy's cg reports its iteration count on nonconvergence
     assert info.value.iterations == 2
     assert info.value.residual > linalg.CG_TOL
@@ -148,8 +154,8 @@ def test_cg_reports_nonconvergence(monkeypatch):
 
 def test_unknown_method():
     A = sparse(np.eye(2))
-    with pytest.raises(ValueError):
-        solve_spd(A, np.ones(2), method="qr")
+    with pytest.raises(ValueError), spd_solver(A, "qr") as solve:
+        solve(np.ones(2))
 
 
 def test_cg_iterations_are_the_callback_count():
@@ -157,7 +163,8 @@ def test_cg_iterations_are_the_callback_count():
     b = np.random.default_rng(5).standard_normal(40)
     A = sparse(D)
     stats = {}
-    x = solve_spd(A, b, method="cg", stats=stats)
+    with spd_solver(A, "cg", stats) as solve:
+        x = solve(b)
     seen = []
     d = A.diagonal()
     M = spla.LinearOperator(A.shape, matvec=lambda v: v / d)
@@ -167,7 +174,8 @@ def test_cg_iterations_are_the_callback_count():
     assert np.array_equal(x, x_ref)
     assert stats["cg_iterations"] == len(seen) > 0
     assert stats["factor_s"] == stats["factor_nnz"] == stats["factor_stored"] == 0
-    solve_spd(A, b, stats=stats)
+    with spd_solver(A, "direct", stats) as solve:
+        solve(b)
     assert stats["cg_iterations"] == 0
 
 
@@ -175,7 +183,8 @@ def test_direct_solve_reports_its_factor():
     # the L and U factors of a dense n x n matrix hold n (n + 1) entries,
     # the unit diagonal of L included
     stats = {}
-    solve_spd(sparse(random_spd(8, seed=6)), np.ones(8), stats=stats)
+    with spd_solver(sparse(random_spd(8, seed=6)), "direct", stats) as solve:
+        solve(np.ones(8))
     assert stats["factor_nnz"] == 8 * 9
     assert stats["factor_stored"] >= stats["factor_nnz"]
     assert stats["factor_s"] > 0.0

@@ -92,13 +92,34 @@ def assemble_error(case, elements):
     ("NaN in B", ValueError, "array must not contain infs or NaNs"),
 ])
 def test_an_error_in_the_forked_half_is_raised_here(case, error, message, one_core):
-    # the last element is in the last chunk, which the child builds
+    # the last element, 63, is in the last chunk, which the child builds;
+    # the Gram check names it
+    if error is np.linalg.LinAlgError:
+        message = f"element 63: {message}"
     forked = assemble_error(case, [-1])
     assert type(forked) is error and str(forked) == message
     assert "raised in the forked half of a chunk loop" in forked.__notes__[0]
     one_core()
     serial = assemble_error(case, [-1])
     assert type(serial) is error and str(serial) == message
+
+
+@two_cores
+def test_a_bad_gram_matrix_is_named_by_its_mesh_index_in_either_part(monkeypatch):
+    # a NaN in one element's test basis once gave "Gram matrix has a
+    # non-positive diagonal" and no element; element 200 of level 3's 256 is
+    # in chunk 12 of 16, which the child builds when the loop forks
+    mesh, cfg = mesh_at_level(3), ProblemConfig()
+    kernels = driver.MeshKernels(mesh, cfg)
+    kernels.V[200, 0, 0] = np.nan
+    for n_parts in (2, 1):
+        monkeypatch.setattr(parts, "part_count", lambda: n_parts)
+        with pytest.raises(np.linalg.LinAlgError) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            driver.assemble(mesh, cfg, kernels)
+        assert str(err.value) == "element 200: Gram matrix has a non-positive diagonal"
+        assert hasattr(err.value, "__notes__") == (n_parts == 2)
+        assert_no_child_left()
 
 
 @two_cores

@@ -18,8 +18,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 # tracer targets the package no longer has; the condensation and the
-# estimator run stacked, through dpg.condense and dpg.local_residuals
-KNOWN_MISSING = {"plate_dpg.dpg.local_normal_contribution", "plate_dpg.dpg.local_residual"}
+# estimator run stacked, through dpg.condense and dpg.local_residuals, and
+# every solve runs through linalg.spd_solver
+KNOWN_MISSING = {"plate_dpg.dpg.local_normal_contribution", "plate_dpg.dpg.local_residual",
+                 "plate_dpg.linalg.solve_spd"}
 
 
 @pytest.mark.parametrize("workload", ["study", "sweep"])
