@@ -31,10 +31,10 @@ def _parse_t_list(text):
     return values
 
 
-def _reject(args, message):
-    """The one-line error of argparse, without its usage block; exit status 2."""
+def _reject(args, message, status=2):
+    """The one-line error of argparse, without its usage block; exit status `status`."""
     print(f"plate-dpg {args.command}: error: {message}", file=sys.stderr)
-    return 2
+    return status
 
 
 def _path_error(path):
@@ -58,14 +58,8 @@ def _cmd_study(args):
     if not args.quiet:
         progress = lambda line: print(line, file=sys.stderr)
     meshes = []
-    try:
-        config = ProblemConfig(t=args.t_list[0], bc=args.bc, solver=args.solver)
-        records = run_study(args.t_list, args.levels, config, meshes, progress=progress)
-    except ValueError as err:
-        return _reject(args, str(err))
-    except SolveError as err:
-        print(f"plate-dpg study: error: {err}", file=sys.stderr)
-        return 1
+    config = ProblemConfig(t=args.t_list[0], bc=args.bc, solver=args.solver)
+    records = run_study(args.t_list, args.levels, config, meshes, progress=progress)
     if args.out == "-":
         write_csv(records, sys.stdout)
     else:
@@ -165,10 +159,7 @@ def _cmd_verify(args):
 
 
 def _cmd_limit(args):
-    try:
-        out = kirchhoff_limit_check(level=args.level, t_sequence=tuple(args.t_list))
-    except ValueError as err:
-        return _reject(args, str(err))
+    out = kirchhoff_limit_check(level=args.level, t_sequence=tuple(args.t_list))
     print(f"level {out['level']} mesh, distance to the t = 0 solution")
     print(f"{'t':>10s} {'|u(t)-u(0)|':>14s} {'|M(t)-M(0)|':>14s}")
     for t, du, dM in out["rows"]:
@@ -223,9 +214,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a ValueError or SolveError ends it in one line, exit status 2 or 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        return _reject(args, str(err))
+    except SolveError as err:
+        return _reject(args, str(err), status=1)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ potrf and potrs, and the estimator's scalar dot, run per element.
 """
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +86,8 @@ class ElementKernel:
     Built from the triangles `coords` (ne, 3, 2) in one stacked call per
     chunk of them (`parts.stack_chunks`), with the rules of QUAD_DEGREE and
     EDGE_DEGREE taken once.  Each chunk passes `testspace.triangle_gate`
-    first, which names a bad triangle by its index in `coords`.  The test
+    first, which names a bad triangle by its index in `coords`, as the HCT
+    set-up's own checks do.  The test
     basis tables hold the N_SCALAR Bernstein polynomials of
     testspace.DEGREE, one block of each component's test functions (see
     `block`).  Every table carries the elements on its leading axis.
@@ -120,7 +120,8 @@ class ElementKernel:
             ends = xy[:, quadrature.NEXT]
             epts, ew = quadrature.map_to_edge(erule, xy, ends)
             tval, tgrad, _ = testspace.eval_scalar_basis(bary, epts, order=1)
-            hval, hgrad = hct.eval_on_parent_edges(hct.build_hct_element(xy), erule.points)
+            basis = hct.build_hct_element(xy, elements.start)
+            hval, hgrad = hct.eval_on_parent_edges(basis, erule.points)
             return (vpts, vw, val, grad[..., 0], grad[..., 1],
                     hess[..., 0], hess[..., 1], hess[..., 2],
                     ew, hct.unit_normals(xy, ends), tval, tgrad[..., 0], tgrad[..., 1],
@@ -324,12 +325,6 @@ def pack_lower(L):
     # L[e, i, j] is entry j * n + i of L[e].T, a C-ordered view when L[e] is
     # Fortran-ordered, as `gram_factors` leaves it; `take` gives a C-ordered stack
     return np.take(L.transpose(0, 2, 1).reshape(ne, n * n), cols * n + rows, axis=1)
-
-
-def packed_diagonal(Lp):
-    """The diagonals (ne, n) of a stack of packed triangles `pack_lower` gives."""
-    i = np.arange((math.isqrt(8 * Lp.shape[-1] + 1) - 1) // 2)
-    return Lp[:, i * (i + 3) // 2]
 
 
 def _cho_solve(L, rhs):

@@ -178,11 +178,11 @@ def _at_level(level, t):
 
 
 def element_system(kernels, elements, config):
-    """Factored local systems of the elements in the slice `elements`, built as one stack.
+    """Condensed local systems of the elements in the slice `elements`, built as one stack.
 
-    Returns (L, dinv, B, l): the equilibrated Gram factors of
-    `dpg.gram_factors`, the trial-to-test matrices (ne, n_test, m) and the
-    load vectors (ne, n_test).  G itself is not kept.
+    Returns (Lp, dinv, B, l, A, b, pivots): the `dpg.gram_factors` of G packed
+    by `dpg.pack_lower`, B (ne, n_test, m), l (ne, n_test), `dpg.condense`'s
+    A and b, and each factor's smallest diagonal entry.  G is not kept.
     """
     k = kernels[elements]
     t = config.t
@@ -190,7 +190,8 @@ def element_system(kernels, elements, config):
     B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
     l = dpg.load(k, k.f_values, t)
     L, dinv = dpg.gram_factors(G, B, l, first=elements.start or 0)
-    return L, dinv, B, l
+    pivots = np.diagonal(L, axis1=1, axis2=2).min(axis=1)
+    return (dpg.pack_lower(L), dinv, B, l, *dpg.condense(L, dinv, B, l), pivots)
 
 
 def _lower_csr(n, fidx, keep, A_loc):
@@ -226,31 +227,40 @@ def _symmetric_from_lower(lower):
     return sp.csc_matrix((full.data, full.indices, full.indptr), shape=full.shape)
 
 
-def assemble(mesh, config, kernels, stats=None):
+def _check_direct_size(dof, config, level, hint=""):
+    """On the direct path, ValueError, ended by `hint`, past linalg.DIRECT_SIZE_LIMIT free dofs."""
+    if config.solver == "direct" and dof.n_free > linalg.DIRECT_SIZE_LIMIT:
+        raise ValueError(f"level {level} has {dof.n_free} free dofs, more than the "
+                         f"{linalg.DIRECT_SIZE_LIMIT} of the direct solver{hint}")
+
+
+def assemble(mesh, config, kernels=None, stats=None):
     """Element systems and the free-dof normal equations of one mesh.
 
-    Returns (dof map, the whole-mesh `element_system` stacks with each
-    factor L kept as its lower triangle packed by `dpg.pack_lower`, A as a
-    full CSC matrix, rhs).  The element systems and their condensation run
-    chunk by chunk in `parts.stack_chunks`, with the bits of one process.
+    Returns (dof map, the whole-mesh `element_system` stacks Lp, dinv, B
+    and l, A as a full CSC matrix, rhs).  A direct solve past
+    linalg.DIRECT_SIZE_LIMIT free dofs raises ValueError before any table;
+    then `kernels` of another mesh raise it, and missing ones are built.
+    The element systems run chunk by chunk in `parts.stack_chunks`, with
+    the bits of one process.
     The COO triplets and the rhs sums run element by element, in element
     order.  A given dict `stats` receives systems_s, parts, kept_mb,
     assembly_s, gram_pivot_min and nnz (see `Solution.stats`).
     """
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
-
-    def systems(elements):
-        L, dinv, B, l = element_system(kernels, elements, config)
-        # the estimator reads only the factors' lower triangles: they are kept packed
-        return (dpg.pack_lower(L), dinv, B, l) + dpg.condense(L, dinv, B, l)
+    _check_direct_size(dof, config, mesh.level)
+    if kernels is None:
+        kernels = MeshKernels(mesh, config)
+    else:
+        kernels.check(mesh)
 
     with _timed(stats, "systems_s"):
-        (Lp, dinv, B, l, A_loc, b_loc), stats["parts"] = parts.stack_chunks(
-            mesh.num_triangles, systems)
-    kept = (Lp, dinv, B, l)
+        # `element_system` is looked up per chunk, where tests and the benchmark wrap it
+        (*kept, A_loc, b_loc, pivots), stats["parts"] = parts.stack_chunks(
+            mesh.num_triangles, lambda elements: element_system(kernels, elements, config))
     stats["kept_mb"] = sum(a.nbytes for a in kept) / 2**20
-    stats["gram_pivot_min"] = float(dpg.packed_diagonal(Lp).min()) ** 2
+    stats["gram_pivot_min"] = float(pivots.min()) ** 2
 
     with _timed(stats, "assembly_s"):
         # the int32 indices scipy's sparse matrices take at these sizes
@@ -269,16 +279,12 @@ def assemble(mesh, config, kernels, stats=None):
 def assemble_and_solve(mesh, config, kernels=None):
     """Minimum-residual solve of the manufactured problem on one mesh.
 
-    Everything after `MeshKernels` runs on one OpenBLAS thread
-    (`linalg.one_blas_thread`).  Raises linalg.SolveError when the solve
-    fails or its backward error `residual_inf` exceeds RESIDUAL_MAX.  A and
-    the kept element stacks are dropped before `linalg.spd_solver` exports
-    the factor for its pivot check, after the estimator.
+    Runs on one OpenBLAS thread (`linalg.one_blas_thread`), `assemble` and
+    its tables included.  Raises ValueError as `assemble` does, and
+    linalg.SolveError when the solve fails or its backward error
+    `residual_inf` exceeds RESIDUAL_MAX.  A and the kept element stacks are
+    dropped before `linalg.spd_solver` exports the factor for its pivot check.
     """
-    if kernels is None:
-        kernels = MeshKernels(mesh, config)
-    else:
-        kernels.check(mesh)
     with linalg.one_blas_thread() as blas_pinned:
         stats = {"blas_pinned": blas_pinned}
         dof, systems, A, rhs = assemble(mesh, config, kernels, stats)
@@ -350,19 +356,15 @@ def _rate(prev, cur):
 def _mesh_chain(levels, config, mesh_chain, hint=""):
     """`mesh_chain` extended to `levels` meshes from level 0, one refinement at a time.
 
-    On the direct path each level's free dofs under `config` are counted
-    as it is reached, and the first level past linalg.DIRECT_SIZE_LIMIT
+    Each level's free dofs under `config` are counted as it is reached,
+    and on the direct path the first level past linalg.DIRECT_SIZE_LIMIT
     raises ValueError, ended by `hint`, before a finer mesh is built.
     """
     for level in range(levels):
         if level == len(mesh_chain):
             mesh_chain.append(meshmod.refine_uniform(mesh_chain[-1]) if mesh_chain
                               else meshmod.unit_square_initial())
-        if config.solver == "direct":
-            n_free = DofMap(mesh_chain[level], config).n_free
-            if n_free > linalg.DIRECT_SIZE_LIMIT:
-                raise ValueError(f"level {level} has {n_free} free dofs, more than the "
-                                 f"{linalg.DIRECT_SIZE_LIMIT} of the direct solver{hint}")
+        _check_direct_size(DofMap(mesh_chain[level], config), config, level, hint)
     return mesh_chain
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .quadrature import NEXT, segment_points
-from .testspace import BAD_TRIANGLE, BarycentricMap, eval_scalar_basis
+from .testspace import BAD_TRIANGLE, BarycentricMap, eval_scalar_basis, first_singular
 
 # local dof order: (value, d/dx, d/dy) at vertex 0, then vertex 1, then vertex 2
 N_DOFS = 9
@@ -58,7 +58,7 @@ def _rank_message(xy, null_dim):
             "the mesh")
 
 
-def build_hct_element(coords):
+def build_hct_element(coords, first=0):
     """Construct the nine nodal basis functions on each triangle of `coords` (..., 3, 2).
 
     The constraint rows of all triangles are built from stacked basis
@@ -71,7 +71,8 @@ def build_hct_element(coords):
     the coefficients in one stacked call each.  A thin or far-off triangle
     that `testspace.triangle_gate` passes can still lose digits here: a
     singular subtriangle map raises ValueError(BAD_TRIANGLE), and a null
-    space other than nine-dimensional the rank message.
+    space other than nine-dimensional the rank message, each after
+    "element {first + i}: " for the first failing triangle, at place i.
     """
     coords = np.asarray(coords, dtype=float)
     lead = coords.shape[:-2]
@@ -82,8 +83,8 @@ def build_hct_element(coords):
     sub_coords = np.stack([P, Q, np.broadcast_to(center[:, None], P.shape)], axis=2)
     try:
         subs = BarycentricMap(sub_coords)                   # (ne, 3) maps
-    except np.linalg.LinAlgError:
-        raise ValueError(BAD_TRIANGLE) from None
+    except np.linalg.LinAlgError:  # raised for the stack: name the first singular one
+        raise ValueError(f"element {first + first_singular(sub_coords)}: {BAD_TRIANGLE}") from None
 
     # C0 and C1 across internal edge k (p_k, center), shared by subs k - 1 and k:
     # one row per point, values at _VALUE_S, then d/dx and d/dy at _GRAD_S
@@ -127,7 +128,7 @@ def build_hct_element(coords):
             raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
         num = np.sum(s > np.amax(s) * 1e-10, dtype=int)
         if len(vh) - num != N_DOFS:
-            raise ValueError(_rank_message(P[i], len(vh) - num))
+            raise ValueError(f"element {first + i}: {_rank_message(P[i], len(vh) - num)}")
         Z[i] = vh[num:].T
         for k in range(3):
             Zk = Z[i, 10 * k : 10 * k + 10]

@@ -2,8 +2,7 @@
 
 Thin wrappers around SuperLU and conjugate gradients (via scipy.sparse)
 that add the contracts the solver relies on: loud failure on indefinite
-matrices with the offending pivot, a problem-size guard on the direct
-path, and deterministic results.
+matrices with the offending pivot, and deterministic results.
 """
 
 import contextlib
@@ -17,6 +16,7 @@ import scipy.linalg._fblas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# the most free dofs of a direct solve; `driver` refuses larger ones before any table
 DIRECT_SIZE_LIMIT = 200_000
 
 # relative residual at which conjugate gradients stops; the forward error
@@ -136,9 +136,8 @@ def spd_solver(A, method="direct", stats=None):
 
     `A` is the full matrix as a scipy sparse matrix (as `driver.assemble`
     returns it).  The direct path factors with SuperLU in symmetric mode and
-    diagonal pivoting, so non-positive pivots are detected and reported; it
-    refuses systems beyond DIRECT_SIZE_LIMIT unknowns.  It drops its own
-    references to A once the scaled matrix exists, and the factor's pivots
+    diagonal pivoting, so non-positive pivots are detected and reported.
+    It drops its own references to A once the scaled matrix exists, and the factor's pivots
     are checked on exit from the with-block: once the caller has dropped
     what the solve no longer needs, SuperLU's L and U are exported as CSC
     copies for the check.  NotPositiveDefiniteError is raised there also
@@ -163,11 +162,6 @@ def spd_solver(A, method="direct", stats=None):
     if np.any(d <= 0.0):
         raise NotPositiveDefiniteError(int(np.argmin(d)))
     if method == "direct":
-        if n > DIRECT_SIZE_LIMIT:
-            raise ValueError(
-                f"direct solver limited to {DIRECT_SIZE_LIMIT} unknowns (got {n}); "
-                "use method='cg'"
-            )
         # symmetric Jacobi equilibration: the diagonal blocks of the normal
         # equations span many orders of magnitude in h and t, the scaled
         # system is the same one in exact arithmetic

@@ -68,17 +68,22 @@ def triangle_gate(coords, first):
     try:
         bary = BarycentricMap(coords[:n])
     except np.linalg.LinAlgError:  # raised for the stack: find the first singular map
-        for i in range(n):
-            try:
-                BarycentricMap(coords[i])
-            except np.linalg.LinAlgError:
-                n = i
-                break
+        n = first_singular(coords[:n])
         bary = BarycentricMap(coords[:n])
     n = _passed((np.abs(bary(coords[:n]) - np.eye(3)) <= BARY_TOL).all(axis=(1, 2)))
     if n < len(coords):
         raise ValueError(f"element {first + n}: {BAD_TRIANGLE}")
     return bary
+
+
+def first_singular(coords):
+    """Index of the first singular `BarycentricMap` in the stack `coords`, or its length."""
+    for i, xy in enumerate(coords):
+        try:
+            BarycentricMap(xy)
+        except np.linalg.LinAlgError:
+            return i
+    return len(coords)
 
 
 def _passed(ok):

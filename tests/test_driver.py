@@ -11,7 +11,7 @@ import pytest
 from plate_dpg import driver, linalg, parts
 from plate_dpg import mesh as meshmod
 from plate_dpg.cli import main
-from plate_dpg.dpg import ProblemConfig, condense, local_residuals, pack_lower
+from plate_dpg.dpg import ProblemConfig, local_residuals
 from plate_dpg.driver import (
     CSV_HEADER,
     DX,
@@ -217,8 +217,7 @@ def test_solution_minimizes_residual(level1):
     mesh, cfg, kernels, sol = level1
     dof = DofMap(mesh, cfg)
     x = _full_coefficients(dof, sol)
-    L, *rest = element_system(kernels, slice(None), cfg)
-    systems = (pack_lower(L), *rest)
+    systems = element_system(kernels, slice(None), cfg)[:4]  # Lp, dinv, B, l
 
     def eta_of(vec):
         s = 0.0
@@ -244,7 +243,7 @@ def test_normal_equations_hold_under_reassembly(level1):
     x = _full_coefficients(dof, sol)
     A = np.zeros((dof.n_free, dof.n_free))
     b = np.zeros(dof.n_free)
-    A_loc, b_loc = condense(*element_system(kernels, slice(None), cfg))
+    _, _, _, _, A_loc, b_loc, _ = element_system(kernels, slice(None), cfg)
     for ti, (A_T, b_T) in enumerate(zip(A_loc, b_loc)):
         fidx = dof.free_index[dof.element_dofs[ti]]
         keep = fidx >= 0
@@ -400,6 +399,30 @@ def test_run_study_refines_no_level_past_the_direct_solver(solves):
         run_study([0.0, 1e-2], 9, ProblemConfig(t=0.0), chain)
     assert [m.level for m in chain] == list(range(8))
     assert solves == []
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["built kernels", "given kernels"])
+def test_a_solve_past_the_direct_solver_is_refused_before_any_table(given, monkeypatch):
+    # a single solve reached the direct solver's own size check only after
+    # it had built the tables, every element system and A
+    mesh, cfg = mesh_at_level(2), ProblemConfig(t=1e-2)
+    kernels = MeshKernels(mesh, cfg) if given else None
+
+    def refused(*args, **kwargs):
+        raise AssertionError("ran before the size check")
+
+    monkeypatch.setattr(linalg, "DIRECT_SIZE_LIMIT", 763)
+    monkeypatch.setattr(driver, "MeshKernels", refused)
+    monkeypatch.setattr(driver, "element_system", refused)
+    with pytest.raises(ValueError) as err:
+        assemble_and_solve(mesh, cfg, kernels)
+    assert str(err.value) == "level 2 has 764 free dofs, more than the 763 of the direct solver"
+
+
+def test_the_direct_size_rule_spares_the_cg_solver(monkeypatch):
+    monkeypatch.setattr(linalg, "DIRECT_SIZE_LIMIT", 100)
+    sol = assemble_and_solve(mesh_at_level(1), ProblemConfig(t=1e-2, solver="cg"))
+    assert sol.n_free > 100
 
 
 @pytest.mark.parametrize("level, t_sequence, message", [
@@ -574,6 +597,21 @@ def test_cli_study_names_the_failed_solve(monkeypatch, capsys, tmp_path):
         "plate-dpg study: error: level 1, t = 0.01: "
         "matrix is not positive definite (pivot 52)"]
     assert not out.exists()
+
+
+def test_cli_limit_names_the_failed_solve(monkeypatch, capsys):
+    # a failed solve in limit ended in a NotPositiveDefiniteError traceback
+    @contextlib.contextmanager
+    def singular(A, *args, **kwargs):
+        raise linalg.NotPositiveDefiniteError(3)
+        yield
+
+    monkeypatch.setattr(linalg, "spd_solver", singular)
+    assert main(["limit", "--level", "1"]) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
+        "plate-dpg limit: error: level 1, t = 0: matrix is not positive definite (pivot 3)"]
 
 
 # each of these ended in its element stage's message alone, which named

@@ -182,8 +182,11 @@ def test_element_systems_match_loop(name):
         pivot_min = np.inf
         for lo in range(0, mesh.num_triangles, parts.CHUNK):
             elements = slice(lo, lo + parts.CHUNK)
-            L, dinv, B, l = driver.element_system(kernels, elements, cfg)
+            Lp, dinv, B, l, _, _, pivots = driver.element_system(kernels, elements, cfg)
             G = dpg.gram(kernels[elements], t)
+            # the full factors of the chunk, of which element_system keeps the packed ones
+            L, _ = dpg.gram_factors(G, B, l)
+            assert_same_bits(Lp, dpg.pack_lower(L))
             for i, (ref, f) in enumerate(zip(refs[elements], f_values[elements])):
                 expect = ref.system(t, f)
                 assert_same_bits(G[i], expect.G)
@@ -192,6 +195,7 @@ def test_element_systems_match_loop(name):
                 (c, _), d = cho_equilibrated_cholesky(expect.G)
                 assert_same_bits(L[i], c)
                 assert_same_bits(dinv[i], d)
+                assert_same_bits(pivots[i], np.diag(c).min())
                 pivot_min = min(pivot_min, np.diag(c).min())
         # the smallest pivot diag(L)**2 of every cho_factor of the mesh
         stats = {}
@@ -291,7 +295,6 @@ def test_kept_systems_drop_the_gram_matrices():
         assert not (owner.shape == G.shape and np.array_equal(owner, G))
     factor = np.zeros(G.shape)
     factor[(slice(None),) + np.tril_indices(n)] = Lp
-    assert_same_bits(dpg.packed_diagonal(Lp), np.diagonal(factor, axis1=1, axis2=2))
     G_eq = G * dinv[:, :, None] * dinv[:, None, :]
     assert np.allclose(factor @ factor.transpose(0, 2, 1), G_eq, rtol=0.0, atol=1e-12)
 
@@ -333,13 +336,10 @@ def test_condensation_and_estimator_match_cho_wrappers(name):
         cfg = ProblemConfig(t=t)
         for lo in range(0, mesh.num_triangles, parts.CHUNK):
             elements = slice(lo, lo + parts.CHUNK)
-            chunk = driver.element_system(kernels, elements, cfg)
-            _, _, B, l = chunk
+            Lp, dinv, B, l, A, b, _ = driver.element_system(kernels, elements, cfg)
             G = dpg.gram(kernels[elements], t)
-            A, b = dpg.condense(*chunk)
             x = rng.standard_normal(B.shape[::2])
-            L, dinv, _, _ = chunk
-            eta = dpg.local_residuals(dpg.pack_lower(L), dinv, B, l, x)
+            eta = dpg.local_residuals(Lp, dinv, B, l, x)
             for i, sysm in enumerate(map(LoopSystem, G, B, l)):
                 A_ref, b_ref = cho_normal_contribution(sysm)
                 assert_same_bits(A[i], A_ref)

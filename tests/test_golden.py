@@ -7,7 +7,10 @@ levels 0-3, the clamped study at t = 0 on levels 1-3, every `MeshKernels`
 table of uniform level 2, the fields, estimator, assembled matrix, kept
 element stacks and the counters of `Solution.stats` (STATS) of one
 jittered level-3 mesh at t = 1e-2 and t = 0, the Kirchhoff limit check at
-level 2 and the `verify` report.
+level 2 and the `verify` report.  The tables and the jittered outputs are
+also computed with every chunk loop in one process and compared with the
+same hashes, which were taken with the loops in two where the machine has
+two cores.
 
 The hashes hold for one environment, whose fingerprint golden.json keeps.
 On another one the test is skipped and names the fields that differ.
@@ -33,7 +36,7 @@ import pytest
 import scipy
 
 from oracles import jittered_mesh
-from plate_dpg import cli, driver
+from plate_dpg import cli, driver, parts
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
@@ -79,20 +82,9 @@ def digest(*values):
     return h.hexdigest()
 
 
-def outputs():
-    """{name: SHA-256} of every guarded output of this tree."""
-
-    def study(*args):
-        return digest(*(getattr(r, name) for r in driver.run_study(*args)
-                        for name in driver.CSV_HEADER.split(",")))
-
-    out = {"study": study(STUDY_T, STUDY_LEVELS, ProblemConfig()),
-           "clamped study": study((0.0,), CLAMPED_LEVELS, ProblemConfig(t=0.0, bc="clamped"))}
-
-    tables = driver.MeshKernels(mesh_at_level(TABLES_LEVEL), ProblemConfig())
-    for name in tables.NAMES:
-        out[f"tables level={TABLES_LEVEL} {name}"] = digest(getattr(tables, name))
-
+def jittered_outputs():
+    """{name: SHA-256} of the jittered level-3 solves, A, kept stacks and stats."""
+    out = {}
     mesh = jittered_mesh(JITTER_LEVEL, JITTER_SEED)
     kernels = driver.MeshKernels(mesh, ProblemConfig())
     for t in (1e-2, 0.0):
@@ -103,10 +95,34 @@ def outputs():
                   "eta_elements": sol.eta_elements,
                   "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr,
                   "kept L": Lp, "kept dinv": dinv, "kept B": B, "kept l": l}
-        for name, a in arrays.items():
-            out[f"jittered t={t:g} {name}"] = digest("none" if a is None else a)
-        for name in STATS:
-            out[f"jittered t={t:g} stats {name}"] = digest(sol.stats[name])
+        out.update(solve_outputs(f"jittered t={t:g}", sol, arrays))
+    return out
+
+
+def solve_outputs(prefix, sol, arrays):
+    """{name: SHA-256} of one solve's `arrays` and the STATS of its `Solution.stats`."""
+    out = {f"{prefix} {name}": digest("none" if a is None else a) for name, a in arrays.items()}
+    out.update({f"{prefix} stats {name}": digest(sol.stats[name]) for name in STATS})
+    return out
+
+
+def table_outputs():
+    """{name: SHA-256} of every `MeshKernels` table of uniform level TABLES_LEVEL."""
+    tables = driver.MeshKernels(mesh_at_level(TABLES_LEVEL), ProblemConfig())
+    return {f"tables level={TABLES_LEVEL} {name}": digest(getattr(tables, name))
+            for name in tables.NAMES}
+
+
+def outputs():
+    """{name: SHA-256} of every guarded output of this tree."""
+
+    def study(*args):
+        return digest(*(getattr(r, name) for r in driver.run_study(*args)
+                        for name in driver.CSV_HEADER.split(",")))
+
+    out = {"study": study(STUDY_T, STUDY_LEVELS, ProblemConfig()),
+           "clamped study": study((0.0,), CLAMPED_LEVELS, ProblemConfig(t=0.0, bc="clamped")),
+           **table_outputs(), **jittered_outputs()}
 
     limit = driver.kirchhoff_limit_check(level=2)
     out["limit"] = digest(*(v for row in limit["rows"] for v in row),
@@ -120,6 +136,11 @@ def outputs():
     return out
 
 
+def changed_outputs(held, got):
+    """The names, sorted, of the outputs in `held` whose hash `got` lacks or differs from."""
+    return sorted(k for k, v in held.items() if got.get(k) != v)
+
+
 def test_outputs_keep_their_bits():
     golden = json.loads(GOLDEN.read_text())
     here = fingerprint()
@@ -129,50 +150,75 @@ def test_outputs_keep_their_bits():
                     + ", ".join(f"{k} {golden['fingerprint'][k]!r} != {here.get(k)!r}"
                                 for k in differ))
     got = outputs()
-    changed = sorted(k for k in golden["sha256"] if got.get(k) != golden["sha256"][k])
+    changed = changed_outputs(golden["sha256"], got)
     assert got.keys() == golden["sha256"].keys()
     assert not changed, f"outputs whose bits changed: {', '.join(changed)}"
 
 
-def write_new_hashes():
-    """Add the hashes golden.json lacks; refuse if a hash it holds would change."""
+def test_one_part_gives_the_bits_of_two(monkeypatch):
+    # the held hashes were taken with the chunk loops in two processes where
+    # the box has two cores; in one part every chunk is computed here
     golden = json.loads(GOLDEN.read_text())
     if golden["fingerprint"] != fingerprint():
-        raise SystemExit(f"{GOLDEN.name} was taken on another environment; not written")
-    got = outputs()
-    changed = sorted(k for k, v in golden["sha256"].items() if got.get(k) != v)
+        pytest.skip("golden hashes were taken on another environment")
+    monkeypatch.setattr(parts, "part_count", lambda: 1)
+    loops = []
+    stack_chunks = parts.stack_chunks
+
+    def one_part(n, compute):
+        loops.append(stack_chunks(n, compute))
+        return loops[-1]
+
+    monkeypatch.setattr(parts, "stack_chunks", one_part)
+    got = {**table_outputs(), **jittered_outputs()}
+    assert {n_parts for _, n_parts in loops} == {1}
+    changed = changed_outputs({k: golden["sha256"][k] for k in got}, got)
+    assert not changed, f"outputs whose bits changed in one part: {', '.join(changed)}"
+
+
+def write_new_hashes(path, compute):
+    """Add the hashes of `compute()` that the file `path` lacks.
+
+    Refuses when a hash the file holds would change.  A missing file is
+    written with this environment's fingerprint.
+    """
+    golden = (json.loads(path.read_text()) if path.exists()
+              else {"fingerprint": fingerprint(), "sha256": {}})
+    if golden["fingerprint"] != fingerprint():
+        raise SystemExit(f"{path.name} was taken on another environment; not written")
+    got = compute()
+    changed = changed_outputs(golden["sha256"], got)
     if changed:
         raise SystemExit(f"outputs whose bits changed: {', '.join(changed)}; "
-                         f"{GOLDEN.name} not written")
+                         f"{path.name} not written")
     added = {k: v for k, v in got.items() if k not in golden["sha256"]}
     golden["sha256"].update(added)
-    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    path.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"{len(added)} hashes added: {', '.join(added) or 'none'}")
 
 
-def test_write_adds_hashes_and_keeps_the_ones_it_holds(tmp_path, monkeypatch):
-    this = sys.modules[__name__]
-    monkeypatch.setattr(this, "GOLDEN", tmp_path / "golden.json")
-    monkeypatch.setattr(this, "outputs", lambda: {"a": "1", "b": "2"})
+def test_write_adds_hashes_and_keeps_the_ones_it_holds(tmp_path):
+    path = tmp_path / "golden.json"
+    compute = lambda: {"a": "1", "b": "2"}
 
     def held(sha256, **fields):
-        this.GOLDEN.write_text(json.dumps({"fingerprint": {**fingerprint(), **fields},
-                                           "sha256": sha256}))
+        path.write_text(json.dumps({"fingerprint": {**fingerprint(), **fields},
+                                    "sha256": sha256}))
 
     held({"a": "1"})
-    write_new_hashes()
-    assert json.loads(this.GOLDEN.read_text())["sha256"] == {"a": "1", "b": "2"}
+    write_new_hashes(path, compute)
+    assert json.loads(path.read_text())["sha256"] == {"a": "1", "b": "2"}
     held({"a": "0"})
     with pytest.raises(SystemExit, match="outputs whose bits changed: a; golden.json not"):
-        write_new_hashes()
-    assert json.loads(this.GOLDEN.read_text())["sha256"] == {"a": "0"}
+        write_new_hashes(path, compute)
+    assert json.loads(path.read_text())["sha256"] == {"a": "0"}
     held({"a": "1"}, machine="other")
     with pytest.raises(SystemExit, match="another environment"):
-        write_new_hashes()
-    assert json.loads(this.GOLDEN.read_text())["sha256"] == {"a": "1"}
+        write_new_hashes(path, compute)
+    assert json.loads(path.read_text())["sha256"] == {"a": "1"}
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(f"usage: {sys.argv[0]} --write")
-    write_new_hashes()
+    write_new_hashes(GOLDEN, outputs)

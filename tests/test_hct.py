@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from oracles import (
     jittered_mesh,
     random_triangle,
 )
-from plate_dpg import quadrature
+from plate_dpg import parts, quadrature
 from plate_dpg.dpg import EDGE_DEGREE, ElementKernel
 from plate_dpg.hct import (
     N_DOFS,
@@ -21,8 +22,17 @@ from plate_dpg.hct import (
     eval_on_parent_edges,
 )
 from plate_dpg.mesh import mesh_at_level, unit_square_initial
+from plate_dpg.testspace import BAD_TRIANGLE
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+# the rank error of the unit right triangle at an offset of 1e6; the
+# null-space dimension found depends on the SVD's rounding
+FAR_OFF_RANK = (r"HCT constraints of a triangle have a \d+-dim null space, not 9 \(largest "
+                r"vertex coordinate / diameter = 7\.07e\+05\): the triangle is too thin, or "
+                r"too far from the origin for its size; translate or refine the mesh")
+# a triangle that passes the triangle gate, and whose HCT subtriangle map is singular
+SINGULAR_SUB = [[-30194667564586.93, -30194667564586.91], [-30194667564586.93, -30194667564586.92],
+                [-30194667564586.906, -30194667564586.92]]
 
 
 def interior_points(coords, n, seed):
@@ -222,8 +232,11 @@ def test_interpolate_smooth_function():
 
 def test_rejects_degenerate_triangle():
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError, match="^triangle must be CCW and non-degenerate$"):
+    with pytest.raises(ValueError, match="^element 0: triangle must be CCW and non-degenerate$"):
         build_hct_element(bad)
+    # in a stack, the first bad triangle is named, after the offset `first`
+    with pytest.raises(ValueError, match="^element 12: triangle must be CCW and non-degenerate$"):
+        build_hct_element(np.array([REF, REF + 1.0, bad, bad]), first=10)
 
 
 def test_far_off_triangle_names_the_lost_rank():
@@ -231,16 +244,29 @@ def test_far_off_triangle_names_the_lost_rank():
     # rows lose the digits of its coordinates, which ended in "triangle must be
     # CCW and non-degenerate"
     assert build_hct_element(REF + 1e5).coeffs.shape == (N_DOFS, 3, 10)
-    # the null-space dimension found depends on the SVD's rounding
-    message = (r"HCT constraints of a triangle have a \d+-dim null space, not 9 \(largest "
-               r"vertex coordinate / diameter = 7\.07e\+05\): the triangle is too thin, or "
-               r"too far from the origin for its size; translate or refine the mesh")
     with pytest.raises(ValueError) as err:
         build_hct_element(REF + 1e6)
-    assert re.fullmatch(message, str(err.value))
+    assert re.fullmatch(f"element 0: {FAR_OFF_RANK}", str(err.value))
     with pytest.raises(ValueError) as err:
         ElementKernel([REF + 1e6])
-    assert re.fullmatch(message, str(err.value))
+    assert re.fullmatch(f"element 0: {FAR_OFF_RANK}", str(err.value))
+
+
+@pytest.mark.parametrize("element", [0, 63])
+@pytest.mark.parametrize("tri, message", [(REF + 1e6, FAR_OFF_RANK), (SINGULAR_SUB, BAD_TRIANGLE)],
+                         ids=["far off", "singular subtriangle"])
+def test_hct_failures_name_their_element_in_either_half(tri, message, element):
+    # both errors named no element; element 63 is in the last of the four
+    # chunks of a level-2 mesh, which the forked half builds on two cores
+    mesh = mesh_at_level(2)
+    coords = mesh.vertices[mesh.triangles]
+    coords[element] = tri
+    with pytest.raises(ValueError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ElementKernel(coords)
+    assert re.fullmatch(f"element {element}: {message}", str(err.value))
+    if element == 63 and parts.part_count() == 2:
+        assert "raised in the forked half of a chunk loop" in err.value.__notes__[0]
 
 
 def test_dof_vector_shape_checked():

@@ -270,7 +270,7 @@ def test_assembly_and_scaling_give_the_bytes_of_the_sparse_sums(name, monkeypatc
     kernels = driver.MeshKernels(mesh, ASSEMBLY_CONFIGS[0])
     for config in ASSEMBLY_CONFIGS:
         dof, _, A, _ = driver.assemble(mesh, config, kernels)
-        (*_, A_loc, _), _ = stacks.pop()
+        (_, _, _, _, A_loc, _, _), _ = stacks.pop()
         rows, cols, vals = assembled_triplets(dof.free_index[dof.element_dofs], A_loc)
         expect = symmetric_from_coo(dof.n_free, rows, cols, vals)
         assert same_bytes(A, expect)

@@ -326,19 +326,24 @@ def probe_triangles(exponents=np.arange(4, 153, 2), n=100, seed=0):
 def probe_outcome(tri):
     """How `ElementKernel` ends on one triangle: built, or one of three one-line errors.
 
-    Anything else, a LinAlgError or a warning among them, is raised.
+    The gate's error and the HCT subtriangle error have one text, so the
+    gate is asked first.  Anything else, a LinAlgError or a warning among
+    them, is raised.
     """
-    rank = (r"HCT constraints of a triangle have a \d+-dim null space, not 9 \(largest "
-            r"vertex coordinate / diameter = .*\): the triangle is too thin, or too far "
-            r"from the origin for its size; translate or refine the mesh")
+    rank = (r"element 0: HCT constraints of a triangle have a \d+-dim null space, not 9 "
+            r"\(largest vertex coordinate / diameter = .*\): the triangle is too thin, or "
+            r"too far from the origin for its size; translate or refine the mesh")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        try:
+            triangle_gate(np.array([tri]), 0)
+        except ValueError as err:
+            assert str(err) == f"element 0: {BAD_TRIANGLE}"
+            return "gate"
         try:
             ElementKernel([tri])
         except ValueError as err:
             if str(err) == f"element 0: {BAD_TRIANGLE}":
-                return "gate"
-            if str(err) == BAD_TRIANGLE:
                 return "HCT subtriangle"
             assert re.fullmatch(rank, str(err)), str(err)
             return "HCT rank"
