@@ -275,19 +275,31 @@ def load(k, f_values, t):
     return l
 
 
-def gram_factors(G, *data, first=0):
-    """Cholesky factors of the equilibrated Gram matrices of a stack, and every input check.
+def _cho_solve(L, rhs):
+    """G^{-1} rhs from one Fortran-ordered factor L, as `cho_solve` gives it."""
+    x, info = dpotrs(L, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
-    Returns (L, dinv): dinv = 1 / sqrt(diag G) per element (ne, n), and L
-    (ne, n, n) whose Fortran-ordered slices hold in their lower triangles
-    the Cholesky factors of dinv G dinv, symmetrized.  Each factor has the
-    bits of scipy's `cho_factor(..., lower=True)`, and this function raises
-    what `cho_factor` and `cho_solve` raised on the element's data:
-    LinAlgError for a non-positive or non-finite diagonal of G or a matrix
-    that is not positive definite, ValueError for a non-finite entry of the
-    scaled G or of the further arrays `data` (the elements' B and l).  A
-    LinAlgError names the first failing element, at place i of the stack,
-    as "element {first + i}: ".
+
+def condense(G, B, l, first=0):
+    """Element contributions B^T G^{-1} B and B^T G^{-1} l, with the factors of G.
+
+    Takes the stacks G (ne, n, n), B (ne, n, m) and l (ne, n) and returns
+    (Lp, dinv, A, b, pivots): dinv = 1 / sqrt(diag G) (ne, n); Lp (ne,
+    n(n+1)/2), the lower triangle of the Cholesky factor of dinv G dinv,
+    symmetrized, packed in `np.tril_indices(n)` order (row 0 of the
+    triangle, then row 1, and so on); A (ne, m, m) and b (ne, m), which
+    are invariant under the equilibration; and each factor's smallest
+    diagonal entry (ne,).  Each factor has the bits of scipy's
+    `cho_factor(..., lower=True)`, and each element's potrf and potrs run
+    in one pass.  Raises what `cho_factor` and `cho_solve` raised on the
+    element's data, in this order: LinAlgError for a non-positive or
+    non-finite diagonal of G, ValueError for a non-finite entry of the
+    scaled G, of B or of l, LinAlgError for a matrix that is not positive
+    definite.  Each error names the first failing element, at place i of
+    the stack, as "element {first + i}: ".
     """
     diag = np.diagonal(G, axis1=1, axis2=2)
     # checked before the square root, which would warn on a negative entry
@@ -298,12 +310,19 @@ def gram_factors(G, *data, first=0):
     dinv = 1.0 / np.sqrt(diag)
     Gt = G * dinv[:, :, None] * dinv[:, None, :]
     S = 0.5 * (Gt + Gt.transpose(0, 2, 1))
-    if not all(np.isfinite(a).all() for a in (S, *data)):
-        raise ValueError("array must not contain infs or NaNs")
+    finite = (np.isfinite(S).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))
+              & np.isfinite(l).all(axis=1))
+    if not finite.all():
+        raise ValueError(f"element {first + int(np.argmin(finite))}: "
+                         "array must not contain infs or NaNs")
+    Bt = B * dinv[:, :, None]
+    ne, n, m = B.shape
+    # Y's slices are Fortran-ordered, as potrs returns them, so the stacked
+    # products below make the BLAS calls of the per-element ones
+    Y = np.empty((ne, m, n)).transpose(0, 2, 1)
     # S is exactly symmetric, so each S[i].T is the same matrix in Fortran
     # order, and potrf factors it in place
-    L = S.transpose(0, 2, 1)
-    for i, Li in enumerate(L):
+    for i, (Li, Bi, Yi) in enumerate(zip(S.transpose(0, 2, 1), Bt, Y)):
         _, info = dpotrf(Li, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise np.linalg.LinAlgError(f"element {first + i}: {info}-th leading minor "
@@ -311,62 +330,32 @@ def gram_factors(G, *data, first=0):
         if info < 0:
             raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument "
                              'on entry to "POTRF".')
-    return L, dinv
-
-
-def pack_lower(L):
-    """The lower triangles of a stack of factors L (ne, n, n), packed: (ne, n(n+1)/2).
-
-    Each element's row holds its entries L[i, j], j <= i, in
-    `np.tril_indices(n)` order: row 0 of the triangle, then row 1, and so on.
-    """
-    ne, n = L.shape[:2]
-    rows, cols = np.tril_indices(n)
-    # L[e, i, j] is entry j * n + i of L[e].T, a C-ordered view when L[e] is
-    # Fortran-ordered, as `gram_factors` leaves it; `take` gives a C-ordered stack
-    return np.take(L.transpose(0, 2, 1).reshape(ne, n * n), cols * n + rows, axis=1)
-
-
-def _cho_solve(L, rhs):
-    """G^{-1} rhs from one factor L of `gram_factors`, as `cho_solve` gives it."""
-    x, info = dpotrs(L, rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
-
-
-def condense(L, dinv, B, l):
-    """Element contributions (B^T G^{-1} B, B^T G^{-1} l) to the normal equations.
-
-    Takes the factors (L, dinv) of `gram_factors` and the stacks B
-    (ne, n, m) and l (ne, n); returns A (ne, m, m) and b (ne, m).  The
-    result is invariant under the equilibration.  Y's slices are
-    Fortran-ordered, as potrs returns them, so the stacked products make
-    the BLAS calls of the per-element ones.
-    """
-    Bt = B * dinv[:, :, None]
-    ne, n, m = B.shape
-    Y = np.empty((ne, m, n)).transpose(0, 2, 1)
-    for Li, Bi, Yi in zip(L, Bt, Y):
         Yi[...] = _cho_solve(Li, Bi)
     A = Bt.transpose(0, 2, 1) @ Y
     b = (Y.transpose(0, 2, 1) @ (l * dinv)[:, :, None])[:, :, 0]
-    return 0.5 * (A + A.transpose(0, 2, 1)), b
+    pivots = np.diagonal(S, axis1=1, axis2=2).min(axis=1)
+    # L[e, i, j] is S[e, j, i], entry j * n + i of the C-ordered S[e]
+    rows, cols = np.tril_indices(n)
+    Lp = np.take(S.reshape(ne, n * n), cols * n + rows, axis=1)
+    return Lp, dinv, 0.5 * (A + A.transpose(0, 2, 1)), b, pivots
 
 
 def local_residuals(Lp, dinv, B, l, x_loc):
     """Test-norm magnitudes (ne,) of the local residuals l - B x for trial dofs x_loc (ne, m).
 
-    Reuses the factors of `gram_factors` that `condense` used: dinv, and
-    the lower triangles of L packed by `pack_lower` (ne, n(n+1)/2), half
-    the memory of the full stack.  Each triangle is written into the lower
-    triangle of one reused Fortran-ordered n x n buffer, whose upper
-    triangle stays zero; `dpotrs` reads only the lower one, so every
-    element gets the bits of its full factor.
+    Reuses the factors that `condense` returned: dinv, and the packed
+    lower triangles Lp (ne, n(n+1)/2), half the memory of the full stack.
+    Each triangle is written into the lower triangle of one reused
+    Fortran-ordered n x n buffer, whose upper triangle stays zero; `dpotrs`
+    reads only the lower one, so every element gets the bits of its full
+    factor.  A non-finite residual raises ValueError naming the first such
+    element, at place i of the stack, as "element {i}: ".
     """
     r = (l - (B @ x_loc[:, :, None])[:, :, 0]) * dinv
-    if not np.isfinite(r).all():
-        raise ValueError("array must not contain infs or NaNs")
+    finite = np.isfinite(r).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"element {int(np.argmin(finite))}: "
+                         "array must not contain infs or NaNs")
     n = dinv.shape[1]
     Li = np.zeros((n, n), order="F")
     # a boolean mask takes its entries row by row, in `np.tril_indices` order,

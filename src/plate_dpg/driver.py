@@ -31,8 +31,6 @@ VAL, DX, DY = 0, 1, 2
 # largest backward error of the global solve accepted as a solution; the
 # direct and CG paths reach at most 6.4e-18 at levels 2 and 3
 RESIDUAL_MAX = 1e-12
-# volume rule of `kirchhoff_limit_check`'s closed-form identity
-LIMIT_QUAD_DEGREE = 16
 
 
 class DofMap:
@@ -42,12 +40,9 @@ class DofMap:
         self.n_field = dpg.n_components(config.t)
         self.field_total = self.n_field * mesh.num_triangles
         self.n_total = self.field_total + N_TRACE_PER_VERTEX * mesh.num_vertices
-        if config.bc == "clamped":
-            constrained = apply_bc_clamped(mesh)
-        else:
-            constrained = apply_bc_simply_supported(mesh)
+        # the trace block holds the mask's (vertex, field, comp) in C order
         self.constrained = np.zeros(self.n_total, dtype=bool)
-        self.constrained[self.trace_dof(*np.array(constrained).T)] = True
+        self.constrained[self.field_total:] = constrained_traces(mesh, config.bc).ravel()
         self.free_index = np.full(self.n_total, -1, dtype=np.int64)
         free = np.flatnonzero(~self.constrained)
         self.free_index[free] = np.arange(free.size)
@@ -71,40 +66,35 @@ class DofMap:
                 + 3 * tfield + comp)
 
 
-def apply_bc_simply_supported(mesh):
-    """Constrained (vertex, field, comp) triples for the soft support.
+def constrained_traces(mesh, bc):
+    """The (nv, 4, 3) mask of the trace dofs (vertex, field, comp) that `bc` constrains.
 
-    On each boundary edge the deflection trace u-hat and the moment
-    components entering M n must vanish: on horizontal edges (normal
-    +-e_y) these are M12 and M22, on vertical edges M11 and M12.  Zeroing
-    the value and tangential derivative at both endpoints kills the cubic
-    value trace on the whole edge; corners accumulate both directions.
+    Clamped: the deflection value and full gradient at every boundary
+    vertex.  The reduced element's normal derivative is affine along each
+    edge, so vertex gradients pin it exactly; the moment traces stay free.
+
+    Simply supported: on each boundary edge the deflection trace u-hat and
+    the moment components entering M n must vanish: on horizontal edges
+    (normal +-e_y) these are M12 and M22, on vertical edges M11 and M12.
+    Zeroing the value and tangential derivative at both endpoints kills the
+    cubic value trace on the whole edge; corners accumulate both directions.
     Both ends on y = 0 or both on y = 1 make an edge horizontal, both on
     x = 0 or both on x = 1 vertical; any other edge raises ValueError.
     """
-    out = set()
-    for e in mesh.boundary_edges:
-        (px, py), (qx, qy) = mesh.vertices[mesh.edges[e]]
-        horizontal = py == qy and py in (0.0, 1.0)
-        if not (horizontal or px == qx and px in (0.0, 1.0)):
-            raise ValueError("boundary conditions require a unit-square mesh")
-        tang = DX if horizontal else DY
-        fields = (TRACE_U, TRACE_M12, TRACE_M22) if horizontal \
-            else (TRACE_U, TRACE_M11, TRACE_M12)
-        for v in mesh.edges[e]:
-            for f in fields:
-                out.add((int(v), f, VAL))
-                out.add((int(v), f, tang))
-    return sorted(out)
-
-
-def apply_bc_clamped(mesh):
-    """Clamped limit: deflection value and full gradient pinned on the boundary.
-
-    The reduced element's normal derivative is affine along each edge, so
-    vertex gradients pin it exactly; the moment traces stay unconstrained.
-    """
-    return [(int(v), TRACE_U, c) for v in mesh.boundary_vertices for c in (VAL, DX, DY)]
+    mask = np.zeros((mesh.num_vertices, 4, 3), dtype=bool)
+    if bc == "clamped":
+        mask[mesh.boundary_vertices, TRACE_U] = True
+        return mask
+    ends = mesh.edges[mesh.boundary_edges]
+    p, q = mesh.vertices[ends[:, 0]], mesh.vertices[ends[:, 1]]
+    # per edge and coordinate: both ends on the same side of the square
+    on_side = (p == q) & np.isin(p, (0.0, 1.0))
+    if not on_side.any(axis=1).all():
+        raise ValueError("boundary conditions require a unit-square mesh")
+    horizontal = on_side[:, 1]
+    mask[np.ix_(ends[horizontal].ravel(), (TRACE_U, TRACE_M12, TRACE_M22), (VAL, DX))] = True
+    mask[np.ix_(ends[~horizontal].ravel(), (TRACE_U, TRACE_M11, TRACE_M12), (VAL, DY))] = True
+    return mask
 
 
 class MeshKernels(dpg.ElementKernel):
@@ -180,18 +170,17 @@ def _at_level(level, t):
 def element_system(kernels, elements, config):
     """Condensed local systems of the elements in the slice `elements`, built as one stack.
 
-    Returns (Lp, dinv, B, l, A, b, pivots): the `dpg.gram_factors` of G packed
-    by `dpg.pack_lower`, B (ne, n_test, m), l (ne, n_test), `dpg.condense`'s
-    A and b, and each factor's smallest diagonal entry.  G is not kept.
+    Returns (Lp, dinv, B, l, A, b, pivots): B (ne, n_test, m), l (ne,
+    n_test), and `dpg.condense`'s packed Gram factors Lp, dinv, A, b and
+    each factor's smallest diagonal entry.  G is not kept.
     """
     k = kernels[elements]
     t = config.t
     G = dpg.gram(k, t)
     B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
     l = dpg.load(k, k.f_values, t)
-    L, dinv = dpg.gram_factors(G, B, l, first=elements.start or 0)
-    pivots = np.diagonal(L, axis1=1, axis2=2).min(axis=1)
-    return (dpg.pack_lower(L), dinv, B, l, *dpg.condense(L, dinv, B, l), pivots)
+    Lp, dinv, A, b, pivots = dpg.condense(G, B, l, first=elements.start or 0)
+    return Lp, dinv, B, l, A, b, pivots
 
 
 def _lower_csr(n, fidx, keep, A_loc):
@@ -486,8 +475,8 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
         dM = _p0_l2_diff(msh, sol.M, sol0.M, weights=(1.0, 2.0, 1.0))
         rows.append((float(t), du, dM))
 
-    pts, w = quadrature.map_to_triangles(quadrature.triangle_rule(LIMIT_QUAD_DEGREE),
-                                         msh.vertices[msh.triangles])
+    pts, w = quadrature.map_to_triangles(
+        quadrature.triangle_rule(manufactured.L2_QUAD_DEGREE), msh.vertices[msh.triangles])
     x = pts[..., 0].astype(np.longdouble)
     y = pts[..., 1].astype(np.longdouble)
     wl = w.astype(np.longdouble)

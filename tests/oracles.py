@@ -5,15 +5,17 @@ triples cross-check the assembled skeleton terms, the globally C1 field
 and the vertex interpolant exercise the trace element across a mesh, the
 edge-trace coefficients and outward normals pin down the element geometry,
 random triangles and jittered meshes vary it, the element means are the best elementwise
-constants for the error tests, and the sparse sums and products through
+constants for the error tests, the sparse sums and products through
 which the solver once formed A and its Jacobi scaling pin down the bytes
-of the ones it forms in place.
+of the ones it forms in place, and the (vertex, field, comp) triples the
+solver once listed edge by edge pin down its constrained-trace mask.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from plate_dpg import quadrature
+from plate_dpg.driver import DX, DY, TRACE_M11, TRACE_M12, TRACE_M22, TRACE_U, VAL
 from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_hct, eval_on_parent_edges
 from plate_dpg.manufactured import ExactSolution
 from plate_dpg.mesh import Mesh, mesh_at_level
@@ -285,3 +287,38 @@ def assembled_triplets(fidx, A_loc):
     rows = np.broadcast_to(fidx[:, :, None], pairs.shape)[pairs]
     cols = np.broadcast_to(fidx[:, None, :], pairs.shape)[pairs]
     return rows, cols, A_loc[pairs]
+
+
+# ---- the constrained traces as sorted (vertex, field, comp) triples, edge by edge
+
+
+def apply_bc_simply_supported(mesh):
+    """Constrained (vertex, field, comp) triples for the soft support.
+
+    On each boundary edge the deflection trace u-hat and the moment
+    components entering M n must vanish: on horizontal edges (normal
+    +-e_y) these are M12 and M22, on vertical edges M11 and M12.  Zeroing
+    the value and tangential derivative at both endpoints kills the cubic
+    value trace on the whole edge; corners accumulate both directions.
+    Both ends on y = 0 or both on y = 1 make an edge horizontal, both on
+    x = 0 or both on x = 1 vertical; any other edge raises ValueError.
+    """
+    out = set()
+    for e in mesh.boundary_edges:
+        (px, py), (qx, qy) = mesh.vertices[mesh.edges[e]]
+        horizontal = py == qy and py in (0.0, 1.0)
+        if not (horizontal or px == qx and px in (0.0, 1.0)):
+            raise ValueError("boundary conditions require a unit-square mesh")
+        tang = DX if horizontal else DY
+        fields = (TRACE_U, TRACE_M12, TRACE_M22) if horizontal \
+            else (TRACE_U, TRACE_M11, TRACE_M12)
+        for v in mesh.edges[e]:
+            for f in fields:
+                out.add((int(v), f, VAL))
+                out.add((int(v), f, tang))
+    return sorted(out)
+
+
+def apply_bc_clamped(mesh):
+    """Clamped limit: deflection value and full gradient pinned on the boundary."""
+    return [(int(v), TRACE_U, c) for v in mesh.boundary_vertices for c in (VAL, DX, DY)]

@@ -29,10 +29,8 @@ from plate_dpg.dpg import (
     b_trace,
     condense,
     gram,
-    gram_factors,
     load,
     local_residuals,
-    pack_lower,
 )
 from plate_dpg.hct import eval_hct
 from plate_dpg.mesh import mesh_at_level
@@ -49,15 +47,14 @@ def make_kernel(coords):
 
 def condense_one(G, B, l):
     """`condense` of one element's G, B and l, as a stack of one."""
-    L, dinv = gram_factors(G[None], B[None], l[None])
-    A, b = condense(L, dinv, B[None], l[None])
-    return A[0], b[0]
+    _, _, (A,), (b,), _ = condense(G[None], B[None], l[None])
+    return A, b
 
 
 def residual_one(G, B, l, x):
     """`local_residuals` of one element's G, B, l and trial dofs x, as a stack of one."""
-    L, dinv = gram_factors(G[None], B[None], l[None])
-    return local_residuals(pack_lower(L), dinv, B[None], l[None], x[None])[0]
+    Lp, dinv, *_ = condense(G[None], B[None], l[None])
+    return local_residuals(Lp, dinv, B[None], l[None], x[None])[0]
 
 
 def scalar_coeffs(coords, fun):
@@ -552,7 +549,7 @@ def test_jump_orthogonality():
     deflection and zero normal moment on the boundary.  The same
     vertex-dof pattern constrains both sides.
     """
-    from plate_dpg.driver import apply_bc_clamped, apply_bc_simply_supported
+    from plate_dpg.driver import constrained_traces
     from plate_dpg.mesh import mesh_at_level
 
     mesh = mesh_at_level(1)
@@ -560,11 +557,7 @@ def test_jump_orthogonality():
     nv = mesh.num_vertices
 
     for bc, t_values in (("simply-supported", (1e-2, 1e-6)), ("clamped", (0.0,))):
-        constrain = (apply_bc_simply_supported if bc == "simply-supported"
-                     else apply_bc_clamped)
-        mask = np.zeros((nv, 4, 3), dtype=bool)
-        for v, f, c in constrain(mesh):
-            mask[v, f, c] = True
+        mask = constrained_traces(mesh, bc)
 
         for trial in range(3):
             rng = np.random.default_rng(1000 + trial)

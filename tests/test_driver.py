@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_bc_clamped, apply_bc_simply_supported, jittered_mesh
 from plate_dpg import driver, linalg, parts
 from plate_dpg import mesh as meshmod
 from plate_dpg.cli import main
@@ -24,9 +25,8 @@ from plate_dpg.driver import (
     RESIDUAL_MAX,
     DofMap,
     MeshKernels,
-    apply_bc_clamped,
-    apply_bc_simply_supported,
     assemble_and_solve,
+    constrained_traces,
     element_system,
     kirchhoff_limit_check,
     run_study,
@@ -117,7 +117,7 @@ def test_boundary_sides_complete():
     horizontal = {(f, c) for f in (TRACE_U, TRACE_M12, TRACE_M22) for c in (VAL, DX)}
     vertical = {(f, c) for f in (TRACE_U, TRACE_M11, TRACE_M12) for c in (VAL, DY)}
     got = {}
-    for v, f, c in apply_bc_simply_supported(mesh):
+    for v, f, c in np.argwhere(constrained_traces(mesh, "simply-supported")):
         got.setdefault(v, set()).add((f, c))
     x, y = mesh.vertices.T
     corner = np.isin(x, (0.0, 1.0)) & np.isin(y, (0.0, 1.0))
@@ -142,9 +142,38 @@ def test_boundary_conditions_reject_a_mesh_off_the_unit_square():
     assert int(dof.constrained.sum()) == 3 * len(mesh.boundary_vertices) == 24
 
 
+BC_MESHES = {**{f"uniform level {k}": lambda k=k: mesh_at_level(k) for k in range(4)},
+             "jittered level 3": lambda: jittered_mesh(3, seed=0)}
+BC_ORACLES = {"simply-supported": apply_bc_simply_supported, "clamped": apply_bc_clamped}
+
+
+@pytest.mark.parametrize("bc", BC_ORACLES)
+@pytest.mark.parametrize("name", BC_MESHES)
+def test_constrained_traces_match_the_triples_of_the_edge_loop(name, bc):
+    mesh = BC_MESHES[name]()
+    mask = constrained_traces(mesh, bc)
+    assert mask.shape == (mesh.num_vertices, 4, 3)
+    assert np.argwhere(mask).tolist() == [list(triple) for triple in BC_ORACLES[bc](mesh)]
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.5, 0.0), (0.0, -0.25)])
+def test_constrained_traces_reject_the_meshes_the_edge_loop_rejected(shift):
+    # doubled, or moved off the square along one axis: some boundary edge
+    # lies on no side of the unit square
+    base = mesh_at_level(1)
+    mesh = Mesh(2.0 * base.vertices + shift, base.triangles, level=1)
+    message = "^boundary conditions require a unit-square mesh$"
+    with pytest.raises(ValueError, match=message):
+        apply_bc_simply_supported(mesh)
+    with pytest.raises(ValueError, match=message):
+        constrained_traces(mesh, "simply-supported")
+    clamped = [list(triple) for triple in apply_bc_clamped(mesh)]
+    assert np.argwhere(constrained_traces(mesh, "clamped")).tolist() == clamped
+
+
 def test_clamped_constraints(level1):
     mesh, _, _, _ = level1
-    triples = apply_bc_clamped(mesh)
+    triples = np.argwhere(constrained_traces(mesh, "clamped"))
     assert len(triples) == 3 * len(mesh.boundary_vertices)
     assert all(f == TRACE_U for _, f, _ in triples)
     dof = DofMap(mesh, ProblemConfig(t=0.0, bc="clamped"))

@@ -184,16 +184,14 @@ def test_element_systems_match_loop(name):
             elements = slice(lo, lo + parts.CHUNK)
             Lp, dinv, B, l, _, _, pivots = driver.element_system(kernels, elements, cfg)
             G = dpg.gram(kernels[elements], t)
-            # the full factors of the chunk, of which element_system keeps the packed ones
-            L, _ = dpg.gram_factors(G, B, l)
-            assert_same_bits(Lp, dpg.pack_lower(L))
             for i, (ref, f) in enumerate(zip(refs[elements], f_values[elements])):
                 expect = ref.system(t, f)
                 assert_same_bits(G[i], expect.G)
                 assert_same_bits(B[i], expect.B)
                 assert_same_bits(l[i], expect.l)
                 (c, _), d = cho_equilibrated_cholesky(expect.G)
-                assert_same_bits(L[i], c)
+                # the packed lower triangle of the factor, in np.tril_indices order
+                assert_same_bits(Lp[i], c[np.tril_indices(len(c))])
                 assert_same_bits(dinv[i], d)
                 assert_same_bits(pivots[i], np.diag(c).min())
                 pivot_min = min(pivot_min, np.diag(c).min())
@@ -406,14 +404,12 @@ def test_bad_systems_raise_what_the_cho_wrappers_raised(case, error):
     # the package raises without a numpy warning on the way
     with pytest.raises(error) as new, warnings.catch_warnings():
         warnings.simplefilter("error")
-        L, dinv = dpg.gram_factors(G[None], B[None], l[None])
-        dpg.condense(L, dinv, B[None], l[None])
-    # the Gram checks name the element by its place in the stack
-    named = "element 0: " if error is np.linalg.LinAlgError else ""
-    assert str(new.value) == named + str(old.value)
+        dpg.condense(G[None], B[None], l[None])
+    # the checks name the element by its place in the stack
+    assert str(new.value) == "element 0: " + str(old.value)
     # a stack goes through the same checks
     with pytest.raises(error, match=re.escape(str(old.value))):
-        dpg.gram_factors(np.stack([G, G]), np.stack([B, B]), np.stack([l, l]))
+        dpg.condense(np.stack([G, G]), np.stack([B, B]), np.stack([l, l]))
 
 
 def test_non_finite_trial_dofs_raise_what_the_cho_wrappers_raised():
@@ -422,7 +418,7 @@ def test_non_finite_trial_dofs_raise_what_the_cho_wrappers_raised():
     x[4] = np.nan
     with pytest.raises(ValueError) as old:
         cho_residual(LoopSystem(G, B, l), x)
-    L, dinv = dpg.gram_factors(G[None], B[None], l[None])
+    Lp, dinv, *_ = dpg.condense(G[None], B[None], l[None])
     with pytest.raises(ValueError) as new:
-        dpg.local_residuals(dpg.pack_lower(L), dinv, B[None], l[None], x[None])
-    assert str(new.value) == str(old.value)
+        dpg.local_residuals(Lp, dinv, B[None], l[None], x[None])
+    assert str(new.value) == "element 0: " + str(old.value)

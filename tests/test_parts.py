@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from test_element_batch import MESHES, assert_same_bits, grid_mesh
-from plate_dpg import driver, parts, quadrature
+from plate_dpg import dpg, driver, parts, quadrature
 from plate_dpg.dpg import ElementKernel, ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
@@ -93,9 +93,8 @@ def assemble_error(case, elements):
 ])
 def test_an_error_in_the_forked_half_is_raised_here(case, error, message, one_core):
     # the last element, 63, is in the last chunk, which the child builds;
-    # the Gram check names it
-    if error is np.linalg.LinAlgError:
-        message = f"element 63: {message}"
+    # both checks name it
+    message = f"element 63: {message}"
     forked = assemble_error(case, [-1])
     assert type(forked) is error and str(forked) == message
     assert "raised in the forked half of a chunk loop" in forked.__notes__[0]
@@ -120,6 +119,34 @@ def test_a_bad_gram_matrix_is_named_by_its_mesh_index_in_either_part(monkeypatch
         assert str(err.value) == "element 200: Gram matrix has a non-positive diagonal"
         assert hasattr(err.value, "__notes__") == (n_parts == 2)
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("element", [0, 63])
+def test_non_finite_systems_and_residuals_name_their_element(element):
+    # both errors named no element; element 0 is in the first of the four
+    # chunks of a level-2 mesh, element 63 in the last, which the forked half
+    # builds on two cores
+    mesh, cfg = mesh_at_level(2), ProblemConfig()
+    kernels = driver.MeshKernels(mesh, cfg)
+    load = kernels.f_values[element].copy()
+    kernels.f_values[element] = np.nan
+    message = f"element {element}: array must not contain infs or NaNs"
+    with pytest.raises(ValueError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        driver.assemble(mesh, cfg, kernels)
+    assert str(err.value) == message
+    if element == 63 and parts.part_count() == 2:
+        assert "raised in the forked half of a chunk loop" in err.value.__notes__[0]
+    assert_no_child_left()
+    # the estimator runs on the whole-mesh stacks and names the mesh index
+    kernels.f_values[element] = load
+    dof, systems, _, _ = driver.assemble(mesh, cfg, kernels)
+    x_loc = np.zeros(dof.element_dofs.shape)
+    x_loc[element, 0] = np.nan
+    with pytest.raises(ValueError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dpg.local_residuals(*systems, x_loc)
+    assert str(err.value) == message
 
 
 @two_cores
