@@ -289,9 +289,9 @@ def condense(G, B, l, first=0):
     Takes the stacks G (ne, n, n), B (ne, n, m) and l (ne, n) and returns
     (Lp, dinv, A, b, pivots): dinv = 1 / sqrt(diag G) (ne, n); Lp (ne,
     n(n+1)/2), the lower triangle of the Cholesky factor of dinv G dinv,
-    symmetrized, packed in `np.tril_indices(n)` order (row 0 of the
-    triangle, then row 1, and so on); A (ne, m, m) and b (ne, m), which
-    are invariant under the equilibration; and each factor's smallest
+    symmetrized, packed through the mask `np.tri(n, dtype=bool)` (row 0
+    of the triangle, then row 1, and so on); A (ne, m, m) and b (ne, m),
+    which are invariant under the equilibration; and each factor's smallest
     diagonal entry (ne,).  Each factor has the bits of scipy's
     `cho_factor(..., lower=True)`, and each element's potrf and potrs run
     in one pass.  Raises what `cho_factor` and `cho_solve` raised on the
@@ -334,9 +334,8 @@ def condense(G, B, l, first=0):
     A = Bt.transpose(0, 2, 1) @ Y
     b = (Y.transpose(0, 2, 1) @ (l * dinv)[:, :, None])[:, :, 0]
     pivots = np.diagonal(S, axis1=1, axis2=2).min(axis=1)
-    # L[e, i, j] is S[e, j, i], entry j * n + i of the C-ordered S[e]
-    rows, cols = np.tril_indices(n)
-    Lp = np.take(S.reshape(ne, n * n), cols * n + rows, axis=1)
+    # the factor L[e] is S[e].T; the mask takes its lower triangle row by row
+    Lp = S.transpose(0, 2, 1)[:, np.tri(n, dtype=bool)]
     return Lp, dinv, 0.5 * (A + A.transpose(0, 2, 1)), b, pivots
 
 
@@ -358,8 +357,7 @@ def local_residuals(Lp, dinv, B, l, x_loc):
                          "array must not contain infs or NaNs")
     n = dinv.shape[1]
     Li = np.zeros((n, n), order="F")
-    # a boolean mask takes its entries row by row, in `np.tril_indices` order,
-    # at a third of the cost of the index pair
+    # the mask `condense` packed with
     lower = np.tri(n, dtype=bool)
     eta = np.empty(len(r))
     for i, (Lpi, ri) in enumerate(zip(Lp, r)):

@@ -25,7 +25,6 @@ import scipy.sparse as sp
 
 from . import dpg, linalg, manufactured, mesh as meshmod, parts, quadrature
 
-N_TRACE_PER_VERTEX = 12
 TRACE_U, TRACE_M11, TRACE_M12, TRACE_M22 = 0, 1, 2, 3
 VAL, DX, DY = 0, 1, 2
 # largest backward error of the global solve accepted as a solution; the
@@ -37,12 +36,14 @@ class DofMap:
     """Global index layout and the constrained-dof mask for one mesh."""
 
     def __init__(self, mesh, config):
+        mask = constrained_traces(mesh, config.bc)
         self.n_field = dpg.n_components(config.t)
         self.field_total = self.n_field * mesh.num_triangles
-        self.n_total = self.field_total + N_TRACE_PER_VERTEX * mesh.num_vertices
-        # the trace block holds the mask's (vertex, field, comp) in C order
+        self.n_total = self.field_total + mask.size
+        # global ids of the trace dofs (vertex, field, comp), after the fields in C order
+        self.traces = np.arange(self.field_total, self.n_total).reshape(mask.shape)
         self.constrained = np.zeros(self.n_total, dtype=bool)
-        self.constrained[self.field_total:] = constrained_traces(mesh, config.bc).ravel()
+        self.constrained[self.traces] = mask
         self.free_index = np.full(self.n_total, -1, dtype=np.int64)
         free = np.flatnonzero(~self.constrained)
         self.free_index[free] = np.arange(free.size)
@@ -53,17 +54,8 @@ class DofMap:
         # ordered field-major, then by vertex, then (value, d/dx, d/dy)
         nt = mesh.num_triangles
         fields = self.n_field * np.arange(nt)[:, None] + np.arange(self.n_field)
-        traces = self.trace_dof(mesh.triangles[:, None, :, None],
-                                np.arange(4)[:, None, None], np.arange(3))
+        traces = self.traces[mesh.triangles].transpose(0, 2, 1, 3)
         self.element_dofs = np.hstack([fields, traces.reshape(nt, dpg.N_TRACE_COLS)])
-
-    def trace_dof(self, vertex, tfield, comp):
-        """Global index of trace dof `comp` of generating field `tfield` at `vertex`.
-
-        Takes integers or integer arrays, broadcast against each other.
-        """
-        return (self.field_total + N_TRACE_PER_VERTEX * vertex
-                + 3 * tfield + comp)
 
 
 def constrained_traces(mesh, bc):
@@ -172,12 +164,15 @@ def element_system(kernels, elements, config):
 
     Returns (Lp, dinv, B, l, A, b, pivots): B (ne, n_test, m), l (ne,
     n_test), and `dpg.condense`'s packed Gram factors Lp, dinv, A, b and
-    each factor's smallest diagonal entry.  G is not kept.
+    each factor's smallest diagonal entry.  G is not kept.  A t too large
+    for float64 overflows G and B without a warning, and `dpg.condense`
+    rejects them in one line.
     """
     k = kernels[elements]
     t = config.t
-    G = dpg.gram(k, t)
-    B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = dpg.gram(k, t)
+        B = np.concatenate([dpg.b_field(k, t), dpg.b_trace(k, t)], axis=2)
     l = dpg.load(k, k.f_values, t)
     Lp, dinv, A, b, pivots = dpg.condense(G, B, l, first=elements.start or 0)
     return Lp, dinv, B, l, A, b, pivots

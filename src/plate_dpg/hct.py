@@ -141,19 +141,6 @@ def build_hct_element(coords, first=0):
                       coeffs.reshape(lead + (N_DOFS, 3, 10)))
 
 
-def _locate_sub(sub_maps, pts):
-    """Index of the subtriangle containing each point (ties broken by depth)."""
-    best = np.full(pts.shape[0], -1)
-    depth = np.full(pts.shape[0], -np.inf)
-    for s in range(3):
-        lam = sub_maps[s](pts)
-        d = lam.min(axis=1)
-        take = d > depth
-        best[take] = s
-        depth[take] = d[take]
-    return best
-
-
 def eval_hct(element, pts, dofs=None):
     """Values, gradients, Hessians of the nine basis functions of one triangle at `pts`.
 
@@ -167,13 +154,13 @@ def eval_hct(element, pts, dofs=None):
     val = np.empty((nq, N_DOFS))
     grad = np.empty((nq, N_DOFS, 2))
     hess = np.empty((nq, N_DOFS, 3))
-    sub_maps = [BarycentricMap(c) for c in element.sub_coords]
-    sub = _locate_sub(sub_maps, pts)
+    # the subtriangle that holds each point deepest; on a tie, the first one
+    sub = BarycentricMap(element.sub_coords)(pts).min(axis=2).argmax(axis=0)
     for s in range(3):
         idx = np.flatnonzero(sub == s)
         if idx.size == 0:
             continue
-        v, g, h = eval_scalar_basis(sub_maps[s], pts[idx])
+        v, g, h = eval_scalar_basis(BarycentricMap(element.sub_coords[s]), pts[idx])
         C = element.coeffs[:, s, :].T  # (10, 9)
         val[idx] = v @ C
         grad[idx] = np.einsum("qbd,bj->qjd", g, C)

@@ -136,7 +136,8 @@ def spd_solver(A, method="direct", stats=None):
 
     `A` is the full matrix as a scipy sparse matrix (as `driver.assemble`
     returns it).  The direct path factors with SuperLU in symmetric mode and
-    diagonal pivoting, so non-positive pivots are detected and reported.
+    diagonal pivoting, so non-positive pivots are detected and reported;
+    a factor that is exactly singular raises SolveError.
     It drops its own references to A once the scaled matrix exists, and the factor's pivots
     are checked on exit from the with-block: once the caller has dropped
     what the solve no longer needs, SuperLU's L and U are exported as CSC
@@ -169,12 +170,13 @@ def spd_solver(A, method="direct", stats=None):
         scaled = _scaled(full, s)
         del full
         start = time.perf_counter()
-        lu = spla.splu(
-            scaled,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        try:
+            lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as err:  # SuperLU's zero pivot
+            if str(err) != "Factor is exactly singular":
+                raise
+            raise SolveError("the direct factor is exactly singular") from None
         stats["factor_s"] = time.perf_counter() - start
         stats["factor_stored"] = lu.nnz
         del scaled

@@ -16,6 +16,9 @@ from . import quadrature, testspace
 class Mesh:
     """Conforming triangle mesh.
 
+    The mesh owns float64 and int64 copies of the arrays it is given, so
+    the caller's later edits of them leave it as it was checked.
+
     Attributes
     ----------
     vertices : ndarray (nv, 2)
@@ -41,7 +44,7 @@ class Mesh:
         self.triangles = np.asarray(triangles)
         self.level = level
         self._check_arrays()
-        self.triangles = self.triangles.astype(np.int64, copy=False)
+        self.triangles = self.triangles.astype(np.int64)
         self._build_edges()
 
     def _check_arrays(self):
@@ -59,7 +62,7 @@ class Mesh:
         if not (np.abs(v) <= testspace.COORD_MAX).all():  # NaN fails it too
             raise ValueError("vertices must be finite and at most "
                              f"{testspace.COORD_MAX:.3g} in magnitude")
-        self.vertices = v = v.astype(float, copy=False)
+        self.vertices = v = v.astype(float)
         if tri.ndim != 2 or tri.shape[1] != 3:
             raise ValueError(f"triangles must have shape (nt, 3), not {tri.shape}")
         if len(tri) == 0:
@@ -126,20 +129,22 @@ def unit_square_initial():
     return Mesh(vertices, triangles, level=0)
 
 
+# the four children of triangle (a, b, c) with edge midpoints (m0, m1, m2), as
+# columns of (a, b, c, m0, m1, m2): (a, m0, m2), (b, m1, m0), (c, m2, m1), (m0, m1, m2)
+_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+
+
 def refine_uniform(mesh):
     """One uniform red refinement: every triangle into four via edge midpoints.
 
     The midpoint of edge e becomes vertex nv + e, so vertex numbering is a
     pure function of the input mesh.
     """
-    nv = mesh.num_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
-    children = []
-    for ti, (a, b, c) in enumerate(mesh.triangles):
-        m0, m1, m2 = nv + mesh.tri_edges[ti]
-        children.extend([(a, m0, m2), (b, m1, m0), (c, m2, m1), (m0, m1, m2)])
-    return Mesh(vertices, np.array(children, dtype=np.int64), level=mesh.level + 1)
+    corners = np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_edges])
+    # the children of triangle t are rows 4t to 4t + 3
+    return Mesh(vertices, corners[:, _CHILDREN].reshape(-1, 3), level=mesh.level + 1)
 
 
 def mesh_at_level(level):

@@ -45,16 +45,9 @@ def triangle_rule(degree):
     xj, wj = roots_jacobi(n, 1.0, 0.0)
     eta = 0.5 * (xj + 1.0)
     weta = 0.25 * wj
-    pts = np.empty((n * n, 2))
-    wts = np.empty(n * n)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            pts[k, 0] = xi[i] * (1.0 - eta[j])
-            pts[k, 1] = eta[j]
-            wts[k] = wxi[i] * weta[j]
-            k += 1
-    return QuadRule(pts, wts, 2 * n - 1)
+    # point j * n + i pairs xi[i] with eta[j]
+    pts = np.stack([np.outer(1.0 - eta, xi).ravel(), np.repeat(eta, n)], axis=1)
+    return QuadRule(pts, np.outer(weta, wxi).ravel(), 2 * n - 1)
 
 
 def edge_rule(degree):

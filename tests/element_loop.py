@@ -383,7 +383,7 @@ def element_dofs(dof, mesh, ti):
     k = dof.n_field
     for tfield in range(4):
         for v in mesh.triangles[ti]:
-            base = dof.trace_dof(v, tfield, 0)
+            base = dof.traces[v, tfield, 0]
             out[k : k + 3] = (base, base + 1, base + 2)
             k += 3
     return out

@@ -7,12 +7,16 @@ edge-trace coefficients and outward normals pin down the element geometry,
 random triangles and jittered meshes vary it, the element means are the best elementwise
 constants for the error tests, the sparse sums and products through
 which the solver once formed A and its Jacobi scaling pin down the bytes
-of the ones it forms in place, and the (vertex, field, comp) triples the
-solver once listed edge by edge pin down its constrained-trace mask.
+of the ones it forms in place, the (vertex, field, comp) triples the
+solver once listed edge by edge pin down its constrained-trace mask, and
+the loops and index formulas it once ran per entry (red refinement, the
+triangle rule, HCT point location, trace dof ids) pin down the bytes of
+the arrays that replaced them.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import roots_jacobi
 
 from plate_dpg import quadrature
 from plate_dpg.driver import DX, DY, TRACE_M11, TRACE_M12, TRACE_M22, TRACE_U, VAL
@@ -322,3 +326,74 @@ def apply_bc_simply_supported(mesh):
 def apply_bc_clamped(mesh):
     """Clamped limit: deflection value and full gradient pinned on the boundary."""
     return [(int(v), TRACE_U, c) for v in mesh.boundary_vertices for c in (VAL, DX, DY)]
+
+
+# ---- the loops and index formulas once run per entry
+
+
+def refine_uniform_loop(mesh):
+    """The vertices and children of one red refinement, built triangle by triangle."""
+    nv = mesh.num_vertices
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    children = []
+    for ti, (a, b, c) in enumerate(mesh.triangles):
+        m0, m1, m2 = nv + mesh.tri_edges[ti]
+        children.extend([(a, m0, m2), (b, m1, m0), (c, m2, m1), (m0, m1, m2)])
+    return np.vstack([mesh.vertices, mids]), np.array(children, dtype=np.int64)
+
+
+def triangle_rule_loop(degree):
+    """Points and weights of `quadrature.triangle_rule(degree)`, one point at a time."""
+    n = max((degree + 2) // 2, 1)
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    xi = 0.5 * (xg + 1.0)
+    wxi = 0.5 * wg
+    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    eta = 0.5 * (xj + 1.0)
+    weta = 0.25 * wj
+    pts = np.empty((n * n, 2))
+    wts = np.empty(n * n)
+    k = 0
+    for j in range(n):
+        for i in range(n):
+            pts[k, 0] = xi[i] * (1.0 - eta[j])
+            pts[k, 1] = eta[j]
+            wts[k] = wxi[i] * weta[j]
+            k += 1
+    return pts, wts
+
+
+def locate_sub(element, pts):
+    """Index of the subtriangle of one HCT element containing each point (ties broken by depth)."""
+    best = np.full(pts.shape[0], -1)
+    depth = np.full(pts.shape[0], -np.inf)
+    for s in range(3):
+        lam = BarycentricMap(element.sub_coords[s])(pts)
+        d = lam.min(axis=1)
+        take = d > depth
+        best[take] = s
+        depth[take] = d[take]
+    return best
+
+
+def eval_hct_loop(element, pts):
+    """`eval_hct(element, pts)`, each point evaluated on the subtriangle `locate_sub` picks."""
+    val = np.empty((len(pts), 9))
+    grad = np.empty((len(pts), 9, 2))
+    hess = np.empty((len(pts), 9, 3))
+    sub = locate_sub(element, pts)
+    for s in range(3):
+        idx = np.flatnonzero(sub == s)
+        if idx.size == 0:
+            continue
+        v, g, h = eval_scalar_basis(BarycentricMap(element.sub_coords[s]), pts[idx])
+        C = element.coeffs[:, s, :].T
+        val[idx] = v @ C
+        grad[idx] = np.einsum("qbd,bj->qjd", g, C)
+        hess[idx] = np.einsum("qbd,bj->qjd", h, C)
+    return val, grad, hess
+
+
+def trace_dof(dof, vertex, tfield, comp):
+    """Global id of trace dof `comp` of generating field `tfield` at `vertex`, broadcast."""
+    return dof.field_total + 12 * vertex + 3 * tfield + comp

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_bc_clamped, apply_bc_simply_supported, jittered_mesh
+from oracles import apply_bc_clamped, apply_bc_simply_supported, jittered_mesh, trace_dof
 from plate_dpg import driver, linalg, parts
 from plate_dpg import mesh as meshmod
 from plate_dpg.cli import main
@@ -91,7 +91,7 @@ def test_interior_vertex_unconstrained(level1):
     assert np.allclose(mesh.vertices[center], (0.5, 0.5))
     for f in range(4):
         for c in (VAL, DX, DY):
-            assert not dof.constrained[dof.trace_dof(center, f, c)]
+            assert not dof.constrained[dof.traces[center, f, c]]
 
 
 def test_boundary_midpoint_constraints(level1):
@@ -102,7 +102,7 @@ def test_boundary_midpoint_constraints(level1):
     v = int(np.argmin(np.hypot(mesh.vertices[:, 0] - 0.5, mesh.vertices[:, 1])))
     assert np.allclose(mesh.vertices[v], (0.5, 0.0))
     got = {(f, c) for f in range(4) for c in (VAL, DX, DY)
-           if dof.constrained[dof.trace_dof(v, f, c)]}
+           if dof.constrained[dof.traces[v, f, c]]}
     want = {(TRACE_U, VAL), (TRACE_U, DX),
             (TRACE_M12, VAL), (TRACE_M12, DX),
             (TRACE_M22, VAL), (TRACE_M22, DX)}
@@ -169,6 +169,25 @@ def test_constrained_traces_reject_the_meshes_the_edge_loop_rejected(shift):
         constrained_traces(mesh, "simply-supported")
     clamped = [list(triple) for triple in apply_bc_clamped(mesh)]
     assert np.argwhere(constrained_traces(mesh, "clamped")).tolist() == clamped
+
+
+@pytest.mark.parametrize("config", [ProblemConfig(t=0.0), ProblemConfig(t=1e-2),
+                                    ProblemConfig(t=0.0, bc="clamped")], ids=repr)
+@pytest.mark.parametrize("level", range(4))
+def test_trace_ids_have_the_bits_of_the_index_formula(level, config):
+    mesh = mesh_at_level(level)
+    dof = DofMap(mesh, config)
+    nt, nv = mesh.num_triangles, mesh.num_vertices
+    traces = trace_dof(dof, np.arange(nv)[:, None, None], np.arange(4)[:, None], np.arange(3))
+    fields = dof.n_field * np.arange(nt)[:, None] + np.arange(dof.n_field)
+    element_traces = trace_dof(dof, mesh.triangles[:, None, :, None],
+                               np.arange(4)[:, None, None], np.arange(3))
+    element_dofs = np.hstack([fields, element_traces.reshape(nt, 36)])
+    for got, want in ((dof.traces, traces), (dof.element_dofs, element_dofs)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert dof.n_total == dof.field_total + 12 * nv
+    assert np.array_equal(dof.constrained[traces], constrained_traces(mesh, config.bc))
 
 
 def test_clamped_constraints(level1):
@@ -550,6 +569,17 @@ def test_cli_study_writes_solve_stats(capsys, tmp_path):
 def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     proc = run_cli(["study", "--t-list", "1e-2,oops"], tmp_path)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("t", ["1e100", "1e160", "1e300"])
+def test_cli_rejects_a_thickness_past_float64_in_one_line(run_cli, tmp_path, t):
+    # G and B overflow; numpy's overflow and invalid-value warnings once came
+    # before the error line, and the suite's warning filter made them tracebacks
+    proc = run_cli(["study", "--t-list", t, "--levels", "1"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"plate-dpg study: error: level 0, t = {float(t):g}: element 0: "
+        "Gram matrix has a non-positive diagonal"]
 
 
 # before these settings were validated, each of them ran: --levels 0 wrote

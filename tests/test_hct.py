@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     HctScalarField,
+    eval_hct_loop,
     eval_on_parent_edge,
     hct_edge_trace,
     hct_elements,
@@ -228,6 +229,20 @@ def test_interpolate_smooth_function():
         val, grad, _ = field.eval(ti, elements, c)
         assert abs(val[0] - c[0, 0] * c[0, 1]) < 1e-11
         assert np.abs(grad[0] - [c[0, 1], c[0, 0]]).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_points_are_evaluated_on_the_subtriangle_the_loop_picked(seed):
+    # the vertices, the three internal edges (where two subtriangles tie),
+    # the centre and 200 seeded points; the broken Hessians differ between
+    # subtriangles, so another pick shows in the bytes
+    coords = random_triangle(seed)
+    center = coords.mean(axis=0, keepdims=True)
+    edges = quadrature.segment_points(coords, center, np.linspace(0.0, 1.0, 9)).reshape(-1, 2)
+    pts = np.concatenate([coords, edges, center, interior_points(coords, 200, seed)])
+    element = build_hct_element(coords)
+    for got, want in zip(eval_hct(element, pts), eval_hct_loop(element, pts)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rejects_degenerate_triangle():

@@ -132,6 +132,15 @@ def test_solve_rejects_indefinite():
         solve(np.ones(2))
 
 
+@pytest.mark.parametrize("matrix", [[[1.0, 1.0], [1.0, 1.0]], [[2, 2, 0], [2, 2, 0], [0, 0, 1]]])
+def test_an_exactly_singular_factor_is_a_solve_error(matrix):
+    # splu's RuntimeError once left the solver, past every SolveError handler
+    A = sp.csc_matrix(matrix)
+    with pytest.raises(SolveError, match="^the direct factor is exactly singular$"), \
+            spd_solver(A) as solve:
+        solve(np.ones(len(matrix)))
+
+
 def test_cg_reports_nonconvergence(monkeypatch):
     D = random_spd(40, seed=8, cond=1e10)
     A = sparse(D)

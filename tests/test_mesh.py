@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import edge_outward_normal
+from oracles import edge_outward_normal, jittered_mesh, refine_uniform_loop
 from plate_dpg.mesh import (
     Mesh,
     mesh_at_level,
@@ -97,6 +97,31 @@ def test_refinement_deterministic():
     assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.edges, b.edges)
+
+
+def test_refinement_has_the_bits_of_the_child_loop():
+    meshes = [unit_square_initial()]
+    for _ in range(6):
+        meshes.append(refine_uniform(meshes[-1]))
+    for mesh in meshes + [jittered_mesh(3, 0)]:
+        fine = refine_uniform(mesh)
+        vertices, children = refine_uniform_loop(mesh)
+        assert fine.level == mesh.level + 1
+        for got, want in ((fine.vertices, vertices), (fine.triangles, children)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_mesh_owns_copies_of_its_arrays():
+    # the mesh once kept float64 and int64 arrays themselves, and an edit of
+    # them made its triangle 0 clockwise after the checks
+    base = unit_square_initial()
+    v, t = base.vertices.copy(), base.triangles.copy()
+    m = Mesh(v, t)
+    v[4] = (0.9, 0.1)
+    t[0] = [0, 4, 1]
+    assert np.array_equal(m.vertices, base.vertices)
+    assert np.array_equal(m.triangles, base.triangles)
 
 
 def test_rejects_clockwise_triangle():

@@ -104,6 +104,16 @@ def test_an_error_in_the_forked_half_is_raised_here(case, error, message, one_co
 
 
 @two_cores
+def test_a_thickness_past_float64_fails_in_one_line_where_the_loop_forks():
+    # both halves form their own G and B; under the suite's warning filter,
+    # their overflow once ended in a RuntimeWarning
+    with pytest.raises(np.linalg.LinAlgError, match="^element 0: Gram matrix has a "
+                       "non-positive diagonal$"):
+        driver.assemble_and_solve(mesh_at_level(2), ProblemConfig(t=1e100))
+    assert_no_child_left()
+
+
+@two_cores
 def test_a_bad_gram_matrix_is_named_by_its_mesh_index_in_either_part(monkeypatch):
     # a NaN in one element's test basis once gave "Gram matrix has a
     # non-positive diagonal" and no element; element 200 of level 3's 256 is

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import triangle_rule_loop
 from plate_dpg.quadrature import (
     MAX_EDGE_DEGREE,
     MAX_TRIANGLE_DEGREE,
@@ -57,6 +58,15 @@ def test_triangle_rules_not_silently_overexact():
             got = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** (d - a))
             errs.append(abs(got - exact) / exact)
         assert max(errs) > 1e-13
+
+
+@pytest.mark.parametrize("degree", range(MAX_TRIANGLE_DEGREE + 1))
+def test_triangle_rule_has_the_bits_of_the_point_loop(degree):
+    rule = triangle_rule(degree)
+    pts, wts = triangle_rule_loop(degree)
+    for got, want in ((rule.points, pts), (rule.weights, wts)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_positive_weights():
