@@ -12,7 +12,7 @@ import numpy as np
 from . import __version__
 from .dpg import ElementKernel, ProblemConfig, condense, gram
 from .driver import DofMap, kirchhoff_limit_check, run_study, write_csv
-from .hct import build_hct_element
+from .hct import build_hct_element, eval_hct
 from .linalg import SolveError
 from .manufactured import verify_manufactured
 from .mesh import mesh_at_level, write_mesh_text
@@ -20,19 +20,22 @@ from .quadrature import map_to_triangles, triangle_rule
 
 
 def _parse_t_list(text):
-    values = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        values.append(float(item))
-    if not values:
-        raise argparse.ArgumentTypeError("empty thickness list")
-    return values
+    """The floats of a comma-separated list; the library checks the values."""
+    try:
+        return [float(item) for item in text.split(",") if item.strip()]
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _reject(args, message, status=2):
-    """The one-line error of argparse, without its usage block; exit status `status`."""
+    """The one-line error of the parser, for a check past it; exit status `status`."""
     print(f"plate-dpg {args.command}: error: {message}", file=sys.stderr)
     return status
 
@@ -57,7 +60,8 @@ def _cmd_study(args):
             return _reject(args, f"{flag} {error}")
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     meshes = []
-    config = ProblemConfig(t=args.t_list[0], bc=args.bc, solver=args.solver)
+    # run_study puts each t in, and checks it
+    config = ProblemConfig(t=0.0, bc=args.bc, solver=args.solver)
     records = run_study(args.t_list, args.levels, config, meshes, progress=progress)
     if args.out == "-":
         write_csv(records, sys.stdout)
@@ -123,15 +127,13 @@ def _property_suite(lines):
     ok &= _check(lines, "Gram matrices positive definite", worst, 0)
 
     # nodal duality of the C1 trace element
-    from .hct import eval_hct
-
     err = 0.0
     for j in range(9):
         dofs = np.zeros(9)
         dofs[j] = 1.0
         for v in range(3):
-            val, grad, _ = eval_hct(element, coords[v:v + 1], dofs)
-            actual = np.array([val[0], grad[0, 0], grad[0, 1]])
+            val, grad = eval_hct(element, coords[v:v + 1])
+            actual = np.array([(val @ dofs)[0], *(grad.transpose(0, 2, 1) @ dofs)[0]])
             expect = np.zeros(3)
             if j // 3 == v:
                 expect[j % 3] = 1.0
@@ -175,7 +177,7 @@ def _cmd_limit(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plate-dpg",
         description="Locking-free plate bending solver with built-in checks.",
     )
@@ -188,9 +190,9 @@ def build_parser():
                        help="comma-separated plate thicknesses (0 allowed)")
     study.add_argument("--levels", type=int, default=5,
                        help="number of refinement levels, starting at 0")
-    study.add_argument("--bc", choices=("simply-supported", "clamped"),
-                       default="simply-supported")
-    study.add_argument("--solver", choices=("direct", "cg"), default="direct")
+    study.add_argument("--bc", default="simply-supported",
+                       help="simply-supported (default) or clamped")
+    study.add_argument("--solver", default="direct", help="direct (default) or cg")
     study.add_argument("--out", default="-",
                        help="output CSV path, '-' for stdout")
     study.add_argument("--dump-mesh", default=None, metavar="PATH",

@@ -449,14 +449,20 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
     extended precision because the difference is far below the field scale.
 
     Before any solve, ValueError rejects a negative `level`, one past
-    linalg.DIRECT_SIZE_LIMIT free dofs, and an empty `t_sequence` or one
-    with a t that is not finite and > 0.  A linalg.SolveError or ValueError
-    of the tables or a solve names the level and t.
+    linalg.DIRECT_SIZE_LIMIT free dofs, and a `t_sequence` that is empty,
+    not strictly decreasing, or holds a t that is not finite and > 0 or
+    whose t * t is 0.  A linalg.SolveError or ValueError of the tables or
+    a solve names the level and t; a NaN identity error is returned as NaN.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0 (got {level})")
     if not len(t_sequence) or not all(t > 0.0 and np.isfinite(t) for t in t_sequence):
         raise ValueError("the limit study needs finite thicknesses t > 0")
+    if tiny := [t for t in t_sequence if t * t == 0.0]:
+        raise ValueError(f"t = {tiny[0]:g} is too small for the limit study: t * t is 0")
+    if rises := [(a, b) for a, b in zip(t_sequence, t_sequence[1:]) if a <= b]:
+        raise ValueError("the limit study needs strictly decreasing thicknesses, not "
+                         f"{rises[0][0]:g} then {rises[0][1]:g}")
     config = dpg.ProblemConfig(t=0.0)
     msh = _mesh_chain(level + 1, dpg.ProblemConfig(t=t_sequence[0]), [])[level]
     with _at_level(level, 0.0):
@@ -485,7 +491,8 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
         num = manufactured.sum_over_elements(wl, diff * diff)
         lhs = np.sqrt(num)
         rhs = t * t * np.sqrt(den)
-        ident_err = max(ident_err, abs(lhs - rhs) / rhs)
+        # np.maximum keeps a NaN, which max() would drop
+        ident_err = np.maximum(ident_err, abs(lhs - rhs) / rhs)
 
     du_seq = [r[1] for r in rows]
     dM_seq = [r[2] for r in rows]

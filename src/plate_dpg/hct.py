@@ -138,34 +138,26 @@ def build_hct_element(coords, first=0):
                       coeffs.reshape(lead + (N_DOFS, 3, 10)))
 
 
-def eval_hct(element, pts, dofs=None):
-    """Values, gradients, Hessians of the nine basis functions of one triangle at `pts`.
+def eval_hct(element, pts):
+    """Values and gradients of the nine basis functions of one triangle at `pts`.
 
-    Returns (val (nq, 9), grad (nq, 9, 2), hess (nq, 9, 3)); with `dofs`
-    given, the combination is returned instead: (nq,), (nq, 2), (nq, 3).
-    Hessians are only meaningful off the internal edges, where the broken
-    second derivatives jump.
+    Returns (val (nq, 9), grad (nq, 9, 2)).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nq = pts.shape[0]
     val = np.empty((nq, N_DOFS))
     grad = np.empty((nq, N_DOFS, 2))
-    hess = np.empty((nq, N_DOFS, 3))
     # the subtriangle that holds each point deepest; on a tie, the first one
     sub = BarycentricMap(element.sub_coords)(pts).min(axis=2).argmax(axis=0)
     for s in range(3):
         idx = np.flatnonzero(sub == s)
         if idx.size == 0:
             continue
-        v, g, h = eval_scalar_basis(BarycentricMap(element.sub_coords[s]), pts[idx])
+        v, g, _ = eval_scalar_basis(BarycentricMap(element.sub_coords[s]), pts[idx], order=1)
         C = element.coeffs[:, s, :].T  # (10, 9)
         val[idx] = v @ C
         grad[idx] = np.einsum("qbd,bj->qjd", g, C)
-        hess[idx] = np.einsum("qbd,bj->qjd", h, C)
-    if dofs is None:
-        return val, grad, hess
-    dofs = np.asarray(dofs, dtype=float)
-    return val @ dofs, grad.transpose(0, 2, 1) @ dofs, hess.transpose(0, 2, 1) @ dofs
+    return val, grad
 
 
 def eval_on_parent_edges(element, s):

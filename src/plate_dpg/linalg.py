@@ -102,15 +102,13 @@ class IterativeSolveError(SolveError):
 
 
 def _scaled(A, s):
-    """diag(s) A diag(s) of a CSC matrix A, with sorted indices and no stored zeros.
+    """diag(s) A diag(s) of a CSC matrix A with sorted indices, as CSC with no stored zeros.
 
     Each entry is (s_i a_ij) s_j, as the sparse product diags(s) @ A @
     diags(s) forms it, and the entries that come out zero are dropped, as
     that product drops them.  The result shares A's index arrays unless an
     entry is dropped; A itself is left as it is.
     """
-    if not A.has_sorted_indices:
-        A = A.sorted_indices()
     data = s[A.indices]
     data *= A.data
     data *= np.repeat(s, np.diff(A.indptr))
@@ -134,15 +132,17 @@ def _check_factor(lu, stats):
 def spd_solver(A, method="direct", stats=None):
     """A solver of A x = b for symmetric positive definite A, yielded as `solve(b) -> x`.
 
-    `A` is the full matrix as a scipy sparse matrix (as `driver.assemble`
-    returns it).  The direct path factors with SuperLU in symmetric mode and
-    diagonal pivoting, so non-positive pivots are detected and reported;
-    a factor that is exactly singular raises SolveError.
-    It drops its own references to A once the scaled matrix exists, and the factor's pivots
-    are checked on exit from the with-block: once the caller has dropped
-    what the solve no longer needs, SuperLU's L and U are exported as CSC
-    copies for the check.  NotPositiveDefiniteError is raised there also
-    when the with-block raised an Exception, and takes precedence over it.
+    `A` is the matrix `driver.assemble` returns: exactly symmetric, in CSC
+    format with sorted indices and no stored zeros; `method` is "direct" or
+    "cg", as `dpg.ProblemConfig` checks it.  The direct path factors with
+    SuperLU in symmetric mode and diagonal pivoting, so non-positive pivots
+    are detected and reported; a factor that is exactly singular raises
+    SolveError.  It drops its own reference to A once the scaled matrix
+    exists, and the factor's pivots are checked on exit from the with-block:
+    once the caller has dropped what the solve no longer needs, SuperLU's L
+    and U are exported as CSC copies for the check.
+    NotPositiveDefiniteError is raised there also when the with-block raised
+    an Exception, and takes precedence over it.
     The cg path runs Jacobi-preconditioned conjugate gradients to relative
     residual CG_TOL = 1e-14 in at most max(200 n, 10,000) iterations and
     fails loudly when it does not converge.  Its result agrees with the
@@ -156,38 +156,9 @@ def spd_solver(A, method="direct", stats=None):
     """
     stats = {} if stats is None else stats
     stats.update(cg_iterations=0, factor_s=0.0, factor_nnz=0, factor_stored=0)
-    full = sp.csc_matrix(A)
-    del A
-    n = full.shape[0]
-    d = full.diagonal()
+    d = A.diagonal()
     if np.any(d <= 0.0):
         raise NotPositiveDefiniteError(int(np.argmin(d)))
-    if method == "direct":
-        # symmetric Jacobi equilibration: the diagonal blocks of the normal
-        # equations span many orders of magnitude in h and t, the scaled
-        # system is the same one in exact arithmetic
-        s = 1.0 / np.sqrt(d)
-        scaled = _scaled(full, s)
-        del full
-        start = time.perf_counter()
-        try:
-            lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as err:  # SuperLU's zero pivot
-            if str(err) != "Factor is exactly singular":
-                raise
-            raise SolveError("the direct factor is exactly singular") from None
-        stats["factor_s"] = time.perf_counter() - start
-        stats["factor_stored"] = lu.nnz
-        del scaled
-        try:
-            yield lambda b: s * lu.solve(s * np.asarray(b, dtype=float))
-        except Exception:
-            # a non-positive pivot explains whatever failed after the solve
-            _check_factor(lu, stats)
-            raise
-        _check_factor(lu, stats)
-        return
     if method == "cg":
         def jacobi(v):
             # scipy's cg applies the preconditioner once per iteration, as
@@ -197,17 +168,40 @@ def spd_solver(A, method="direct", stats=None):
             return v / d
 
         # with its dtype given, LinearOperator makes no probing matvec call
-        precond = spla.LinearOperator(full.shape, matvec=jacobi, dtype=float)
-        maxiter = max(200 * n, 10_000)
+        precond = spla.LinearOperator(A.shape, matvec=jacobi, dtype=float)
+        maxiter = max(200 * A.shape[0], 10_000)
 
         def cg_solve(b):
             b = np.asarray(b, dtype=float)
-            x, info = spla.cg(full, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond)
+            x, info = spla.cg(A, b, rtol=CG_TOL, atol=0.0, maxiter=maxiter, M=precond)
             if info != 0:
-                res = np.linalg.norm(full @ x - b) / max(np.linalg.norm(b), 1e-300)
+                res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
                 raise IterativeSolveError(info if info > 0 else maxiter, res)
             return x
 
         yield cg_solve
         return
-    raise ValueError(f"unknown method {method!r}")
+    # symmetric Jacobi equilibration: the diagonal blocks of the normal
+    # equations span many orders of magnitude in h and t, the scaled
+    # system is the same one in exact arithmetic
+    s = 1.0 / np.sqrt(d)
+    scaled = _scaled(A, s)
+    del A
+    start = time.perf_counter()
+    try:
+        lu = spla.splu(scaled, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as err:  # SuperLU's zero pivot
+        if str(err) != "Factor is exactly singular":
+            raise
+        raise SolveError("the direct factor is exactly singular") from None
+    stats["factor_s"] = time.perf_counter() - start
+    stats["factor_stored"] = lu.nnz
+    del scaled
+    try:
+        yield lambda b: s * lu.solve(s * np.asarray(b, dtype=float))
+    except Exception:
+        # a non-positive pivot explains whatever failed after the solve
+        _check_factor(lu, stats)
+        raise
+    _check_factor(lu, stats)

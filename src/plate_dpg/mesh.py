@@ -71,6 +71,9 @@ class Mesh:
         bad = (tri < 0) | (tri >= len(v))
         if bad.any():
             raise ValueError(f"vertex index {tri[bad][0]} is outside [0, {len(v)})")
+        # its 12 trace dofs would couple to nothing and make every solve singular
+        if (unused := np.bincount(tri.ravel(), minlength=len(v)) == 0).any():
+            raise ValueError(f"vertex {np.argmax(unused)} is in no triangle")
         testspace.triangle_gate(v[tri], 0)
 
     @property

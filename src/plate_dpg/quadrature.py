@@ -38,10 +38,9 @@ def triangle_rule(degree):
     """
     if not 0 <= degree <= MAX_TRIANGLE_DEGREE:
         raise ValueError(f"triangle rules cover degrees 0..{MAX_TRIANGLE_DEGREE}")
-    n = max((degree + 2) // 2, 1)  # smallest n with 2n-1 >= degree
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    xi = 0.5 * (xg + 1.0)
-    wxi = 0.5 * wg
+    # the n-point Gauss-Legendre rule on [0, 1], n the smallest with 2n-1 >= degree
+    gauss = edge_rule(degree)
+    xi, wxi, n = gauss.points, gauss.weights, len(gauss.points)
     xj, wj = roots_jacobi(n, 1.0, 0.0)
     eta = 0.5 * (xj + 1.0)
     weta = 0.25 * wj

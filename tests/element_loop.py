@@ -8,16 +8,14 @@ zero-padded (nq, n_test) array built with `LoopKernel._place`, and every
 loop runs in element order.  The condensation and the estimator go
 through scipy's `cho_factor` and `cho_solve`, the trace blocks of a
 stack accumulate in strided column views of zero-padded features
-(`strided_b_trace`), A is the sparse sum of `oracles.symmetric_from_coo`,
-and the Jacobi scaling of the direct solve is a sparse matrix product
-(`diags_scaled`).  Tests compare the package
-against them with `np.array_equal` and equal bytes.
+(`strided_b_trace`), and A is the sparse sum of
+`oracles.symmetric_from_coo`.  Tests compare the package against them
+with `np.array_equal` and equal bytes.
 """
 
 from collections import namedtuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, null_space
 
 from oracles import symmetric_from_coo
@@ -361,11 +359,6 @@ def strided_b_trace(k, t):
             if m2 is not None:
                 B[:, :, cols] -= w2T @ m2
     return B
-
-
-def diags_scaled(A, s):
-    """diag(s) A diag(s) as a CSC matrix, through scipy's sparse matrix products."""
-    return (sp.diags(s) @ sp.csc_matrix(A) @ sp.diags(s)).tocsc()
 
 
 def loop_kernels(mesh):

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the solver against.
 
 None of these run in the solver itself: the duality pairings of smooth
-triples cross-check the assembled skeleton terms, the globally C1 field
+triples, whose HCT fields and their Hessians `hct_field` evaluates,
+cross-check the assembled skeleton terms, the globally C1 field
 and the vertex interpolant exercise the trace element across a mesh, the
 edge-trace coefficients and outward normals pin down the element geometry,
 random triangles and jittered meshes vary it, the element means are the best elementwise
@@ -21,7 +22,7 @@ from scipy.special import roots_jacobi
 
 from plate_dpg import quadrature
 from plate_dpg.driver import DX, DY, TRACE_M11, TRACE_M12, TRACE_M22, TRACE_U, VAL
-from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_hct, eval_on_parent_edges
+from plate_dpg.hct import _GRAD_S, _VALUE_S, build_hct_element, eval_on_parent_edges
 from plate_dpg.manufactured import ExactSolution
 from plate_dpg.mesh import Mesh, mesh_at_level
 from plate_dpg.testspace import BarycentricMap, eval_scalar_basis
@@ -107,8 +108,8 @@ class HctTriple:
         return out
 
     def __call__(self, pts):
-        u, gu, _ = eval_hct(self.element, pts, self.u_dofs)
-        m = [eval_hct(self.element, pts, self.m_dofs[c]) for c in range(3)]
+        u, gu, _ = hct_field(self.element, pts, self.u_dofs)
+        m = [hct_field(self.element, pts, self.m_dofs[c]) for c in range(3)]
         M = np.stack([m[0][0], m[1][0], m[2][0]], axis=1)
         dM = np.stack(
             [m[0][1][:, 0] + m[1][1][:, 1], m[1][1][:, 0] + m[2][1][:, 1]],
@@ -177,7 +178,7 @@ class HctScalarField:
 
     def eval(self, ti, elements, pts):
         """(value, gradient, hessian) arrays of the field on triangle ti."""
-        return eval_hct(elements[ti], pts, self.local_dofs(ti))
+        return hct_field(elements[ti], pts, self.local_dofs(ti))
 
 
 def interpolate(mesh, f, grad_f):
@@ -268,18 +269,9 @@ def symmetric_from_coo(n, rows, cols, vals):
     return (lower + lower.T - sp.diags(lower.diagonal())).tocsc()
 
 
-def jacobi_scaled(A, s):
-    """diag(s) A diag(s) of a CSC matrix A, with sorted indices and no stored zeros.
-
-    Each entry is (s_i a_ij) s_j, as the sparse product diags(s) @ A @
-    diags(s) forms it, and the entries that come out zero are dropped, as
-    that product drops them.  Works on a sorted copy of A.
-    """
-    scaled = A.sorted_indices()
-    cols = np.repeat(np.arange(A.shape[1]), np.diff(scaled.indptr))
-    scaled.data = (s[scaled.indices] * scaled.data) * s[cols]
-    scaled.eliminate_zeros()
-    return scaled
+def diags_scaled(A, s):
+    """diag(s) A diag(s) as a CSC matrix, through scipy's sparse matrix products."""
+    return (sp.diags(s) @ sp.csc_matrix(A) @ sp.diags(s)).tocsc()
 
 
 def assembled_triplets(fidx, A_loc):
@@ -427,6 +419,18 @@ def eval_hct_loop(element, pts):
         grad[idx] = np.einsum("qbd,bj->qjd", g, C)
         hess[idx] = np.einsum("qbd,bj->qjd", h, C)
     return val, grad, hess
+
+
+def hct_field(element, pts, dofs):
+    """Value (nq,), gradient (nq, 2) and Hessian (nq, 3) of the field with local `dofs`.
+
+    Evaluated by `eval_hct_loop`, whose values and gradients have the bits
+    of `hct.eval_hct`.  The Hessians are those of the subtriangle cubics,
+    meaningful off the internal edges, where the second derivatives jump.
+    """
+    val, grad, hess = eval_hct_loop(element, pts)
+    dofs = np.asarray(dofs, dtype=float)
+    return val @ dofs, grad.transpose(0, 2, 1) @ dofs, hess.transpose(0, 2, 1) @ dofs
 
 
 def trace_dof(dof, vertex, tfield, comp):

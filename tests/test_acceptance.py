@@ -17,6 +17,7 @@ from oracles import (
     HctTriple,
     build_edges_loop,
     hct_elements,
+    hct_field,
     interpolate,
     random_triangle,
     trace_pair_edge,
@@ -212,14 +213,14 @@ def test_criterion_6_structural_properties(capsys):
             taud = [f.local_dofs(ti) for f in tauf]
 
             def test_gen(pts):
-                z, gz, _ = eval_hct(element, pts, zd)
-                th = [eval_hct(element, pts, d) for d in thd]
+                z, gz, _ = hct_field(element, pts, zd)
+                th = [hct_field(element, pts, d) for d in thd]
                 Th = np.stack([th[0][0], th[1][0], th[2][0]], axis=1)
                 dTh = np.stack(
                     [th[0][1][:, 0] + th[1][1][:, 1],
                      th[1][1][:, 0] + th[2][1][:, 1]], axis=1)
-                tau = np.stack([eval_hct(element, pts, taud[0])[0],
-                                eval_hct(element, pts, taud[1])[0]], axis=1)
+                tau = np.stack([hct_field(element, pts, taud[0])[0],
+                                hct_field(element, pts, taud[1])[0]], axis=1)
                 return z, gz, Th, dTh, tau
 
             pair_val = trace_pair_edge(mesh.vertices[mesh.triangles[ti]], trace,
@@ -233,7 +234,7 @@ def test_criterion_6_structural_properties(capsys):
     # scalar C1 element: nodal duality, global C1 glue, quadratic exactness
     coords = random_triangle(77)
     element = build_hct_element(coords)
-    val, grad, _ = eval_hct(element, coords)
+    val, grad = eval_hct(element, coords)
     dofmat = np.empty((9, 9))
     dofmat[:, 0::3] = val.T
     dofmat[:, 1::3] = grad[:, :, 0].T

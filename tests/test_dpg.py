@@ -16,6 +16,7 @@ from oracles import (
     HctScalarField,
     HctTriple,
     hct_elements,
+    hct_field,
     jittered_mesh,
     random_triangle,
     trace_pair_edge,
@@ -32,7 +33,6 @@ from plate_dpg.dpg import (
     load,
     local_residuals,
 )
-from plate_dpg.hct import eval_hct
 from plate_dpg.mesh import mesh_at_level
 from plate_dpg.quadrature import map_to_triangles, triangle_rule
 from plate_dpg.testspace import DEGREE, N_SCALAR, BarycentricMap, eval_scalar_basis
@@ -77,11 +77,12 @@ def test_config_validation():
         ProblemConfig(t=-0.1)
     with pytest.raises(ValueError):
         ProblemConfig(t=float("nan"))
-    with pytest.raises(ValueError):
+    # the one check of both names; the CLI and spd_solver once checked them too
+    with pytest.raises(ValueError, match="^unknown boundary condition 'free'$"):
         ProblemConfig(bc="free")
     with pytest.raises(ValueError):
         ProblemConfig(t=0.5, bc="clamped")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown solver 'multigrid'$"):
         ProblemConfig(solver="multigrid")
     assert dpg.n_components(ProblemConfig(t=0.0, bc="clamped").t) == 4
     assert dpg.n_components(ProblemConfig(t=1e-3).t) == 6
@@ -371,12 +372,12 @@ def test_trace_pairing_volume_equals_edges():
         tt = t * t
 
         def gen(pts):
-            u, gu, _ = eval_hct(triple.element, pts, triple.u_dofs)
-            m = [eval_hct(triple.element, pts, triple.m_dofs[c]) for c in range(3)]
+            u, gu, _ = hct_field(triple.element, pts, triple.u_dofs)
+            m = [hct_field(triple.element, pts, triple.m_dofs[c]) for c in range(3)]
             M = np.stack([m[0][0], m[1][0], m[2][0]], axis=1)
             # second derivatives of the moment fields
             h11, h12, h22 = (m[c][2] for c in range(3))
-            hu = eval_hct(triple.element, pts, triple.u_dofs)[2]
+            hu = hct_field(triple.element, pts, triple.u_dofs)[2]
             # w = grad u - t^2 div M, then eps(w) and div(div M)
             dw1x = hu[:, 0] - tt * (h11[:, 0] + h12[:, 1])
             dw1y = hu[:, 1] - tt * (h11[:, 1] + h12[:, 2])
@@ -404,8 +405,8 @@ def triple_test_norm_sq(triple, t, quad_degree=12):
     total = 0.0
     for k in range(3):
         (pts,), (w,) = map_to_triangles(rule, triple.element.sub_coords[k][None])
-        u, gu, hu = eval_hct(triple.element, pts, triple.u_dofs)
-        m = [eval_hct(triple.element, pts, triple.m_dofs[c]) for c in range(3)]
+        u, gu, hu = hct_field(triple.element, pts, triple.u_dofs)
+        m = [hct_field(triple.element, pts, triple.m_dofs[c]) for c in range(3)]
         M = np.stack([m[0][0], m[1][0], m[2][0]], axis=1)
         h11, h12, h22 = (m[c][2] for c in range(3))
         dw1x = hu[:, 0] - tt * (h11[:, 0] + h12[:, 1])
@@ -535,7 +536,7 @@ def field_from_global(elements, ti, dofs9):
     element = elements[ti]
 
     def at(pts):
-        return eval_hct(element, pts, dofs9)
+        return hct_field(element, pts, dofs9)
 
     return at
 
@@ -590,14 +591,14 @@ def test_jump_orthogonality():
                     taud = [f.local_dofs(ti) for f in tauf]
 
                     def test_gen(pts):
-                        z, gz, _ = eval_hct(element, pts, zd)
-                        th = [eval_hct(element, pts, d) for d in thd]
+                        z, gz, _ = hct_field(element, pts, zd)
+                        th = [hct_field(element, pts, d) for d in thd]
                         Th = np.stack([th[0][0], th[1][0], th[2][0]], axis=1)
                         dTh = np.stack(
                             [th[0][1][:, 0] + th[1][1][:, 1],
                              th[1][1][:, 0] + th[2][1][:, 1]], axis=1)
-                        tau = np.stack([eval_hct(element, pts, taud[0])[0],
-                                        eval_hct(element, pts, taud[1])[0]],
+                        tau = np.stack([hct_field(element, pts, taud[0])[0],
+                                        hct_field(element, pts, taud[1])[0]],
                                        axis=1)
                         return z, gz, Th, dTh, tau
 

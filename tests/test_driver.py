@@ -480,6 +480,13 @@ def test_the_direct_size_rule_spares_the_cg_solver(monkeypatch):
     (1, (1e-1, math.inf), "the limit study needs finite thicknesses t > 0"),
     (1, (), "the limit study needs finite thicknesses t > 0"),
     (7, (1e-1,), "level 7 has 786428 free dofs, more than the 200000 of the direct solver"),
+    # t * t underflowed, the identity's ratio was 0/0, and the check passed
+    (1, (1e-1, 1e-300), "t = 1e-300 is too small for the limit study: t * t is 0"),
+    (1, (5e-324,), "t = 4.94066e-324 is too small for the limit study: t * t is 0"),
+    # each of these solved and then reported FAIL, as if the solver had failed
+    (1, (1e-3, 1e-1), "the limit study needs strictly decreasing thicknesses, not 0.001 then 0.1"),
+    (1, (1e-1, 1e-2, 1e-2),
+     "the limit study needs strictly decreasing thicknesses, not 0.01 then 0.01"),
 ])
 def test_kirchhoff_limit_check_rejects_a_bad_request_before_any_solve(
         solves, level, t_sequence, message):
@@ -569,6 +576,27 @@ def test_cli_study_writes_solve_stats(capsys, tmp_path):
 def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     proc = run_cli(["study", "--t-list", "1e-2,oops"], tmp_path)
     assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "plate-dpg study: error: argument --t-list: could not convert string to float: 'oops'"]
+
+
+# the parser's own errors printed a 4-line usage block, and a bad --t-list
+# item the message "invalid _parse_t_list value" for the whole list
+@pytest.mark.parametrize("args, message", [
+    (["study", "--levels", "x"], "plate-dpg study: error: argument --levels: "
+                                 "invalid int value: 'x'"),
+    (["limit", "--level", "1.5"], "plate-dpg limit: error: argument --level: "
+                                  "invalid int value: '1.5'"),
+    (["study", "--no-such-flag"], "plate-dpg: error: unrecognized arguments: --no-such-flag"),
+    ([], "plate-dpg: error: the following arguments are required: command"),
+])
+def test_cli_parser_errors_are_one_line(capsys, args, message):
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [message]
 
 
 @pytest.mark.parametrize("t", ["1e100", "1e160", "1e300"])
@@ -600,6 +628,11 @@ def test_cli_rejects_a_thickness_past_float64_in_one_line(run_cli, tmp_path, t):
     (["--out", "missing/study.csv"], "--out missing/study.csv: no directory missing"),
     (["--stats", "missing/stats.json"], "--stats missing/stats.json: no directory missing"),
     (["--dump-mesh", "."], "--dump-mesh . is a directory"),
+    # the parser checked these too, and printed its usage block; now
+    # ProblemConfig and run_study are the one check of each
+    (["--bc", "free"], "unknown boundary condition 'free'"),
+    (["--solver", "qr"], "unknown solver 'qr'"),
+    (["--t-list", ","], "t_list must hold at least one thickness"),
 ])
 def test_cli_rejects_bad_settings_in_one_line(solves, capsys, tmp_path, args, message):
     out = tmp_path / "study.csv"
@@ -638,6 +671,14 @@ def test_cli_limit_rejects_a_level_past_the_direct_solver(solves, capsys):
     (["--level", "-1"], "level must be >= 0 (got -1)"),
     (["--t-list", "0"], "the limit study needs finite thicknesses t > 0"),
     (["--t-list", "1e-1,-1e-2"], "the limit study needs finite thicknesses t > 0"),
+    (["--t-list", ","], "the limit study needs finite thicknesses t > 0"),
+    # a PASS with a RuntimeWarning, and a FAIL with exit 1 for the next two
+    (["--level", "1", "--t-list", "1e-300"],
+     "t = 1e-300 is too small for the limit study: t * t is 0"),
+    (["--level", "1", "--t-list", "1e-3,1e-1"],
+     "the limit study needs strictly decreasing thicknesses, not 0.001 then 0.1"),
+    (["--level", "1", "--t-list", "1e-2,1e-2"],
+     "the limit study needs strictly decreasing thicknesses, not 0.01 then 0.01"),
 ])
 def test_cli_limit_rejects_bad_settings_in_one_line(solves, capsys, args, message):
     assert main(["limit", *args]) == 2
@@ -682,6 +723,16 @@ def test_cli_limit_names_the_failed_solve(monkeypatch, capsys):
     assert err.out == ""
     assert err.err.splitlines() == [
         "plate-dpg limit: error: level 1, t = 0: matrix is not positive definite (pivot 3)"]
+
+
+def test_a_nan_identity_error_fails_the_limit_check(monkeypatch, capsys):
+    # max(0.0, nan) kept 0.0, so a NaN ratio read as an exact identity and PASS
+    monkeypatch.setattr(driver.manufactured, "sum_over_elements", lambda w, values: math.nan)
+    out = kirchhoff_limit_check(level=0, t_sequence=(1e-1, 1e-2))
+    assert math.isnan(out["identity_rel_err"])
+    assert main(["limit", "--level", "0", "--t-list", "1e-1,1e-2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["closed-form identity relative error: nan", "limit: FAIL"]
 
 
 # each of these ended in its element stage's message alone, which named

@@ -4,7 +4,8 @@ The reference in `element_loop.py` builds every element's HCT basis and
 tables, its system, the COO triplets, the rhs sums, the estimator and the
 L2 errors one element at a time with zero-padded features, condenses
 through scipy's `cho_factor`/`cho_solve`, and keeps the strided trace
-accumulation and the sparse-product Jacobi scaling.  The stacked code
+accumulation; `oracles.diags_scaled` keeps the sparse-product Jacobi
+scaling.  The stacked code
 must give the same bits: `np.array_equal` and equal bytes, so signed
 zeros count too.
 """
@@ -24,13 +25,12 @@ from element_loop import (
     cho_equilibrated_cholesky,
     cho_normal_contribution,
     cho_residual,
-    diags_scaled,
     loop_kernels,
     loop_l2_errors,
     loop_solve,
     strided_b_trace,
 )
-from oracles import jittered_mesh
+from oracles import diags_scaled, jittered_mesh
 from plate_dpg import dpg, driver, linalg, manufactured, parts
 from plate_dpg.dpg import ElementKernel, ProblemConfig
 from plate_dpg.hct import build_hct_element

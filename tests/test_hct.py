@@ -52,11 +52,17 @@ def dofs_of(fun, grad, coords):
     return out
 
 
+def field(element, pts, dofs):
+    """Value and gradient of the field with local `dofs`, formed as `verify` forms them."""
+    val, grad = eval_hct(element, pts)
+    return val @ dofs, grad.transpose(0, 2, 1) @ dofs
+
+
 def test_nodal_duality():
     element = build_hct_element(random_triangle(0))
     mat = np.empty((9, 9))
     for v in range(3):
-        val, grad, _ = eval_hct(element, element.coords[v : v + 1])
+        val, grad = eval_hct(element, element.coords[v : v + 1])
         mat[3 * v] = val[0]
         mat[3 * v + 1] = grad[0, :, 0]
         mat[3 * v + 2] = grad[0, :, 1]
@@ -68,28 +74,25 @@ def test_constant_reproduction():
     element = build_hct_element(coords)
     dofs = dofs_of(lambda x, y: 1.0, lambda x, y: (0.0, 0.0), coords)
     pts = interior_points(coords, 10, seed=2)
-    val, grad, hess = eval_hct(element, pts, dofs)
+    val, grad = field(element, pts, dofs)
     assert np.abs(val - 1.0).max() < 1e-12
     assert np.abs(grad).max() < 1e-11
-    assert np.abs(hess).max() < 1e-10
 
 
 def test_quadratic_reproduction():
     element = build_hct_element(REF)
     dofs = dofs_of(lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0), REF)
     pts = interior_points(REF, 10, seed=3)
-    val, grad, hess = eval_hct(element, pts, dofs)
+    val, grad = field(element, pts, dofs)
     assert np.abs(val - pts[:, 0] ** 2).max() < 1e-11
     assert np.abs(grad[:, 0] - 2.0 * pts[:, 0]).max() < 1e-11
     assert np.abs(grad[:, 1]).max() < 1e-11
-    # the hessian of the interpolant is the constant (2, 0, 0)
-    assert np.abs(hess - [2.0, 0.0, 0.0]).max() < 1e-10
 
 
 def test_quadratic_value_at_barycenter():
     element = build_hct_element(REF)
     dofs = dofs_of(lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0), REF)
-    val, grad, _ = eval_hct(element, np.array([[1.0 / 3.0, 1.0 / 3.0]]), dofs)
+    val, grad = field(element, np.array([[1.0 / 3.0, 1.0 / 3.0]]), dofs)
     assert abs(val[0] - 1.0 / 9.0) < 1e-12
     assert np.abs(grad[0] - [2.0 / 3.0, 0.0]).max() < 1e-12
 
@@ -106,11 +109,10 @@ def test_general_quadratic_on_random_triangle():
 
     dofs = dofs_of(q, gq, coords)
     pts = interior_points(coords, 10, seed=5)
-    val, grad, hess = eval_hct(element, pts, dofs)
+    val, grad = field(element, pts, dofs)
     assert np.abs(val - q(pts[:, 0], pts[:, 1])).max() < 1e-11
     gx, gy = gq(pts[:, 0], pts[:, 1])
     assert np.abs(grad - np.stack([gx, gy], axis=1)).max() < 1e-10
-    assert np.abs(hess - [0.6, -1.1, 1.4]).max() < 1e-9
 
 
 def test_cubic_reproduction_fails():
@@ -120,7 +122,7 @@ def test_cubic_reproduction_fails():
     element = build_hct_element(REF)
     dofs = dofs_of(lambda x, y: x**3, lambda x, y: (3.0 * x * x, 0.0), REF)
     pts = interior_points(REF, 20, seed=6)
-    val, _, _ = eval_hct(element, pts, dofs)
+    val, _ = field(element, pts, dofs)
     assert np.abs(val - pts[:, 0] ** 3).max() > 1e-6
 
 
@@ -236,8 +238,9 @@ def test_interpolate_smooth_function():
 @pytest.mark.parametrize("seed", range(12))
 def test_points_are_evaluated_on_the_subtriangle_the_loop_picked(seed):
     # the vertices, the three internal edges (where two subtriangles tie),
-    # the centre and 200 seeded points; the broken Hessians differ between
-    # subtriangles, so another pick shows in the bytes
+    # the centre and 200 seeded points; the values and gradients of two
+    # subtriangles at a tie differ in their last bits, so another pick shows
+    # in the bytes (ties sent to the last subtriangle fail 10 of the 12 seeds)
     coords = random_triangle(seed)
     center = coords.mean(axis=0, keepdims=True)
     edges = quadrature.segment_points(coords, center, np.linspace(0.0, 1.0, 9)).reshape(-1, 2)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
-from oracles import assembled_triplets, jacobi_scaled, jittered_mesh, symmetric_from_coo
+from oracles import assembled_triplets, diags_scaled, jittered_mesh, symmetric_from_coo
 from plate_dpg import driver, dpg, linalg, parts
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.linalg import (
@@ -161,12 +161,6 @@ def test_cg_reports_nonconvergence(monkeypatch):
     assert [(c["rtol"], c["maxiter"]) for c in calls] == [(linalg.CG_TOL, 10_000)]
 
 
-def test_unknown_method():
-    A = sparse(np.eye(2))
-    with pytest.raises(ValueError), spd_solver(A, "qr") as solve:
-        solve(np.ones(2))
-
-
 def test_cg_iterations_are_the_callback_count():
     D = random_spd(40, seed=4, cond=1e6)
     b = np.random.default_rng(5).standard_normal(40)
@@ -283,13 +277,17 @@ def test_assembly_and_scaling_give_the_bytes_of_the_sparse_sums(name, monkeypatc
         rows, cols, vals = assembled_triplets(dof.free_index[dof.element_dofs], A_loc)
         expect = symmetric_from_coo(dof.n_free, rows, cols, vals)
         assert same_bytes(A, expect)
+        # spd_solver takes A as it is: CSC, sorted without duplicates, no
+        # stored zeros (the flag is computed afresh from the arrays)
+        assert A.format == "csc" and A.data.all()
+        assert sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape).has_canonical_format
         if name == "uniform level 4" and config.t > 0.0:
             # some duplicate sums come out exactly zero, and A drops them
             lower = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
             assert (lower.data == 0.0).any()
             assert A.nnz < 2 * lower.nnz - dof.n_free
         s = 1.0 / np.sqrt(A.diagonal())
-        assert same_bytes(linalg._scaled(A, s), jacobi_scaled(expect, s))
+        assert same_bytes(linalg._scaled(A, s), diags_scaled(expect, s))
 
 
 def test_assembly_drops_a_duplicate_sum_of_exactly_zero():
@@ -313,14 +311,14 @@ def test_scaling_shares_the_index_arrays_unless_an_entry_underflows():
     s = np.array([1e-150, 1.0, 1e-150])
     before = [getattr(A, part).copy() for part in ("data", "indices", "indptr")]
     # (1, 2): (1e-150 * 1e-300) * 1.0 underflows to zero and is dropped
-    got, expect = linalg._scaled(A, s), jacobi_scaled(A, s)
+    got, expect = linalg._scaled(A, s), diags_scaled(A, s)
     assert expect.nnz == A.nnz - 2
     assert same_bytes(got, expect)
     assert not np.shares_memory(got.indices, A.indices)
     for part, old in zip(("data", "indices", "indptr"), before):
         assert getattr(A, part).tobytes() == old.tobytes()
     s = np.array([1e-150, 1.0, 1e-10])
-    got, expect = linalg._scaled(A, s), jacobi_scaled(A, s)
+    got, expect = linalg._scaled(A, s), diags_scaled(A, s)
     assert got.nnz == A.nnz
     assert same_bytes(got, expect)
     assert np.shares_memory(got.indices, A.indices)

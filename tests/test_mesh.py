@@ -155,7 +155,7 @@ OVERLAP = "triangles {} and {} overlap: both traverse edge 5-6 in one direction"
 def test_rejects_overshared_edge():
     # the message named neither the edge nor its triangles
     with pytest.raises(ValueError, match=f"^{FAN.format(0, 1, 2)}$"):
-        Mesh(FAULTS, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+        Mesh(FAULTS[:5], np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
 
 
 @pytest.mark.parametrize("triangles, message", [
@@ -213,11 +213,26 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     # the second triangle is clockwise
     ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2], [1, 2, 3]],
      "element 1: triangle must be CCW and non-degenerate"),
+    # the unit square with (0.25, 0.25) added: accepted before, and every
+    # solve then ended in "matrix is not positive definite (pivot 44)", as
+    # the vertex's 12 trace dofs coupled to nothing
+    ([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5], [0.25, 0.25]],
+     [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]], "vertex 5 is in no triangle"),
+    # of two unused vertices, the first is named
+    ([[0.25, 0.25]] + TRIANGLE + [[0.5, 0.5]], [[1, 2, 3]], "vertex 0 is in no triangle"),
 ])
 def test_rejects_arrays_that_are_not_a_mesh(vertices, triangles, message):
     with pytest.raises(ValueError, match=f"^{message}$"), warnings.catch_warnings():
         warnings.simplefilter("error")
         Mesh(np.array(vertices), np.array(triangles))
+
+
+def test_refined_and_jittered_meshes_use_every_vertex():
+    # they are built as before, now that a vertex in no triangle is refused:
+    # disks, whose Euler characteristic V - E + F = 1 counts every vertex
+    for mesh in [mesh_at_level(level) for level in range(6)] + [
+            jittered_mesh(3, seed) for seed in range(3)]:
+        assert mesh.num_vertices - len(mesh.edges) + mesh.num_triangles == 1
 
 
 def test_mesh_text_dump():
