@@ -161,6 +161,14 @@ def test_cg_reports_nonconvergence(monkeypatch):
     assert [(c["rtol"], c["maxiter"]) for c in calls] == [(linalg.CG_TOL, 10_000)]
 
 
+def test_unknown_method():
+    # spd_solver takes the method as dpg.ProblemConfig checked it, and the
+    # config is the one place an unknown name is refused
+    with pytest.raises(ValueError, match="^unknown solver 'qr'$"):
+        ProblemConfig(solver="qr")
+    assert [ProblemConfig(solver=m).solver for m in ("direct", "cg")] == ["direct", "cg"]
+
+
 def test_cg_iterations_are_the_callback_count():
     D = random_spd(40, seed=4, cond=1e6)
     b = np.random.default_rng(5).standard_normal(40)
