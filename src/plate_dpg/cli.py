@@ -55,9 +55,12 @@ def _cmd_study(args):
     outputs = {"--out": None if args.out == "-" else args.out,
                "--stats": args.stats, "--dump-mesh": args.dump_mesh}
     outputs = {flag: path for flag, path in outputs.items() if path is not None}
+    files = {}
     for flag, path in outputs.items():
         if error := _path_error(path):
             return _reject(args, f"{flag} {error}")
+        if (first := files.setdefault(os.path.realpath(path), flag)) != flag:
+            return _reject(args, f"{first} {outputs[first]} and {flag} {path} are one file")
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     meshes = []
     # run_study puts each t in, and checks it
@@ -126,18 +129,13 @@ def _property_suite(lines):
             worst = np.inf
     ok &= _check(lines, "Gram matrices positive definite", worst, 0)
 
-    # nodal duality of the C1 trace element
+    # nodal duality of the C1 trace element: at vertex v, (value, d/dx, d/dy)
+    # of the 9 basis functions are columns 3v..3v+2 of the identity
     err = 0.0
-    for j in range(9):
-        dofs = np.zeros(9)
-        dofs[j] = 1.0
-        for v in range(3):
-            val, grad = eval_hct(element, coords[v:v + 1])
-            actual = np.array([(val @ dofs)[0], *(grad.transpose(0, 2, 1) @ dofs)[0]])
-            expect = np.zeros(3)
-            if j // 3 == v:
-                expect[j % 3] = 1.0
-            err = max(err, float(np.abs(actual - expect).max()))
+    for v in range(3):
+        val, grad = eval_hct(element, coords[v:v + 1])
+        actual = np.column_stack([val[0], grad[0]])
+        err = max(err, float(np.abs(actual - np.eye(9)[:, 3 * v:3 * v + 3]).max()))
     ok &= _check(lines, "C1 trace element nodal duality", err, 1e-8)
     return ok
 

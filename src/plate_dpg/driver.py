@@ -363,8 +363,9 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     none.
 
     Before any solve, ValueError rejects an empty `t_list`, a t that
-    `config` with that t rejects, fewer than 1 level (2 if clamped) and,
-    on the direct path, a level past linalg.DIRECT_SIZE_LIMIT free dofs.
+    `config` with that t rejects, a repeated t, fewer than 1 level (2 if
+    clamped) and, on the direct path, a level past linalg.DIRECT_SIZE_LIMIT
+    free dofs.
     A given `mesh_chain` (levels 0, 1, ...) and `kernels_chain` (a level's
     `MeshKernels` or None) are extended to `levels` entries and filled in
     place.  Meshes and element tables are shared across thicknesses.  `progress` is an
@@ -376,6 +377,8 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     if not len(t_list):
         raise ValueError("t_list must hold at least one thickness")
     configs = [replace(config, t=t) for t in t_list]
+    if repeated := [t for i, t in enumerate(t_list) if t in t_list[:i]]:
+        raise ValueError(f"t = {repeated[0]:g} appears more than once in t_list")
     if levels < 1:
         raise ValueError(f"levels must be >= 1 (got {levels})")
     first = 1 if config.bc == "clamped" else 0
@@ -423,20 +426,16 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
 def write_csv(records, stream):
     stream.write(CSV_HEADER + "\n")
     for r in records:
-        cells = [str(r.level)] + [
-            f"{v:.16g}" for v in (r.t, r.ndof, r.err_u, r.err_M, r.err_theta,
-                                  r.eta, r.rate_u, r.rate_M, r.rate_theta)
-        ]
+        cells = [str(r.level)] + [f"{getattr(r, name):.16g}"
+                                  for name in CSV_HEADER.split(",")[1:]]
         stream.write(",".join(cells) + "\n")
 
 
-def _p0_l2_diff(mesh, a, b, weights=None):
+def _p0_l2_diff(mesh, a, b, weights=(1.0,)):
+    """L2 distance of two elementwise-constant fields, (nt,) or (nt, k), with weighted components."""
     areas = meshmod.signed_areas(mesh)
-    d = np.asarray(a) - np.asarray(b)
-    if d.ndim == 1:
-        return float(np.sqrt(np.sum(areas * d * d)))
-    w = np.asarray(weights, dtype=float)
-    return float(np.sqrt(np.sum(areas[:, None] * w[None, :] * d * d)))
+    d = (np.asarray(a) - np.asarray(b)).reshape(len(areas), -1)
+    return float(np.sqrt(np.sum(areas[:, None] * np.asarray(weights) * d * d)))
 
 
 def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):

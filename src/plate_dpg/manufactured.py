@@ -90,10 +90,11 @@ class ExactSolution:
         return -(g4(x) * g0(y) + 2.0 * g2(x) * g2(y) + g0(x) * g4(y)) / 3.0
 
 
-def _fd_grad(fun, x, y, h):
+def _fd_jacobian(fun, x, y, h):
+    """Central differences (d/dx, d/dy) of `np.array(fun(x, y))`, a field or a tuple of them."""
     return (
-        (fun(x + h, y) - fun(x - h, y)) / (2.0 * h),
-        (fun(x, y + h) - fun(x, y - h)) / (2.0 * h),
+        (np.array(fun(x + h, y)) - np.array(fun(x - h, y))) / (2.0 * h),
+        (np.array(fun(x, y + h)) - np.array(fun(x, y - h))) / (2.0 * h),
     )
 
 
@@ -122,8 +123,7 @@ def verify_manufactured(t):
         dm = ex.div_M(xx, yy)
         return dm[0] + t * (tx - gx), dm[1] + t * (ty - gy)
 
-    q1x, _ = _fd_grad(lambda a, b: shear(a, b)[0], x, y, h)
-    _, q2y = _fd_grad(lambda a, b: shear(a, b)[1], x, y, h)
+    (q1x, _), (_, q2y) = _fd_jacobian(shear, x, y, h)
     p1 = np.abs(-(q1x + q2y) - ex.f(x, y)).max()
 
     def wvec(xx, yy):
@@ -131,8 +131,7 @@ def verify_manufactured(t):
         dm = ex.div_M(xx, yy)
         return gx - t * t * dm[0], gy - t * t * dm[1]
 
-    w1x, w1y = _fd_grad(lambda a, b: wvec(a, b)[0], x, y, h)
-    w2x, w2y = _fd_grad(lambda a, b: wvec(a, b)[1], x, y, h)
+    (w1x, w2x), (w1y, w2y) = _fd_jacobian(wvec, x, y, h)
     m11, m12, m22 = ex.M(x, y)
     p2 = max(
         np.abs(m11 + w1x).max(),
@@ -140,13 +139,11 @@ def verify_manufactured(t):
         np.abs(m22 + w2y).max(),
     )
 
-    ux, uy = _fd_grad(ex.u, x, y, h)
+    ux, uy = _fd_jacobian(ex.u, x, y, h)
     tx, ty = ex.theta(x, y)
     p3 = max(np.abs(tx - ux).max(), np.abs(ty - uy).max())
 
-    m1x, _ = _fd_grad(lambda a, b: ex.M(a, b)[0], x, y, h)
-    m2x, m2y = _fd_grad(lambda a, b: ex.M(a, b)[1], x, y, h)
-    _, m3y = _fd_grad(lambda a, b: ex.M(a, b)[2], x, y, h)
+    (m1x, m2x, _), (_, m2y, m3y) = _fd_jacobian(ex.M, x, y, h)
     dm = ex.div_M(x, y)
     div_check = max(np.abs(m1x + m2y - dm[0]).max(), np.abs(m2x + m3y - dm[1]).max())
 

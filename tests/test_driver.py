@@ -430,6 +430,10 @@ def solves(monkeypatch):
     ([], 2, ProblemConfig(t=1e-2), "t_list must hold at least one thickness"),
     ([1e-2], 8, ProblemConfig(t=1e-2), "level 7 has 786428 free dofs, more than the "
                                        "200000 of the direct solver; use the cg solver"),
+    # a repeated t was solved again and its rows written twice
+    ([1e-2, 1e-2], 1, ProblemConfig(t=1e-2), "t = 0.01 appears more than once in t_list"),
+    ([1e-2, 1e-4, 0.01], 1, ProblemConfig(t=1e-2),
+     "t = 0.01 appears more than once in t_list"),
 ])
 def test_run_study_rejects_a_bad_request_before_any_solve(solves, t_list, levels, config,
                                                           message):
@@ -633,6 +637,8 @@ def test_cli_rejects_a_thickness_past_float64_in_one_line(run_cli, tmp_path, t):
     (["--bc", "free"], "unknown boundary condition 'free'"),
     (["--solver", "qr"], "unknown solver 'qr'"),
     (["--t-list", ","], "t_list must hold at least one thickness"),
+    (["--t-list", "1e-2,1e-2", "--levels", "1"], "t = 0.01 appears more than once in t_list"),
+    (["--t-list", "0.01,1e-2", "--levels", "1"], "t = 0.01 appears more than once in t_list"),
 ])
 def test_cli_rejects_bad_settings_in_one_line(solves, capsys, tmp_path, args, message):
     out = tmp_path / "study.csv"
@@ -641,6 +647,18 @@ def test_cli_rejects_bad_settings_in_one_line(solves, capsys, tmp_path, args, me
     assert len(lines) == 1
     assert lines[0].startswith(f"plate-dpg study: error: {message}")
     assert not out.exists()
+    assert solves == []
+
+
+def test_cli_study_refuses_two_outputs_that_name_one_file(solves, capsys, tmp_path,
+                                                          monkeypatch):
+    # the stats JSON once overwrote the CSV written to the same file, and exit was 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["study", "--levels", "1", "--t-list", "1e-2", "--quiet",
+                 "--out", "a.txt", "--stats", "./a.txt"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "plate-dpg study: error: --out a.txt and --stats ./a.txt are one file"]
+    assert list(tmp_path.iterdir()) == []
     assert solves == []
 
 

@@ -7,10 +7,10 @@ levels 0-3, the clamped study at t = 0 on levels 1-3, every `MeshKernels`
 table of uniform level 2, the fields, estimator, assembled matrix, kept
 element stacks and the counters of `Solution.stats` (STATS) of one
 jittered level-3 mesh at t = 1e-2 and t = 0, the Kirchhoff limit check at
-level 2 and the `verify` report.  The tables and the jittered outputs are
-also computed with every chunk loop in one process and compared with the
-same hashes, which were taken with the loops in two where the machine has
-two cores.
+level 2, the `verify` report and each value of `verify_manufactured` it
+reads.  The tables and the jittered outputs are also computed with every
+chunk loop in one process and compared with the same hashes, which were
+taken with the loops in two where the machine has two cores.
 
 The hashes hold for one environment, whose fingerprint golden.json keeps.
 On another one the test is skipped and names the fields that differ.
@@ -36,7 +36,7 @@ import pytest
 import scipy
 
 from oracles import jittered_mesh
-from plate_dpg import cli, driver, parts
+from plate_dpg import cli, driver, manufactured, parts
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
@@ -46,6 +46,7 @@ STUDY_LEVELS = 4
 JITTER_LEVEL, JITTER_SEED = 3, 0
 CLAMPED_LEVELS = 4  # levels 1-3: clamped studies start at level 1
 TABLES_LEVEL = 2
+VERIFY_T = (0.0, 1e-2, 1e-4)  # the thicknesses `plate-dpg verify` checks
 # the fields of Solution.stats that are not times; factor_stored moves with
 # any SuperLU option
 STATS = ("n_free", "nnz", "factor_nnz", "factor_stored", "residual_inf",
@@ -133,6 +134,10 @@ def outputs():
     with contextlib.redirect_stdout(report):
         code = cli.main(["verify"])
     out["verify"] = digest(report.getvalue(), code)
+    # the report prints 4 digits; each value it reads is guarded to the bit
+    for t in VERIFY_T:
+        out.update({f"verify t={t:g} {key}": digest(value)
+                    for key, value in manufactured.verify_manufactured(t).items()})
     return out
 
 

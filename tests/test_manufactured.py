@@ -71,6 +71,28 @@ def test_strong_form_residuals(t):
     assert report["div_M_consistency"] <= 1e-6
 
 
+def test_fd_jacobian_of_a_quadratic_field_is_exact():
+    # on dyadic points with a power-of-two step, every value and difference
+    # of this quadratic is exact, so the central differences equal its Jacobian
+    x, y = np.meshgrid(np.arange(-8, 9) / 16.0, np.arange(-4, 5) / 8.0)
+    h = 2.0**-8
+
+    def pair(a, b):
+        return a * a + 3.0 * a * b, 2.0 * b * b - a * b
+
+    jacobian = ((2.0 * x + 3.0 * y, -y), (3.0 * x, 4.0 * y - x))
+    for field in (pair, lambda a, b: np.stack(pair(a, b))):
+        np.testing.assert_array_equal(manufactured._fd_jacobian(field, x, y, h), jacobian)
+
+
+def test_fd_jacobian_of_a_field_and_of_its_1_tuple_agree_to_the_bit():
+    x, y = np.random.default_rng(0).uniform(0.05, 0.95, size=(2, 50))
+    u = ExactSolution(1e-2).u
+    dx, dy = manufactured._fd_jacobian(u, x, y, 1e-5)
+    (dx1,), (dy1,) = manufactured._fd_jacobian(lambda a, b: (u(a, b),), x, y, 1e-5)
+    assert dx.tobytes() == dx1.tobytes() and dy.tobytes() == dy1.tobytes()
+
+
 def test_closed_forms_mutually_consistent():
     # finite differences tie phi to psi, M, and f
     ex = ExactSolution(0.0)
