@@ -9,7 +9,11 @@ Run from the root of a source checkout; everything is imported from
   `study`, `sweep` and `cg` workloads (setup_s, solve_s, wall_s,
   peak_rss_mb);
 - single solves of the manufactured problem on uniform levels 4, 5 and 6
-  at t = 1e-2 and t = 0, split with `perf_counter` into `MeshKernels`,
+  at t = 1e-2 and t = 0, each run twice: once given `MeshKernels` the
+  run holds through the solve (`"tables": "held"`), and once as
+  `assemble_and_solve(mesh, config)` with no tables given, which frees
+  them when `assemble` returns (`"tables": "none"`).  Each run is split
+  with `perf_counter` into the `MeshKernels` build, the rest of
   `assemble` and the rest of `assemble_and_solve`, of which `solve_s`
   (the sparse solve, its backward-error check and the export of the
   factor for its pivot check) and `estimator_s` come from
@@ -40,9 +44,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("study", "sweep", "cg")
-# the level-6 solves take about 48 s and 82 s and up to 3.7 GB each; they run
+# the level-6 solves take about 30-60 s and up to 3.2 GB each; they run
 # one after the other, as every solve does
 SOLVES = [(4, 1e-2), (4, 0.0), (5, 1e-2), (5, 0.0), (6, 1e-2), (6, 0.0)]
+TABLES = ("held", "none")
 
 # run in a fresh interpreter: one timed solve, printed as one JSON line
 SOLVE = """
@@ -51,26 +56,31 @@ from plate_dpg import driver
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
-level, t = int(sys.argv[1]), float(sys.argv[2])
+level, t, tables = int(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
 spent = {}
 
 def timed(name, fn):
     def wrapped(*args, **kwargs):
-        start = time.perf_counter()
+        start, before = time.perf_counter(), sum(spent.values())
         try:
             return fn(*args, **kwargs)
         finally:
-            spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+            # a timed call inside this one keeps its own seconds
+            inner = sum(spent.values()) - before
+            spent[name] = spent.get(name, 0.0) + time.perf_counter() - start - inner
     return wrapped
 
 mesh, config = mesh_at_level(level), ProblemConfig(t=t)
 driver.assemble = timed("assemble_s", driver.assemble)
+# `assemble` builds the tables it is not given through this name
+driver.MeshKernels = timed("mesh_kernels_s", driver.MeshKernels)
 start = time.perf_counter()
-kernels = timed("mesh_kernels_s", driver.MeshKernels)(mesh, config)
+kernels = driver.MeshKernels(mesh, config) if tables == "held" else None
 sol = driver.assemble_and_solve(mesh, config, kernels)
 total = time.perf_counter() - start
 spent["other_s"] = total - sum(spent.values())
-print(json.dumps(dict(level=level, t=t, n_free=sol.n_free, total_s=total, **spent,
+print(json.dumps(dict(level=level, t=t, tables=tables, n_free=sol.n_free, total_s=total,
+                      **spent,
                       solve_s=sol.stats.get("solve_s"),
                       estimator_s=sol.stats.get("estimator_s"),
                       residual_inf=sol.residual_inf,
@@ -187,11 +197,12 @@ def main(argv=None):
         print(workload, record["perfbench"][workload], file=sys.stderr)
     record["solves"] = []
     for level, t in SOLVES:
-        stdout, peak_pss_mb = run_sampled([sys.executable, "-c", SOLVE, str(level), repr(t)],
-                                          env)
-        solve = dict(last_json(stdout), peak_pss_mb=peak_pss_mb)
-        record["solves"].append(solve)
-        print("solve", solve, file=sys.stderr)
+        for tables in TABLES:
+            stdout, peak_pss_mb = run_sampled(
+                [sys.executable, "-c", SOLVE, str(level), repr(t), tables], env)
+            solve = dict(last_json(stdout), peak_pss_mb=peak_pss_mb)
+            record["solves"].append(solve)
+            print("solve", solve, file=sys.stderr)
     start = time.perf_counter()
     # a failing test is recorded in the summary line, not raised
     summary = run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],

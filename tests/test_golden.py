@@ -1,25 +1,36 @@
-"""Bit-for-bit guard: the solver's outputs hash to the values in golden.json.
+"""Bit-for-bit guard: the solver's outputs hash to the values in golden.json
+and golden_level5.json.
 
 Each output is hashed with SHA-256 over exact values: `float.hex` of each
 scalar and the raw bytes of each array (with its dtype and shape).  The
-outputs are the acceptance study on the four benchmark thicknesses at
-levels 0-3, the clamped study at t = 0 on levels 1-3, every `MeshKernels`
-table of uniform level 2, the fields, estimator, assembled matrix, kept
-element stacks and the counters of `Solution.stats` (STATS) of one
-jittered level-3 mesh at t = 1e-2 and t = 0, the Kirchhoff limit check at
-level 2, the `verify` report and each value of `verify_manufactured` it
-reads.  The tables and the jittered outputs are also computed with every
-chunk loop in one process and compared with the same hashes, which were
-taken with the loops in two where the machine has two cores.
+outputs golden.json holds are the acceptance study on the four benchmark
+thicknesses at levels 0-3, the clamped study at t = 0 on levels 1-3,
+every `MeshKernels` table of uniform level 2, the fields, estimator,
+assembled matrix, kept element stacks and the counters of
+`Solution.stats` (STATS) of one jittered level-3 mesh at t = 1e-2 and
+t = 0, the Kirchhoff limit check at level 2, the `verify` report and each
+value of `verify_manufactured` it reads.  The tables and the jittered
+outputs are also computed with every chunk loop in one process and
+compared with the same hashes, which were taken with the loops in two
+where the machine has two cores.
 
-The hashes hold for one environment, whose fingerprint golden.json keeps.
-On another one the test is skipped and names the fields that differ.
+golden_level5.json holds the larger outputs: the report and exit status
+of `plate-dpg study --levels 5` (the acceptance study, levels 0-4), of
+the clamped study at t = 0 to level 5 (`study --bc clamped --t-list 0
+--levels 6`), of `plate-dpg limit` and of `plate-dpg verify`, and the
+fields, estimator, assembled matrix and STATS of the uniform level-5
+solves at t = 1e-2 and t = 0, made without given tables.  Its `limit` is
+the CLI report, not the level-2 check values golden.json holds under
+that name.
+
+The hashes hold for one environment, whose fingerprint each file keeps.
+On another one the tests are skipped and name the fields that differ.
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-adds the hashes of outputs that golden.json does not hold yet, computed
+adds to each file the hashes of outputs it does not hold yet, computed
 from this tree, and keeps every hash it holds.  It refuses on another
-environment, and it exits non-zero without writing when an output it
+environment, and it exits non-zero without writing when an output a file
 holds has other bits, naming that output.
 """
 
@@ -41,6 +52,7 @@ from plate_dpg.dpg import ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
 GOLDEN = Path(__file__).with_name("golden.json")
+GOLDEN_LEVEL5 = Path(__file__).with_name("golden_level5.json")
 STUDY_T = (1e-2, 1e-4, 1e-6, 1e-8)  # the t list of the benchmark's study workload
 STUDY_LEVELS = 4
 JITTER_LEVEL, JITTER_SEED = 3, 0
@@ -51,6 +63,15 @@ VERIFY_T = (0.0, 1e-2, 1e-4)  # the thicknesses `plate-dpg verify` checks
 # any SuperLU option
 STATS = ("n_free", "nnz", "factor_nnz", "factor_stored", "residual_inf",
          "gram_pivot_min", "eta_max", "eta_mean", "kept_mb")
+# the CLI runs whose report and exit status golden_level5.json holds
+COMMANDS = {
+    "study --levels 5": ["study", "--levels", "5", "--quiet"],
+    "clamped study --levels 6": ["study", "--bc", "clamped", "--t-list", "0", "--levels", "6",
+                                 "--quiet"],
+    "limit": ["limit"],
+    "verify": ["verify"],
+}
+SOLVE_LEVEL = 5
 
 
 def fingerprint():
@@ -114,6 +135,14 @@ def table_outputs():
             for name in tables.NAMES}
 
 
+def cli_digest(argv):
+    """SHA-256 of the report `cli.main(argv)` prints and its exit status."""
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = cli.main(argv)
+    return digest(report.getvalue(), code)
+
+
 def outputs():
     """{name: SHA-256} of every guarded output of this tree."""
 
@@ -130,14 +159,26 @@ def outputs():
                           str(limit["monotone_u"]), str(limit["monotone_M"]),
                           limit["identity_rel_err"])
 
-    report = io.StringIO()
-    with contextlib.redirect_stdout(report):
-        code = cli.main(["verify"])
-    out["verify"] = digest(report.getvalue(), code)
+    out["verify"] = cli_digest(["verify"])
     # the report prints 4 digits; each value it reads is guarded to the bit
     for t in VERIFY_T:
         out.update({f"verify t={t:g} {key}": digest(value)
                     for key, value in manufactured.verify_manufactured(t).items()})
+    return out
+
+
+def level5_outputs():
+    """{name: SHA-256} of the CLI reports of COMMANDS and the uniform level-5 solves."""
+    out = {name: cli_digest(argv) for name, argv in COMMANDS.items()}
+    mesh = mesh_at_level(SOLVE_LEVEL)
+    for t in (1e-2, 0.0):
+        cfg = ProblemConfig(t=t)
+        sol = driver.assemble_and_solve(mesh, cfg)
+        _, _, A, _ = driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg))
+        arrays = {"u": sol.u, "M": sol.M, "theta": sol.theta, "trace": sol.trace,
+                  "eta_elements": sol.eta_elements,
+                  "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr}
+        out.update(solve_outputs(f"level {SOLVE_LEVEL} t={t:g}", sol, arrays))
     return out
 
 
@@ -146,18 +187,27 @@ def changed_outputs(held, got):
     return sorted(k for k, v in held.items() if got.get(k) != v)
 
 
-def test_outputs_keep_their_bits():
-    golden = json.loads(GOLDEN.read_text())
+def assert_keeps_its_bits(path, compute):
+    """Skip on another environment; else `compute()` must give exactly the hashes `path` holds."""
+    golden = json.loads(path.read_text())
     here = fingerprint()
     differ = [k for k in golden["fingerprint"] if golden["fingerprint"][k] != here.get(k)]
     if differ:
-        pytest.skip("golden hashes were taken on another environment: "
+        pytest.skip(f"{path.name} hashes were taken on another environment: "
                     + ", ".join(f"{k} {golden['fingerprint'][k]!r} != {here.get(k)!r}"
                                 for k in differ))
-    got = outputs()
+    got = compute()
     changed = changed_outputs(golden["sha256"], got)
     assert got.keys() == golden["sha256"].keys()
     assert not changed, f"outputs whose bits changed: {', '.join(changed)}"
+
+
+def test_outputs_keep_their_bits():
+    assert_keeps_its_bits(GOLDEN, outputs)
+
+
+def test_level5_outputs_keep_their_bits():
+    assert_keeps_its_bits(GOLDEN_LEVEL5, level5_outputs)
 
 
 def test_one_part_gives_the_bits_of_two(monkeypatch):
@@ -227,3 +277,4 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit(f"usage: {sys.argv[0]} --write")
     write_new_hashes(GOLDEN, outputs)
+    write_new_hashes(GOLDEN_LEVEL5, level5_outputs)
