@@ -12,26 +12,26 @@ Run from the root of a source checkout; everything is imported from
   at t = 1e-2 and t = 0, each run twice: once given `MeshKernels` the
   run holds through the solve (`"tables": "held"`), and once as
   `assemble_and_solve(mesh, config)` with no tables given, which frees
-  them when `assemble` returns (`"tables": "none"`).  Each run is split
-  with `perf_counter` into the `MeshKernels` build, the rest of
-  `assemble` and the rest of `assemble_and_solve`, of which `solve_s`
-  (the sparse solve, its backward-error check and the export of the
-  factor for its pivot check) and `estimator_s` come from
-  `Solution.stats`, with the peak RSS of each and
-  the number of BLAS libraries the solve ran on one thread
-  (`blas_pinned`), the seconds, entries and stored entries of the
-  sparse LU factor (`factor_s`, `factor_nnz`, `factor_stored`), the
-  number of processes the element systems ran in (`parts`), the MB of
-  the stacks kept from the element systems to the estimator (`kept_mb`)
-  and the seconds of the element systems and of assembly (`systems_s`,
-  `assembly_s`) from `Solution.stats`, each null where the checkout does
-  not report it, and `peak_pss_mb`, the peak of
-  the summed proportional set size of the solve's process tree, which
-  unlike the peak RSS also counts a forked child;
+  them when `assemble` returns (`"tables": "none"`).  Each run records
+  its `total_s`, its `mesh_kernels_s` (the seconds of the explicit
+  `MeshKernels` call for held tables, timed with one `perf_counter`
+  pair, and the solve's own `tables_s` for none), its peak RSS, and from
+  `Solution.stats` the seconds of the element systems, of assembly, of
+  the sparse solve (with its backward-error check and the export of the
+  factor for its pivot check) and of the estimator (`systems_s`,
+  `assembly_s`, `solve_s`, `estimator_s`), the number of BLAS libraries
+  the solve ran on one thread (`blas_pinned`), the seconds, entries and
+  stored entries of the sparse LU factor (`factor_s`, `factor_nnz`,
+  `factor_stored`), the number of processes the element systems ran in
+  (`parts`) and the MB of the stacks kept from the element systems to
+  the estimator (`kept_mb`), and `peak_pss_mb`, the peak of the summed
+  proportional set size of the solve's process tree, which unlike the
+  peak RSS also counts a forked child;
 - the wall time and summary line of the Tier-1 test command;
 - the Python, numpy and scipy versions, the core count, the BLAS
-  library of numpy and of scipy, and the thread count each of their
-  OpenBLAS libraries reports (null where none is found).
+  library of numpy and of scipy, and `blas_threads`, the thread count
+  of each distinct OpenBLAS library they have loaded, numpy's first, as
+  `linalg._blas_thread_controls` finds them (empty where none is found).
 """
 
 import argparse
@@ -56,71 +56,39 @@ from plate_dpg import driver
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
+# the fields of Solution.stats a record holds
+STATS = ("systems_s", "assembly_s", "solve_s", "estimator_s", "blas_pinned", "factor_s",
+         "factor_nnz", "factor_stored", "parts", "kept_mb")
 level, t, tables = int(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
-spent = {}
-
-def timed(name, fn):
-    def wrapped(*args, **kwargs):
-        start, before = time.perf_counter(), sum(spent.values())
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            # a timed call inside this one keeps its own seconds
-            inner = sum(spent.values()) - before
-            spent[name] = spent.get(name, 0.0) + time.perf_counter() - start - inner
-    return wrapped
-
 mesh, config = mesh_at_level(level), ProblemConfig(t=t)
-driver.assemble = timed("assemble_s", driver.assemble)
-# `assemble` builds the tables it is not given through this name
-driver.MeshKernels = timed("mesh_kernels_s", driver.MeshKernels)
 start = time.perf_counter()
 kernels = driver.MeshKernels(mesh, config) if tables == "held" else None
+mesh_kernels_s = time.perf_counter() - start
 sol = driver.assemble_and_solve(mesh, config, kernels)
 total = time.perf_counter() - start
-spent["other_s"] = total - sum(spent.values())
+if kernels is None:
+    mesh_kernels_s = sol.stats["tables_s"]
 print(json.dumps(dict(level=level, t=t, tables=tables, n_free=sol.n_free, total_s=total,
-                      **spent,
-                      solve_s=sol.stats.get("solve_s"),
-                      estimator_s=sol.stats.get("estimator_s"),
+                      mesh_kernels_s=mesh_kernels_s,
+                      **{name: sol.stats[name] for name in STATS},
                       residual_inf=sol.residual_inf,
-                      blas_pinned=sol.stats.get("blas_pinned"),
-                      factor_s=sol.stats.get("factor_s"),
-                      factor_nnz=sol.stats.get("factor_nnz"),
-                      factor_stored=sol.stats.get("factor_stored"),
-                      parts=sol.stats.get("parts"),
-                      kept_mb=sol.stats.get("kept_mb"),
-                      systems_s=sol.stats.get("systems_s"),
-                      assembly_s=sol.stats.get("assembly_s"),
                       peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)))
 """
 
 ENVIRONMENT = """
-import ctypes, json, os, platform, numpy, numpy.linalg._umath_linalg, scipy, scipy.linalg._fblas
-from plate_dpg.linalg import _OPENBLAS_THREAD_NAMES
+import json, os, platform, numpy, scipy
+from plate_dpg.linalg import _blas_thread_controls
 
 def blas(config):
     dep = config.get("Build Dependencies", {}).get("blas", {})
     return f"{dep.get('name', '?')} {dep.get('version', '?')}"
-
-def blas_threads(module):
-    # the OpenBLAS a module links, reached through its handle: numpy's,
-    # scipy's or a system build
-    lib = ctypes.CDLL(module.__file__)
-    for name, _ in _OPENBLAS_THREAD_NAMES:
-        get = getattr(lib, name, None)
-        if get is not None:
-            get.restype = ctypes.c_int
-            return get()
-    return None
 
 print(json.dumps({
     "python": platform.python_version(), "numpy": numpy.__version__,
     "scipy": scipy.__version__, "nproc": len(os.sched_getaffinity(0)),
     "numpy_blas": blas(numpy.show_config(mode="dicts")),
     "scipy_blas": blas(scipy.show_config(mode="dicts")),
-    "numpy_blas_threads": blas_threads(numpy.linalg._umath_linalg),
-    "scipy_blas_threads": blas_threads(scipy.linalg._fblas),
+    "blas_threads": [get() for get, _ in _blas_thread_controls()],
     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
 }))
 """

@@ -57,6 +57,8 @@ def _cmd_study(args):
     outputs = {flag: path for flag, path in outputs.items() if path is not None}
     files = {}
     for flag, path in outputs.items():
+        if path == "-":
+            return _reject(args, f"{flag} -: only --out writes to stdout")
         if error := _path_error(path):
             return _reject(args, f"{flag} {error}")
         if (first := files.setdefault(os.path.realpath(path), flag)) != flag:

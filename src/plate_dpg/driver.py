@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import dpg, linalg, manufactured, mesh as meshmod, parts, quadrature
+from . import dpg, linalg, manufactured, mesh as meshmod, parts
 
 TRACE_U, TRACE_M11, TRACE_M12, TRACE_M22 = 0, 1, 2, 3
 VAL, DX, DY = 0, 1, 2
@@ -123,15 +123,16 @@ class Solution:
     eta_elements: np.ndarray      # (nt,) local estimator contributions
     n_free: int
     residual_inf: float           # free-system residual, consistency guard
-    # what the solve did: seconds per phase (systems_s: element systems and
-    # condensation, assembly_s, solve_s, estimator_s), parts (the number of
-    # processes the element systems ran in, 1 or 2), kept_mb (the MB of the
-    # stacks kept from the element systems to the estimator: the packed
-    # lower triangles of the Gram factors, dinv, B and l; 14.3 of them are
-    # the factors at level 4, t > 0), n_free, nnz of the assembled matrix,
-    # residual_inf, gram_pivot_min (the smallest pivot diag(L)**2 of the
-    # equilibrated Gram factors), eta_max and eta_mean, cg_iterations (0 on
-    # the direct path) and blas_pinned (the OpenBLAS libraries the solve
+    # what the solve did: seconds per phase (tables_s: the `MeshKernels`
+    # built for this solve, 0.0 when it was given them; systems_s: element
+    # systems and condensation, assembly_s, solve_s, estimator_s), parts
+    # (the number of processes the element systems ran in, 1 or 2), kept_mb
+    # (the MB of the stacks kept from the element systems to the estimator:
+    # the packed lower triangles of the Gram factors, dinv, B and l; 14.3 of
+    # them are the factors at level 4, t > 0), n_free, nnz of the assembled
+    # matrix, residual_inf, gram_pivot_min (the smallest pivot diag(L)**2 of
+    # the equilibrated Gram factors), eta_max and eta_mean, cg_iterations (0
+    # on the direct path) and blas_pinned (the OpenBLAS libraries the solve
     # ran on one thread)
     stats: dict = field(default_factory=dict)
 
@@ -228,14 +229,17 @@ def assemble(mesh, config, kernels=None, stats=None):
     The element systems run chunk by chunk in `parts.stack_chunks`, with
     the bits of one process.
     The COO triplets and the rhs sums run element by element, in element
-    order.  A given dict `stats` receives systems_s, parts, kept_mb,
-    assembly_s, gram_pivot_min and nnz (see `Solution.stats`).
+    order.  A given dict `stats` receives tables_s (0.0 for given
+    `kernels`), systems_s, parts, kept_mb, assembly_s, gram_pivot_min and
+    nnz (see `Solution.stats`).
     """
     stats = {} if stats is None else stats
     dof = DofMap(mesh, config)
     _check_direct_size(dof, config, mesh.level)
+    stats["tables_s"] = 0.0
     if kernels is None:
-        kernels = MeshKernels(mesh, config)
+        with _timed(stats, "tables_s"):
+            kernels = MeshKernels(mesh, config)
     else:
         kernels.check(mesh)
 
@@ -368,7 +372,9 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     free dofs.
     A given `mesh_chain` (levels 0, 1, ...) and `kernels_chain` (a level's
     `MeshKernels` or None) are extended to `levels` entries and filled in
-    place.  Meshes and element tables are shared across thicknesses.  `progress` is an
+    place.  Meshes and element tables are shared across thicknesses; the
+    seconds of the tables built here enter the `tables_s` of the first
+    solve that uses them.  `progress` is an
     optional callable taking a status string.  A linalg.SolveError or
     ValueError of a level's tables or solve names its level and t.
     """
@@ -396,10 +402,13 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
         prev = None
         for level in range(first, levels):
             with _at_level(level, t):
+                built = {"tables_s": 0.0}
                 if kernels_chain[level] is None:
-                    kernels_chain[level] = MeshKernels(mesh_chain[level], cfg)
+                    with _timed(built, "tables_s"):
+                        kernels_chain[level] = MeshKernels(mesh_chain[level], cfg)
                 start = time.perf_counter()
                 sol = assemble_and_solve(mesh_chain[level], cfg, kernels_chain[level])
+                sol.stats["tables_s"] += built["tables_s"]
             err_u, err_M, err_th = manufactured.l2_errors(
                 mesh_chain[level], sol.u, sol.M, sol.theta, t
             )
@@ -444,8 +453,8 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
     Solves on one mesh for each t in `t_sequence` and for t = 0, and reports
     the elementwise-L2 distances of the deflection and moment fields, which
     must shrink monotonically as t decreases.  Also evaluates the identity
-    ||u(t) - u(0)||_L2 = t^2 ||lap phi||_L2 of the closed-form solution, in
-    extended precision because the difference is far below the field scale.
+    ||u(t) - u(0)||_L2 = t^2 ||lap phi||_L2 of the closed-form solution
+    (`manufactured.limit_identity_error`).
 
     Before any solve, ValueError rejects a negative `level`, one past
     linalg.DIRECT_SIZE_LIMIT free dofs, and a `t_sequence` that is empty,
@@ -475,24 +484,6 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
         dM = _p0_l2_diff(msh, sol.M, sol0.M, weights=(1.0, 2.0, 1.0))
         rows.append((float(t), du, dM))
 
-    pts, w = quadrature.map_to_triangles(
-        quadrature.triangle_rule(manufactured.L2_QUAD_DEGREE), msh.vertices[msh.triangles])
-    x = pts[..., 0].astype(np.longdouble)
-    y = pts[..., 1].astype(np.longdouble)
-    wl = w.astype(np.longdouble)
-    ex_0 = manufactured.ExactSolution(0.0)
-    u_0 = ex_0.u(x, y)
-    lap = ex_0.lap_phi(x, y)
-    den = manufactured.sum_over_elements(wl, lap * lap)
-    ident_err = 0.0
-    for t in t_sequence:
-        diff = manufactured.ExactSolution(t).u(x, y) - u_0
-        num = manufactured.sum_over_elements(wl, diff * diff)
-        lhs = np.sqrt(num)
-        rhs = t * t * np.sqrt(den)
-        # np.maximum keeps a NaN, which max() would drop
-        ident_err = np.maximum(ident_err, abs(lhs - rhs) / rhs)
-
     du_seq = [r[1] for r in rows]
     dM_seq = [r[2] for r in rows]
     return {
@@ -500,5 +491,5 @@ def kirchhoff_limit_check(level=3, t_sequence=(1e-1, 1e-2, 1e-3)):
         "rows": rows,
         "monotone_u": all(a > b for a, b in zip(du_seq, du_seq[1:])),
         "monotone_M": all(a > b for a, b in zip(dM_seq, dM_seq[1:])),
-        "identity_rel_err": float(ident_err),
+        "identity_rel_err": manufactured.limit_identity_error(msh, t_sequence),
     }

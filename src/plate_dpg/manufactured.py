@@ -15,6 +15,8 @@ exact in floating point, and the material law is the identity.
 
 import numpy as np
 
+from .quadrature import map_to_triangles, triangle_rule
+
 
 def g0(s):
     return s**3 * (1.0 - s) ** 3
@@ -173,6 +175,11 @@ def verify_manufactured(t):
 L2_QUAD_DEGREE = 16
 
 
+def _l2_points(mesh):
+    """Points (nt, nq, 2) and weights (nt, nq) of the L2_QUAD_DEGREE rule on each triangle of `mesh`."""
+    return map_to_triangles(triangle_rule(L2_QUAD_DEGREE), mesh.vertices[mesh.triangles])
+
+
 def l2_errors(mesh, u_el, M_el, theta_el, t):
     """L2 errors of elementwise-constant fields against the exact solution.
 
@@ -180,11 +187,8 @@ def l2_errors(mesh, u_el, M_el, theta_el, t):
     At t = 0 the rotation is not a field of the system and its error is 0
     by convention.  Returns (err_u, err_M, err_theta).
     """
-    from .quadrature import map_to_triangles, triangle_rule
-
     ex = ExactSolution(t)
-    pts, w = map_to_triangles(triangle_rule(L2_QUAD_DEGREE),
-                              mesh.vertices[mesh.triangles])
+    pts, w = _l2_points(mesh)
     x, y = pts[..., 0], pts[..., 1]
     su = sum_over_elements(w, (ex.u(x, y) - u_el[:, None]) ** 2)
     m11, m12, m22 = ex.M(x, y)
@@ -205,3 +209,28 @@ def sum_over_elements(w, values):
     order, with other bits)."""
     return np.cumsum(np.vecdot(w, values).astype(float, copy=False))[-1]
 
+
+def limit_identity_error(mesh, t_sequence):
+    """Largest relative error over `t_sequence` of ||u(t) - u(0)||_L2 = t^2 ||lap phi||_L2.
+
+    The closed form has u(t) - u(0) = -t^2 lap phi.  Both sides are taken
+    on the L2_QUAD_DEGREE rule of `mesh` in extended precision, because the
+    difference is far below the field scale; a NaN error is returned as NaN.
+    """
+    pts, w = _l2_points(mesh)
+    x = pts[..., 0].astype(np.longdouble)
+    y = pts[..., 1].astype(np.longdouble)
+    wl = w.astype(np.longdouble)
+    ex_0 = ExactSolution(0.0)
+    u_0 = ex_0.u(x, y)
+    lap = ex_0.lap_phi(x, y)
+    den = sum_over_elements(wl, lap * lap)
+    ident_err = 0.0
+    for t in t_sequence:
+        diff = ExactSolution(t).u(x, y) - u_0
+        num = sum_over_elements(wl, diff * diff)
+        lhs = np.sqrt(num)
+        rhs = t * t * np.sqrt(den)
+        # np.maximum keeps a NaN, which max() would drop
+        ident_err = np.maximum(ident_err, abs(lhs - rhs) / rhs)
+    return float(ident_err)

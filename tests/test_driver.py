@@ -552,7 +552,7 @@ def test_cli_study_builds_each_mesh_once(monkeypatch, capsys, tmp_path):
 STATS_KEYS = {"systems_s", "assembly_s", "solve_s", "estimator_s", "n_free", "nnz",
               "residual_inf", "gram_pivot_min", "eta_max", "eta_mean", "blas_pinned",
               "cg_iterations", "factor_s", "factor_nnz", "factor_stored", "parts",
-              "kept_mb"}
+              "kept_mb", "tables_s"}
 
 
 def test_cli_study_writes_solve_stats(capsys, tmp_path):
@@ -658,6 +658,20 @@ def test_cli_study_refuses_two_outputs_that_name_one_file(solves, capsys, tmp_pa
                  "--out", "a.txt", "--stats", "./a.txt"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "plate-dpg study: error: --out a.txt and --stats ./a.txt are one file"]
+    assert list(tmp_path.iterdir()) == []
+    assert solves == []
+
+
+@pytest.mark.parametrize("flag", ["--stats", "--dump-mesh"])
+def test_cli_study_refuses_stdout_for_stats_and_mesh(solves, capsys, tmp_path, monkeypatch,
+                                                     flag):
+    # both wrote a file named "-" and reported "wrote ... to -", which reads as stdout
+    monkeypatch.chdir(tmp_path)
+    assert main(["study", "--levels", "1", "--t-list", "0", flag, "-"]) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
+        f"plate-dpg study: error: {flag} -: only --out writes to stdout"]
     assert list(tmp_path.iterdir()) == []
     assert solves == []
 
@@ -793,6 +807,23 @@ def test_kept_mb_counts_the_stacks_kept_for_the_estimator(t):
     assert stats["kept_mb"] == (Lp.nbytes + dinv.nbytes + B.nbytes + l.nbytes) / 2**20
     n = dinv.shape[1]
     assert Lp.nbytes == mesh.num_triangles * n * (n + 1) // 2 * 8
+
+
+def test_tables_s_counts_the_tables_built_for_the_solve(level1):
+    mesh, cfg, _, given = level1
+    assert given.stats["tables_s"] == 0.0
+    assert assemble_and_solve(mesh, cfg).stats["tables_s"] > 0.0
+
+
+def test_run_study_puts_the_table_seconds_on_the_first_solve_of_each_level():
+    t_list, cfg = [1e-2, 0.0], ProblemConfig()
+    built = run_study(t_list, 3, cfg)
+    assert [(r.t, r.level) for r in built if r.stats["tables_s"] > 0.0] == [
+        (1e-2, 0), (1e-2, 1), (1e-2, 2)]
+    assert [r.stats["tables_s"] for r in built[3:]] == [0.0] * 3
+    meshes = [mesh_at_level(level) for level in range(3)]
+    given = run_study(t_list, 3, cfg, meshes, [MeshKernels(m, cfg) for m in meshes])
+    assert [r.stats["tables_s"] for r in given] == [0.0] * 6
 
 
 def test_solution_stats_report_the_solve():

@@ -12,7 +12,9 @@ t = 0, the Kirchhoff limit check at level 2, the `verify` report and each
 value of `verify_manufactured` it reads.  The tables and the jittered
 outputs are also computed with every chunk loop in one process and
 compared with the same hashes, which were taken with the loops in two
-where the machine has two cores.
+where the machine has two cores.  A solve's matrix and kept stacks are
+hashed as its calls of `linalg.spd_solver` and `dpg.local_residuals`
+receive them, so each guarded solve is assembled once.
 
 golden_level5.json holds the larger outputs: the report and exit status
 of `plate-dpg study --levels 5` (the acceptance study, levels 0-4), of
@@ -41,13 +43,14 @@ import json
 import platform
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
 
 from oracles import jittered_mesh
-from plate_dpg import cli, driver, manufactured, parts
+from plate_dpg import cli, dpg, driver, linalg, manufactured, parts
 from plate_dpg.dpg import ProblemConfig
 from plate_dpg.mesh import mesh_at_level
 
@@ -104,26 +107,51 @@ def digest(*values):
     return h.hexdigest()
 
 
+def hashing_arguments(hashes, owner, name, arrays):
+    """Patch `owner.name` to put, at each call, the SHA-256 of each of `arrays(*args)` into `hashes`.
+
+    `arrays` names the arrays to hash among the call's arguments; each is
+    hashed before the call runs, and no reference to it is kept.
+    """
+    call = getattr(owner, name)
+
+    def hashed(*args):
+        hashes.update({key: digest(a) for key, a in arrays(*args).items()})
+        return call(*args)
+
+    return mock.patch.object(owner, name, hashed)
+
+
+def matrix_hashes(hashes):
+    """Hash into `hashes` the A that each `linalg.spd_solver` call of the with-block receives."""
+    return hashing_arguments(hashes, linalg, "spd_solver", lambda A, *_: {
+        "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr})
+
+
+def kept_hashes(hashes):
+    """Hash into `hashes` the kept stacks each `dpg.local_residuals` call of the with-block receives."""
+    return hashing_arguments(hashes, dpg, "local_residuals", lambda Lp, dinv, B, l, _: {
+        "kept L": Lp, "kept dinv": dinv, "kept B": B, "kept l": l})
+
+
 def jittered_outputs():
     """{name: SHA-256} of the jittered level-3 solves, A, kept stacks and stats."""
     out = {}
     mesh = jittered_mesh(JITTER_LEVEL, JITTER_SEED)
     kernels = driver.MeshKernels(mesh, ProblemConfig())
     for t in (1e-2, 0.0):
-        cfg = ProblemConfig(t=t)
-        sol = driver.assemble_and_solve(mesh, cfg, kernels)
-        _, (Lp, dinv, B, l), A, _ = driver.assemble(mesh, cfg, kernels)
-        arrays = {"u": sol.u, "M": sol.M, "theta": sol.theta, "trace": sol.trace,
-                  "eta_elements": sol.eta_elements,
-                  "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr,
-                  "kept L": Lp, "kept dinv": dinv, "kept B": B, "kept l": l}
-        out.update(solve_outputs(f"jittered t={t:g}", sol, arrays))
+        inputs = {}
+        with matrix_hashes(inputs), kept_hashes(inputs):
+            sol = driver.assemble_and_solve(mesh, ProblemConfig(t=t), kernels)
+        out.update(solve_outputs(f"jittered t={t:g}", sol, inputs))
     return out
 
 
-def solve_outputs(prefix, sol, arrays):
-    """{name: SHA-256} of one solve's `arrays` and the STATS of its `Solution.stats`."""
-    out = {f"{prefix} {name}": digest("none" if a is None else a) for name, a in arrays.items()}
+def solve_outputs(prefix, sol, inputs):
+    """{name: SHA-256} of one solve's fields, its `inputs` hashes and its STATS."""
+    out = {f"{prefix} {name}": digest("none" if (a := getattr(sol, name)) is None else a)
+           for name in ("u", "M", "theta", "trace", "eta_elements")}
+    out.update({f"{prefix} {name}": h for name, h in inputs.items()})
     out.update({f"{prefix} stats {name}": digest(sol.stats[name]) for name in STATS})
     return out
 
@@ -172,13 +200,10 @@ def level5_outputs():
     out = {name: cli_digest(argv) for name, argv in COMMANDS.items()}
     mesh = mesh_at_level(SOLVE_LEVEL)
     for t in (1e-2, 0.0):
-        cfg = ProblemConfig(t=t)
-        sol = driver.assemble_and_solve(mesh, cfg)
-        _, _, A, _ = driver.assemble(mesh, cfg, driver.MeshKernels(mesh, cfg))
-        arrays = {"u": sol.u, "M": sol.M, "theta": sol.theta, "trace": sol.trace,
-                  "eta_elements": sol.eta_elements,
-                  "A.data": A.data, "A.indices": A.indices, "A.indptr": A.indptr}
-        out.update(solve_outputs(f"level {SOLVE_LEVEL} t={t:g}", sol, arrays))
+        inputs = {}
+        with matrix_hashes(inputs):
+            sol = driver.assemble_and_solve(mesh, ProblemConfig(t=t))
+        out.update(solve_outputs(f"level {SOLVE_LEVEL} t={t:g}", sol, inputs))
     return out
 
 
