@@ -53,6 +53,8 @@ class ProblemConfig:
         """Reject every setting the solver cannot honour, with a one-line message."""
         if not np.isfinite(self.t) or self.t < 0.0:
             raise ValueError("thickness t must be finite and >= 0")
+        # + 0.0 turns -0.0 into 0.0, so a t of -0 is t = 0 in every record and message
+        self.t = float(self.t) + 0.0
         if self.bc not in ("simply-supported", "clamped"):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         if self.bc == "clamped" and self.t != 0.0:

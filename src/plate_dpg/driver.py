@@ -383,6 +383,8 @@ def run_study(t_list, levels, config, mesh_chain=None, kernels_chain=None,
     if not len(t_list):
         raise ValueError("t_list must hold at least one thickness")
     configs = [replace(config, t=t) for t in t_list]
+    # each t as its config stores it, the one form records and messages use
+    t_list = [cfg.t for cfg in configs]
     if repeated := [t for i, t in enumerate(t_list) if t in t_list[:i]]:
         raise ValueError(f"t = {repeated[0]:g} appears more than once in t_list")
     if levels < 1:

@@ -434,6 +434,7 @@ def solves(monkeypatch):
     ([1e-2, 1e-2], 1, ProblemConfig(t=1e-2), "t = 0.01 appears more than once in t_list"),
     ([1e-2, 1e-4, 0.01], 1, ProblemConfig(t=1e-2),
      "t = 0.01 appears more than once in t_list"),
+    ([0.0, -0.0], 1, ProblemConfig(t=1e-2), "t = 0 appears more than once in t_list"),
 ])
 def test_run_study_rejects_a_bad_request_before_any_solve(solves, t_list, levels, config,
                                                           message):
@@ -577,6 +578,24 @@ def test_cli_study_writes_solve_stats(capsys, tmp_path):
         assert d["stats"]["cg_iterations"] == 0
 
 
+def test_cli_study_of_minus_zero_is_the_study_of_zero(capsys, tmp_path):
+    # the -0 study wrote "-0" in its t cells, its progress lines and its stats
+    assert math.copysign(1.0, ProblemConfig(t=-0.0).t) == 1.0
+    runs = []
+    for t in ("0", "-0"):
+        paths = tmp_path / f"study{t}.csv", tmp_path / f"stats{t}.jsonl"
+        assert main(["study", "--t-list", t, "--levels", "2", "--out", str(paths[0]),
+                     "--stats", str(paths[1])]) == 0
+        err = capsys.readouterr().err.splitlines()
+        runs.append((paths[0].read_bytes(), [line.rsplit(" [", 1)[0] for line in err[:2]],
+                     [json.loads(line)["t"] for line in paths[1].read_text().splitlines()]))
+    assert runs[1] == runs[0]
+    csv, progress, ts = runs[0]
+    assert [row.split(b",")[1] for row in csv.splitlines()[1:]] == [b"0", b"0"]
+    assert [line.split(" ndof")[0] for line in progress] == ["t=0 level=0", "t=0 level=1"]
+    assert [math.copysign(1.0, t) for t in ts] == [1.0, 1.0]
+
+
 def test_cli_rejects_bad_thickness_list(run_cli, tmp_path):
     proc = run_cli(["study", "--t-list", "1e-2,oops"], tmp_path)
     assert proc.returncode == 2
@@ -639,6 +658,8 @@ def test_cli_rejects_a_thickness_past_float64_in_one_line(run_cli, tmp_path, t):
     (["--t-list", ","], "t_list must hold at least one thickness"),
     (["--t-list", "1e-2,1e-2", "--levels", "1"], "t = 0.01 appears more than once in t_list"),
     (["--t-list", "0.01,1e-2", "--levels", "1"], "t = 0.01 appears more than once in t_list"),
+    # a t of -0 is t = 0, and was named "t = -0"
+    (["--t-list", "0,-0", "--levels", "1"], "t = 0 appears more than once in t_list"),
 ])
 def test_cli_rejects_bad_settings_in_one_line(solves, capsys, tmp_path, args, message):
     out = tmp_path / "study.csv"

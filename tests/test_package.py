@@ -1,4 +1,7 @@
-"""The installed package holds only what the solver, the CLI and the API run.
+"""The installed package holds and imports only what the solver, the CLI and the API run.
+
+A solve loads no module it does not call: scipy.special, once imported
+for one Gauss-Jacobi rule, is a reference of the tests only.
 
 Every module-level function and class in `src/plate_dpg` must be exported
 through `plate_dpg.__all__`, named by the benchmark in `perfbench/`, or
@@ -11,7 +14,10 @@ reach belongs under `tests/` (see `oracles.py`).
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -98,6 +104,26 @@ def test_every_definition_is_reached_outside_the_tests():
 
 def test_every_method_and_property_is_read_outside_the_tests():
     assert unread_members() == []
+
+
+def test_a_solve_loads_no_scipy_special():
+    # quadrature.py imported scipy.special for its Gauss-Jacobi factors, and
+    # every process paid for that module; the factors are now a table
+    script = """
+import sys
+import plate_dpg, plate_dpg.cli
+from plate_dpg import driver, mesh_at_level, ProblemConfig
+msh, cfg = mesh_at_level(1), ProblemConfig(t=1e-2, solver="direct")
+driver.assemble_and_solve(msh, cfg, driver.MeshKernels(msh, cfg))
+print(sorted(name for name in sys.modules if name.startswith("scipy.special")))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH"))
+                                        if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_the_check_sees_a_test_only_function(tmp_path):
